@@ -7,7 +7,8 @@
 Bundled example languages are addressed by pack id (``langweave run
 minusdiv_codegen "1-4/2-3" --emit residual``).  Stdout carries data;
 diagnostics go to stderr.  Exit codes: 0 ok, 1 parse/grammar error,
-2 action or type error, 3 step budget, 64 usage, 66 missing file.
+2 action or type error, 3 step budget, 64 usage, 66 missing or
+unreadable file.
 """
 
 import argparse
@@ -15,8 +16,8 @@ import sys
 
 from . import packs
 from .errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
-                     EXIT_PARSE, EXIT_USAGE, EvalExit, LangError, Ll1Conflict,
-                     StepBudgetExceeded)
+                     EXIT_PARSE, EXIT_USAGE, ActionError, EvalError, EvalExit,
+                     LangError, Ll1Conflict, StepBudgetExceeded)
 from .evaluator import Session, apply_value, render_value, run_term_to_normal
 from .fragments import finalize
 from .grammar import prepare, print_grammar
@@ -32,41 +33,48 @@ class _Usage(Exception):
     pass
 
 
-def _load_grammar_file(path):
+def _read_file(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_NOINPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    raise SystemExit(EXIT_NOINPUT)
 
 
-def _registry_from(args, session, extra_packs=()):
+def _load(session, specs, pack_ids):
+    """Read and prepare every ``--grammar`` spec in argv order, then every
+    named grammar pack (script packs are skipped), yielding
+    ``(name, grammar, diagnostics)``.  The order fixes fresh-name numbering;
+    yielding lazily lets a registering caller fail on an earlier grammar
+    before a later file is read."""
+    def sources():
+        for spec_item in specs:
+            if "=" not in spec_item:
+                raise _Usage(f"--grammar expects name=path, got {spec_item!r}")
+            name, path = spec_item.split("=", 1)
+            yield name, _read_file(path)
+        for pack_id in pack_ids:
+            try:
+                manifest = packs.load_manifest(pack_id)
+            except KeyError:
+                raise _Usage(f"no bundled pack named {pack_id!r}") from None
+            if manifest["kind"] == "grammar":
+                yield pack_id, packs.pack_source(manifest)
+
+    for name, text in sources():
+        yield (name, *prepare(read_grammar(text, session.names)))
+
+
+def _registry(loaded):
     reg = LanguageRegistry()
-    prepared_by_name = {}
-    for spec_item in args.grammar or []:
-        if "=" not in spec_item:
-            raise _Usage(f"--grammar expects name=path, got {spec_item!r}")
-        name, path = spec_item.split("=", 1)
-        gdef = read_grammar(_load_grammar_file(path), session.names)
-        prepared, diagnostics = prepare(gdef)
-        if diagnostics:
-            for d in diagnostics:
-                print(f"diagnostic: {d}", file=sys.stderr)
-            raise Ll1Conflict(diagnostics)
-        reg.register(name, prepared, raw=True)
-        prepared_by_name[name] = prepared
-    for pack_id in extra_packs:
-        manifest = packs.load_manifest(pack_id)
-        if manifest["kind"] != "grammar":
-            continue
-        gdef = read_grammar(packs.pack_source(manifest), session.names)
-        prepared, diagnostics = prepare(gdef)
+    for name, grammar, diagnostics in loaded:
         if diagnostics:
             raise Ll1Conflict(diagnostics)
-        reg.register(pack_id, prepared, raw=True)
-        prepared_by_name[pack_id] = prepared
-    return reg, prepared_by_name
+        reg.register(name, grammar, raw=True)
+    return reg
 
 
 def _emit_outputs(outs, emit, session):
@@ -86,34 +94,18 @@ def _emit_outputs(outs, emit, session):
 def _parse_invoke_args(expr):
     values = []
     for chunk in (expr or "").split():
-        values.append(Int(int(chunk)))
+        try:
+            values.append(Int(int(chunk)))
+        except ValueError:
+            raise _Usage(f"invoke argument {chunk!r} is not an integer") from None
     return values
-
-
-def _load_prepared(args, session, extra_packs=()):
-    """Read and prepare grammars without registering (check must report
-    conflicts itself rather than fail on them)."""
-    prepared = {}
-    for spec_item in args.grammar or []:
-        if "=" not in spec_item:
-            raise _Usage(f"--grammar expects name=path, got {spec_item!r}")
-        name, path = spec_item.split("=", 1)
-        gdef = read_grammar(_load_grammar_file(path), session.names)
-        prepared[name] = prepare(gdef)
-    for pack_id in extra_packs:
-        manifest = packs.load_manifest(pack_id)
-        if manifest["kind"] != "grammar":
-            continue
-        gdef = read_grammar(packs.pack_source(manifest), session.names)
-        prepared[pack_id] = prepare(gdef)
-    return prepared
 
 
 def cmd_check(args):
     session = Session(seed=args.seed)
     clean = True
-    names = list(args.packs or [])
-    loaded = _load_prepared(args, session, extra_packs=names)
+    loaded = {name: (grammar, diagnostics) for name, grammar, diagnostics
+              in _load(session, args.grammar or [], args.packs or [])}
     if not loaded:
         raise _Usage("check needs at least one grammar (--grammar name=path or a pack id)")
     for name, (grammar, diagnostics) in loaded.items():
@@ -137,25 +129,19 @@ def cmd_check(args):
 
 def cmd_expand(args):
     session = Session(seed=args.seed)
-    if args.lang and (args.grammar or []):
-        reg, prepared = _registry_from(args, session)
-        if args.lang not in prepared:
-            raise _Usage(f"--lang {args.lang!r} does not name a loaded grammar")
-        print(print_grammar(prepared[args.lang]), end="")
-        return EXIT_OK
-    pack_id = args.lang or (args.packs[0] if args.packs else None)
-    if not pack_id:
-        raise _Usage("expand needs --grammar/--lang or a pack id")
-    manifest = packs.load_manifest(pack_id)
-    if manifest["kind"] != "grammar":
-        raise _Usage(f"pack {pack_id!r} is a core script, not a grammar")
-    gdef = read_grammar(packs.pack_source(manifest), session.names)
-    prepared, diagnostics = prepare(gdef)
-    if diagnostics:
-        for d in diagnostics:
-            print(f"diagnostic: {d}", file=sys.stderr)
-        return EXIT_PARSE
-    print(print_grammar(prepared), end="")
+    specs = args.grammar or []
+    if args.lang and specs:
+        name, pack_ids = args.lang, []
+    else:
+        # expanding a pack reads no --grammar file
+        name = args.lang or (args.packs[0] if args.packs else None)
+        if not name:
+            raise _Usage("expand needs --grammar/--lang or a pack id")
+        specs, pack_ids = [], [name]
+    reg = _registry(_load(session, specs, pack_ids))
+    if name not in reg.languages:
+        raise _Usage(f"{name!r} names neither a loaded grammar nor a grammar pack")
+    print(print_grammar(reg.languages[name].grammar), end="")
     return EXIT_OK
 
 
@@ -184,20 +170,20 @@ def cmd_run(args):
     if not lang:
         raise _Usage("run needs a language (--lang or positional)")
 
-    known_packs = packs.pack_ids()
-    loaded_names = [s.split("=", 1)[0] for s in (args.grammar or []) if "=" in s]
-    wanted_packs = [lang] if lang in known_packs and lang not in loaded_names else []
-    if wanted_packs:
+    specs = args.grammar or []
+    manifest = {}
+    loaded_names = [s.split("=", 1)[0] for s in specs if "=" in s]
+    if lang in packs.pack_ids() and lang not in loaded_names:
         manifest = packs.load_manifest(lang)
         if manifest["kind"] == "script":
             return _run_script_pack(manifest, args, session)
-    reg, prepared = _registry_from(args, session, extra_packs=wanted_packs)
+    reg = _registry(_load(session, specs, [lang] if manifest else []))
     if lang not in reg.languages:
         raise _Usage(f"language {lang!r} is neither a loaded grammar nor a pack")
 
     entry = args.entry
-    if entry is None and wanted_packs:
-        entry = packs.load_manifest(lang).get("entry")
+    if entry is None:
+        entry = manifest.get("entry")
     if entry is None:
         entries = reg.languages[lang].grammar.entry_rules
         if len(entries) == 1:
@@ -208,10 +194,7 @@ def cmd_run(args):
     if args.input_text is None:
         raise _Usage("run needs input (positional, --expr, or --input)")
 
-    emit = args.emit
-    if emit is None:
-        emit = packs.load_manifest(lang).get("default_emit", "value") \
-            if wanted_packs else "value"
+    emit = args.emit or manifest.get("default_emit", "value")
 
     parser = Parser(reg, args.input_text, session)
     try:
@@ -303,7 +286,7 @@ def main(argv=None):
     if args.command == "run":
         text = args.positional_input if args.positional_input is not None else args.expr
         if text is None and args.input_file:
-            text = _load_grammar_file(args.input_file)
+            text = _read_file(args.input_file)
         args.input_text = text
 
     try:
@@ -321,11 +304,10 @@ def main(argv=None):
         for d in exc.diagnostics:
             print(f"conflict: {d}", file=sys.stderr)
         return EXIT_PARSE
+    except (ActionError, EvalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ACTION
     except LangError as exc:
-        from .errors import ActionError, EvalError
-        if isinstance(exc, (ActionError, EvalError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ACTION
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

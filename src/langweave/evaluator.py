@@ -28,6 +28,7 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 from .fragments import build, finalize_wrapper, merge, subject_call_args
 from .names import FreshNames
 from . import prims as P
+from .printer import _quote_render
 from .terms import (App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Inert,
                     Int, Lam, Param, PrimB, Rec, RetK, SConst, Splice,
                     StageConst, Str, TupleT, Var, child_bodies, postorder,
@@ -40,19 +41,17 @@ BUILTIN_NAMES = frozenset({"if", "print", "exit", "newEnv", "build", "merge", "f
 
 
 class Session:
-    """Shared evaluation context: fresh names, budget, output, events."""
+    """Shared evaluation context: fresh names, budget, output, and the
+    trace (``prim``/``print`` lines here, plus the parser's own lines)."""
 
     def __init__(self, seed=0, budget=1_000_000):
         self.names = FreshNames(seed)
         self.budget = budget
         self.steps = 0
         self.out = []
-        self.events = []
+        self.trace = []
         self.returned = {}
         self._ret_tags = 0
-
-    def emit(self, kind, detail):
-        self.events.append((kind, detail))
 
     def new_return(self):
         self._ret_tags += 1
@@ -358,7 +357,6 @@ def _refine_pack(session, root, name, count, at_body):
     lam.params = tuple(new_params)
     mapping = {name: TupleT(tuple(Var(f) for f in fresh))}
     lam.body.replace(subst_body(lam.body, mapping, session.names))
-    session.emit("refine", f"{name}->{count}")
     return True
 
 
@@ -394,7 +392,7 @@ def _try_execute(session, root, body):
             mapping[extra] = value
         if form.cont_stage is not None:
             mapping[form.cont_stage] = StageConst(True)
-        session.emit("prim", P.render_prim(form.expr, _render_quote))
+        session.trace.append("prim " + P.render_prim(form.expr, _quote_render))
         body.replace(subst_body(form.rest, mapping, session.names))
         return True
     if isinstance(form, FixB):
@@ -454,7 +452,6 @@ def _try_execute(session, root, body):
             raise ReturnCalledTwice("return continuation invoked twice")
         args = tuple(t for _, t in items)
         session.returned[callee.tag] = body
-        session.emit("return", len(args))
         body.replace(Body(BOTTOM, Inert(callee.tag, args)))
         return True
 
@@ -491,7 +488,6 @@ def _do_builtin(session, body, name, items):
             return False
         if not isinstance(cond, Bool):
             raise PrimTypeError("if condition must be a boolean")
-        session.emit("builtin", "if")
         body.replace(Body(TOP, App(then_k if cond.value else else_k, ())))
         return True
     if name == "print":
@@ -501,7 +497,7 @@ def _do_builtin(session, body, name, items):
             return False
         text = render_value(value, nested=False)
         session.out.append(text)
-        session.emit("print", text)
+        session.trace.append("print " + text)
         body.replace(Body(TOP, App(k, ())))
         return True
     if name == "exit":
@@ -513,7 +509,6 @@ def _do_builtin(session, body, name, items):
         raise EvalExit(code)
     if name == "newEnv":
         expect(1)
-        session.emit("builtin", "newEnv")
         body.replace(Body(TOP, App(vals[0], (EnvVal(()),))))
         return True
     if name == "build":
@@ -524,7 +519,6 @@ def _do_builtin(session, body, name, items):
         if not isinstance(n, Int):
             raise PrimTypeError("build arity must be an integer")
         frag = build(n.value, subject)
-        session.emit("builtin", "build")
         body.replace(Body(TOP, App(k, (FragVal(frag),))))
         return True
     if name == "merge":
@@ -535,7 +529,6 @@ def _do_builtin(session, body, name, items):
         if not isinstance(f, FragVal) or not isinstance(g, FragVal):
             raise PrimTypeError("merge takes two fragments")
         merged = merge(f.fragment, g.fragment)
-        session.emit("builtin", "merge")
         body.replace(Body(TOP, App(k, (FragVal(merged),))))
         return True
     if name == "finalize":
@@ -546,7 +539,6 @@ def _do_builtin(session, body, name, items):
         if not isinstance(f, FragVal):
             raise PrimTypeError("finalize takes a fragment")
         wrapper = finalize_wrapper(f.fragment, session.names)
-        session.emit("builtin", "finalize")
         body.replace(Body(TOP, App(k, (wrapper,))))
         return True
     raise ApplyNonClosure(f"unknown builtin {name!r}")
@@ -560,17 +552,12 @@ def step(session, root):
     """Execute one body; False when quiescent."""
     try:
         for body in postorder(root):
-            if not stage_value(body.stage):
-                continue
-            if _try_execute(session, root, body):
-                session.steps += 1
-                if session.steps > session.budget:
-                    raise StepBudgetExceeded(
-                        f"step budget of {session.budget} exhausted")
+            if stage_value(body.stage) and _try_execute(session, root, body):
+                _count_step(session)
                 return True
         return False
     except _RestartWalk:
-        session.steps += 1
+        _count_step(session)
         return True
 
 
@@ -630,22 +617,8 @@ def run_term_to_normal(term, session):
     return root.form.args[0]
 
 
-run_to_normal = run_term_to_normal
-
-
-def run_program(body, session):
-    """Run a whole program body (top level staged on)."""
-    run(session, body)
-    return body
-
-
 # ---------------------------------------------------------------------------
 # value rendering (print builtin, traces, CLI)
-
-
-def _render_quote(term):
-    from .printer import _quote_render
-    return _quote_render(term)
 
 
 def render_value(term, nested=True):

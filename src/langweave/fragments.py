@@ -15,7 +15,8 @@ shapes compose without knowing each other's layout.
 
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
                      ZeroArityLeft)
-from .terms import App, Body, Lam, Param, SConst, Splice, SRef, StageConst, Var
+from .terms import (App, Body, FragVal, Lam, Param, SConst, Splice, SRef,
+                    StageConst, Var)
 
 HOLE = None
 
@@ -104,7 +105,6 @@ def finalize_wrapper(fragment, names):
             f"finalize requires arity 0, fragment has {fragment.arity}")
     ft = names.fresh("ft")
     packed = names.fresh("args")
-    from .terms import FragVal  # local to avoid import noise at module top
     body = Body(SConst(True), App(FragVal(fragment),
                                   (StageConst(True), Var(ft), Splice(Var(packed)))))
     return Lam((Param(packed, packed=True),), ft, body)

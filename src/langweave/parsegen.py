@@ -126,7 +126,6 @@ class ParseTable:
     analysis: Analysis
     table: dict           # (rule, token-key) -> production index
     single: set           # rules with exactly one production (no lookahead)
-    conflicts: list
 
 
 def validate_foreign_positions(g, analysis=None):
@@ -182,7 +181,7 @@ def build_table(g):
                     table[cell] = idx
     if conflicts:
         raise Ll1Conflict(conflicts)
-    return ParseTable(a, table, single, [])
+    return ParseTable(a, table, single)
 
 
 def literal_tokens(g):

@@ -390,9 +390,3 @@ def read_program(text, names=None):
     if r.peek().kind != "eof":
         r.error("trailing input after program")
     return body
-
-
-def read_body(reader, natural=None):
-    """Parse one body from an in-flight Reader (used by the grammar reader
-    when it switches into core syntax for action bodies)."""
-    return reader.parse_body(natural if natural is not None else SConst(True))

@@ -178,7 +178,7 @@ class Parser:
         self.text = text
         self.session = session if session is not None else Session()
         self.pos = 0
-        self.trace = []
+        self.trace = self.session.trace
         self.consumed_spans = []
         self._la = {}  # (language, pos) -> Token
 
@@ -291,27 +291,19 @@ class Parser:
         frame.update(zip(outs, results))
 
     def _run_action(self, lang, rule_name, prod_idx, use, values):
-        mark = len(self.session.events)
         rendered = ", ".join(render_value(v) for v in values)
         self.trace.append(f"action {rule_name}#{prod_idx} ({rendered})")
         try:
             results = apply_value(use.action.body, values, self.session)
         except (EvalExit, StepBudgetExceeded):
-            self._flush_events(mark)
             raise
         except Exception as exc:
             raise ActionError(f"action in rule {rule_name!r} failed: {exc}") from exc
-        self._flush_events(mark)
         if len(results) != len(use.action.outs):
             raise ActionError(
                 f"action in rule {rule_name!r} returned {len(results)} value(s), "
                 f"declared {len(use.action.outs)}")
         return results
-
-    def _flush_events(self, mark):
-        for kind, detail in self.session.events[mark:]:
-            if kind in ("prim", "print"):
-                self.trace.append(f"{kind} {detail}")
 
 
 def parse(registry, lang, entry, text, args=(), session=None):

@@ -222,7 +222,7 @@ def test_criterion_7_graph_outputs_and_pass_ordering():
     assert render_value(env_list) == '[["Start",1],["X",2],["Y",3]]'
     assert render_value(adjacency) == "[[2,3],[3],[2,1]]"
 
-    prims = [d for k, d in sess.events if k == "prim"]
+    prims = [l[5:] for l in sess.trace if l.startswith("prim ")]
     inserts = [i for i, t in enumerate(prims) if "insert(" in t]
     lookups = [i for i, t in enumerate(prims) if "lookup(" in t]
     assert inserts and lookups and max(inserts) < min(lookups)
@@ -299,7 +299,7 @@ def test_criterion_10_typed_mismatch():
         run_pack("typed_minusdiv", "1-#2", sess)
     assert err.value.code == 2
     assert sess.out == ["Type mismatch!"]
-    prims = [d for k, d in sess.events if k == "prim"]
+    prims = [l[5:] for l in sess.trace if l.startswith("prim ")]
     arithmetic = [t for t in prims
                   if t[0].isdigit() and any(op in t for op in "+-*/")]
     assert arithmetic == [], "no function-time arithmetic may run"

@@ -86,6 +86,28 @@ def test_missing_grammar_file_exit_66(capsys):
     assert exc.value.code == EXIT_NOINPUT
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("check", "nosuchpack"), EXIT_USAGE),
+    (("expand", "nosuchpack"), EXIT_USAGE),
+    (("check", "--grammar", "x={dir}"), EXIT_NOINPUT),
+    (("run", "minusdiv_immediate", "--input", "{dir}"), EXIT_NOINPUT),
+    (("run", "minusdiv_immediate", "--input", "{latin1}"), EXIT_NOINPUT),
+    (("run", "signum_builder", "abc", "--emit", "value"), EXIT_USAGE),
+])
+def test_bad_input_is_one_error_line_not_a_traceback(capsys, tmp_path, argv, expected):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xff1-2\n")
+    argv = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # unreadable files exit like missing ones
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == EXIT_USAGE

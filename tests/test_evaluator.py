@@ -34,7 +34,7 @@ def test_staging_chain_runs_in_order():
     """, sess)
     out = apply_value(chain, [Int(5)], sess)
     assert out == [Int(8)]
-    prims = [d for k, d in sess.events if k == "prim"]
+    prims = [l[5:] for l in sess.trace if l.startswith("prim ")]
     assert prims == ["5+1", "6+1", "7+1"]
 
 
@@ -187,7 +187,7 @@ def test_symbolic_operand_blocks_prim():
     # the body is active but x is never supplied, so the prim must not fire
     t = rd('(x)\'[s]\'{ \'@always:\' "x+1" (y) y }', sess)
     result = run_term_to_normal(t, sess)
-    prims = [d for k, d in sess.events if k == "prim"]
+    prims = [l[5:] for l in sess.trace if l.startswith("prim ")]
     assert prims == []
 
 

@@ -109,7 +109,7 @@ def test_graph_outputs_and_pass_ordering():
     assert_pure_residual(residual)
 
     # every declaration-side primitive fires before any definition-side one
-    prim_events = [d for k, d in sess.events if k == "prim"]
+    prim_events = [l[5:] for l in sess.trace if l.startswith("prim ")]
     insert_idx = [i for i, t in enumerate(prim_events) if "insert(" in t]
     lookup_idx = [i for i, t in enumerate(prim_events) if "lookup(" in t]
     assert insert_idx and lookup_idx
@@ -129,7 +129,7 @@ def test_typed_minusdiv_mismatch_reports_before_any_arithmetic():
         run_pack("typed_minusdiv", "1-#2", session=sess)
     assert err.value.code == 2
     assert sess.out == ["Type mismatch!"]
-    prim_events = [d for k, d in sess.events if k == "prim"]
+    prim_events = [l[5:] for l in sess.trace if l.startswith("prim ")]
     assert any("!=" in t for t in prim_events)       # the type check ran
     assert not any("-" in t.replace("!=", "") and t[0].isdigit()
                    for t in prim_events)             # no subtraction ever fired

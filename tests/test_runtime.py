@@ -223,6 +223,7 @@ def test_boundary_crossing_input_lexes_per_region():
     sess = Session(seed=0)
     reg = _two_language_registry(sess)
     parser = Parser(reg, "go << 1 :: 2", sess)
+    assert parser.trace is sess.trace  # one trace channel
     outs = parser.parse("outer", "Prog")
     kinds = [line for line in parser.trace if line.startswith("token")]
     assert kinds == ["token Identifier go", 'token "<<" <<', "token Integer 1",
