@@ -104,11 +104,10 @@ def _parse_invoke_args(expr):
 def cmd_check(args):
     session = Session(seed=args.seed)
     clean = True
-    loaded = {name: (grammar, diagnostics) for name, grammar, diagnostics
-              in _load(session, args.grammar or [], args.packs or [])}
+    loaded = list(_load(session, args.grammar or [], args.packs or []))
     if not loaded:
         raise _Usage("check needs at least one grammar (--grammar name=path or a pack id)")
-    for name, (grammar, diagnostics) in loaded.items():
+    for name, grammar, diagnostics in loaded:
         print(f"== language {name}")
         if diagnostics:
             for d in diagnostics:
@@ -130,15 +129,10 @@ def cmd_check(args):
 def cmd_expand(args):
     session = Session(seed=args.seed)
     specs = args.grammar or []
-    if args.lang and specs:
-        name, pack_ids = args.lang, []
-    else:
-        # expanding a pack reads no --grammar file
-        name = args.lang or (args.packs[0] if args.packs else None)
-        if not name:
-            raise _Usage("expand needs --grammar/--lang or a pack id")
-        specs, pack_ids = [], [name]
-    reg = _registry(_load(session, specs, pack_ids))
+    name = args.lang or (args.packs[0] if args.packs else None)
+    if not name:
+        raise _Usage("expand needs --grammar/--lang or a pack id")
+    reg = _registry(_load(session, specs, [] if args.lang and specs else [name]))
     if name not in reg.languages:
         raise _Usage(f"{name!r} names neither a loaded grammar nor a grammar pack")
     print(print_grammar(reg.languages[name].grammar), end="")

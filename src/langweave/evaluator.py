@@ -11,10 +11,19 @@ the value.  Execution always rewrites the body cell in place:
   primitive     evaluate the quoted expression, bind its outputs
   fix           bind the recursive value, continue with the rest
 
-Since substitution freshens every binder it copies, a bare `Var` in any
-position is precisely a symbolic value, and a stage reference to one is
-bottom.  That single rule is what makes build-time chains run inside
-not-yet-invoked lambdas while function-time chains stay residual.
+Since substitution freshens every binder it copies and shares only
+subtrees it cannot change, a bare `Var` in any position is precisely a
+symbolic value, and a stage reference to one is bottom.  That single rule
+is what makes build-time chains run inside not-yet-invoked lambdas while
+function-time chains stay residual.
+
+`run` drains the tree and skips every subtree whose cached pair (see
+`terms.body_info`) says it holds no active body: nothing there can run.  A
+body that ends quiescent after running something drops its pair, so the
+next look recomputes it from its children's and the skip stays sharp as
+build-time chains finish.
+`step`, which walks the whole tree in post-order, is the reference the
+drain must agree with.
 """
 
 import sys
@@ -31,8 +40,8 @@ from . import prims as P
 from .printer import _quote_render
 from .terms import (App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Inert,
                     Int, Lam, Param, PrimB, Rec, RetK, SConst, Splice,
-                    StageConst, Str, TupleT, Var, child_bodies, postorder,
-                    stage_value, subst_body, subst_term)
+                    StageConst, Str, TupleT, Var, body_info, child_bodies,
+                    postorder, stage_value, subst_body, subst_term)
 
 BOTTOM = SConst(False)
 TOP = SConst(True)
@@ -355,6 +364,7 @@ def _refine_pack(session, root, name, count, at_body):
         else:
             new_params.append(p)
     lam.params = tuple(new_params)
+    lam.info = None
     mapping = {name: TupleT(tuple(Var(f) for f in fresh))}
     lam.body.replace(subst_body(lam.body, mapping, session.names))
     return True
@@ -572,13 +582,14 @@ def _drain(session, root, body):
 
     Equivalent to repeatedly taking the first runnable body in post-order:
     an execution rewrites only its own cell, so nothing earlier in the walk
-    can change state, and the replacement is re-drained on the spot.
+    can change state, and the replacement is re-drained on the spot.  A
+    child holding no active body has nothing runnable and is skipped.
     """
     ran = False
     while True:
         progress = False
         for child in list(child_bodies(body)):
-            if _drain(session, root, child):
+            if body_info(child)[1] and _drain(session, root, child):
                 progress = True
                 ran = True
         if stage_value(body.stage) and _try_execute(session, root, body):
@@ -587,6 +598,8 @@ def _drain(session, root, body):
             ran = True
             continue  # the replacement needs draining too
         if not progress:
+            if ran:  # the cached pair predates the run
+                body.info = None
             return ran
 
 

@@ -16,7 +16,7 @@ shapes compose without knowing each other's layout.
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
                      ZeroArityLeft)
 from .terms import (App, Body, FragVal, Lam, Param, SConst, Splice, SRef,
-                    StageConst, Var)
+                    StageConst, Var, lam_info)
 
 HOLE = None
 
@@ -25,12 +25,25 @@ class Fragment:
     """Immutable; arity (the count of unfilled continuations anywhere in
     the slot tree) is fixed at construction."""
 
-    __slots__ = ("subject", "slots", "arity")
+    __slots__ = ("subject", "slots", "arity", "_pair")
 
     def __init__(self, subject, slots):
         self.subject = subject
         self.slots = tuple(slots)
         self.arity = sum(1 if s is HOLE else s.arity for s in self.slots)
+        self._pair = None
+
+    def _info(self):
+        """(free names, holds an active body) over the subject and every
+        filled slot, cached on first use; read by `terms.term_info`."""
+        if self._pair is None:
+            free, active = lam_info(self.subject)
+            for slot in self.slots:
+                if slot is not HOLE:
+                    slot_free, slot_active = slot._info()
+                    free, active = free | slot_free, active or slot_active
+            self._pair = (free, active)
+        return self._pair
 
     @property
     def build_stage(self):

@@ -1,8 +1,12 @@
 """Deterministic fresh-name supply.
 
-Every binder introduced during substitution gets a fresh name, which keeps
-the whole term tree capture-free without scope bookkeeping.  The counter is
-seedable so printed residuals are byte-stable run to run.
+Every binder a substitution copies gets a fresh name, which keeps the whole
+term tree capture-free without scope bookkeeping.  The counter is seedable
+so printed residuals are byte-stable run to run.
+
+`used` holds only the names the reader reserves.  A minted name is the base
+(stripped of trailing digits and underscores) plus `_` and the counter, so
+no two minted names are ever equal and they need not be remembered.
 """
 
 
@@ -20,5 +24,4 @@ class FreshNames:
             self.counter += 1
             candidate = f"{base}_{self.counter}"
             if candidate not in self.used:
-                self.used.add(candidate)
                 return candidate

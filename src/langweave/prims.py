@@ -22,7 +22,7 @@ class PrimExpr:
     __slots__ = ()
 
     def embedded_terms(self):
-        return _embedded(self)
+        return (leaf.term for leaf in prim_leaves(self) if isinstance(leaf, PQuote))
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,22 @@ class PMethod(PrimExpr):
     args: tuple
 
 
-def _embedded(expr):
-    if isinstance(expr, PQuote):
-        yield expr.term
+def prim_leaves(expr):
+    """The `PName` and `PQuote` nodes of an expression, left to right."""
+    if isinstance(expr, (PName, PQuote)):
+        yield expr
     elif isinstance(expr, PNeg):
-        yield from _embedded(expr.inner)
+        yield from prim_leaves(expr.inner)
     elif isinstance(expr, PBin):
-        yield from _embedded(expr.left)
-        yield from _embedded(expr.right)
+        yield from prim_leaves(expr.left)
+        yield from prim_leaves(expr.right)
     elif isinstance(expr, (PList, PCall)):
         for a in expr.items if isinstance(expr, PList) else expr.args:
-            yield from _embedded(a)
+            yield from prim_leaves(a)
     elif isinstance(expr, PMethod):
-        yield from _embedded(expr.obj)
+        yield from prim_leaves(expr.obj)
         for a in expr.args:
-            yield from _embedded(a)
+            yield from prim_leaves(a)
 
 
 # ---------------------------------------------------------------------------

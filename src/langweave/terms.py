@@ -7,16 +7,28 @@ expression, fix, or the inert result marker used by host continuations).
 Evaluation rewrites bodies in place; terms themselves are immutable and
 may be shared freely.
 
-Substitution renames every binder it copies to a globally fresh name, so
-capture can never occur and, after any reduction, a name that still
-appears as a bare `Var` is exactly a symbolic (not-yet-supplied) value.
+Substitution shares what it cannot change.  Every `Body` and `Lam` caches
+one pair, computed on first use from its children's pairs: its free names,
+and whether it holds an active body (one whose stage evaluates to top),
+counting bodies kept in environments, fragment subjects and `Rec` values.
+A subtree whose free names miss the mapping and that holds no active body
+comes back as it is: nothing in it can run, so nothing can rewrite it in
+place at one site and not at another.  Every subtree that is copied gets a
+globally fresh name for each binder, so capture can never occur and, after
+any reduction, a name that still appears as a bare `Var` is exactly a
+symbolic (not-yet-supplied) value.
+
+Execution can only shrink a subtree's free names, because the free names
+of environments and fragments count too, and a quiet subtree stays quiet
+until a substitution copies it.  A stale cached pair is therefore a
+superset and an over-estimate of activity, which is safe for both uses.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UnboundStageName
 from .prims import (PInt, PList, PName, PQuote, PrimExpr, PStr,
-                    normalize_prim, prim_alpha_eq, prim_subst)
+                    normalize_prim, prim_alpha_eq, prim_leaves, prim_subst)
 
 # ---------------------------------------------------------------------------
 # stage expressions
@@ -110,12 +122,13 @@ class Lam(Term):
     """Lambda with an implicit staging parameter.  Mutable because pack
     refinement may narrow its parameter list in place (see evaluator)."""
 
-    __slots__ = ("params", "stage", "body")
+    __slots__ = ("params", "stage", "body", "info")
 
     def __init__(self, params, stage, body):
         self.params = tuple(params)
         self.stage = stage
         self.body = body
+        self.info = None  # (body info it was derived from, pair); see lam_info
 
     def __repr__(self):
         ps = ", ".join(("!" if p.packed else "") + p.name for p in self.params)
@@ -130,6 +143,7 @@ class Builtin(Term):
 @dataclass(frozen=True, eq=False)
 class EnvVal(Term):
     entries: tuple  # ((key, term), ...) insertion-ordered, persistent
+    info: tuple = field(default=None, init=False, repr=False)  # see term_info
 
     def insert(self, key, term):
         kept = tuple((k, v) for k, v in self.entries if k != key)
@@ -198,15 +212,17 @@ class Inert(Form):
 
 
 class Body:
-    __slots__ = ("stage", "form")
+    __slots__ = ("stage", "form", "info")
 
     def __init__(self, stage, form):
         self.stage = stage
         self.form = form
+        self.info = None  # (free names, holds an active body); see body_info
 
     def replace(self, other):
         self.stage = other.stage
         self.form = other.form
+        self.info = other.info
 
     def __repr__(self):
         return f"Body({self.stage!r}, {type(self.form).__name__})"
@@ -273,6 +289,102 @@ def term_to_stage(term):
 
 
 # ---------------------------------------------------------------------------
+# free names and activity
+
+def _stage_names(expr, names):
+    if isinstance(expr, SRef):
+        names.add(expr.name)
+    elif isinstance(expr, (SAnd, SOr)):
+        _stage_names(expr.left, names)
+        _stage_names(expr.right, names)
+    elif isinstance(expr, SNot):
+        _stage_names(expr.inner, names)
+
+
+def term_info(term, names):
+    """Add the free names of `term` to the set `names`; True when it holds
+    an active body."""
+    if isinstance(term, Var):
+        names.add(term.name)
+        return False
+    if isinstance(term, Lam):
+        free, active = lam_info(term)
+    elif isinstance(term, (TupleT, Splice)):
+        active = False
+        for t in term.items if isinstance(term, TupleT) else (term.inner,):
+            active |= term_info(t, names)
+        return active
+    elif isinstance(term, Rec):
+        inner = set()
+        active = term_info(term.value, inner)
+        inner.discard(term.name)
+        free = inner
+    elif isinstance(term, EnvVal):
+        if term.info is None:
+            inner, active = set(), False
+            for _, value in term.entries:
+                active |= term_info(value, inner)
+            object.__setattr__(term, "info", (frozenset(inner), active))
+        free, active = term.info
+    elif isinstance(term, FragVal):
+        free, active = term.fragment._info()
+    else:
+        return False
+    names.update(free)
+    return active
+
+
+def body_info(body):
+    """The (free names, holds an active body) pair of a body, computed on
+    first use from its children's pairs and cached.
+
+    A fix value keeps its stage parameter among the free names: unfolding
+    the fix moves the value out from under that binder."""
+    if body.info is None:
+        names = set()
+        _stage_names(body.stage, names)
+        active = stage_value(body.stage)
+        form = body.form
+        if isinstance(form, (App, Inert)):
+            for t in (form.callee,) + form.args if isinstance(form, App) else form.args:
+                active |= term_info(t, names)
+        elif isinstance(form, PrimB):
+            for leaf in prim_leaves(form.expr):
+                if isinstance(leaf, PName):
+                    names.add(leaf.name)
+                else:
+                    active |= term_info(leaf.term, names)
+            free, rest_active = body_info(form.rest)
+            names.update(free.difference(form.outs, (form.cont_stage,)))
+            active |= rest_active
+        elif isinstance(form, FixB):
+            inner = set()
+            active |= term_info(form.value, inner)
+            inner.discard(form.name)
+            free, rest_active = body_info(form.rest)
+            names.update(inner, free.difference((form.stage_param, form.name)))
+            active |= rest_active
+        body.info = (frozenset(names), active)
+    return body.info
+
+
+def lam_info(lam):
+    """The (free names, holds an active body) pair of a lambda, cached
+    with the body pair it was derived from."""
+    derived = body_info(lam.body)
+    if lam.info is None or lam.info[0] is not derived:
+        bound = [p.name for p in lam.params]
+        bound.append(lam.stage)
+        lam.info = (derived, (derived[0].difference(bound), derived[1]))
+    return lam.info[1]
+
+
+def _untouched(info, mapping):
+    free, active = info
+    return not active and free.isdisjoint(mapping)
+
+
+# ---------------------------------------------------------------------------
 # substitution
 
 def subst_stage(expr, mapping):
@@ -295,10 +407,16 @@ def subst_term(term, mapping, names):
     if isinstance(term, Var):
         return mapping.get(term.name, term)
     if isinstance(term, Splice):
-        return Splice(subst_term(term.inner, mapping, names))
+        inner = subst_term(term.inner, mapping, names)
+        return term if inner is term.inner else Splice(inner)
     if isinstance(term, TupleT):
-        return TupleT(tuple(subst_term(t, mapping, names) for t in term.items))
+        items = tuple(subst_term(t, mapping, names) for t in term.items)
+        if all(new is old for new, old in zip(items, term.items)):
+            return term
+        return TupleT(items)
     if isinstance(term, Lam):
+        if _untouched(lam_info(term), mapping):
+            return term
         inner = dict(mapping)
         new_params = []
         for p in term.params:
@@ -311,11 +429,14 @@ def subst_term(term, mapping, names):
     if isinstance(term, Rec):
         inner = dict(mapping)
         inner.pop(term.name, None)
-        return Rec(term.name, subst_term(term.value, inner, names))
+        value = subst_term(term.value, inner, names)
+        return term if value is term.value else Rec(term.name, value)
     return term
 
 
 def subst_body(body, mapping, names):
+    if _untouched(body_info(body), mapping):
+        return body
     stage = subst_stage(body.stage, mapping)
     form = body.form
     if isinstance(form, App):

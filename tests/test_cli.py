@@ -7,8 +7,11 @@ import pytest
 from langweave.cli import main
 from langweave.errors import (EXIT_ACTION, EXIT_NOINPUT, EXIT_OK, EXIT_PARSE,
                               EXIT_USAGE)
+from langweave.reader import read_core
+from langweave.terms import alpha_eq
 
 FIXTURES = Path(__file__).parent / "fixtures"
+AMBIGUOUS = 'grammar amb {\n  entry A ::= "x";\n  A ::= "x" "y";\n}\n'
 
 
 def run_cli(capsys, *argv):
@@ -74,10 +77,31 @@ def test_check_clean_grammar(capsys):
 
 def test_check_conflict_exit_one(capsys, tmp_path):
     bad = tmp_path / "amb.lw"
-    bad.write_text('grammar amb {\n  entry A ::= "x";\n  A ::= "x" "y";\n}\n')
+    bad.write_text(AMBIGUOUS)
     code, out, _ = run_cli(capsys, "check", "--grammar", f"amb={bad}")
     assert code == EXIT_PARSE
     assert '"x"' in out and "conflict" in out
+
+
+def test_check_reports_every_grammar_under_a_reused_name(capsys, tmp_path):
+    bad = tmp_path / "amb.lw"
+    bad.write_text(AMBIGUOUS)
+    code, out, _ = run_cli(capsys, "check", "--grammar", f"a={bad}",
+                           "--grammar", f"a={FIXTURES / 'lang_outer.lw'}")
+    assert code == EXIT_PARSE
+    assert out.count("== language a") == 2
+    assert "conflict" in out
+
+
+def test_expand_pack_reads_every_grammar(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "expand", "--grammar", "x=/does/not/exist.lw", "graph")
+    assert exc.value.code == EXIT_NOINPUT
+    bad = tmp_path / "amb.lw"
+    bad.write_text(AMBIGUOUS)
+    code, out, err = run_cli(capsys, "expand", "--grammar", f"c={bad}", "graph")
+    assert code == EXIT_PARSE
+    assert out == "" and "conflict:" in err
 
 
 def test_missing_grammar_file_exit_66(capsys):
@@ -168,12 +192,25 @@ def test_graph_trace_matches_golden(capsys):
     assert out == golden
 
 
+# The residual before substitution shared closed subtrees, which minted
+# fresh names at other counter values; the golden must stay alpha-equal.
+MINUSDIV_RESIDUAL_UNSHARED = """\
+(arg_397)'[ft_73]' {
+  '@ft_73:' "4/2" (quot_398)'[ft_399]'
+  '@ft_399:' "1-quot_398" (diff_400)'[ft_401]'
+  '@ft_401:' "diff_400-3" (diff_402)'[ft_403]'
+  '@ft_403:' arg_397 diff_402
+}
+"""
+
+
 def test_minusdiv_residual_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "run", "minusdiv_codegen", "1-4/2-3",
                            "--emit", "residual", "--seed", "0")
     assert code == EXIT_OK
     golden = (FIXTURES / "minusdiv_residual.golden").read_text()
     assert out == golden
+    assert alpha_eq(read_core(out), read_core(MINUSDIV_RESIDUAL_UNSHARED))
 
 
 def test_signum_script_pack(capsys):

@@ -1,5 +1,7 @@
 """Staged evaluation: reduction order, chains, builtins, host application."""
 
+from pathlib import Path
+
 import pytest
 
 from langweave.errors import (EvalExit, NameNotFound, PrimTypeError,
@@ -11,9 +13,55 @@ from langweave.reader import read_core, read_program
 from langweave.terms import (App, Body, Bool, Inert, Int, SConst, Str, TupleT,
                              Var, alpha_eq, postorder)
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def rd(src, sess):
     return read_core(src, sess.names)
+
+
+ENV_PROGRAM = """
+(k)'[s]' {
+  '@s:' newEnv (e)
+  "e.insert('b',2)" (e2)
+  "e2.insert('a',1)" (e3)
+  "e3.lookup('b')" (v)
+  "e3.items()" (items)
+  k v items
+}
+"""
+
+FIX_LOOP_PROGRAM = """
+(k)'[s0]' {
+  '@s0:' newEnv (e)
+  "e.insert('start',3)" (e2)
+  "e2.lookup('start')" (n0)
+  fix '[y]' loop (n, j)'[s]' {
+    '@s:' print n ()'[p]'
+    "n>0" (pos)
+    if pos ()'[t]'{ '@t:' "n-1" (m) loop m j } ()'[f]'{ '@f:' j n }
+  }
+  loop n0 k
+}
+"""
+
+FRAGMENT_PROGRAM = """
+(return)'[s0]' {
+  '@s0:'
+  build 1 ('ft', !args, cont)'[b]' {
+    '@b:' cont 'ft' 5 !args
+  } (F)
+  build 1 ('ft', v, !args, cont)'[bt]' {
+    '@ft:' "v+1" (w)'[ft]'
+    '@bt:' cont 'ft' w !args
+  } (Fincr)
+  build 0 ('ft', w, end)'[bt]' { '@ft:' end w } (G)
+  merge F Fincr (H)
+  merge H G (H2)
+  finalize H2 (P)
+  '@P:' return P
+}
+"""
 
 
 def test_beta_binds_and_stages_on():
@@ -209,27 +257,10 @@ def test_pack_refinement_targets_the_enclosing_lambda():
 
 
 def test_determinism_same_seed_same_output():
-    src = """
-    (return)'[s0]' {
-      '@s0:'
-      build 1 ('ft', !args, cont)'[b]' {
-        '@b:' cont 'ft' 5 !args
-      } (F)
-      build 1 ('ft', v, !args, cont)'[bt]' {
-        '@ft:' "v+1" (w)'[ft]'
-        '@bt:' cont 'ft' w !args
-      } (Fincr)
-      build 0 ('ft', w, end)'[bt]' { '@ft:' end w } (G)
-      merge F Fincr (H)
-      merge H G (H2)
-      finalize H2 (P)
-      '@P:' return P
-    }
-    """
     outputs = []
     for _ in range(2):
         sess = Session(seed=42)
-        residual = apply_value(rd(src, sess), [], sess)[0]
+        residual = apply_value(rd(FRAGMENT_PROGRAM, sess), [], sess)[0]
         outputs.append(print_core(residual))
     assert outputs[0] == outputs[1]
 
@@ -240,3 +271,40 @@ def test_run_twice_alpha_equivalent_results():
     r1 = apply_value(rd(src, s1), [Int(3)], s1)
     r2 = apply_value(rd(src, s2), [Int(3)], s2)
     assert r1 == r2 == [Int(6)]
+
+
+def _by_step(session, f, args):
+    """`apply_value` through a `step` loop instead of `run`."""
+    ret = session.new_return()
+    root = Body(SConst(True), App(f, tuple(args) + (ret,)))
+    while step(session, root):
+        pass
+    return list(session.returned[ret.tag].form.args)
+
+
+@pytest.mark.parametrize("src, invoke", [
+    ((FIXTURES / "signum_script.core").read_text(), [Int(-3)]),
+    (FRAGMENT_PROGRAM, []),
+    (ENV_PROGRAM, None),
+    (FIX_LOOP_PROGRAM, None),
+], ids=["signum_script", "fragments", "environment", "fix_loop"])
+def test_step_loop_equals_run(src, invoke):
+    """`run` skips subtrees with no active body; the `step` loop walks the
+    whole tree every time.  Both must execute the same bodies in order.
+    A program that builds code has its result invoked the same two ways."""
+    stepped, ran = Session(seed=5), Session(seed=5)
+    results = [_by_step(stepped, rd(src, stepped), []),
+               apply_value(rd(src, ran), [], ran)]
+    if invoke is not None:
+        assert alpha_eq(results[0][0], results[1][0])
+        results = [_by_step(stepped, results[0][0], invoke),
+                   apply_value(results[1][0], invoke, ran)]
+
+    by_step, by_run = results
+    assert len(by_step) == len(by_run) > 0
+    assert all(alpha_eq(a, b) for a, b in zip(by_step, by_run))
+    assert stepped.out == ran.out
+    assert stepped.steps == ran.steps
+    prims = [[line for line in s.trace if line.startswith("prim ")]
+             for s in (stepped, ran)]
+    assert prims[0] == prims[1] != []
