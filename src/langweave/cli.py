@@ -7,8 +7,8 @@
 Bundled example languages are addressed by pack id (``langweave run
 minusdiv_codegen "1-4/2-3" --emit residual``).  Stdout carries data;
 diagnostics go to stderr.  Exit codes: 0 ok, 1 parse/grammar error,
-2 action or type error, 3 step budget, 64 usage, 66 missing or
-unreadable file.
+2 action or type error, 3 step budget or nesting-depth limit, 64 usage,
+66 missing or unreadable file.
 """
 
 import argparse
@@ -293,6 +293,10 @@ def main(argv=None):
         return halt.code
     except StepBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print(f"error: nesting-depth limit exceeded (host recursion limit "
+              f"{sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_BUDGET
     except Ll1Conflict as exc:
         for d in exc.diagnostics:

@@ -11,9 +11,10 @@ the value.  Execution always rewrites the body cell in place:
   primitive     evaluate the quoted expression, bind its outputs
   fix           bind the recursive value, continue with the rest
 
-Since substitution freshens every binder it copies and shares only
-subtrees it cannot change, a bare `Var` in any position is precisely a
-symbolic value, and a stage reference to one is bottom.  That single rule
+Since substitution avoids capture (a copied binder is renamed exactly
+where a substituted value has its name free) and shares only subtrees it
+cannot change, a bare `Var` in any position is precisely a symbolic value,
+and a stage reference to one is bottom.  That single rule
 is what makes build-time chains run inside not-yet-invoked lambdas while
 function-time chains stay residual.
 

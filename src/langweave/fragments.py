@@ -2,8 +2,12 @@
 
 A fragment wraps subject code (a lambda whose trailing parameters are its
 unfilled continuations) together with a slot per continuation.  Merging
-substitutes the right fragment for the left fragment's first unfilled slot,
-walking depth-first so nested fragments fill before later siblings.
+fills the left fragment's first unfilled slot with the right fragment,
+first in depth-first order, so nested fragments fill before later siblings.
+A merge only records its two parts and takes constant time; the slot tree
+is nested once, when `slots` is first read: the left spine's holes are
+filled in order through one queue, which gives the same tree as filling
+the first hole at every merge.
 
 Applying a zero-hole fragment invokes the subject with the caller's stage
 argument bound to the subject's implicit staging parameter (this is how
@@ -12,6 +16,8 @@ per slot.  Each wrapper repacks whatever arguments the chain passes and
 forwards them to the child subject, so subjects with differing parameter
 shapes compose without knowing each other's layout.
 """
+
+from collections import deque
 
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
                      ZeroArityLeft)
@@ -23,26 +29,40 @@ HOLE = None
 
 class Fragment:
     """Immutable; arity (the count of unfilled continuations anywhere in
-    the slot tree) is fixed at construction."""
+    the slot tree) is fixed at construction.  A merged fragment keeps its
+    two parts and nests its slot tree when `slots` is first read."""
 
-    __slots__ = ("subject", "slots", "arity", "_pair")
+    __slots__ = ("subject", "arity", "_slots", "_parts", "_pair")
 
-    def __init__(self, subject, slots):
+    def __init__(self, subject, slots, parts=None):
         self.subject = subject
-        self.slots = tuple(slots)
-        self.arity = sum(1 if s is HOLE else s.arity for s in self.slots)
+        self._parts = parts  # (left, right) of a merge
+        if parts is None:
+            self._slots = tuple(slots)
+            self.arity = sum(1 if s is HOLE else s.arity for s in self._slots)
+        else:
+            self._slots = None
+            self.arity = parts[0].arity + parts[1].arity - 1
         self._pair = None
+
+    @property
+    def slots(self):
+        if self._slots is None:
+            _, slots = _open(self, deque())
+            self._slots = tuple(_close(s) for s in slots)
+        return self._slots
 
     def _info(self):
         """(free names, holds an active body) over the subject and every
         filled slot, cached on first use; read by `terms.term_info`."""
         if self._pair is None:
-            free, active = lam_info(self.subject)
-            for slot in self.slots:
-                if slot is not HOLE:
-                    slot_free, slot_active = slot._info()
-                    free, active = free | slot_free, active or slot_active
-            self._pair = (free, active)
+            if self._parts is not None:
+                parts = [part._info() for part in self._parts]
+            else:
+                parts = [lam_info(self.subject)]
+                parts.extend(s._info() for s in self._slots if s is not HOLE)
+            self._pair = (frozenset().union(*(free for free, _ in parts)),
+                          any(active for _, active in parts))
         return self._pair
 
     @property
@@ -51,6 +71,40 @@ class Fragment:
 
     def __repr__(self):
         return f"Fragment(arity={self.arity})"
+
+
+def _open(fragment, holes):
+    """The slot tree of a fragment with an unfilled slot, as (subject, slot
+    list) nodes; appends its unfilled slots to `holes` as (slot list,
+    index), first hole first.  Subtrees with no unfilled slot are shared."""
+    rights = []
+    while fragment._slots is None:
+        fragment, right = fragment._parts
+        rights.append(right)
+    slots = list(fragment._slots)
+    own = deque()
+    for i, slot in enumerate(slots):
+        if slot is HOLE:
+            own.append((slots, i))
+        elif slot.arity > 0:
+            slots[i] = _open(slot, own)
+    for right in reversed(rights):  # the innermost merge fills first
+        filled, i = own.popleft()
+        if right.arity == 0:
+            filled[i] = right
+        else:
+            inner = deque()
+            filled[i] = _open(right, inner)
+            own.extendleft(reversed(inner))
+    holes.extend(own)
+    return fragment.subject, slots
+
+
+def _close(node):
+    if node is HOLE or isinstance(node, Fragment):
+        return node
+    subject, slots = node
+    return Fragment(subject, tuple(_close(s) for s in slots))
 
 
 def build(arity, subject):
@@ -65,22 +119,10 @@ def fragment_arity(fragment):
     return fragment.arity
 
 
-def _fill_first(fragment, child):
-    slots = list(fragment.slots)
-    for i, slot in enumerate(slots):
-        if slot is HOLE:
-            slots[i] = child
-            return Fragment(fragment.subject, tuple(slots))
-        if slot.arity > 0:
-            slots[i] = _fill_first(slot, child)
-            return Fragment(fragment.subject, tuple(slots))
-    raise ZeroArityLeft("no unfilled continuation to merge into")
-
-
 def merge(left, right):
     if left.arity < 1:
         raise ZeroArityLeft("left fragment of a merge needs at least one unfilled continuation")
-    return _fill_first(left, right)
+    return Fragment(left.subject, None, (left, right))
 
 
 def child_wrapper(fragment, names):

@@ -1,8 +1,9 @@
 """Deterministic fresh-name supply.
 
-Every binder a substitution copies gets a fresh name, which keeps the whole
-term tree capture-free without scope bookkeeping.  The counter is seedable
-so printed residuals are byte-stable run to run.
+A substitution gives a copied binder a fresh name only when a substituted
+value has that name free (see `terms`); host-built closures take fresh
+names too.  The counter is seedable so printed residuals are byte-stable
+run to run.
 
 `used` holds only the names the reader reserves.  A minted name is the base
 (stripped of trailing digits and underscores) plus `_` and the counter, so

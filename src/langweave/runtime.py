@@ -295,8 +295,8 @@ class Parser:
         self.trace.append(f"action {rule_name}#{prod_idx} ({rendered})")
         try:
             results = apply_value(use.action.body, values, self.session)
-        except (EvalExit, StepBudgetExceeded):
-            raise
+        except (EvalExit, StepBudgetExceeded, RecursionError):
+            raise  # a host depth limit is not a fault of the action
         except Exception as exc:
             raise ActionError(f"action in rule {rule_name!r} failed: {exc}") from exc
         if len(results) != len(use.action.outs):

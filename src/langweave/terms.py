@@ -403,78 +403,109 @@ def subst_stage(expr, mapping):
     raise TypeError(f"not a stage expression: {expr!r}")
 
 
-def subst_term(term, mapping, names):
+_CLOSED = frozenset((Int, Str, Bool, StageConst, Builtin, RetK))
+
+
+def mapped_free(mapping):
+    """The free names of the values in `mapping`, from their cached pairs:
+    the only binder names under which a copy could capture one of them."""
+    free = set()
+    for value in mapping.values():
+        if type(value) is Var:
+            free.add(value.name)
+        elif type(value) not in _CLOSED:
+            term_info(value, free)
+    return free
+
+
+def _rebind(binders, mapping, avoid, names):
+    """(the names `binders` take in a copy, the mapping for their scope).
+
+    A binder keeps its name and shadows the mapping, unless a mapped value
+    has that name free (it is in `avoid`): only then does it get a fresh
+    name, which the inner mapping sends the old one to.  The mapping is
+    copied only when it changes."""
+    inner = mapping
+    new = []
+    for name in binders:
+        if name in avoid:
+            fresh = names.fresh(name)
+            if inner is mapping:
+                inner = dict(mapping)
+            inner[name] = Var(fresh)
+            name = fresh
+        elif name in inner:
+            if inner is mapping:
+                inner = dict(mapping)
+            del inner[name]
+        new.append(name)
+    return new, inner
+
+
+def subst_term(term, mapping, names, avoid=None):
+    """`term` with `mapping` substituted.  `avoid` is `mapped_free(mapping)`
+    of the top-level call, computed at the first binder when not given."""
     if isinstance(term, Var):
         return mapping.get(term.name, term)
+    if isinstance(term, Lam):
+        if _untouched(lam_info(term), mapping):
+            return term
+    elif not isinstance(term, (Splice, TupleT, Rec)):
+        return term
+    if avoid is None:
+        avoid = mapped_free(mapping)
     if isinstance(term, Splice):
-        inner = subst_term(term.inner, mapping, names)
+        inner = subst_term(term.inner, mapping, names, avoid)
         return term if inner is term.inner else Splice(inner)
     if isinstance(term, TupleT):
-        items = tuple(subst_term(t, mapping, names) for t in term.items)
+        items = tuple(subst_term(t, mapping, names, avoid) for t in term.items)
         if all(new is old for new, old in zip(items, term.items)):
             return term
         return TupleT(items)
     if isinstance(term, Lam):
-        if _untouched(lam_info(term), mapping):
-            return term
-        inner = dict(mapping)
-        new_params = []
-        for p in term.params:
-            fresh = names.fresh(p.name)
-            inner[p.name] = Var(fresh)
-            new_params.append(Param(fresh, p.packed))
-        fresh_stage = names.fresh(term.stage)
-        inner[term.stage] = Var(fresh_stage)
-        return Lam(new_params, fresh_stage, subst_body(term.body, inner, names))
-    if isinstance(term, Rec):
-        inner = dict(mapping)
-        inner.pop(term.name, None)
-        value = subst_term(term.value, inner, names)
-        return term if value is term.value else Rec(term.name, value)
-    return term
+        bound, inner = _rebind([p.name for p in term.params] + [term.stage],
+                               mapping, avoid, names)
+        params = [Param(name, p.packed) for name, p in zip(bound, term.params)]
+        return Lam(params, bound[-1], subst_body(term.body, inner, names, avoid))
+    (name,), inner = _rebind((term.name,), mapping, avoid, names)  # a Rec
+    value = subst_term(term.value, inner, names, avoid)
+    return term if value is term.value and name == term.name else Rec(name, value)
 
 
-def subst_body(body, mapping, names):
+def subst_body(body, mapping, names, avoid=None):
+    """A body equal to `body` with `mapping` substituted, sharing every
+    subtree the mapping cannot reach; see `subst_term` for `avoid`."""
     if _untouched(body_info(body), mapping):
         return body
-    stage = subst_stage(body.stage, mapping)
     form = body.form
+    if avoid is None and isinstance(form, (PrimB, FixB)):
+        avoid = mapped_free(mapping)
+    stage = subst_stage(body.stage, mapping)
     if isinstance(form, App):
         new = App(
-            subst_term(form.callee, mapping, names),
-            tuple(subst_term(a, mapping, names) for a in form.args),
+            subst_term(form.callee, mapping, names, avoid),
+            tuple(subst_term(a, mapping, names, avoid) for a in form.args),
         )
     elif isinstance(form, PrimB):
-        inner = dict(mapping)
-        new_outs = []
-        for o in form.outs:
-            fresh = names.fresh(o)
-            inner[o] = Var(fresh)
-            new_outs.append(fresh)
-        new_cont = None
-        if form.cont_stage is not None:
-            new_cont = names.fresh(form.cont_stage)
-            inner[form.cont_stage] = Var(new_cont)
+        binders = form.outs if form.cont_stage is None else form.outs + (form.cont_stage,)
+        bound, inner = _rebind(binders, mapping, avoid, names)
         new = PrimB(
-            prim_subst(form.expr, mapping, lambda t: subst_term(t, mapping, names)),
-            tuple(new_outs),
-            new_cont,
-            subst_body(form.rest, inner, names),
+            prim_subst(form.expr, mapping, lambda t: subst_term(t, mapping, names, avoid)),
+            tuple(bound[:len(form.outs)]),
+            None if form.cont_stage is None else bound[-1],
+            subst_body(form.rest, inner, names, avoid),
         )
     elif isinstance(form, FixB):
-        inner = dict(mapping)
-        fresh_stage = names.fresh(form.stage_param)
-        inner[form.stage_param] = Var(fresh_stage)
-        fresh_name = names.fresh(form.name)
-        inner[form.name] = Var(fresh_name)
+        (stage_param, name), inner = _rebind((form.stage_param, form.name),
+                                             mapping, avoid, names)
         new = FixB(
-            fresh_stage,
-            fresh_name,
-            subst_term(form.value, inner, names),
-            subst_body(form.rest, inner, names),
+            stage_param,
+            name,
+            subst_term(form.value, inner, names, avoid),
+            subst_body(form.rest, inner, names, avoid),
         )
     elif isinstance(form, Inert):
-        new = Inert(form.tag, tuple(subst_term(a, mapping, names) for a in form.args))
+        new = Inert(form.tag, tuple(subst_term(a, mapping, names, avoid) for a in form.args))
     else:
         raise TypeError(f"unknown body form: {form!r}")
     return Body(stage, new)

@@ -1,12 +1,14 @@
 """Command-line driver: exit codes, determinism, golden behavior."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
+from langweave import runtime
 from langweave.cli import main
-from langweave.errors import (EXIT_ACTION, EXIT_NOINPUT, EXIT_OK, EXIT_PARSE,
-                              EXIT_USAGE)
+from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
+                              EXIT_PARSE, EXIT_USAGE)
 from langweave.reader import read_core
 from langweave.terms import alpha_eq
 
@@ -67,6 +69,36 @@ def test_run_step_budget_exit_three(capsys):
     code, _, err = run_cli(capsys, "run", "minusdiv_codegen", "1-2",
                            "--steps", "3")
     assert code == 3
+
+
+def _depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("pack", ["minusdiv_immediate", "minusdiv_codegen"])
+def test_nesting_past_the_host_recursion_limit_exits_three(capsys, pack):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 400)
+    try:
+        code, out, err = run_cli(capsys, "run", pack, "-".join(["7/1"] * 400))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error: nesting-depth limit") and err.count("\n") == 1
+
+
+def test_recursion_error_in_an_action_is_not_an_action_error(capsys, monkeypatch):
+    def too_deep(*_):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(runtime, "apply_value", too_deep)
+    code, _, err = run_cli(capsys, "run", "minusdiv_immediate", "1-2")
+    assert code == EXIT_BUDGET
+    assert err.startswith("error: nesting-depth limit") and "action" not in err
 
 
 def test_check_clean_grammar(capsys):
@@ -192,8 +224,9 @@ def test_graph_trace_matches_golden(capsys):
     assert out == golden
 
 
-# The residual before substitution shared closed subtrees, which minted
-# fresh names at other counter values; the golden must stay alpha-equal.
+# The residual before substitution shared closed subtrees and before it kept
+# binder names, which minted fresh names at other counter values and renamed
+# every binder; the golden must stay alpha-equal to it.
 MINUSDIV_RESIDUAL_UNSHARED = """\
 (arg_397)'[ft_73]' {
   '@ft_73:' "4/2" (quot_398)'[ft_399]'

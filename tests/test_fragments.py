@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langweave import fragments
 from langweave.errors import (NegativeArity, NonClosureSubject,
@@ -178,3 +180,82 @@ def test_fragment_surface_is_opaque():
     assert {"build", "merge", "finalize", "fragment_arity"} <= public
     frag_attrs = {n for n in dir(fragments.Fragment) if not n.startswith("_")}
     assert frag_attrs <= {"subject", "slots", "arity", "build_stage"}
+
+
+# ---------------------------------------------------------------------------
+# lazy nesting against eager first-hole filling
+
+
+class _Eager:
+    """The eager slot tree: every merge fills the first hole at once."""
+
+    def __init__(self, subject, slots):
+        self.subject = subject
+        self.slots = tuple(slots)
+        self.arity = sum(1 if s is None else s.arity for s in self.slots)
+
+
+def _fill_first(fragment, child):
+    slots = list(fragment.slots)
+    for i, slot in enumerate(slots):
+        if slot is None:
+            slots[i] = child
+            return _Eager(fragment.subject, slots)
+        if slot.arity > 0:
+            slots[i] = _fill_first(slot, child)
+            return _Eager(fragment.subject, slots)
+    raise AssertionError("no hole")
+
+
+def _shape(fragment):
+    """(subject identity, slot shapes); a hole is None."""
+    return (id(fragment.subject),
+            tuple(None if s is None else _shape(s) for s in fragment.slots))
+
+
+ops = st.lists(st.one_of(
+    st.tuples(st.just("build"), st.integers(0, 3)),
+    st.tuples(st.just("merge"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("slots"), st.integers(0, 99)),
+), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(ops)
+def test_lazy_nesting_equals_eager_first_hole_filling(program):
+    sess = Session()
+    pool = []  # (fragment, eager model)
+    for op in program:
+        if op[0] == "build" or not pool:
+            arity = op[1] if op[0] == "build" else 1
+            subject = _subject(sess, arity)
+            pool.append((fragments.build(arity, subject), _Eager(subject, (None,) * arity)))
+        elif op[0] == "merge":
+            (left, left_model), (right, right_model) = pool[op[1] % len(pool)], pool[op[2] % len(pool)]
+            if left.arity == 0:
+                with pytest.raises(ZeroArityLeft):
+                    fragments.merge(left, right)
+                continue
+            pool.append((fragments.merge(left, right), _fill_first(left_model, right_model)))
+        else:  # nest one fragment early, so later merges build on a nested spine
+            fragment, model = pool[op[1] % len(pool)]
+            assert _shape(fragment) == _shape(model)
+    for fragment, model in pool:
+        assert fragment.arity == model.arity
+        assert _shape(fragment) == _shape(model)
+
+
+def test_fragment_merged_twice_stays_unchanged():
+    sess = Session()
+    left = fragments.build(2, _subject(sess, 2))
+    one = fragments.build(1, _subject(sess, 1))
+    zero = fragments.build(0, _subject(sess, 0))
+    first, second = fragments.merge(left, one), fragments.merge(left, zero)
+    assert left.arity == 2 and left.slots == (None, None)
+    assert _shape(first) == (id(left.subject), ((id(one.subject), (None,)), None))
+    assert second.arity == 1 and second.slots == (zero, None)
+    assert first.slots is first.slots  # nested once
+    twice = fragments.merge(first, first)  # one fragment as both parts
+    assert twice.arity == 3
+    assert _shape(twice.slots[0].slots[0]) == _shape(first)
+    assert _shape(first) == (id(left.subject), ((id(one.subject), (None,)), None))

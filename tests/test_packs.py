@@ -14,7 +14,8 @@ from langweave.prims import PMethod, render_prim
 from langweave.printer import print_core, _quote_render
 from langweave.reader import read_core
 from langweave.runtime import LanguageRegistry, Parser
-from langweave.terms import Int, Lam, PrimB, Str, TupleT, postorder, stage_value
+from langweave.terms import (Int, Lam, PrimB, Str, TupleT, alpha_eq, postorder,
+                             stage_value)
 
 PACKS = Path(__file__).parent.parent / "src" / "langweave" / "packs"
 
@@ -166,3 +167,22 @@ def test_manifest_samples_reproduce():
                     final.append(term)
             assert [render_value(t) for t in final] == sample["expect"], (
                 pack_id, sample["input"])
+
+
+def test_residuals_print_and_read_back_alpha_equal():
+    # residuals keep source binder names and shadow them, so the printed
+    # text must still read back to the same term
+    residuals = {}
+    for pack_id in packs.pack_ids():
+        manifest = packs.load_manifest(pack_id)
+        sample = manifest["samples"][0]
+        sess = Session(seed=0)
+        if manifest["kind"] == "script":
+            creator = read_core(packs.pack_source(manifest), sess.names)
+            outs = apply_value(creator, [], sess)
+        else:
+            outs, _, _ = run_pack(pack_id, sample["input"], session=sess)
+        residuals.update((pack_id, t) for t in outs if isinstance(t, Lam))
+    assert set(residuals) == set(packs.pack_ids()) - {"minusdiv_immediate"}
+    for pack_id, residual in residuals.items():
+        assert alpha_eq(read_core(print_core(residual)), residual), pack_id
