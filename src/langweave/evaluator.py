@@ -47,8 +47,6 @@ from .terms import (App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Inert,
 BOTTOM = SConst(False)
 TOP = SConst(True)
 
-BUILTIN_NAMES = frozenset({"if", "print", "exit", "newEnv", "build", "merge", "finalize"})
-
 
 class Session:
     """Shared evaluation context: fresh names, budget, output, and the
@@ -415,10 +413,7 @@ def _try_execute(session, root, body):
     # application
     callee = form.callee
     if isinstance(callee, Var):
-        if callee.name in BUILTIN_NAMES:
-            callee = Builtin(callee.name)
-        else:
-            return False  # symbolic callee: wait for a value
+        return False  # symbolic callee: wait for a value
     if isinstance(callee, Rec):
         unfolded = subst_term(callee.value, {callee.name: callee}, session.names)
         if not isinstance(unfolded, Lam):
@@ -426,27 +421,19 @@ def _try_execute(session, root, body):
         callee = unfolded
 
     items = _flatten(form.args)
+    stage_term = None
+    if isinstance(callee, FragVal):
+        # the subject, staged by the first argument, with slot wrappers appended
+        if not items or items[0][0] != "v":
+            return False
+        stage_term = items[0][1]
+        wrappers = subject_call_args(callee.fragment, session.names, ())
+        items = items[1:] + [("v", w) for w in wrappers]
+        callee = callee.fragment.subject
 
     if isinstance(callee, Lam):
         try:
-            _beta(session, body, callee, items)
-        except _Blocked:
-            return False
-        except _NeedsRefine as need:
-            if _refine_pack(session, root, need.name, need.count, body):
-                raise _RestartWalk()
-            return False
-        return True
-
-    if isinstance(callee, FragVal):
-        if not items or items[0][0] != "v":
-            return False
-        sigma = items[0][1]
-        subject = callee.fragment.subject
-        try:
-            full = items[1:] + [("v", w) for w in
-                                _fragment_wrappers(session, callee.fragment)]
-            _beta(session, body, subject, full, stage_term=sigma)
+            _beta(session, body, callee, items, stage_term)
         except _Blocked:
             return False
         except _NeedsRefine as need:
@@ -470,10 +457,6 @@ def _try_execute(session, root, body):
         return _do_builtin(session, body, callee.name, items)
 
     raise ApplyNonClosure(f"cannot apply {_describe(callee)}")
-
-
-def _fragment_wrappers(session, fragment):
-    return subject_call_args(fragment, session.names, ())
 
 
 def _plain_values(items):

@@ -15,7 +15,7 @@ lacks explicit inputs with the target's own parameter names, growing rule
 heads as needed; entry rules are never altered.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (EntryRuleWouldChange, GrammarError, KindMismatch,
                      UnknownSignatureQuery, UnresolvableDefault)
@@ -121,7 +121,6 @@ class Production:
 class Rule:
     name: str
     ins: tuple
-    out_count: int
     productions: list
     is_entry: bool = False
 
@@ -140,6 +139,16 @@ class GrammarDef:
     name: str
     templates: dict = field(default_factory=dict)
     rules: dict = field(default_factory=dict)  # insertion-ordered
+
+    def add(self, prod, entry=False):
+        """Append `prod` to its head's rule, creating the rule with the
+        production's inputs on first use; `entry` marks it an entry rule."""
+        rule = self.rules.get(prod.head)
+        if rule is None:
+            rule = self.rules[prod.head] = Rule(prod.head, prod.ins, [])
+        rule.productions.append(prod)
+        if entry:
+            rule.is_entry = True
 
     def rule(self, name):
         if name not in self.rules:
@@ -169,16 +178,8 @@ def new_grammar(name):
 
 
 def add_production(g, head, ins, outs, body, entry=False):
-    ins_t = tuple(ins) if ins is not None else None
-    outs_t = tuple(outs)
-    prod = Production(head, ins_t, outs_t, tuple(body))
-    if head in g.rules:
-        rule = g.rules[head]
-        rule.productions.append(prod)
-    else:
-        g.rules[head] = Rule(head, ins_t, len(outs_t), [prod], entry)
-    if entry:
-        g.rules[head].is_entry = True
+    ins = tuple(ins) if ins is not None else None
+    g.add(Production(head, ins, tuple(outs), tuple(body)), entry)
     return g
 
 
@@ -315,14 +316,6 @@ def expand_templates(g):
     """Replace every template call with freshly instantiated rules."""
     expander = _Expander(g)
     out = GrammarDef(g.name)
-
-    def add(prod, entry=False):
-        if prod.head in out.rules:
-            out.rules[prod.head].productions.append(prod)
-        else:
-            out.rules[prod.head] = Rule(prod.head, prod.ins, len(prod.outs),
-                                        [prod], entry)
-
     pending = []
     for rule in g.rules.values():
         for prod in rule.productions:
@@ -339,11 +332,9 @@ def expand_templates(g):
                 pending.extend(new_prods)
                 prod = Production(prod.head, prod.ins, prod.outs,
                                   (NtUse(result, None, None),))
-            add(prod)
-        if rule.is_entry:
-            out.rules[rule.name].is_entry = True
+            out.add(prod, rule.is_entry)
     for prod in pending:
-        add(prod)
+        out.add(prod)
     return out
 
 
@@ -351,17 +342,26 @@ def expand_templates(g):
 # default arguments
 
 
-def _target_signature(g, use):
-    """(in-names, out-names) the use would default to."""
+def _signature(use, rules):
+    """The use's (ins, outs), a missing list filled from its target: a
+    rule's parameter names and first production's outputs, or an action's
+    declared lists."""
+    ins, outs = getattr(use, "ins", ()), getattr(use, "outs", ())
     if isinstance(use, NtUse):
-        rule = g.rule(use.name)
-        outs = rule.productions[0].outs
-        return tuple(rule.ins or ()), tuple(outs)
-    if isinstance(use, ActionUse):
-        return tuple(use.action.ins), tuple(use.action.outs)
-    if isinstance(use, EpsilonUse):
-        return (), ()
-    return (), ()
+        if use.name not in rules:
+            raise GrammarError(f"unknown rule {use.name!r}")
+        rule = rules[use.name]
+        target = rule.ins, rule.productions[0].outs
+    elif isinstance(use, ActionUse):
+        target = tuple(use.action.ins), tuple(use.action.outs)
+    elif isinstance(use, ForeignUse) and ins is None:
+        raise UnresolvableDefault(
+            f"foreign use {use.lang}.{use.entry} needs explicit arguments; "
+            "defaults cannot cross languages")
+    else:
+        target = (), ()
+    return (target[0] if ins is None else ins,
+            target[1] if outs is None else outs)
 
 
 def complete_default_args(g):
@@ -369,39 +369,8 @@ def complete_default_args(g):
     non-entry rule heads so every argument resolves; idempotent."""
     rules = {}
     for rule in g.rules.values():
-        rules[rule.name] = Rule(rule.name, tuple(rule.ins or ()), rule.out_count,
+        rules[rule.name] = Rule(rule.name, tuple(rule.ins or ()),
                                 list(rule.productions), rule.is_entry)
-
-    def effective_ins(use):
-        if isinstance(use, (Lit, TokClass)):
-            return ()
-        if use.ins is not None:
-            return use.ins
-        if isinstance(use, ForeignUse):
-            raise UnresolvableDefault(
-                f"foreign use {use.lang}.{use.entry} needs explicit arguments; "
-                "defaults cannot cross languages")
-        ins, _ = _target_signature_for(use)
-        return ins
-
-    def _target_signature_for(use):
-        if isinstance(use, NtUse):
-            rule = rules[use.name] if use.name in rules else None
-            if rule is None:
-                raise GrammarError(f"unknown rule {use.name!r}")
-            outs = rule.productions[0].outs
-            return tuple(rule.ins), tuple(outs)
-        return _target_signature(g, use)
-
-    def effective_outs(use):
-        if getattr(use, "outs", None) is not None:
-            return use.outs
-        if isinstance(use, (NtUse, ActionUse)):
-            _, outs = _target_signature_for(use)
-            return outs
-        if isinstance(use, TokClass):
-            return use.outs
-        return ()
 
     changed = True
     iterations = 0
@@ -414,9 +383,8 @@ def complete_default_args(g):
             for prod in rule.productions:
                 defined = list(rule.ins)
                 for use in prod.body:
-                    if isinstance(use, (Lit,)):
-                        continue
-                    for name in effective_ins(use):
+                    ins, outs = _signature(use, rules)
+                    for name in ins:
                         if name not in defined:
                             if rule.is_entry:
                                 raise EntryRuleWouldChange(
@@ -425,41 +393,20 @@ def complete_default_args(g):
                             rule.ins = rule.ins + (name,)
                             defined.append(name)
                             changed = True
-                    defined.extend(effective_outs(use))
+                    defined.extend(outs)
 
     out = GrammarDef(g.name)
-    out.templates = {}
     for rule in rules.values():
-        new_prods = []
         for prod in rule.productions:
             body = []
             for use in prod.body:
-                if isinstance(use, Lit):
-                    body.append(use)
-                elif isinstance(use, TokClass):
-                    body.append(use)
-                elif isinstance(use, NtUse):
-                    ins, outs = use.ins, use.outs
-                    tins, touts = _target_signature_for(use)
-                    body.append(NtUse(use.name,
-                                      ins if ins is not None else tins,
-                                      outs if outs is not None else touts))
-                elif isinstance(use, ActionUse):
-                    body.append(ActionUse(use.action,
-                                          use.ins if use.ins is not None else tuple(use.action.ins),
-                                          use.outs if use.outs is not None else tuple(use.action.outs)))
-                elif isinstance(use, EpsilonUse):
-                    body.append(EpsilonUse(use.ins or (), use.outs or ()))
-                elif isinstance(use, ForeignUse):
-                    if use.ins is None:
-                        raise UnresolvableDefault(
-                            f"foreign use {use.lang}.{use.entry} needs explicit arguments")
-                    body.append(ForeignUse(use.lang, use.entry, use.ins, use.outs or ()))
-                else:
-                    raise GrammarError(f"unexpected term use {use!r}")
-            new_prods.append(Production(rule.name, rule.ins, prod.outs, tuple(body)))
-        out.rules[rule.name] = Rule(rule.name, rule.ins, rule.out_count,
-                                    new_prods, rule.is_entry)
+                if isinstance(use, (NtUse, ActionUse, EpsilonUse, ForeignUse)):
+                    ins, outs = _signature(use, rules)
+                    if (ins, outs) != (use.ins, use.outs):
+                        use = replace(use, ins=ins, outs=outs)
+                body.append(use)
+            out.add(Production(rule.name, rule.ins, prod.outs, tuple(body)),
+                    rule.is_entry)
     return out
 
 

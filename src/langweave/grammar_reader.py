@@ -12,8 +12,9 @@
     }
 
 Action bodies between braces are core-calculus syntax; the reader switches
-to the core reader for their extent and resumes afterwards, the same way
-the runtime switches languages at a foreign nonterminal.
+to the core reader at the opening brace, which reads up to the first
+unmatched '}', and resumes there, the same way the runtime switches
+languages at a foreign nonterminal.
 """
 
 from .errors import GrammarSyntaxError
@@ -22,42 +23,11 @@ from .reader import Reader as CoreReader
 from .terms import Lam, Param, SRef
 from .grammar import (ActionDef, ActionUse, ArgAction, ArgEpsilon, ArgLit,
                       ArgNt, ArgTuple, EpsilonUse, ForeignUse, GrammarDef,
-                      Lit, NtUse, Production, Rule, Template, TemplateCall,
+                      Lit, NtUse, Production, Template, TemplateCall,
                       TokClass, TOKEN_CLASSES)
 
 _PUNCT2 = ("::=", "->")
 _PUNCT1 = "{}<>(),;|.=:"
-
-
-def _core_extent(text, start):
-    """Offset of the '}' closing a core action body opened just before
-    `start`, honouring core-level strings, quotes, and comments."""
-    depth = 1
-    i, n = start, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            i += 1
-            while i < n and text[i] != '"':
-                i += 2 if text[i] == "\\" else 1
-            i += 1
-        elif c == "'":
-            j = text.find("'", i + 1)
-            i = n if j < 0 else j + 1
-        elif text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "{":
-            depth += 1
-            i += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-            i += 1
-        else:
-            i += 1
-    return None
 
 
 class _Scanner:
@@ -218,19 +188,15 @@ class GrammarReader:
         self.s.take("(")
         outs = self._name_list(")")
         self.s.take("|")
-        # switch to core syntax for the body
+        # switch to core syntax for the body, in place
         brace = self.s.take("{")
-        start = brace[3]
-        end = _core_extent(self.s.text, start)
-        if end is None:
-            self.s.error("unterminated action body", brace[2])
-        core = CoreReader(self.s.text[start:end], self.names)
+        core = CoreReader(self.s.text, self.names, brace[3], ins + ("return",))
         body = core.parse_body(SRef("parse"))
-        if core.peek().kind != "eof":
-            tok = core.peek()
-            self.s.error(f"trailing input in action body: {tok.text!r}",
-                         start + tok.pos)
-        self.s.restore((end + 1, None))
+        end = core.take("eof")
+        if end.pos == len(self.s.text):
+            self.s.error("unterminated action body", brace[2])
+        self.s.restore((end.pos, None))
+        self.s.take("}")
         params = tuple(Param(n) for n in ins) + (Param("return"),)
         lam = Lam(params, "parse", body)
         return ActionDef(tuple(ins), tuple(outs), lam)
@@ -385,14 +351,7 @@ class GrammarReader:
                 template = self._function()
                 g.templates[template.name] = template
                 continue
-            prod, entry = self._production()
-            if prod.head in g.rules:
-                g.rules[prod.head].productions.append(prod)
-            else:
-                g.rules[prod.head] = Rule(prod.head, prod.ins, len(prod.outs),
-                                          [prod], False)
-            if entry:
-                g.rules[prod.head].is_entry = True
+            g.add(*self._production())
         self.s.take("}")
         if self.s.take()[0] != "eof":
             self.s.error("trailing input after grammar")

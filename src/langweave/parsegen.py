@@ -94,29 +94,14 @@ def analyze(g):
         changed = False
         for rule in g.rules.values():
             for prod in rule.productions:
-                symbols = [s for s in (_symbol(u) for u in prod.body) if s is not None]
-                for i, (kind, key) in enumerate(symbols):
-                    if kind != "n":
+                for i, use in enumerate(prod.body):
+                    if not isinstance(use, NtUse):
                         continue
-                    rest_first = set()
-                    rest_nullable = True
-                    for k2, key2 in symbols[i + 1:]:
-                        if k2 == "t":
-                            rest_first.add(key2)
-                            rest_nullable = False
-                            break
-                        if k2 == "foreign":
-                            rest_nullable = False
-                            break
-                        rest_first |= a.first[key2]
-                        if not a.nullable[key2]:
-                            rest_nullable = False
-                            break
-                    add = set(rest_first)
+                    add, rest_nullable = a.seq_first(prod.body[i + 1:])
                     if rest_nullable:
                         add |= a.follow[rule.name]
-                    if not add <= a.follow[key]:
-                        a.follow[key] |= add
+                    if not add <= a.follow[use.name]:
+                        a.follow[use.name] |= add
                         changed = True
     return a
 

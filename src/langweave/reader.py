@@ -15,8 +15,9 @@ sugar is desugared on the way in:
 from .errors import CoreSyntaxError
 from .names import FreshNames
 from .prims import parse_prim
-from .terms import (App, Body, Bool, FixB, Int, Lam, Param, PrimB, SAnd, SConst,
-                    SNot, SOr, Splice, SRef, StageConst, Str, TupleT, Var)
+from .terms import (BUILTIN_NAMES, App, Body, Bool, Builtin, FixB, Int, Lam,
+                    Param, PrimB, SAnd, SConst, SNot, SOr, Splice, SRef,
+                    StageConst, Str, TupleT, Var)
 
 _PUNCT = "(){}[],!@:&|"
 
@@ -36,10 +37,15 @@ class Tok:
         return f"Tok({self.kind}, {self.text!r})"
 
 
-def tokenize(src):
+def tokenize(src, start=0):
+    """Tokens of `src` from offset `start` to its end or to the first
+    unmatched '}', where the `eof` token stands; lines and columns count
+    from the start of `src`."""
     toks = []
-    i, n = 0, len(src)
-    line, col = 1, 1
+    i, n = start, len(src)
+    line = src.count("\n", 0, start) + 1
+    col = start - src.rfind("\n", 0, start)
+    depth = 0
 
     def advance(text):
         nonlocal line, col
@@ -101,12 +107,18 @@ def tokenize(src):
             advance(src[i:j])
             i = j
         elif c in _PUNCT:
+            if c == "}":
+                if not depth:
+                    break
+                depth -= 1
+            elif c == "{":
+                depth += 1
             toks.append(Tok(c, c, start_line, start_col, i, i + 1))
             advance(c)
             i += 1
         else:
             raise CoreSyntaxError(f"unexpected character {c!r}", start_line, start_col)
-    toks.append(Tok("eof", "", line, col, n, n))
+    toks.append(Tok("eof", "", line, col, i, i))
     return toks
 
 
@@ -155,16 +167,21 @@ def _parse_stage_text(text, tok):
         return e
 
     expr = alt()
-    if peek().kind != "eof":
+    if peek().kind != "eof" or peek().pos < len(text):
         raise CoreSyntaxError(f"trailing stage expression input {text!r}", tok.line, tok.col)
     return expr
 
 
 class Reader:
-    def __init__(self, src, names=None):
-        self.toks = tokenize(src)
+    """Reads `src` from offset `start`; `bound` names the binders in scope
+    around the text.  A builtin's name reads as `Builtin` unless a binder
+    of that name is in scope."""
+
+    def __init__(self, src, names=None, start=0, bound=()):
+        self.toks = tokenize(src, start)
         self.i = 0
         self.names = names if names is not None else FreshNames()
+        self.shadowed = [n for n in bound if n in BUILTIN_NAMES]
         for t in self.toks:
             if t.kind == "ident":
                 self.names.reserve(t.text)
@@ -186,6 +203,16 @@ class Reader:
     def error(self, msg):
         t = self.peek()
         raise CoreSyntaxError(msg, t.line, t.col)
+
+    # -- scope
+
+    def _scoped_body(self, names, stage):
+        """`parse_body` staged on `stage`, with `names` and `stage` bound."""
+        mark = len(self.shadowed)
+        self.shadowed.extend(n for n in (*names, stage) if n in BUILTIN_NAMES)
+        body = self.parse_body(SRef(stage))
+        del self.shadowed[mark:]
+        return body
 
     # -- stage annotations
 
@@ -267,6 +294,8 @@ class Reader:
             return Bool(True)
         if text == "false":
             return Bool(False)
+        if text in BUILTIN_NAMES and text not in self.shadowed:
+            return Builtin(text)
         return Var(text)
 
     def parse_term(self):
@@ -298,7 +327,7 @@ class Reader:
             ann = self.try_stage_ann()
             stage = ann if ann is not None else self.names.fresh("s")
             self.take("{")
-            body = self.parse_body(SRef(stage))
+            body = self._scoped_body([p.name for p in params], stage)
             self.take("}")
             return Lam(params, stage, body)
         self.error(f"expected a term, found {t.text!r}")
@@ -317,8 +346,12 @@ class Reader:
             sp = ann if ann is not None else self.names.fresh("s")
             name = self.take("ident").text
             self.names.reserve(name)
+            mark = len(self.shadowed)
+            if t.text == "fix" and name in BUILTIN_NAMES:
+                self.shadowed.append(name)  # a fix value sees its own name
             value = self.parse_term()
-            rest = self.parse_body(SRef(sp))
+            del self.shadowed[mark:]
+            rest = self._scoped_body((name,), sp)
             if t.text == "let":
                 # let [y] x v b  ==  apply (x)[y]{ b } to v
                 return Body(stage, App(Lam((Param(name),), sp, rest), (value,)))
@@ -326,7 +359,10 @@ class Reader:
 
         if t.kind == "string":
             self.take()
-            expr = parse_prim(t.text)
+            try:
+                expr = parse_prim(t.text)
+            except CoreSyntaxError as err:
+                raise CoreSyntaxError(str(err), t.line, t.col) from None
             self.take("(")
             outs = []
             while self.peek().kind != ")":
@@ -345,7 +381,7 @@ class Reader:
             # staging parameter which flips on when the expression fires
             ann = self.try_stage_ann()
             cont_stage = ann if ann is not None else self.names.fresh("s")
-            rest = self.parse_body(SRef(cont_stage))
+            rest = self._scoped_body(outs, cont_stage)
             return Body(stage, PrimB(expr, tuple(outs), cont_stage, rest))
 
         # application
@@ -360,14 +396,15 @@ class Reader:
                 params = self.parse_params()
                 ann = self.try_stage_ann()
                 sp = ann if ann is not None else self.names.fresh("s")
+                names = [p.name for p in params]
                 if self.peek().kind == "{":
                     self.take()
-                    body = self.parse_body(SRef(sp))
+                    body = self._scoped_body(names, sp)
                     self.take("}")
                     args.append(Lam(params, sp, body))
                     continue
                 # trailing continuation: body is the rest of this block
-                body = self.parse_body(SRef(sp))
+                body = self._scoped_body(names, sp)
                 args.append(Lam(params, sp, body))
                 break
             args.append(self.parse_term())
@@ -378,7 +415,7 @@ def read_core(text, names=None):
     """Read a single term (usually a lambda)."""
     r = Reader(text, names)
     term = r.parse_term()
-    if r.peek().kind != "eof":
+    if r.peek().kind != "eof" or r.peek().pos < len(text):
         r.error("trailing input after term")
     return term
 
@@ -387,6 +424,6 @@ def read_program(text, names=None):
     """Read a whole program as a body; top level is always staged on."""
     r = Reader(text, names)
     body = r.parse_body(SConst(True))
-    if r.peek().kind != "eof":
+    if r.peek().kind != "eof" or r.peek().pos < len(text):
         r.error("trailing input after program")
     return body

@@ -13,10 +13,12 @@ and whether it holds an active body (one whose stage evaluates to top),
 counting bodies kept in environments, fragment subjects and `Rec` values.
 A subtree whose free names miss the mapping and that holds no active body
 comes back as it is: nothing in it can run, so nothing can rewrite it in
-place at one site and not at another.  Every subtree that is copied gets a
-globally fresh name for each binder, so capture can never occur and, after
-any reduction, a name that still appears as a bare `Var` is exactly a
-symbolic (not-yet-supplied) value.
+place at one site and not at another.  A binder in a copied subtree keeps
+its name and shadows the mapping below it, unless some mapped value has
+that name free: then, and only then, it gets a globally fresh name.  So
+capture never occurs and, after any reduction, a name that still appears
+as a bare `Var` is exactly a symbolic (not-yet-supplied) value.  Builtins
+are `Builtin` terms, resolved by scope when read, never `Var`s.
 
 Execution can only shrink a subtree's free names, because the free names
 of environments and fragments count too, and a quiet subtree stays quiet
@@ -138,6 +140,10 @@ class Lam(Term):
 @dataclass(frozen=True)
 class Builtin(Term):
     name: str
+
+
+# the reader reads these names as `Builtin` unless a binder shadows them
+BUILTIN_NAMES = frozenset({"if", "print", "exit", "newEnv", "build", "merge", "finalize"})
 
 
 @dataclass(frozen=True, eq=False)

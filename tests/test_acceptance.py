@@ -20,8 +20,8 @@ from langweave.prims import render_prim
 from langweave.printer import _quote_render
 from langweave.reader import read_core
 from langweave.runtime import LanguageRegistry, Parser, lex_next
-from langweave.terms import (App, Int, Lam, PrimB, SAnd, SConst, SNot, SOr,
-                             Var, alpha_eq, child_bodies, postorder,
+from langweave.terms import (App, Builtin, Int, Lam, PrimB, SAnd, SConst, SNot,
+                             SOr, Var, alpha_eq, child_bodies, postorder,
                              stage_value)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,7 +53,7 @@ def count_shape(residual):
     for body in postorder(residual.body):
         if isinstance(body.form, App):
             callee = body.form.callee
-            if isinstance(callee, Var) and callee.name == "if":
+            if isinstance(callee, (Var, Builtin)) and callee.name == "if":
                 ifs += 1
             elif isinstance(callee, Var):
                 exits += 1

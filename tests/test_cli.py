@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from langweave import runtime
+from langweave import packs, runtime
 from langweave.cli import main
 from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
                               EXIT_PARSE, EXIT_USAGE)
@@ -14,6 +14,10 @@ from langweave.terms import alpha_eq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 AMBIGUOUS = 'grammar amb {\n  entry A ::= "x";\n  A ::= "x" "y";\n}\n'
+GRAMMAR_PACKS = tuple(p for p in packs.pack_ids()
+                      if packs.load_manifest(p)["kind"] == "grammar")
+GRAMMAR_FILES = tuple(sorted(FIXTURES.glob("*.lw"))) + (
+    Path(__file__).parent.parent / "perfbench" / "grammars" / "stream.lw",)
 
 
 def run_cli(capsys, *argv):
@@ -174,16 +178,41 @@ def test_usage_errors(capsys):
     assert "input" in err
 
 
-def test_expand_idempotent(capsys, tmp_path):
-    code, out1, _ = run_cli(capsys, "expand", "minusdiv_immediate")
+@pytest.mark.parametrize("command", ["check", "expand"])
+@pytest.mark.parametrize("pack", GRAMMAR_PACKS)
+def test_check_and_expand_match_goldens(capsys, pack, command):
+    code, out, err = run_cli(capsys, command, pack)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (FIXTURES / f"{pack}_{command}.golden").read_text()
+
+
+@pytest.mark.parametrize("source", GRAMMAR_PACKS + GRAMMAR_FILES,
+                         ids=lambda s: getattr(s, "name", s))
+def test_expand_idempotent(capsys, tmp_path, source):
+    if isinstance(source, Path):
+        lang, argv = "x", ["--grammar", f"x={source}", "--lang", "x"]
+    else:
+        lang, argv = source, [source]
+    code, out1, _ = run_cli(capsys, "expand", *argv)
     assert code == EXIT_OK
     expanded = tmp_path / "expanded.lw"
     expanded.write_text(out1)
-    code, out2, _ = run_cli(capsys, "expand", "--grammar",
-                            f"minusdiv_immediate={expanded}",
-                            "--lang", "minusdiv_immediate")
+    code, out2, _ = run_cli(capsys, "expand", "--grammar", f"{lang}={expanded}",
+                            "--lang", lang)
     assert code == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.parametrize("body, where", [
+    ("return n %", "unexpected character '%' at 5:18"),
+    ('"n+" (m) return m', "unexpected '' in expression 'n+' at 5:9"),
+], ids=["core", "prim"])
+def test_action_body_errors_report_file_positions(capsys, tmp_path, body, where):
+    grammar = tmp_path / "bad.lw"
+    grammar.write_text("grammar g {\n  entry S|->(v)| ::=\n      Integer|->(n)|\n"
+                       f"      |(n)->(v)| {{\n        {body}\n      }};\n}}\n")
+    code, out, err = run_cli(capsys, "check", "--grammar", f"g={grammar}")
+    assert (code, out, err) == (EXIT_PARSE, "", f"error: {where}\n")
 
 
 def test_trace_emit(capsys):

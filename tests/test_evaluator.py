@@ -219,6 +219,17 @@ def test_print_and_exit():
     assert sess.out == ["boom"]
 
 
+@pytest.mark.parametrize("params, out", [("print", []), ("", ["7"])])
+def test_builtin_names_resolve_by_scope(params, out):
+    # a parameter named `print` shadows the builtin: the active body inside
+    # the uninvoked lambda waits for its value instead of printing
+    sess = Session()
+    prog = rd(f"(k)'[s0]'{{ '@s0:' k ({params})'[q]'{{ '@always:' print 7 "
+              "()'[r]'{ '@never:' k 1 } } }", sess)
+    apply_value(prog, [], sess)
+    assert sess.out == out
+
+
 def test_step_budget():
     sess = Session(budget=10)
     # fix-driven loop never terminates; the budget trips

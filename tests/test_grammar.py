@@ -52,6 +52,16 @@ def test_syntax_error_reports_position():
         read_grammar("grammar g { Broken ::= }")
 
 
+def test_action_inputs_shadow_builtins():
+    g = read_grammar('grammar g { entry S|->(v)| ::= Integer|->(n)| '
+                     '|(n)->(v)| { print n return }; '
+                     'T|->(v)| ::= Integer|->(print)| '
+                     '|(print)->(v)| { print 1 return }; }')
+    callees = [r.productions[0].body[1].action.body.body.form.callee
+               for r in g.rules.values()]
+    assert [type(c).__name__ for c in callees] == ["Builtin", "Var"]
+
+
 def test_instantiation_generates_fresh_disjoint_names():
     g = read_grammar(MINUSDIV)
     expanded = expand_templates(g)

@@ -7,8 +7,9 @@ import pytest
 from langweave.errors import CoreSyntaxError
 from langweave.printer import print_core, print_program
 from langweave.reader import read_core, read_program
-from langweave.terms import (App, Bool, Int, Lam, PrimB, SConst, Splice, SRef,
-                             Str, TupleT, Var, alpha_eq, alpha_eq_body)
+from langweave.terms import (BUILTIN_NAMES, App, Bool, Int, Lam, PrimB, SConst,
+                             Splice, SRef, Str, TupleT, Var, alpha_eq,
+                             alpha_eq_body, postorder)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,6 +120,22 @@ def test_duplicate_and_double_pack_params_rejected():
         read_core("(x, x){ f x }")
     with pytest.raises(CoreSyntaxError):
         read_core("(!a, !b){ f a }")
+
+
+@pytest.mark.parametrize("src, kinds", [
+    ("(k){ if k k k }", ["Builtin"]),
+    ("(if){ if 1 }", ["Var"]),
+    ("(k){ let if k if 1 }", ["Var"]),
+    ("(k){ fix exit (n){ exit n } exit 1 }", ["Var", "Var"]),
+    ('(k){ "1" (print) print 2 }', ["Var"]),
+    ("(k)[print]{ print 1 }", ["Var"]),
+    ("(k){ f (print){ print 1 } (){ print 2 } }", ["Builtin", "Var"]),
+])
+def test_builtin_names_read_as_builtins_unless_bound(src, kinds):
+    callees = [b.form.callee for b in postorder(read_core(src).body)
+               if isinstance(b.form, App)]
+    assert sorted(type(c).__name__ for c in callees
+                  if getattr(c, "name", None) in BUILTIN_NAMES) == kinds
 
 
 def test_syntax_error_carries_position():
