@@ -12,6 +12,7 @@ diagnostics go to stderr.  Exit codes: 0 ok, 1 parse/grammar error,
 """
 
 import argparse
+import functools
 import sys
 
 from . import packs
@@ -73,7 +74,7 @@ def _registry(loaded):
     for name, grammar, diagnostics in loaded:
         if diagnostics:
             raise Ll1Conflict(diagnostics)
-        reg.register(name, grammar, raw=True)
+        reg.register(name, grammar)
     return reg
 
 
@@ -226,7 +227,10 @@ def cmd_run(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_argparser():
+    """The argument parser, built once per process: `main` may be called
+    many times in one process, and parsing leaves the parser unchanged."""
     top = argparse.ArgumentParser(prog="langweave", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)

@@ -57,10 +57,6 @@ class ReturnCalledTwice(EvalError):
     pass
 
 
-class UnboundName(EvalError):
-    pass
-
-
 class EvalExit(LangError):
     """Raised by the `exit` builtin; aborts the whole evaluation."""
 

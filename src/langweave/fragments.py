@@ -65,10 +65,6 @@ class Fragment:
                           any(active for _, active in parts))
         return self._pair
 
-    @property
-    def build_stage(self):
-        return self.subject.stage
-
     def __repr__(self):
         return f"Fragment(arity={self.arity})"
 

@@ -188,11 +188,6 @@ def mark_entry(g, name):
     return g
 
 
-def foreign_ref(lang, entry, ins=None, outs=None):
-    return ForeignUse(lang, entry, tuple(ins) if ins is not None else None,
-                      tuple(outs) if outs is not None else None)
-
-
 # ---------------------------------------------------------------------------
 # template instantiation
 

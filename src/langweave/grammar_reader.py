@@ -17,100 +17,74 @@ unmatched '}', and resumes there, the same way the runtime switches
 languages at a foreign nonterminal.
 """
 
+import re
+
 from .errors import GrammarSyntaxError
 from .names import FreshNames
-from .reader import Reader as CoreReader
+from .reader import (BLANK, IDENT, STRING, Reader as CoreReader, ident_start,
+                     line_col, unescape)
 from .terms import Lam, Param, SRef
 from .grammar import (ActionDef, ActionUse, ArgAction, ArgEpsilon, ArgLit,
                       ArgNt, ArgTuple, EpsilonUse, ForeignUse, GrammarDef,
                       Lit, NtUse, Production, Template, TemplateCall,
                       TokClass, TOKEN_CLASSES)
 
-_PUNCT2 = ("::=", "->")
-_PUNCT1 = "{}<>(),;|.=:"
+_TOKEN = re.compile(BLANK + rf"""(?:
+    (?P<punct>::=|->|[{{}}<>(),;|.=:]) | (?P<string>{STRING}) | (?P<ident>{IDENT})
+  | (?P<bad>.) )?""", re.S | re.X)
 
 
 class _Scanner:
+    """Tokens `(kind, text, start, end)`, lexed on demand, because an
+    action body is core syntax that the core reader reads in place."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self._cache = None
-
-    def _line_col(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
+        self._ahead = []  # lexed tokens not yet taken, at most two
 
     def error(self, msg, pos=None):
-        line, col = self._line_col(self.pos if pos is None else pos)
-        raise GrammarSyntaxError(msg, line, col)
+        """Raise at `pos`; by default at the next token if it has been
+        lexed, else at the end of the last one taken."""
+        if pos is None:
+            pos = self._ahead[0][2] if self._ahead else self.pos
+        raise GrammarSyntaxError(msg, *line_col(self.text, pos))
 
-    def _skip(self):
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n:
-            if text[i].isspace():
-                i += 1
-            elif text.startswith("//", i):
-                j = text.find("\n", i)
-                i = n if j < 0 else j
-            else:
-                break
-        self.pos = i
+    def _lex(self, pos):
+        m = _TOKEN.match(self.text, pos)
+        kind = m.lastgroup
+        if kind is None:
+            return ("eof", "", m.end(), m.end())
+        start, text = m.start(kind), m[kind]
+        if kind == "punct":
+            return (text, text, start, m.end())
+        if kind == "string":
+            return ("string", unescape(text[1:-1]), start, m.end())
+        if kind == "ident" and ident_start(text[0]):
+            return ("ident", text, start, m.end())
+        if text[0] == '"':
+            self.error("unterminated string literal", start)
+        self.error(f"unexpected character {text[0]!r}", start)
 
-    def _lex(self):
-        self._skip()
-        text, n = self.text, len(self.text)
-        i = self.pos
-        if i >= n:
-            return ("eof", "", i, i)
-        c = text[i]
-        for p in _PUNCT2:
-            if text.startswith(p, i):
-                return (p, p, i, i + len(p))
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append({"n": "\n", "t": "\t"}.get(text[j + 1], text[j + 1]))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                self.error("unterminated string literal", i)
-            return ("string", "".join(out), i, j + 1)
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            return ("ident", text[i:j], i, j)
-        if c in _PUNCT1:
-            return (c, c, i, i + 1)
-        self.error(f"unexpected character {c!r}", i)
-
-    def peek(self):
-        if self._cache is None:
-            self._cache = self._lex()
-        return self._cache
+    def peek(self, ahead=0):
+        while len(self._ahead) <= ahead:
+            self._ahead.append(self._lex(self._ahead[-1][3] if self._ahead else self.pos))
+        return self._ahead[ahead]
 
     def take(self, kind=None):
         tok = self.peek()
         if kind is not None and tok[0] != kind:
             self.error(f"expected {kind!r}, found {tok[1] or 'end of file'!r}", tok[2])
-        self._cache = None
+        del self._ahead[0]
         self.pos = tok[3]
         return tok
 
     def at(self, kind):
         return self.peek()[0] == kind
 
-    def save(self):
-        return (self.pos, self._cache)
-
-    def restore(self, state):
-        self.pos, self._cache = state
+    def seek(self, pos):
+        self.pos = pos
+        self._ahead.clear()
 
 
 class GrammarReader:
@@ -136,38 +110,21 @@ class GrammarReader:
         self.s.take(closer)
         return tuple(names)
 
-    def _classify_bar(self):
-        """At a '|': one of 'in' (|(..)->|), 'action' (|(..)->(..)|),
-        'out' (|->(..)|)."""
-        state = self.s.save()
-        try:
-            self.s.take("|")
-            if self.s.at("->"):
-                return "out"
-            self.s.take("(")
-            depth = 1
-            while depth:
-                tok = self.s.take()
-                if tok[0] == "(":
-                    depth += 1
-                elif tok[0] == ")":
-                    depth -= 1
-                elif tok[0] == "eof":
-                    self.s.error("unterminated annotation")
-            self.s.take("->")
-            return "in" if self.s.at("|") else "action"
-        finally:
-            self.s.restore(state)
+    # -- annotations: |(ins)->| input, |->(outs)| output, |(ins)->(outs)| { body } action
 
-    def _in_ann(self):
+    def _ins(self):
+        """`|(names)->`, which starts an input annotation or an action
+        literal; the next token tells them apart: `|` or `(`."""
         self.s.take("|")
         self.s.take("(")
         names = self._name_list(")")
         self.s.take("->")
-        self.s.take("|")
         return names
 
-    def _out_ann(self):
+    def _outs(self):
+        """An output annotation `|->(names)|` if one comes next, else None."""
+        if not (self.s.at("|") and self.s.peek(1)[0] == "->"):
+            return None
         self.s.take("|")
         self.s.take("->")
         self.s.take("(")
@@ -175,31 +132,22 @@ class GrammarReader:
         self.s.take("|")
         return names
 
-    def _try_out_ann(self):
-        if self.s.at("|") and self._classify_bar() == "out":
-            return self._out_ann()
-        return None
-
-    def _action_literal(self):
-        self.s.take("|")
-        self.s.take("(")
-        ins = self._name_list(")")
-        self.s.take("->")
+    def _action(self, ins):
+        """The rest of an action literal after `|(ins)->`: `(outs)| { body }`,
+        whose body the core reader reads in place."""
         self.s.take("(")
         outs = self._name_list(")")
         self.s.take("|")
-        # switch to core syntax for the body, in place
         brace = self.s.take("{")
         core = CoreReader(self.s.text, self.names, brace[3], ins + ("return",))
         body = core.parse_body(SRef("parse"))
         end = core.take("eof")
         if end.pos == len(self.s.text):
             self.s.error("unterminated action body", brace[2])
-        self.s.restore((end.pos, None))
+        self.s.seek(end.pos)
         self.s.take("}")
         params = tuple(Param(n) for n in ins) + (Param("return"),)
-        lam = Lam(params, "parse", body)
-        return ActionDef(tuple(ins), tuple(outs), lam)
+        return ActionDef(ins, outs, Lam(params, "parse", body))
 
     # -- term uses
 
@@ -208,25 +156,20 @@ class GrammarReader:
             return Lit(self.s.take()[1])
         ins = None
         if self.s.at("|"):
-            kind = self._classify_bar()
-            if kind == "in":
-                ins = self._in_ann()
-            elif kind == "action":
-                action = self._action_literal()
-                outs = self._try_out_ann()
-                return ActionUse(action, None, outs)
-            else:
+            if self.s.peek(1)[0] == "->":
                 self.s.error("unexpected output annotation at term start")
-        if self.s.at("|") and self._classify_bar() == "action":
-            action = self._action_literal()
-            outs = self._try_out_ann()
-            return ActionUse(action, ins, outs)
+            names = self._ins()
+            if self.s.at("("):
+                return ActionUse(self._action(names), None, self._outs())
+            self.s.take("|")
+            ins = names
+        if self.s.at("|"):
+            return ActionUse(self._action(self._ins()), ins, self._outs())
         if self.s.at("ident") and self.s.peek()[1] == "epsilon":
             self.s.take()
-            outs = self._try_out_ann()
-            return EpsilonUse(ins, outs)
+            return EpsilonUse(ins, self._outs())
         name = self._dotted()
-        outs = self._try_out_ann()
+        outs = self._outs()
         if "." in name:
             lang, entry = name.split(".", 1)
             return ForeignUse(lang, entry, ins, outs)
@@ -243,7 +186,7 @@ class GrammarReader:
             self.s.take()
             return ArgTuple(self._name_list(")"))
         if self.s.at("|"):
-            return ArgAction(self._action_literal())
+            return ArgAction(self._action(self._ins()))
         tok = self.s.take("ident")
         if tok[1] == "epsilon":
             return ArgEpsilon()
@@ -266,23 +209,23 @@ class GrammarReader:
             entry = True
         ins = None
         if self.s.at("|"):
-            if self._classify_bar() != "in":
-                self.s.error("expected an input annotation before the rule name")
-            ins = self._in_ann()
+            bar = self.s.peek()[2]
+            ins = None if self.s.peek(1)[0] == "->" else self._ins()
+            if ins is None or not self.s.at("|"):
+                self.s.error("expected an input annotation before the rule name", bar)
+            self.s.take()
         head = self.s.take("ident")[1]
-        outs = self._try_out_ann() or ()
+        outs = self._outs() or ()
         self.s.take("::=")
 
         body = []
         # template call as the entire body?
-        if self.s.at("ident"):
-            state = self.s.save()
-            name = self.s.take("ident")[1]
-            if self.s.at("<") and name != "epsilon":
-                body.append(self._template_call(name))
-                self.s.take(";")
-                return Production(head, ins, tuple(outs), tuple(body)), entry
-            self.s.restore(state)
+        tok = self.s.peek()
+        if tok[0] == "ident" and tok[1] != "epsilon" and self.s.peek(1)[0] == "<":
+            self.s.take()
+            body.append(self._template_call(tok[1]))
+            self.s.take(";")
+            return Production(head, ins, tuple(outs), tuple(body)), entry
         while not self.s.at(";"):
             if self.s.at("eof"):
                 self.s.error("unterminated production (missing ';')")

@@ -11,6 +11,7 @@ partially evaluated expression renders back to source with concrete values
 inlined ("l-r" becomes "1-quot" once l is known).
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import CoreSyntaxError
@@ -96,42 +97,26 @@ def prim_leaves(expr):
 # ---------------------------------------------------------------------------
 # parsing
 
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<int>\d+) | (?P<name>[^\W\d]\w*) | (?P<str>'[^']*')
+  | (?P<op>[=!<>]=|[-+*/<>()\[\],.]) | (?P<bad>.) )?""", re.S | re.X)
+
+
 def _tokenize(text):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j]))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
-        elif c == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
+    end = 0
+    while True:
+        m = _TOKEN.match(text, end)
+        kind, end = m.lastgroup, m.end()
+        if kind is None:
+            toks.append(("end", ""))
+            return toks
+        tok = m[kind]
+        if kind == "bad" or (kind == "name" and not (tok[0].isalpha() or tok[0] == "_")):
+            if tok[0] == "'":
                 raise CoreSyntaxError(f"unterminated string in expression {text!r}")
-            toks.append(("str", text[i + 1:j]))
-            i = j + 1
-        elif text[i:i + 2] in CMP_OPS:
-            toks.append(("op", text[i:i + 2]))
-            i += 2
-        elif c in "+-*/<>()[],.":
-            toks.append(("op", c))
-            i += 1
-        else:
-            raise CoreSyntaxError(f"bad character {c!r} in expression {text!r}")
-    toks.append(("end", ""))
-    return toks
+            raise CoreSyntaxError(f"bad character {tok[0]!r} in expression {text!r}")
+        toks.append((kind, tok[1:-1] if kind == "str" else tok))
 
 
 class _P:
@@ -291,7 +276,9 @@ def render_prim(expr, quote_render):
                 level = _PREC["add"]
             else:
                 level = _PREC["mul"]
-            s = f"{go(e.left, level)}{e.op}{go(e.right, level + 1)}"
+            # comparisons do not chain, so neither operand may be one
+            left = go(e.left, level + (level == _PREC["cmp"]))
+            s = f"{left}{e.op}{go(e.right, level + 1)}"
             return f"({s})" if prec > level else s
         if isinstance(e, PList):
             return "[" + ",".join(go(a, 0) for a in e.items) + "]"

@@ -14,15 +14,17 @@ _INDENT = "  "
 
 
 def _stage_text(expr, prec=0):
+    # `&` and `|` read left-associative, so a right operand of the same
+    # operator keeps its parentheses
     if isinstance(expr, SConst):
         return "always" if expr.top else "never"
     if isinstance(expr, SRef):
         return expr.name
     if isinstance(expr, SOr):
-        s = f"{_stage_text(expr.left, 1)} | {_stage_text(expr.right, 1)}"
+        s = f"{_stage_text(expr.left, 1)} | {_stage_text(expr.right, 2)}"
         return f"({s})" if prec > 1 else s
     if isinstance(expr, SAnd):
-        s = f"{_stage_text(expr.left, 2)} & {_stage_text(expr.right, 2)}"
+        s = f"{_stage_text(expr.left, 2)} & {_stage_text(expr.right, 3)}"
         return f"({s})" if prec > 2 else s
     if isinstance(expr, SNot):
         return f"!{_stage_text(expr.inner, 3)}"

@@ -12,6 +12,8 @@ sugar is desugared on the way in:
   !v                        splice in argument position, pack in parameter position
 """
 
+import re
+
 from .errors import CoreSyntaxError
 from .names import FreshNames
 from .prims import parse_prim
@@ -19,17 +21,43 @@ from .terms import (BUILTIN_NAMES, App, Body, Bool, Builtin, FixB, Int, Lam,
                     Param, PrimB, SAnd, SConst, SNot, SOr, Splice, SRef,
                     StageConst, Str, TupleT, Var)
 
-_PUNCT = "(){}[],!@:&|"
+# Lexical classes shared by the core, grammar and runtime lexers.  Blanks
+# are whitespace (`str.isspace`) and `//` line comments.  An identifier is
+# a letter or `_`, then letters, digits and `_` (`str.isalnum`); no regex
+# class is `str.isalpha`, so the first character is checked after a match.
+BLANK = r"\s*(?://[^\n]*\s*)*"
+IDENT = r"[^\W\d]\w*"
+STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+_TOKEN = re.compile(BLANK + rf"""(?:
+    (?P<quoted>'[^']*') | (?P<string>{STRING}) | (?P<int>-?\d+)
+  | (?P<ident>{IDENT}) | (?P<punct>[(){{}}\[\],!@:&|]) | (?P<bad>.) )?""",
+                    re.S | re.X)
+_UNTERMINATED = {"'": "unterminated quote", '"': "unterminated string"}
+
+
+def line_col(text, pos):
+    """1-based line and column of offset `pos` in `text`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def unescape(body):
+    """The text of a string literal's body: `\\n` and `\\t` are newline
+    and tab, and a backslash before any other character keeps it."""
+    return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[1]), body, flags=re.S)
+
+
+def ident_start(char):
+    return char.isalpha() or char == "_"
 
 
 class Tok:
-    __slots__ = ("kind", "text", "line", "col", "pos", "end")
+    __slots__ = ("kind", "text", "pos", "end")
 
-    def __init__(self, kind, text, line, col, pos=0, end=0):
+    def __init__(self, kind, text, pos, end):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
         self.pos = pos
         self.end = end
 
@@ -39,91 +67,31 @@ class Tok:
 
 def tokenize(src, start=0):
     """Tokens of `src` from offset `start` to its end or to the first
-    unmatched '}', where the `eof` token stands; lines and columns count
-    from the start of `src`."""
-    toks = []
-    i, n = start, len(src)
-    line = src.count("\n", 0, start) + 1
-    col = start - src.rfind("\n", 0, start)
-    depth = 0
-
-    def advance(text):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            advance(c)
-            i += 1
-            continue
-        if src.startswith("//", i):
-            j = src.find("\n", i)
-            j = n if j < 0 else j
-            advance(src[i:j])
-            i = j
-            continue
-        start_line, start_col = line, col
-        if c == "'":
-            j = src.find("'", i + 1)
-            if j < 0:
-                raise CoreSyntaxError("unterminated quote", start_line, start_col)
-            toks.append(Tok("quoted", src[i + 1:j], start_line, start_col, i, j + 1))
-            advance(src[i:j + 1])
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            out = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n:
-                    esc = src[j + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                else:
-                    out.append(src[j])
-                    j += 1
-            if j >= n:
-                raise CoreSyntaxError("unterminated string", start_line, start_col)
-            toks.append(Tok("string", "".join(out), start_line, start_col, i, j + 1))
-            advance(src[i:j + 1])
-            i = j + 1
-        elif c.isdigit() or (c == "-" and i + 1 < n and src[i + 1].isdigit()):
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Tok("int", src[i:j], start_line, start_col, i, j))
-            advance(src[i:j])
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Tok("ident", src[i:j], start_line, start_col, i, j))
-            advance(src[i:j])
-            i = j
-        elif c in _PUNCT:
-            if c == "}":
-                if not depth:
-                    break
-                depth -= 1
-            elif c == "{":
-                depth += 1
-            toks.append(Tok(c, c, start_line, start_col, i, i + 1))
-            advance(c)
-            i += 1
-        else:
-            raise CoreSyntaxError(f"unexpected character {c!r}", start_line, start_col)
-    toks.append(Tok("eof", "", line, col, i, i))
-    return toks
+    unmatched '}', where the `eof` token stands."""
+    toks, depth, end = [], 0, start
+    while True:
+        m = _TOKEN.match(src, end)
+        kind, end = m.lastgroup, m.end()
+        pos, text = (m.start(kind), m[kind]) if kind else (end, "")
+        if kind is None or (text == "}" and not depth):
+            toks.append(Tok("eof", "", pos, pos))
+            return toks
+        if kind == "bad" or (kind == "ident" and not ident_start(text[0])):
+            msg = _UNTERMINATED.get(text[0], f"unexpected character {text[0]!r}")
+            raise CoreSyntaxError(msg, *line_col(src, pos))
+        if kind == "punct":
+            kind = text
+            depth += (text == "{") - (text == "}")
+        elif kind == "quoted":
+            text = text[1:-1]
+        elif kind == "string":
+            text = unescape(text[1:-1])
+        toks.append(Tok(kind, text, pos, end))
 
 
-def _parse_stage_text(text, tok):
-    """Parse the inside of a stage prefix: `a & b`, `!x | always`, ..."""
+def _parse_stage_text(text, fail):
+    """Parse the inside of a stage prefix: `a & b`, `!x | always`, ...;
+    `fail(msg)` raises a syntax error placed at the prefix."""
     toks = tokenize(text)
     pos = [0]
 
@@ -146,11 +114,11 @@ def _parse_stage_text(text, tok):
         if t.kind == "(":
             e = alt()
             if take().kind != ")":
-                raise CoreSyntaxError("expected ')' in stage expression", tok.line, tok.col)
+                fail("expected ')' in stage expression")
             return e
         if t.kind == "!":
             return SNot(atom())
-        raise CoreSyntaxError(f"bad stage expression {text!r}", tok.line, tok.col)
+        fail(f"bad stage expression {text!r}")
 
     def conj():
         e = atom()
@@ -168,7 +136,7 @@ def _parse_stage_text(text, tok):
 
     expr = alt()
     if peek().kind != "eof" or peek().pos < len(text):
-        raise CoreSyntaxError(f"trailing stage expression input {text!r}", tok.line, tok.col)
+        fail(f"trailing stage expression input {text!r}")
     return expr
 
 
@@ -178,6 +146,7 @@ class Reader:
     of that name is in scope."""
 
     def __init__(self, src, names=None, start=0, bound=()):
+        self.src = src
         self.toks = tokenize(src, start)
         self.i = 0
         self.names = names if names is not None else FreshNames()
@@ -196,13 +165,14 @@ class Reader:
     def take(self, kind=None):
         t = self.toks[self.i]
         if kind is not None and t.kind != kind:
-            raise CoreSyntaxError(f"expected {kind!r}, found {t.text!r}", t.line, t.col)
+            self.error(f"expected {kind!r}, found {t.text!r}", t)
         self.i += 1
         return t
 
-    def error(self, msg):
-        t = self.peek()
-        raise CoreSyntaxError(msg, t.line, t.col)
+    def error(self, msg, tok=None):
+        """Raise at `tok` (the next token by default); its line and column
+        are found only here."""
+        raise CoreSyntaxError(msg, *line_col(self.src, (tok or self.peek()).pos))
 
     # -- scope
 
@@ -236,7 +206,7 @@ class Reader:
         t = self.peek()
         if t.kind == "quoted" and t.text.startswith("@") and t.text.endswith(":"):
             self.take()
-            return _parse_stage_text(t.text[1:-1], t)
+            return _parse_stage_text(t.text[1:-1], lambda msg: self.error(msg, t))
         if t.kind == "@":
             self.take()
             parts = []
@@ -254,7 +224,7 @@ class Reader:
                     depth -= 1
                 parts.append(self.take())
             text = " ".join(p.text if p.kind != "!" else "!" for p in parts)
-            return _parse_stage_text(text, t)
+            return _parse_stage_text(text, lambda msg: self.error(msg, t))
         return None
 
     # -- parameters
@@ -362,7 +332,7 @@ class Reader:
             try:
                 expr = parse_prim(t.text)
             except CoreSyntaxError as err:
-                raise CoreSyntaxError(str(err), t.line, t.col) from None
+                raise CoreSyntaxError(str(err), *line_col(self.src, t.pos)) from None
             self.take("(")
             outs = []
             while self.peek().kind != ")":

@@ -8,14 +8,17 @@ the cursor is never touched by the wrong alphabet, and the cursor is
 monotone: no backtracking, ever.
 """
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (ActionError, ArityMismatch, EvalExit, LexFailure,
                      GrammarError, StepBudgetExceeded, UnexpectedToken,
                      UnknownEntry, UnknownLanguage)
 from .evaluator import Session, apply_value, render_value
 from .grammar import (ActionUse, EpsilonUse, ForeignUse, Lit, NtUse,
-                      TokClass, prepare)
+                      TokClass)
+from .reader import BLANK, IDENT, STRING, ident_start
 from .parsegen import EOI, build_table, literal_tokens, token_key_str, used_classes
 from .terms import Int, Str
 
@@ -31,10 +34,21 @@ class Token:
         return token_key_str(self.key)
 
 
+_CLASS_PATTERNS = {"Identifier": IDENT, "Integer": r"\d+", "String": STRING}
+
+
 @dataclass(frozen=True)
 class LexerDef:
     literals: tuple  # longest first
     classes: frozenset
+
+    @cached_property
+    def pattern(self):
+        """Blanks, then, at the same offset, the longest literal (as a
+        look-ahead, empty if none) and the lexeme of a token class."""
+        lits = "".join(re.escape(lit) + "|" for lit in self.literals)
+        classes = "|".join(f"(?P<{cls}>{_CLASS_PATTERNS[cls]})" for cls in sorted(self.classes))
+        return re.compile(f"{BLANK}(?=(?P<lit>{lits}))(?:{classes})?", re.S)
 
 
 def lexer_for(grammar):
@@ -42,71 +56,27 @@ def lexer_for(grammar):
     return LexerDef(tuple(lits), frozenset(used_classes(grammar)))
 
 
-def _lex_class(text, pos, cls):
-    n = len(text)
-    if cls == "Identifier":
-        if pos < n and (text[pos].isalpha() or text[pos] == "_"):
-            j = pos + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            return text[pos:j]
-    elif cls == "Integer":
-        if pos < n and text[pos].isdigit():
-            j = pos
-            while j < n and text[j].isdigit():
-                j += 1
-            return text[pos:j]
-    elif cls == "String":
-        if pos < n and text[pos] == '"':
-            j = pos + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j < n:
-                return text[pos:j + 1]
-    return None
-
-
-def _skip_blank(text, pos):
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-        elif text.startswith("//", pos):
-            nl = text.find("\n", pos)
-            pos = n if nl < 0 else nl
-        else:
-            break
-    return pos
-
-
 def lex_next(text, pos, lexdef):
     """Longest-match token at `pos` under the given language; literals win
     ties against classes."""
-    pos = _skip_blank(text, pos)
+    m = lexdef.pattern.match(text, pos)
+    pos, lit, cls = m.start("lit"), m["lit"], m.lastgroup
     if pos >= len(text):
         return Token(EOI, "", None, (pos, pos))
-    best = None  # (length, is_literal, token)
-    for lit in lexdef.literals:
-        if text.startswith(lit, pos):
-            best = (len(lit), 1, Token(("lit", lit), lit, None, (pos, pos + len(lit))))
-            break  # literals are sorted longest-first
-    for cls in lexdef.classes:
-        lexeme = _lex_class(text, pos, cls)
-        if lexeme is None:
-            continue
-        if best is not None and (len(lexeme), 0) <= best[:2]:
-            continue
+    lexeme = "" if cls == "lit" else m[cls]
+    if cls == "Identifier" and not ident_start(lexeme[0]):
+        lexeme = ""
+    if len(lexeme) > len(lit):
         if cls == "Integer":
             value = Int(int(lexeme))
         elif cls == "String":
             value = Str(lexeme[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
         else:
             value = Str(lexeme)
-        best = (len(lexeme), 0, Token(("class", cls), lexeme, value,
-                                      (pos, pos + len(lexeme))))
-    if best is None:
-        raise LexFailure(f"no token of the current language matches {text[pos:pos+10]!r}", pos)
-    return best[2]
+        return Token(("class", cls), lexeme, value, (pos, pos + len(lexeme)))
+    if lit:
+        return Token(("lit", lit), lit, None, (pos, pos + len(lit)))
+    raise LexFailure(f"no token of the current language matches {text[pos:pos+10]!r}", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +96,10 @@ class LanguageRegistry:
         self.languages = {}
         self.warnings = []
 
-    def register(self, name, grammar_def, raw=False):
-        """Validate and compile a grammar under `name`.  `raw=True` means
-        the definition is already expanded and completed."""
-        if raw:
-            prepared, diagnostics = grammar_def, []
-        else:
-            prepared, diagnostics = prepare(grammar_def)
-        if diagnostics:
-            raise GrammarError("; ".join(diagnostics))
+    def register(self, name, prepared, raw=True):
+        """Compile a prepared (expanded and completed) grammar under
+        `name`.  `raw` is ignored; it is still accepted because
+        `perfbench/run.py` passes it."""
         table = build_table(prepared)
         if name in self.languages:
             self.warnings.append(f"replacing language {name!r}")

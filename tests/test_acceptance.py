@@ -36,7 +36,7 @@ def load_language(reg, name, path, session):
     g = read_grammar(Path(path).read_text(), session.names)
     prepared, diags = prepare(g)
     assert not diags, diags
-    reg.register(name, prepared, raw=True)
+    reg.register(name, prepared)
     return prepared
 
 
@@ -188,7 +188,7 @@ def test_criterion_5_no_backtracking_and_conflict_rejection():
         'grammar amb { entry A ::= "x"; A ::= "x" "y"; }')
     prepared, _ = prepare(ambiguous)
     with pytest.raises(Ll1Conflict) as err:
-        LanguageRegistry().register("amb", prepared, raw=True)
+        LanguageRegistry().register("amb", prepared)
     assert '"x"' in str(err.value)
     _report(5, "cursor monotone on accept and reject; ambiguity rejected naming the token")
 

@@ -153,6 +153,8 @@ def test_missing_grammar_file_exit_66(capsys):
     (("run", "minusdiv_immediate", "--input", "{dir}"), EXIT_NOINPUT),
     (("run", "minusdiv_immediate", "--input", "{latin1}"), EXIT_NOINPUT),
     (("run", "signum_builder", "abc", "--emit", "value"), EXIT_USAGE),
+    # '²' passes str.isdigit() but int() rejects it
+    (("run", "minusdiv_immediate", "1-²"), EXIT_PARSE),
 ])
 def test_bad_input_is_one_error_line_not_a_traceback(capsys, tmp_path, argv, expected):
     latin1 = tmp_path / "latin1.txt"
@@ -206,7 +208,9 @@ def test_expand_idempotent(capsys, tmp_path, source):
 @pytest.mark.parametrize("body, where", [
     ("return n %", "unexpected character '%' at 5:18"),
     ('"n+" (m) return m', "unexpected '' in expression 'n+' at 5:9"),
-], ids=["core", "prim"])
+    ("return ²", "unexpected character '²' at 5:16"),
+    ('"1+²" (m) return m', "bad character '²' in expression '1+²' at 5:9"),
+], ids=["core", "prim", "core_nondecimal_digit", "prim_nondecimal_digit"])
 def test_action_body_errors_report_file_positions(capsys, tmp_path, body, where):
     grammar = tmp_path / "bad.lw"
     grammar.write_text("grammar g {\n  entry S|->(v)| ::=\n      Integer|->(n)|\n"

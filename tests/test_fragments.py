@@ -179,7 +179,7 @@ def test_fragment_surface_is_opaque():
     public = {n for n in dir(fragments) if not n.startswith("_")}
     assert {"build", "merge", "finalize", "fragment_arity"} <= public
     frag_attrs = {n for n in dir(fragments.Fragment) if not n.startswith("_")}
-    assert frag_attrs <= {"subject", "slots", "arity", "build_stage"}
+    assert frag_attrs <= {"subject", "slots", "arity"}
 
 
 # ---------------------------------------------------------------------------

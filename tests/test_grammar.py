@@ -41,7 +41,7 @@ def test_empty_grammar_reads_but_cannot_parse():
     from langweave.runtime import LanguageRegistry
     from langweave.errors import UnknownEntry
     reg = LanguageRegistry()
-    reg.register("empty", prepared, raw=True)
+    reg.register("empty", prepared)
     with pytest.raises(UnknownEntry):
         from langweave.runtime import parse
         parse(reg, "empty", "Start", "x")
@@ -244,7 +244,7 @@ def test_builder_api_matches_file_reader():
     for text, want in (("10-4/2", 8), ("1-4/2-3", -4), ("8-3-2", 3)):
         for prepared in (file_prepared, built_prepared):
             reg = LanguageRegistry()
-            reg.register("m", prepared, raw=True)
+            reg.register("m", prepared)
             assert parse(reg, "m", "Diff", text, session=Session()) == [Int(want)]
 
 

@@ -27,7 +27,7 @@ def run_pack(pack_id, text, session=None):
     prepared, diags = prepare(g)
     assert not diags
     reg = LanguageRegistry()
-    reg.register(pack_id, prepared, raw=True)
+    reg.register(pack_id, prepared)
     parser = Parser(reg, text, session)
     outs = parser.parse(pack_id, manifest["entry"])
     return outs, parser, session

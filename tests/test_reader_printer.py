@@ -4,9 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from langweave.errors import CoreSyntaxError
+from langweave.errors import CoreSyntaxError, LangError
+from langweave.grammar import TOKEN_CLASSES, NtUse
+from langweave.grammar_reader import read_grammar
+from langweave.parsegen import EOI
 from langweave.printer import print_core, print_program
+from langweave.prims import PName, parse_prim
 from langweave.reader import read_core, read_program
+from langweave.runtime import LexerDef, lex_next
 from langweave.terms import (BUILTIN_NAMES, App, Bool, Int, Lam, PrimB, SConst,
                              Splice, SRef, Str, TupleT, Var, alpha_eq,
                              alpha_eq_body, postorder)
@@ -173,3 +178,64 @@ def test_printer_deterministic():
     a = print_core(read_core(src))
     b = print_core(read_core(src))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# lexical classes, pinned across the four lexers
+
+
+def _runtime_token(text):
+    lexdef = LexerDef((), frozenset(TOKEN_CLASSES))
+    tok = lex_next(text, 0, lexdef)
+    assert lex_next(text, tok.span[1], lexdef).key == EOI
+    kind = {"Identifier": "ident", "Integer": "int", "String": "string"}[tok.key[1]]
+    return kind, tok.value.value
+
+
+def _core_token(text):
+    term = read_core(text)
+    if isinstance(term, Var):
+        return "ident", term.name
+    return ("int" if isinstance(term, Int) else "string"), term.value
+
+
+def _grammar_token(text):
+    (use,) = read_grammar(f"grammar g {{ entry S ::= {text}; }}").rules["S"].productions[0].body
+    return ("ident", use.name) if isinstance(use, NtUse) else ("string", use.text)
+
+
+def _prim_token(text):
+    expr = parse_prim(text)
+    return ("ident", expr.name) if isinstance(expr, PName) else ("int", expr.value)
+
+
+LEXERS = {"runtime": _runtime_token, "core": _core_token, "grammar": _grammar_token,
+          "prim": _prim_token}
+REJECTED = None
+# name: (text, the token each lexer reads from it); a lexer that is not listed
+# has no such token class (primitive expressions have no "..." strings).
+LEXICAL_CASES = {
+    "letter": ("é", dict.fromkeys(LEXERS, ("ident", "é"))),
+    "underscore": ("_x", dict.fromkeys(LEXERS, ("ident", "_x"))),
+    "digit_in_name": ("x²", dict.fromkeys(LEXERS, ("ident", "x²"))),
+    "decimal_digit": ("٣", {"runtime": ("int", 3), "core": ("int", 3), "grammar": REJECTED,
+                            "prim": ("int", 3)}),
+    "nondecimal_digit": ("²", dict.fromkeys(LEXERS, REJECTED)),
+    "numeric": ("½", dict.fromkeys(LEXERS, REJECTED)),
+    "no_break_space": ("\xa0x\xa0", dict.fromkeys(LEXERS, ("ident", "x"))),
+    "backslash_newline": ('"a\\\nb"', {"runtime": ("string", "a\\\nb"),
+                                        "core": ("string", "a\nb"),
+                                        "grammar": ("string", "a\nb")}),
+}
+
+
+@pytest.mark.parametrize("lexer, text, expected", [
+    pytest.param(lexer, text, expected, id=f"{lexer}-{case}")
+    for case, (text, by_lexer) in LEXICAL_CASES.items()
+    for lexer, expected in by_lexer.items()])
+def test_lexical_classes_agree_across_lexers(lexer, text, expected):
+    if expected is REJECTED:
+        with pytest.raises(LangError):
+            LEXERS[lexer](text)
+    else:
+        assert LEXERS[lexer](text) == expected

@@ -27,7 +27,7 @@ def _registry(*packs, session=None):
         g = read_grammar((PACKS / pack / "grammar.lw").read_text(), names)
         prepared, diags = prepare(g)
         assert not diags
-        reg.register(pack, prepared, raw=True)
+        reg.register(pack, prepared)
     return reg
 
 
@@ -169,7 +169,7 @@ def test_register_conflicting_grammar_refused():
     assert not diags
     reg = LanguageRegistry()
     with pytest.raises(Ll1Conflict):
-        reg.register("amb", prepared, raw=True)
+        reg.register("amb", prepared)
 
 
 def test_two_languages_parseable_in_one_session():
@@ -185,7 +185,7 @@ def test_reregistering_warns_and_replaces():
     reg = _registry("minusdiv_immediate")
     g = read_grammar((PACKS / "minusdiv_immediate" / "grammar.lw").read_text())
     prepared, _ = prepare(g)
-    reg.register("minusdiv_immediate", prepared, raw=True)
+    reg.register("minusdiv_immediate", prepared)
     assert any("replacing" in w for w in reg.warnings)
 
 
@@ -198,7 +198,7 @@ def test_link_check_fails_before_parse_starts():
     prepared, diags = prepare(read_grammar(src))
     assert not diags
     reg = LanguageRegistry()
-    reg.register("loner", prepared, raw=True)
+    reg.register("loner", prepared)
     parser = Parser(reg, "anything", Session())
     with pytest.raises(UnknownEntry):
         parser.parse("loner", "Top")
@@ -215,7 +215,7 @@ def _two_language_registry(session):
         g = read_grammar((FIXTURES / path).read_text(), session.names)
         prepared, diags = prepare(g)
         assert not diags
-        reg.register(name, prepared, raw=True)
+        reg.register(name, prepared)
     return reg
 
 
@@ -318,7 +318,7 @@ def test_inner_parse_stops_greedily_at_foreign_text():
     for name, src in (("outer2", outer_src), ("calc2", inner_src)):
         prepared, diags = prepare(read_grammar(src, sess.names))
         assert not diags
-        reg.register(name, prepared, raw=True)
+        reg.register(name, prepared)
     # the inner Rest's lookahead lands on " !", unlexable under calc2
     assert parse(reg, "outer2", "Prog", "go << 1 :: 2 !",
                  session=sess) == [Int(3)]
