@@ -25,6 +25,19 @@ next look recomputes it from its children's and the skip stays sharp as
 build-time chains finish.
 `step`, which walks the whole tree in post-order, is the reference the
 drain must agree with.
+
+`apply_value` first tries an environment loop, in the manner of the CEK
+machine, which binds each name in one dict instead of copying the body.
+It takes only a closed, quiet lambda applied to first-order data whose
+body is a straight line: the first body is staged on the lambda's stage
+parameter, each later one on the continuation stage of the primitive
+before it, every quoted term is a name or data, and the last body calls a
+name on names or data.  The shape alone guarantees that post-order runs
+these bodies one after another, so the loop is chosen before the first
+step.  It keeps `run`'s `prim` trace lines and step count, binds no fresh
+name, and records a call of the host return continuation as `run` does.
+Anything else (a symbolic operand, a call of another value) is substituted
+back into the root from the same environment and handed to `run`.
 """
 
 import sys
@@ -41,8 +54,9 @@ from . import prims as P
 from .printer import _quote_render
 from .terms import (App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Inert,
                     Int, Lam, Param, PrimB, Rec, RetK, SConst, Splice,
-                    StageConst, Str, TupleT, Var, body_info, child_bodies,
-                    postorder, stage_value, subst_body, subst_term)
+                    SRef, StageConst, Str, TupleT, Var, body_info,
+                    child_bodies, lam_info, postorder, stage_value,
+                    subst_body, subst_term)
 
 BOTTOM = SConst(False)
 TOP = SConst(True)
@@ -313,12 +327,17 @@ def _rests_of_form(form):
 def _find_pack_lam(body, name, at_body):
     """The lambda packing `name` whose body encloses `at_body` (the blocked
     application): the reference is lexically bound, so the binder must be an
-    enclosing lambda, never a like-named one elsewhere in the tree."""
+    enclosing lambda, never a like-named one elsewhere in the tree, and
+    none when a nearer binder (a plain parameter, a primitive output, a
+    `fix` name or a stage parameter) shadows the name."""
 
     def in_term(term, enclosing):
         if isinstance(term, Lam):
-            packs = any(p.packed and p.name == name for p in term.params)
-            return in_body(term.body, term if packs else enclosing)
+            bound = {p.name: p.packed for p in term.params}
+            bound[term.stage] = False
+            if name in bound:
+                enclosing = term if bound[name] else None
+            return in_body(term.body, enclosing)
         if isinstance(term, TupleT):
             for el in term.items:
                 found = in_term(el, enclosing)
@@ -332,11 +351,17 @@ def _find_pack_lam(body, name, at_body):
     def in_body(b, enclosing):
         if b is at_body:
             return enclosing
-        for t in _terms_of_form(b.form):
+        form = b.form
+        if isinstance(form, FixB) and form.name == name:
+            enclosing = None
+        for t in _terms_of_form(form):
             found = in_term(t, enclosing)
             if found is not None:
                 return found
-        for r in _rests_of_form(b.form):
+        if isinstance(form, PrimB) and name in (*form.outs, form.cont_stage) \
+                or isinstance(form, FixB) and form.stage_param == name:
+            enclosing = None
+        for r in _rests_of_form(form):
             found = in_body(r, enclosing)
             if found is not None:
                 return found
@@ -596,12 +621,86 @@ def run(session, root):
             _count_step(session)
 
 
+def _is_data(term):
+    """First-order data: a literal, a host continuation, or a tuple or
+    environment of data, so no free name and no lambda."""
+    if isinstance(term, TupleT):
+        return all(_is_data(t) for t in term.items)
+    if isinstance(term, EnvVal):
+        return all(_is_data(v) for _, v in term.entries)
+    return isinstance(term, (Int, Str, Bool, StageConst, RetK))
+
+
+def _name_or_data(term):
+    return isinstance(term, Var) or _is_data(term)
+
+
+def _straight_line(lam, args):
+    """Whether the environment loop may run `lam` on `args`: the callee is
+    closed and quiet, the arguments are data, and the body is primitives
+    each of which makes only the next body active, ending in a call of a
+    name on names or data."""
+    free, active = lam_info(lam)
+    if free or active or not all(map(_is_data, args)):
+        return False
+    body, stage = lam.body, lam.stage
+    while type(body.stage) is SRef and body.stage.name == stage:
+        form = body.form
+        if isinstance(form, App):
+            return isinstance(form.callee, Var) and all(map(_name_or_data, form.args))
+        if not isinstance(form, PrimB) or form.cont_stage is None \
+                or not all(map(_name_or_data, form.expr.embedded_terms())):
+            return False
+        body, stage = form.rest, form.cont_stage
+    return False
+
+
+def _run_chain(session, root):
+    """Run the call in `root` in one environment if `_straight_line` allows.
+    True when it ended by calling a host return continuation; otherwise
+    `root` holds what is left for `run`, if anything."""
+    lam, args = root.form.callee, root.form.args
+    if not isinstance(lam, Lam) or not _straight_line(lam, args):
+        return False
+    env = _bind(lam, _flatten(args))
+    env[lam.stage] = StageConst(True)
+    _count_step(session)
+
+    def look(term):
+        return env.get(term.name, term) if isinstance(term, Var) else term
+
+    body = lam.body
+    while isinstance(body.form, PrimB):
+        form = body.form
+        expr = P.prim_subst(form.expr, env, look)
+        try:
+            value = eval_prim(expr)
+        except _Unready:
+            root.replace(subst_body(body, env, session.names))
+            return False
+        for out in form.outs:
+            env[out] = value
+        env[form.cont_stage] = StageConst(True)
+        session.trace.append("prim " + P.render_prim(expr, _quote_render))
+        _count_step(session)
+        body = form.rest
+    callee, args = look(body.form.callee), tuple(map(look, body.form.args))
+    if not isinstance(callee, RetK) or callee.tag in session.returned:
+        root.replace(Body(TOP, App(callee, args)))
+        return False
+    session.returned[callee.tag] = root
+    root.replace(Body(BOTTOM, Inert(callee.tag, args)))
+    _count_step(session)
+    return True
+
+
 def apply_value(f, args, session):
     """Call a closure with a host return continuation appended; run until
     quiescent and yield the values passed to the continuation."""
     ret = session.new_return()
     root = Body(TOP, App(f, tuple(args) + (ret,)))
-    run(session, root)
+    if not _run_chain(session, root):
+        run(session, root)
     if ret.tag not in session.returned:
         raise ReturnNeverCalled("evaluation finished without invoking return")
     return list(session.returned[ret.tag].form.args)

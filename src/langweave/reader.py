@@ -65,12 +65,13 @@ class Tok:
         return f"Tok({self.kind}, {self.text!r})"
 
 
-def tokenize(src, start=0):
-    """Tokens of `src` from offset `start` to its end or to the first
-    unmatched '}', where the `eof` token stands."""
+def tokenize(src, start=0, stop=None):
+    """Tokens of `src` from offset `start` to `stop` (its end by default)
+    or to the first unmatched '}', where the `eof` token stands."""
     toks, depth, end = [], 0, start
+    stop = len(src) if stop is None else stop
     while True:
-        m = _TOKEN.match(src, end)
+        m = _TOKEN.match(src, end, stop)
         kind, end = m.lastgroup, m.end()
         pos, text = (m.start(kind), m[kind]) if kind else (end, "")
         if kind is None or (text == "}" and not depth):
@@ -89,10 +90,12 @@ def tokenize(src, start=0):
         toks.append(Tok(kind, text, pos, end))
 
 
-def _parse_stage_text(text, fail):
-    """Parse the inside of a stage prefix: `a & b`, `!x | always`, ...;
-    `fail(msg)` raises a syntax error placed at the prefix."""
-    toks = tokenize(text)
+def _parse_stage_text(src, start, stop, fail):
+    """Parse the inside of a stage prefix, `src[start:stop]`: `a & b`,
+    `!x | always`, ...; `fail(msg)` raises a syntax error placed at the
+    prefix, and a lexical error is placed in `src`."""
+    text = src[start:stop]
+    toks = tokenize(src, start, stop)
     pos = [0]
 
     def peek():
@@ -135,7 +138,7 @@ def _parse_stage_text(text, fail):
         return e
 
     expr = alt()
-    if peek().kind != "eof" or peek().pos < len(text):
+    if peek().kind != "eof" or peek().pos < stop:
         fail(f"trailing stage expression input {text!r}")
     return expr
 
@@ -206,7 +209,8 @@ class Reader:
         t = self.peek()
         if t.kind == "quoted" and t.text.startswith("@") and t.text.endswith(":"):
             self.take()
-            return _parse_stage_text(t.text[1:-1], lambda msg: self.error(msg, t))
+            return _parse_stage_text(self.src, t.pos + 2, t.end - 2,
+                                     lambda msg: self.error(msg, t))
         if t.kind == "@":
             self.take()
             parts = []
@@ -224,7 +228,7 @@ class Reader:
                     depth -= 1
                 parts.append(self.take())
             text = " ".join(p.text if p.kind != "!" else "!" for p in parts)
-            return _parse_stage_text(text, lambda msg: self.error(msg, t))
+            return _parse_stage_text(text, 0, len(text), lambda msg: self.error(msg, t))
         return None
 
     # -- parameters

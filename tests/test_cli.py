@@ -210,7 +210,8 @@ def test_expand_idempotent(capsys, tmp_path, source):
     ('"n+" (m) return m', "unexpected '' in expression 'n+' at 5:9"),
     ("return ²", "unexpected character '²' at 5:16"),
     ('"1+²" (m) return m', "bad character '²' in expression '1+²' at 5:9"),
-], ids=["core", "prim", "core_nondecimal_digit", "prim_nondecimal_digit"])
+    ("'@parse $:' return n", "unexpected character '$' at 5:17"),
+], ids=["core", "prim", "core_nondecimal_digit", "prim_nondecimal_digit", "quoted_stage_prefix"])
 def test_action_body_errors_report_file_positions(capsys, tmp_path, body, where):
     grammar = tmp_path / "bad.lw"
     grammar.write_text("grammar g {\n  entry S|->(v)| ::=\n      Integer|->(n)|\n"

@@ -1,10 +1,14 @@
 """Staged evaluation: reduction order, chains, builtins, host application."""
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langweave.errors import (EvalExit, NameNotFound, PrimTypeError,
+from langweave import evaluator
+from langweave.errors import (EvalExit, LangError, NameNotFound, PrimTypeError,
                               ReturnCalledTwice, ReturnNeverCalled,
                               StepBudgetExceeded)
 from langweave.evaluator import Session, apply_value, run_term_to_normal, step
@@ -267,6 +271,23 @@ def test_pack_refinement_targets_the_enclosing_lambda():
     assert len(user.params) == 4  # three narrowed parameters plus k2
 
 
+def test_pack_refinement_stops_at_a_shadowing_binder():
+    """The spliced `args` is the primitive's output, not the pack: the
+    splice waits for the primitive and the lambda keeps its pack."""
+    sess = Session()
+    prog = rd("""
+    (ret)'[s0]' {
+      '@s0:' ret (!args, k)'[w]' {
+        '@always:' "[1,2]" (args)'[t]'
+        '@always:' (a, b)'[p]'{ '@p:' k a b } !args
+      }
+    }
+    """, sess)
+    [lam] = apply_value(prog, [], sess)
+    assert [(p.name, p.packed) for p in lam.params] == [("args", True), ("k", False)]
+    assert lam.body.form == App(Var("k"), (Int(1), Int(2)))
+
+
 def test_determinism_same_seed_same_output():
     outputs = []
     for _ in range(2):
@@ -290,6 +311,8 @@ def _by_step(session, f, args):
     root = Body(SConst(True), App(f, tuple(args) + (ret,)))
     while step(session, root):
         pass
+    if ret.tag not in session.returned:
+        raise ReturnNeverCalled("evaluation finished without invoking return")
     return list(session.returned[ret.tag].form.args)
 
 
@@ -319,3 +342,59 @@ def test_step_loop_equals_run(src, invoke):
     prims = [[line for line in s.trace if line.startswith("prim ")]
              for s in (stepped, ran)]
     assert prims[0] == prims[1] != []
+
+
+@st.composite
+def _chains(draw):
+    """A closed straight-line function as core text, its arguments, and
+    whether `apply_value` may run it without `run`: primitives over
+    parameters and earlier outputs (rebinding allowed, `k` included), the
+    last body a call of `k` or of another name.  Some draws stage a later
+    body on the lambda's own stage, which makes it active at the beta step,
+    so the environment loop must decline."""
+    params = ["a", "b"][:draw(st.integers(0, 2))]
+    scope, lines, stages = list(params), [], ["s"]
+    for _ in range(draw(st.integers(0, 4))):
+        operand = st.sampled_from(scope + ["0", "1", "2"])
+        expr = draw(operand) + draw(st.sampled_from("+-*/<")) + draw(operand)
+        out = draw(st.sampled_from(["a", "b", "c", "d", "a", "b", "c", "k"]))
+        stages.append(draw(st.sampled_from(["s", "t", "u"])))
+        lines.append(f'"{expr}" ({out})\'[{stages[-1]}]\'')
+        scope.append(out)
+    callee = draw(st.one_of(st.just("k"), st.sampled_from(scope + ["k"])))
+    lines.append(" ".join([callee, *draw(st.lists(st.sampled_from(scope + ["7"]), max_size=2))]))
+    chained = True
+    if len(lines) > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, len(lines) - 1))
+        chained, stages[at] = stages[at] == "s", "s"
+    body = " ".join(f"'@{stage}:' {line}" for stage, line in zip(stages, lines))
+    source = f"({', '.join([*params, 'k'])})'[s]'{{ {body} }}"
+    arity = draw(st.sampled_from([len(params)] * 8 + [len(params) + 1, max(len(params) - 1, 0)]))
+    args = draw(st.lists(st.integers(-3, 3).map(Int), min_size=arity, max_size=arity))
+    return source, args, chained and callee == "k" and "k" not in scope
+
+
+def _outcome(session, call):
+    """The values returned, or the error raised, with the trace, the step
+    count and the fresh-name counter."""
+    try:
+        result = call()
+    except LangError as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, session.trace, session.steps, session.names.counter
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_chains(), st.one_of(st.integers(0, 6), st.just(100)))
+def test_environment_loop_equals_step(chain, budget):
+    """`apply_value` runs a closed straight-line call in one environment;
+    the `step` loop substitutes one step at a time.  Both must agree on
+    everything a caller can see, with or without an exhausted budget."""
+    source, args, fast = chain
+    stepped, ran = Session(seed=3, budget=budget), Session(seed=3, budget=budget)
+    by_step = _outcome(stepped, lambda: _by_step(stepped, rd(source, stepped), args))
+    with mock.patch.object(evaluator, "run", wraps=evaluator.run) as drained:
+        by_loop = _outcome(ran, lambda: apply_value(rd(source, ran), args, ran))
+    assert by_loop == by_step
+    if fast:
+        assert not drained.called

@@ -1,14 +1,17 @@
-"""Staged code building grows linearly with the input.
+"""Staged code building, and running the code built, grow linearly with the
+input.
 
 Counts, not times, so the check is deterministic: every substitution call
 (the evaluator's and the recursion inside `terms`) and every `Fragment`
 constructed while `langweave run minusdiv_codegen` builds and invokes the
-residual of n terms.  Doubling n may at most about double each count.
+residual of n terms, and the substitution calls plus steps while the
+residual of n `assignments` statements runs.  Doubling n may at most about
+double each count.
 """
 
 from collections import Counter
 
-from langweave import evaluator, terms
+from langweave import cli, evaluator, terms
 from langweave.cli import main
 from langweave.errors import EXIT_OK
 from langweave.fragments import Fragment
@@ -16,9 +19,9 @@ from langweave.fragments import Fragment
 GROWTH_PER_DOUBLING = 2.2
 
 
-def _counts(monkeypatch, capsys, n):
+def _counts(monkeypatch, capsys, argv, expected):
     counts = Counter()
-    subst_body, fragment_init = terms.subst_body, Fragment.__init__
+    subst_body, fragment_init, apply_value = terms.subst_body, Fragment.__init__, cli.apply_value
 
     def counted_subst(*args, **kwargs):
         counts["subst_body"] += 1
@@ -28,18 +31,48 @@ def _counts(monkeypatch, capsys, n):
         counts["Fragment"] += 1
         fragment_init(self, *args, **kwargs)
 
+    def counted_invoke(f, args, session):
+        substs, steps = counts["subst_body"], session.steps
+        try:
+            return apply_value(f, args, session)
+        finally:
+            counts["invoke"] += counts["subst_body"] - substs + session.steps - steps
+
     with monkeypatch.context() as patch:
         patch.setattr(terms, "subst_body", counted_subst)
         patch.setattr(evaluator, "subst_body", counted_subst)
         patch.setattr(Fragment, "__init__", counted_init)
-        code = main(["run", "minusdiv_codegen", "-".join(["7/1"] * n), "--emit", "value"])
+        patch.setattr(cli, "apply_value", counted_invoke)
+        code = main(argv)
     assert code == EXIT_OK
-    assert capsys.readouterr().out == f"{7 - 7 * (n - 1)}\n"
+    assert capsys.readouterr().out == expected
     return counts
 
 
+def _minusdiv(n):
+    return ["run", "minusdiv_codegen", "-".join(["7/1"] * n), "--emit", "value"], \
+        f"{7 - 7 * (n - 1)}\n"
+
+
+def _assignments(n):
+    """n statements over n/2 names; from the second round on, each reads
+    the value its name was given n/2 statements before."""
+    values, text = {}, []
+    for i in range(n):
+        name = f"v{i % (n // 2)}"
+        text.append(f"{name} = {name if name in values else i}-{i % 7 + 1};")
+        values[name] = values.get(name, i) - (i % 7 + 1)
+    return ["run", "assignments", " ".join(text) + " out v0-1"], f"{values['v0'] - 1}\n"
+
+
 def test_substitution_and_fragment_counts_grow_linearly(monkeypatch, capsys):
-    small, large = _counts(monkeypatch, capsys, 64), _counts(monkeypatch, capsys, 128)
+    small, large = (_counts(monkeypatch, capsys, *_minusdiv(n)) for n in (64, 128))
     for what in ("subst_body", "Fragment"):
         assert small[what] > 0
         assert large[what] <= GROWTH_PER_DOUBLING * small[what], (what, small, large)
+
+
+def test_running_a_residual_grows_linearly(monkeypatch, capsys):
+    small, large = (_counts(monkeypatch, capsys, *_assignments(n))["invoke"]
+                    for n in (64, 128))
+    assert 0 < large <= GROWTH_PER_DOUBLING * small, (small, large)

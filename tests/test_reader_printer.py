@@ -149,6 +149,14 @@ def test_syntax_error_carries_position():
     assert "at 1:" in str(err.value)
 
 
+@pytest.mark.parametrize("src", ["\n\n  '@a $:' f x", "\n\n  @ a $ : f x"],
+                         ids=["quoted", "bare"])
+def test_lexical_error_in_stage_prefix_reports_source_position(src):
+    with pytest.raises(CoreSyntaxError) as err:
+        read_program(src)
+    assert str(err.value) == "unexpected character '$' at 3:7"
+
+
 def test_unterminated_string():
     with pytest.raises(CoreSyntaxError):
         read_core('(x){ "unclosed (y) f y }')
