@@ -8,7 +8,8 @@ Bundled example languages are addressed by pack id (``langweave run
 minusdiv_codegen "1-4/2-3" --emit residual``).  Stdout carries data;
 diagnostics go to stderr.  Exit codes: 0 ok, 1 parse/grammar error,
 2 action or type error, 3 step budget or nesting-depth limit, 64 usage,
-66 missing or unreadable file.
+66 missing or unreadable file, 70 internal error (a fault of langweave
+itself, never of the input).
 """
 
 import argparse
@@ -17,14 +18,15 @@ import sys
 
 from . import packs
 from .errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
-                     EXIT_PARSE, EXIT_USAGE, ActionError, EvalError, EvalExit,
-                     LangError, Ll1Conflict, StepBudgetExceeded)
-from .evaluator import Session, apply_value, render_value, run_term_to_normal
+                     EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE, ActionError,
+                     EvalError, EvalExit, LangError, Ll1Conflict,
+                     StepBudgetExceeded)
+from .evaluator import Session, apply_value, run_term_to_normal
 from .fragments import finalize
 from .grammar import prepare, print_grammar
 from .grammar_reader import read_grammar
 from .parsegen import build_table, format_analysis, format_table
-from .printer import print_core
+from .printer import print_core, render_value
 from .reader import read_core
 from .runtime import LanguageRegistry, Parser
 from .terms import FragVal, Int, Lam
@@ -312,6 +314,9 @@ def main(argv=None):
     except LangError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ class RuntimeFailure(LangError):
 class LexFailure(RuntimeFailure):
     def __init__(self, msg, offset):
         self.offset = offset
-        super().__init__(f"{msg} at offset {offset}")
+        super().__init__(msg)
 
 
 class UnexpectedToken(RuntimeFailure):
@@ -151,3 +151,4 @@ EXIT_ACTION = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
+EXIT_SOFTWARE = 70

@@ -28,16 +28,29 @@ drain must agree with.
 
 `apply_value` first tries an environment loop, in the manner of the CEK
 machine, which binds each name in one dict instead of copying the body.
-It takes only a closed, quiet lambda applied to first-order data whose
-body is a straight line: the first body is staged on the lambda's stage
-parameter, each later one on the continuation stage of the primitive
-before it, every quoted term is a name or data, and the last body calls a
-name on names or data.  The shape alone guarantees that post-order runs
-these bodies one after another, so the loop is chosen before the first
-step.  It keeps `run`'s `prim` trace lines and step count, binds no fresh
-name, and records a call of the host return continuation as `run` does.
-Anything else (a symbolic operand, a call of another value) is substituted
-back into the root from the same environment and handed to `run`.
+It takes only a closed, quiet lambda applied to closed, quiet values whose
+body is a straight line of links.  The first link is staged on the
+lambda's stage parameter and each later one on the stage the link before
+it binds.  A link is a primitive whose quoted terms are names or closed
+terms, or a call of `build`, `merge`, `finalize`, `newEnv` or `print`
+whose last argument is a continuation lambda with plain parameters (it
+binds into the same dict) or a name (it ends the line); a call of a name
+on names or closed terms ends the line too.  Builtins run through
+`_do_builtin`.  A lambda among a builtin's operands (a build subject) is
+the only term copied, with the values of its own free names, and no stage
+in it may name one of them: a body staged on a name of the chain would
+turn on when that name is bound, and post-order would run it first.  The
+shape alone guarantees that post-order runs the links one after another,
+so it is decided once per lambda, kept with the lambda's cached pair, and
+the loop is chosen before the first step.  The loop keeps `run`'s `prim`
+and `print` trace lines and step count, renames no binder (every value in
+the dict is closed, so no copy captures), and records a call of the host
+return continuation as `run` does.  It hands back to `run` what it cannot
+finish in order: a symbolic operand, a call of another value, or a
+builtin result that holds an active body (the wrapper `finalize` returns,
+whose build-time chain `run` drains before the continuation is called).
+What is left is substituted back into the root from the same
+environment, which is the tree `run` would have reached.
 """
 
 import sys
@@ -51,12 +64,12 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 from .fragments import build, finalize_wrapper, merge, subject_call_args
 from .names import FreshNames
 from . import prims as P
-from .printer import _quote_render
+from .printer import _quote_render, render_value
 from .terms import (App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Inert,
                     Int, Lam, Param, PrimB, Rec, RetK, SConst, Splice,
                     SRef, StageConst, Str, TupleT, Var, body_info,
-                    child_bodies, lam_info, postorder, stage_value,
-                    subst_body, subst_term)
+                    child_bodies, lam_info, postorder, stage_names,
+                    stage_value, subst_body, subst_term, term_info)
 
 BOTTOM = SConst(False)
 TOP = SConst(True)
@@ -479,22 +492,20 @@ def _try_execute(session, root, body):
         return True
 
     if isinstance(callee, Builtin):
-        return _do_builtin(session, body, callee.name, items)
+        call = _do_builtin(session, callee.name, items)
+        if call is not None:
+            body.replace(Body(TOP, App(*call)))
+        return call is not None
 
     raise ApplyNonClosure(f"cannot apply {_describe(callee)}")
 
 
-def _plain_values(items):
+def _do_builtin(session, name, items):
+    """Run a builtin on its flattened arguments: the continuation call it
+    makes as (callee, arguments), or None while an operand is symbolic."""
     if any(k != "v" for k, _ in items):
-        raise _Blocked()
-    return [t for _, t in items]
-
-
-def _do_builtin(session, body, name, items):
-    try:
-        vals = _plain_values(items)
-    except _Blocked:
-        return False
+        return None
+    vals = [t for _, t in items]
 
     def expect(n):
         if len(vals) != n:
@@ -504,21 +515,19 @@ def _do_builtin(session, body, name, items):
         expect(3)
         cond, then_k, else_k = vals
         if isinstance(cond, Var):
-            return False
+            return None
         if not isinstance(cond, Bool):
             raise PrimTypeError("if condition must be a boolean")
-        body.replace(Body(TOP, App(then_k if cond.value else else_k, ())))
-        return True
+        return (then_k if cond.value else else_k), ()
     if name == "print":
         expect(2)
         value, k = vals
         if isinstance(value, Var):
-            return False
+            return None
         text = render_value(value, nested=False)
         session.out.append(text)
         session.trace.append("print " + text)
-        body.replace(Body(TOP, App(k, ())))
-        return True
+        return k, ()
     if name == "exit":
         if len(vals) not in (0, 1):
             raise ArityMismatch("exit takes at most one argument")
@@ -528,38 +537,31 @@ def _do_builtin(session, body, name, items):
         raise EvalExit(code)
     if name == "newEnv":
         expect(1)
-        body.replace(Body(TOP, App(vals[0], (EnvVal(()),))))
-        return True
+        return vals[0], (EnvVal(()),)
     if name == "build":
         expect(3)
         n, subject, k = vals
         if isinstance(n, Var) or isinstance(subject, Var):
-            return False
+            return None
         if not isinstance(n, Int):
             raise PrimTypeError("build arity must be an integer")
-        frag = build(n.value, subject)
-        body.replace(Body(TOP, App(k, (FragVal(frag),))))
-        return True
+        return k, (FragVal(build(n.value, subject)),)
     if name == "merge":
         expect(3)
         f, g, k = vals
         if isinstance(f, Var) or isinstance(g, Var):
-            return False
+            return None
         if not isinstance(f, FragVal) or not isinstance(g, FragVal):
             raise PrimTypeError("merge takes two fragments")
-        merged = merge(f.fragment, g.fragment)
-        body.replace(Body(TOP, App(k, (FragVal(merged),))))
-        return True
+        return k, (FragVal(merge(f.fragment, g.fragment)),)
     if name == "finalize":
         expect(2)
         f, k = vals
         if isinstance(f, Var):
-            return False
+            return None
         if not isinstance(f, FragVal):
             raise PrimTypeError("finalize takes a fragment")
-        wrapper = finalize_wrapper(f.fragment, session.names)
-        body.replace(Body(TOP, App(k, (wrapper,))))
-        return True
+        return k, (finalize_wrapper(f.fragment, session.names),)
     raise ApplyNonClosure(f"unknown builtin {name!r}")
 
 
@@ -621,46 +623,84 @@ def run(session, root):
             _count_step(session)
 
 
-def _is_data(term):
-    """First-order data: a literal, a host continuation, or a tuple or
-    environment of data, so no free name and no lambda."""
-    if isinstance(term, TupleT):
-        return all(_is_data(t) for t in term.items)
-    if isinstance(term, EnvVal):
-        return all(_is_data(v) for _, v in term.entries)
-    return isinstance(term, (Int, Str, Bool, StageConst, RetK))
+def _closed(term):
+    """No free name and no active body: binding it can capture nothing, and
+    nothing in it runs before the body it is passed to."""
+    names = set()
+    return not term_info(term, names) and not names
 
 
-def _name_or_data(term):
-    return isinstance(term, Var) or _is_data(term)
+def _name_or_closed(term):
+    return isinstance(term, Var) or _closed(term)
 
 
-def _straight_line(lam, args):
-    """Whether the environment loop may run `lam` on `args`: the callee is
-    closed and quiet, the arguments are data, and the body is primitives
-    each of which makes only the next body active, ending in a call of a
-    name on names or data."""
+def _stays_off(lam):
+    """Whether no stage expression in the lambda `lam` names one of its free
+    names, so that no value bound outside turns a body in it on."""
+    names = set()
+    for body in postorder(lam.body):
+        stage_names(body.stage, names)
+    return names.isdisjoint(lam_info(lam)[0])
+
+
+_CHAIN_BUILTINS = frozenset({"build", "merge", "finalize", "newEnv", "print"})
+
+
+def _straight_line(lam):
+    """Whether the environment loop may run a call of `lam`: it is closed
+    and quiet, and its body is a line of links, each staged on the stage
+    the link before it binds.  A link is a primitive over names and closed
+    terms, or a chain builtin whose operands are names, closed terms or
+    lambdas with no stage naming one of their free names, and whose last
+    argument is a continuation lambda with plain parameters or a name; a
+    call of a name on names or closed terms ends the line."""
     free, active = lam_info(lam)
-    if free or active or not all(map(_is_data, args)):
+    if free or active:
         return False
     body, stage = lam.body, lam.stage
     while type(body.stage) is SRef and body.stage.name == stage:
         form = body.form
-        if isinstance(form, App):
-            return isinstance(form.callee, Var) and all(map(_name_or_data, form.args))
-        if not isinstance(form, PrimB) or form.cont_stage is None \
-                or not all(map(_name_or_data, form.expr.embedded_terms())):
+        if isinstance(form, PrimB):
+            if form.cont_stage is None \
+                    or not all(map(_name_or_closed, form.expr.embedded_terms())):
+                return False
+            body, stage = form.rest, form.cont_stage
+            continue
+        if not isinstance(form, App):
             return False
-        body, stage = form.rest, form.cont_stage
+        if isinstance(form.callee, Var):
+            return all(map(_name_or_closed, form.args))
+        if not isinstance(form.callee, Builtin) or form.callee.name not in _CHAIN_BUILTINS \
+                or not form.args:
+            return False
+        *operands, k = form.args
+        if not all(_name_or_closed(t) or isinstance(t, Lam) and _stays_off(t)
+                   for t in operands):
+            return False
+        if isinstance(k, Var):
+            return True
+        if not isinstance(k, Lam) or any(p.packed for p in k.params):
+            return False
+        body, stage = k.body, k.stage
     return False
 
 
+def _chain_shape(lam):
+    """`_straight_line(lam)`, decided once and kept after the lambda's
+    cached pair, so that it is decided again when the pair is renewed."""
+    lam_info(lam)
+    if len(lam.info) == 2:
+        lam.info += (_straight_line(lam),)
+    return lam.info[2]
+
+
 def _run_chain(session, root):
-    """Run the call in `root` in one environment if `_straight_line` allows.
-    True when it ended by calling a host return continuation; otherwise
-    `root` holds what is left for `run`, if anything."""
+    """Run the call in `root` in one environment if `_straight_line` allows
+    and every argument is closed.  True when it ended by calling a host
+    return continuation; otherwise `root` holds what is left for `run`, if
+    anything."""
     lam, args = root.form.callee, root.form.args
-    if not isinstance(lam, Lam) or not _straight_line(lam, args):
+    if not isinstance(lam, Lam) or not _chain_shape(lam) or not all(map(_closed, args)):
         return False
     env = _bind(lam, _flatten(args))
     env[lam.stage] = StageConst(True)
@@ -669,23 +709,52 @@ def _run_chain(session, root):
     def look(term):
         return env.get(term.name, term) if isinstance(term, Var) else term
 
+    def operand(term):  # a lambda gets the values of its free names
+        if not isinstance(term, Lam):
+            return look(term)
+        free = lam_info(term)[0]
+        return subst_term(term, {n: env[n] for n in free}, session.names) if free else term
+
     body = lam.body
-    while isinstance(body.form, PrimB):
+    while True:
         form = body.form
-        expr = P.prim_subst(form.expr, env, look)
-        try:
-            value = eval_prim(expr)
-        except _Unready:
+        if isinstance(form, PrimB):
+            expr = P.prim_subst(form.expr, env, look)
+            try:
+                value = eval_prim(expr)
+            except _Unready:
+                root.replace(subst_body(body, env, session.names))
+                return False
+            for out in form.outs:
+                env[out] = value
+            env[form.cont_stage] = StageConst(True)
+            session.trace.append("prim " + P.render_prim(expr, _quote_render))
+            _count_step(session)
+            body = form.rest
+            continue
+        if not isinstance(form.callee, Builtin):
+            callee, args = look(form.callee), tuple(map(look, form.args))
+            break
+        *operands, k = form.args
+        call = _do_builtin(session, form.callee.name,
+                           [("v", operand(t)) for t in operands] + [("v", k)])
+        if call is None:
             root.replace(subst_body(body, env, session.names))
             return False
-        for out in form.outs:
-            env[out] = value
-        env[form.cont_stage] = StageConst(True)
-        session.trace.append("prim " + P.render_prim(expr, _quote_render))
         _count_step(session)
-        body = form.rest
-    callee, args = look(body.form.callee), tuple(map(look, body.form.args))
-    if not isinstance(callee, RetK) or callee.tag in session.returned:
+        args = call[1]
+        if not isinstance(k, Lam):
+            callee = look(k)
+            break
+        if not all(map(_closed, args)):  # the wrapper finalize returns is active
+            callee = subst_term(k, env, session.names)
+            break
+        env.update(_bind(k, _flatten(args)))
+        env[k.stage] = StageConst(True)
+        _count_step(session)
+        body = k.body
+    if not isinstance(callee, RetK) or callee.tag in session.returned \
+            or not all(map(_closed, args)):
         root.replace(Body(TOP, App(callee, args)))
         return False
     session.returned[callee.tag] = root
@@ -711,31 +780,3 @@ def run_term_to_normal(term, session):
     root = Body(BOTTOM, Inert(None, (term,)))
     run(session, root)
     return root.form.args[0]
-
-
-# ---------------------------------------------------------------------------
-# value rendering (print builtin, traces, CLI)
-
-
-def render_value(term, nested=True):
-    if isinstance(term, Int):
-        return str(term.value)
-    if isinstance(term, Str):
-        return f'"{term.value}"' if nested else term.value
-    if isinstance(term, Bool):
-        return "true" if term.value else "false"
-    if isinstance(term, TupleT):
-        return "[" + ",".join(render_value(t, nested=True) for t in term.items) + "]"
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, StageConst):
-        return "'always'" if term.top else "'never'"
-    if isinstance(term, Lam):
-        return "#code"
-    if isinstance(term, FragVal):
-        return f"#fragment/{term.fragment.arity}"
-    if isinstance(term, EnvVal):
-        return "#env"
-    if isinstance(term, Splice):
-        return "!" + render_value(term.inner)
-    return "#value"

@@ -17,8 +17,6 @@ forwards them to the child subject, so subjects with differing parameter
 shapes compose without knowing each other's layout.
 """
 
-from collections import deque
-
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
                      ZeroArityLeft)
 from .terms import (App, Body, FragVal, Lam, Param, SConst, Splice, SRef,
@@ -48,8 +46,7 @@ class Fragment:
     @property
     def slots(self):
         if self._slots is None:
-            _, slots = _open(self, deque())
-            self._slots = tuple(_close(s) for s in slots)
+            self._slots = _open(self)
         return self._slots
 
     def _info(self):
@@ -69,38 +66,43 @@ class Fragment:
         return f"Fragment(arity={self.arity})"
 
 
-def _open(fragment, holes):
-    """The slot tree of a fragment with an unfilled slot, as (subject, slot
-    list) nodes; appends its unfilled slots to `holes` as (slot list,
-    index), first hole first.  Subtrees with no unfilled slot are shared."""
-    rights = []
-    while fragment._slots is None:
-        fragment, right = fragment._parts
-        rights.append(right)
-    slots = list(fragment._slots)
-    own = deque()
-    for i, slot in enumerate(slots):
-        if slot is HOLE:
-            own.append((slots, i))
-        elif slot.arity > 0:
-            slots[i] = _open(slot, own)
-    for right in reversed(rights):  # the innermost merge fills first
-        filled, i = own.popleft()
-        if right.arity == 0:
-            filled[i] = right
-        else:
-            inner = deque()
-            filled[i] = _open(right, inner)
-            own.extendleft(reversed(inner))
-    holes.extend(own)
-    return fragment.subject, slots
+def _open(fragment):
+    """The slots of a merged fragment, nested with an explicit stack.
 
-
-def _close(node):
-    if node is HOLE or isinstance(node, Fragment):
-        return node
-    subject, slots = node
-    return Fragment(subject, tuple(_close(s) for s in slots))
+    `front` holds what is still open, first hole on top: an unfilled slot,
+    or a slot holding a fragment to open in its place.  Opening a fragment
+    lays out its base's slots and pushes the right parts of its merges on
+    `fills`, innermost first.  The next fill takes the first hole, once
+    everything opened above it has been filled in turn.  Subtrees with no
+    unfilled slot are shared.  Each opened node is closed into a `Fragment`
+    after its children, in reverse order of opening."""
+    front = [(None, 0, fragment)]  # (slot list, index, HOLE or fragment)
+    fills, opened = [], []
+    while front:
+        slots, i, frag = front.pop()
+        if frag is HOLE:
+            if fills:
+                right = fills[-1].pop()
+                if not fills[-1]:
+                    fills.pop()
+                if right.arity == 0:
+                    slots[i] = right
+                else:
+                    front.append((slots, i, right))
+            continue
+        rights = []
+        while frag._slots is None:
+            frag, right = frag._parts
+            rights.append(right)
+        node = list(frag._slots)
+        opened.append((slots, i, frag.subject, node))
+        front.extend((node, j, slot) for j, slot in reversed(list(enumerate(node)))
+                     if slot is HOLE or slot.arity > 0)
+        if rights:
+            fills.append(rights)
+    for slots, i, subject, node in reversed(opened[1:]):
+        slots[i] = Fragment(subject, node)
+    return tuple(opened[0][3])
 
 
 def build(arity, subject):
@@ -121,28 +123,35 @@ def merge(left, right):
     return Fragment(left.subject, None, (left, right))
 
 
-def child_wrapper(fragment, names):
-    """Closure standing in for a merged continuation: receives whatever the
-    parent chain passes, repacks it, and invokes the child subject (with its
-    own slot wrappers appended).  Invoking it stages the child's build chain
-    on, which is what makes merged continuations run early and vanish from
-    residual code."""
-    ft = names.fresh("ft")
-    ys = names.fresh("args")
-    bt = names.fresh("bt")
-    inner_args = (Var(ft), Splice(Var(ys))) + tuple(
-        child_wrapper(s, names) for s in fragment.slots
-    )
-    body = Body(SRef(bt), App(fragment.subject, inner_args))
-    return Lam((Param(ft), Param(ys, packed=True)), bt, body)
+def child_wrappers(fragments, names):
+    """One closure per fragment, standing in for a merged continuation:
+    it receives whatever the parent chain passes, repacks it, and invokes
+    the child subject with its own slot wrappers appended.  Invoking it
+    stages the child's build chain on, which is what makes merged
+    continuations run early and vanish from residual code.
+
+    Names are minted in pre-order (`ft`, `args`, `bt` per wrapper); the
+    closures are built in reverse pre-order, so each finds the closures of
+    its children already made."""
+    order, todo = [], list(reversed(fragments))
+    while todo:
+        fragment = todo.pop()
+        order.append((fragment, names.fresh("ft"), names.fresh("args"), names.fresh("bt")))
+        todo.extend(reversed(fragment.slots))
+    made = []
+    for fragment, ft, ys, bt in reversed(order):
+        inner_args = (Var(ft), Splice(Var(ys))) + tuple(made.pop() for _ in fragment.slots)
+        body = Body(SRef(bt), App(fragment.subject, inner_args))
+        made.append(Lam((Param(ft), Param(ys, packed=True)), bt, body))
+    return tuple(reversed(made))
 
 
 def subject_call_args(fragment, names, lead_args):
     """Argument list for invoking the fragment's subject directly."""
-    if any(s is HOLE for s in fragment.slots):
+    if fragment.arity:
         raise UnfilledContinuations(
             f"fragment still has {fragment.arity} unfilled continuation(s)")
-    return tuple(lead_args) + tuple(child_wrapper(s, names) for s in fragment.slots)
+    return tuple(lead_args) + child_wrappers(fragment.slots, names)
 
 
 def finalize_wrapper(fragment, names):

@@ -119,3 +119,31 @@ def print_core(term):
 
 def print_program(body):
     return print_body(body, 0)
+
+
+# ---------------------------------------------------------------------------
+# value rendering (the print builtin, traces, CLI output)
+
+
+def render_value(term, nested=True):
+    if isinstance(term, Int):
+        return str(term.value)
+    if isinstance(term, Str):
+        return f'"{term.value}"' if nested else term.value
+    if isinstance(term, Bool):
+        return "true" if term.value else "false"
+    if isinstance(term, TupleT):
+        return "[" + ",".join(render_value(t, nested=True) for t in term.items) + "]"
+    if isinstance(term, Var):
+        return term.name
+    if isinstance(term, StageConst):
+        return "'always'" if term.top else "'never'"
+    if isinstance(term, Lam):
+        return "#code"
+    if isinstance(term, FragVal):
+        return f"#fragment/{term.fragment.arity}"
+    if isinstance(term, EnvVal):
+        return "#env"
+    if isinstance(term, Splice):
+        return "!" + render_value(term.inner)
+    return "#value"

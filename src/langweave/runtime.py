@@ -12,14 +12,15 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (ActionError, ArityMismatch, EvalExit, LexFailure,
-                     GrammarError, StepBudgetExceeded, UnexpectedToken,
-                     UnknownEntry, UnknownLanguage)
-from .evaluator import Session, apply_value, render_value
+from .errors import (ActionError, ArityMismatch, EvalExit, GrammarError,
+                     LangError, LexFailure, StepBudgetExceeded,
+                     UnexpectedToken, UnknownEntry, UnknownLanguage)
+from .evaluator import Session, apply_value
 from .grammar import (ActionUse, EpsilonUse, ForeignUse, Lit, NtUse,
                       TokClass)
-from .reader import BLANK, IDENT, STRING, ident_start
+from .reader import BLANK, IDENT, STRING, ident_start, line_col
 from .parsegen import EOI, build_table, literal_tokens, token_key_str, used_classes
+from .printer import render_value
 from .terms import Int, Str
 
 
@@ -56,9 +57,9 @@ def lexer_for(grammar):
     return LexerDef(tuple(lits), frozenset(used_classes(grammar)))
 
 
-def lex_next(text, pos, lexdef):
+def lex_next(text, pos, lexdef, language=None):
     """Longest-match token at `pos` under the given language; literals win
-    ties against classes."""
+    ties against classes.  An error names `language` when it is given."""
     m = lexdef.pattern.match(text, pos)
     pos, lit, cls = m.start("lit"), m["lit"], m.lastgroup
     if pos >= len(text):
@@ -76,7 +77,10 @@ def lex_next(text, pos, lexdef):
         return Token(("class", cls), lexeme, value, (pos, pos + len(lexeme)))
     if lit:
         return Token(("lit", lit), lit, None, (pos, pos + len(lit)))
-    raise LexFailure(f"no token of the current language matches {text[pos:pos+10]!r}", pos)
+    line, col = line_col(text, pos)
+    which = "the current language" if language is None else f"language {language!r}"
+    raise LexFailure(f"no token of {which} matches {text[pos:pos+10]!r} "
+                     f"at {line}:{col}", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,7 @@ class Parser:
     def peek(self, lang):
         key = (lang.name, self.pos)
         if key not in self._la:
-            self._la[key] = lex_next(self.text, self.pos, lang.lexer)
+            self._la[key] = lex_next(self.text, self.pos, lang.lexer, lang.name)
         return self._la[key]
 
     def consume(self, lang, expected_key):
@@ -160,12 +164,16 @@ class Parser:
         if tok.key != expected_key:
             raise UnexpectedToken(
                 f"expected {token_key_str(expected_key)}, found {tok} "
-                f"at offset {tok.span[0]}")
+                f"at {self._where(lang, tok.span[0])}")
         assert tok.span[0] >= self.pos  # cursor monotonicity
         self.pos = tok.span[1]
         self.consumed_spans.append(tok.span)
         self.trace.append(f"token {token_key_str(tok.key)} {tok.lexeme}".rstrip())
         return tok
+
+    def _where(self, lang, offset):
+        line, col = line_col(self.text, offset)
+        return f"{line}:{col} in language {lang.name!r}"
 
     # -- selection
 
@@ -182,9 +190,10 @@ class Parser:
         if idx is None:
             expected = sorted(token_key_str(k)
                               for (r, k) in lang.table.table if r == rule.name)
+            at = self.pos if tok_key == EOI else self.peek(lang).span[0]
             raise UnexpectedToken(
                 f"in rule {rule.name!r}: unexpected {token_key_str(tok_key)} "
-                f"at offset {self.pos}; expected one of: " + ", ".join(expected))
+                f"at {self._where(lang, at)}; expected one of: " + ", ".join(expected))
         return idx
 
     # -- driving
@@ -200,7 +209,7 @@ class Parser:
         outs = self.parse_rule(lang, entry, list(args))
         tail = self.peek(lang)
         if tail.key != EOI:
-            raise UnexpectedToken(f"trailing input {tail} at offset {tail.span[0]}")
+            raise UnexpectedToken(f"trailing input {tail} at {self._where(lang, tail.span[0])}")
         return outs
 
     def parse_rule(self, lang, rule_name, args):
@@ -260,9 +269,9 @@ class Parser:
         self.trace.append(f"action {rule_name}#{prod_idx} ({rendered})")
         try:
             results = apply_value(use.action.body, values, self.session)
-        except (EvalExit, StepBudgetExceeded, RecursionError):
-            raise  # a host depth limit is not a fault of the action
-        except Exception as exc:
+        except (EvalExit, StepBudgetExceeded):
+            raise
+        except LangError as exc:  # a host fault is not a fault of the action
             raise ActionError(f"action in rule {rule_name!r} failed: {exc}") from exc
         if len(results) != len(use.action.outs):
             raise ActionError(

@@ -130,7 +130,9 @@ class Lam(Term):
         self.params = tuple(params)
         self.stage = stage
         self.body = body
-        self.info = None  # (body info it was derived from, pair); see lam_info
+        # (body info it was derived from, pair), see lam_info; the evaluator
+        # may append its chain shape, which is dropped with the pair
+        self.info = None
 
     def __repr__(self):
         ps = ", ".join(("!" if p.packed else "") + p.name for p in self.params)
@@ -297,14 +299,14 @@ def term_to_stage(term):
 # ---------------------------------------------------------------------------
 # free names and activity
 
-def _stage_names(expr, names):
+def stage_names(expr, names):
     if isinstance(expr, SRef):
         names.add(expr.name)
     elif isinstance(expr, (SAnd, SOr)):
-        _stage_names(expr.left, names)
-        _stage_names(expr.right, names)
+        stage_names(expr.left, names)
+        stage_names(expr.right, names)
     elif isinstance(expr, SNot):
-        _stage_names(expr.inner, names)
+        stage_names(expr.inner, names)
 
 
 def term_info(term, names):
@@ -348,7 +350,7 @@ def body_info(body):
     the fix moves the value out from under that binder."""
     if body.info is None:
         names = set()
-        _stage_names(body.stage, names)
+        stage_names(body.stage, names)
         active = stage_value(body.stage)
         form = body.form
         if isinstance(form, (App, Inert)):

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from langweave import packs, runtime
+from langweave import evaluator, packs, runtime
 from langweave.cli import main
 from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
-                              EXIT_PARSE, EXIT_USAGE)
+                              EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE)
 from langweave.reader import read_core
 from langweave.terms import alpha_eq
 
@@ -103,6 +103,30 @@ def test_recursion_error_in_an_action_is_not_an_action_error(capsys, monkeypatch
     code, _, err = run_cli(capsys, "run", "minusdiv_immediate", "1-2")
     assert code == EXIT_BUDGET
     assert err.startswith("error: nesting-depth limit") and "action" not in err
+
+
+def test_host_fault_in_an_action_is_an_internal_error(capsys, monkeypatch):
+    def broken(*_):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(evaluator, "eval_prim", broken)
+    code, out, err = run_cli(capsys, "run", "minusdiv_immediate", "1-2")
+    assert code == EXIT_SOFTWARE
+    assert out == ""
+    assert err == "internal error: TypeError: unsupported operand\n"
+    assert "action in rule" not in err
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("run", "assignments", "--expr", "a = 1; b = a + 2; print b;"), "1:14"),
+    (("run", "minusdiv_immediate", "1-\n2 3"), "2:3"),
+    (("run", "graph", "A -> B;\nB -> ;"), "2:6"),
+])
+def test_input_errors_give_line_column_and_language(capsys, argv, where):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert f" {where}" in err and repr(argv[1]) in err and "offset" not in err
+    assert err.count("\n") == 1
 
 
 def test_check_clean_grammar(capsys):

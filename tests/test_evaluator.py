@@ -1,5 +1,6 @@
 """Staged evaluation: reduction order, chains, builtins, host application."""
 
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -12,10 +13,12 @@ from langweave.errors import (EvalExit, LangError, NameNotFound, PrimTypeError,
                               ReturnCalledTwice, ReturnNeverCalled,
                               StepBudgetExceeded)
 from langweave.evaluator import Session, apply_value, run_term_to_normal, step
+from langweave.fragments import Fragment
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
-from langweave.terms import (App, Body, Bool, Inert, Int, SConst, Str, TupleT,
-                             Var, alpha_eq, postorder)
+from langweave.terms import (App, Body, Bool, EnvVal, FragVal, Inert, Int, Lam,
+                             RetK, SConst, Str, TupleT, Var, alpha_eq,
+                             postorder)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -398,3 +401,191 @@ def test_environment_loop_equals_step(chain, budget):
     assert by_loop == by_step
     if fast:
         assert not drained.called
+
+
+# Fragment subjects of the code-building protocol: the first pushes
+# nothing, a number pushes a value, an operator pops two and pushes their
+# difference, the last pops the result into the host continuation.
+_START = "(!args, cont)'[b]' { '@b:' cont !args }"
+_PUSH = "('ft', !args, cont)'[b]' {{ '@b:' cont 'ft' {v} !args }}"
+_MINUS = "('ft', r, l, !args, cont)'[bt]' { '@ft:' \"l-r\" (d)'[ft]' '@bt:' cont 'ft' d !args }"
+_END = "('ft', v, end)'[bt]' { '@ft:' end v }"
+# a subject staged on a name of the chain runs, under `run`, before the
+# link that builds it
+_EARLY = "('ft', !args, cont)'[b]' {{ '@{stage}:' \"{v}+1\" (w)'[q]' '@q:' cont 'ft' w !args }}"
+_MUTATIONS = ("early subject", "later link staged early", "unbound name",
+              "symbolic argument", "packed continuation")
+
+
+@st.composite
+def _builder_chains(draw):
+    """A chain of links as core text, its arguments, and whether
+    `apply_value` may run it without `run`.  A link is a primitive, or
+    `build` with a subject lambda, `merge`, `finalize`, `newEnv` or `print`
+    with a continuation lambda; the last body calls `k`, or a builtin with
+    `k` as its continuation.  Half the draws build a residual by the
+    protocol (start, numbers and differences, end, `finalize`) with other
+    links between; the rest draw links and operands freely, so most of
+    them fail with the same error both ways.
+
+    At most one draw in three is changed so that the loop must decline or
+    hand back to `run`: a subject staged on a name bound earlier in the
+    chain, a later link staged on an earlier stage, an unbound name, a
+    symbolic argument whose name a continuation binds, or a continuation
+    lambda with a packed parameter.  A `finalize` is handed back too: its
+    wrapper must be drained before `return` is recorded."""
+    mutation = draw(st.sampled_from((None,) * 10 + _MUTATIONS))
+    kinds = {"a": "int"}
+    stages, lines = ["s"], []
+
+    def pick(kind):
+        pool = [n for n, t in kinds.items() if t == kind]
+        return draw(st.sampled_from(pool if pool and draw(st.integers(0, 7)) else sorted(kinds)))
+
+    def value():
+        return draw(st.sampled_from([n for n, t in kinds.items() if t == "int"] + ["4"]))
+
+    def binder(out, kind, packable=True):
+        stages.append(f"t{len(lines)}")
+        if out is not None:
+            kinds[out] = kind
+        packed = packable and out is not None and mutation == "packed continuation" \
+            and draw(st.booleans())
+        return f"({'!' if packed else ''}{out or ''})'[{stages[-1]}]'"
+
+    def noise():
+        out = f"x{len(lines)}"
+        link = draw(st.sampled_from(["int", "insert", "newEnv", "print"]))
+        envs = [n for n, t in kinds.items() if t == "env"]
+        if link == "insert" and envs:
+            env = draw(st.sampled_from(envs))
+            return f"\"{env}.insert('n',{value()})\" " + binder(out, "env", False)
+        if link == "newEnv":
+            return "newEnv " + binder(out, "env")
+        if link == "print":
+            return f"print {draw(st.sampled_from(sorted(kinds)))} " + binder(None, None)
+        expr = value() + draw(st.sampled_from("+-*<")) + value()
+        return f'"{expr}" ' + binder(out, "int", False)
+
+    def build(text, arity):
+        lines.append(f"build {arity} {text} " + binder(f"x{len(lines)}", "frag"))
+        return f"x{len(lines) - 1}"
+
+    if draw(st.booleans()):  # by the protocol
+        f = build(_START, 1)
+        for template in [_PUSH] + [_PUSH, _MINUS] * draw(st.integers(0, 2)) + [_END]:
+            g = build(template.format(v=value()) if template is _PUSH else template,
+                      0 if template is _END else 1)
+            lines.append(f"merge {f} {g} " + binder(f"x{len(lines)}", "frag"))
+            f = f"x{len(lines) - 1}"
+            if template is not _END and draw(st.booleans()):
+                lines.append(noise())
+        end = draw(st.sampled_from(["finalize k", "finalize", "k"]))
+        if end == "finalize":
+            lines.append(f"finalize x{len(lines) - 1} " + binder(f"x{len(lines)}", "lam"))
+        lines.append(f"finalize x{len(lines) - 1} k" if end == "finalize k"
+                     else f"k x{len(lines) - 1}")
+    else:
+        for _ in range(draw(st.integers(0, 6))):
+            link = draw(st.sampled_from(["noise", "build", "merge", "finalize"]))
+            if link == "noise":
+                lines.append(noise())
+            elif link == "build":
+                template, arity = draw(st.sampled_from(
+                    [(_START, 1), (_PUSH, 1), (_MINUS, 1), (_END, 0)]))
+                build(template.format(v=value()) if template is _PUSH else template,
+                      draw(st.sampled_from([arity] * 4 + [0, 2])))
+            else:
+                operands = " ".join(pick("frag") for _ in range(1 + (link == "merge")))
+                lines.append(f"{link} {operands} "
+                             + binder(f"x{len(lines)}", "frag" if link == "merge" else "lam"))
+        end = draw(st.sampled_from(["k", "merge", "print"]))
+        if end == "k":
+            lines.append(" ".join(["k", *draw(st.lists(st.sampled_from(sorted(kinds) + ["7"]),
+                                                        max_size=2))]))
+        elif end == "merge":
+            lines.append(f"merge {pick('frag')} {pick('frag')} k")
+        else:
+            lines.append(f"print {pick('int')} k")
+
+    builds = [i for i, line in enumerate(lines) if line.startswith("build")]
+    if mutation == "early subject" and builds:
+        at = draw(st.sampled_from(builds))
+        early = _EARLY.format(stage=draw(st.sampled_from(["a", *stages[:at + 1]])), v=value())
+        lines[at] = re.sub(r"\(.*\}", lambda _: early, lines[at])
+    elif mutation == "later link staged early" and len(lines) > 1:
+        at = draw(st.integers(1, len(lines) - 1))
+        stages[at] = draw(st.sampled_from([st_ for st_ in stages[:at] if st_ != stages[at]]))
+    elif mutation == "unbound name":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = re.sub(r"\bx\d+\b(?!\))", "zz", lines[at], count=1)
+    body = " ".join(f"'@{stage}:' {line}" for stage, line in zip(stages, lines))
+    arg = Int(draw(st.integers(-3, 3)))
+    if mutation == "symbolic argument":
+        arg = Var(draw(st.sampled_from(["ft", "t0", "t1", "x1", "b"])))
+    fast = mutation is None and "finalize" not in body
+    return f"(a, k)'[s]'{{ {body} }}", [arg], fast
+
+
+def _canon(term):
+    """A value in comparable form: fragments and environments by content,
+    lambdas by their printed text (names included)."""
+    if isinstance(term, FragVal):
+        term = term.fragment
+    if isinstance(term, Fragment):
+        return ("fragment", term.arity, print_core(term.subject),
+                tuple(None if s is None else _canon(s) for s in term.slots))
+    if isinstance(term, EnvVal):
+        return ("env",) + tuple((k, _canon(v)) for k, v in term.entries)
+    if isinstance(term, TupleT):
+        return ("tuple",) + tuple(_canon(t) for t in term.items)
+    if isinstance(term, Lam):
+        return print_core(term)
+    if isinstance(term, RetK):
+        return ("return", term.tag)
+    return term
+
+
+def _observed(session, call):
+    """`_outcome` with values in comparable form and the program output;
+    the values themselves are kept in `session.kept`."""
+    def keep():
+        session.kept = call()
+        return [_canon(v) for v in session.kept]
+    session.kept = None
+    return _outcome(session, keep) + (session.out,)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_builder_chains(), st.one_of(st.integers(0, 40), st.just(10_000)))
+def test_environment_loop_runs_builtin_chains_as_step_does(chain, budget):
+    """Build-time chains (`build`, `merge`, `finalize`, `newEnv`, `print`)
+    run in the environment loop; the `step` loop substitutes one step at a
+    time.  Both must agree on the values, the output, the trace, the step
+    count and the fresh-name counter, and so must invoking a function the
+    chain returns.  `run` is called only for a draw the loop declines or
+    hands back."""
+    source, args, fast = chain
+    stepped, ran = Session(seed=3, budget=budget), Session(seed=3, budget=budget)
+    by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), args))
+    with mock.patch.object(evaluator, "run", wraps=evaluator.run) as drained:
+        by_loop = _observed(ran, lambda: apply_value(rd(source, ran), args, ran))
+    assert by_loop == by_step
+    if fast:
+        assert not drained.called
+    if ran.kept and isinstance(ran.kept[0], Lam):
+        stepped_fn, ran_fn = stepped.kept[0], ran.kept[0]
+        by_step = _observed(stepped, lambda: _by_step(stepped, stepped_fn, []))
+        by_loop = _observed(ran, lambda: apply_value(ran_fn, [], ran))
+        assert by_loop == by_step
+
+
+def test_chain_shape_is_renewed_when_the_body_changes():
+    """The loop's decision is kept on the lambda and decided again once
+    its body, and so its cached pair, has changed."""
+    sess = Session()
+    lam = rd("(x, k)'[s]'{ '@s:' k x }", sess)
+    assert evaluator._chain_shape(lam)
+    lam.body.replace(rd("(x, k)'[s]'{ '@s:' if x k k }", sess).body)
+    assert not evaluator._chain_shape(lam)
+    assert apply_value(lam, [Bool(True)], sess) == []

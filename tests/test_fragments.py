@@ -1,5 +1,7 @@
 """Fragment building: arity arithmetic, merge order, finalize residuals."""
 
+import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from langweave.errors import (NegativeArity, NonClosureSubject,
 from langweave.evaluator import Session, apply_value
 from langweave.printer import print_core
 from langweave.reader import read_core
-from langweave.terms import Int, Str, alpha_eq
+from langweave.terms import (App, Body, Int, Lam, Param, Splice, SRef, Str, Var,
+                             alpha_eq)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -259,3 +262,113 @@ def test_fragment_merged_twice_stays_unchanged():
     assert twice.arity == 3
     assert _shape(twice.slots[0].slots[0]) == _shape(first)
     assert _shape(first) == (id(left.subject), ((id(one.subject), (None,)), None))
+
+
+# ---------------------------------------------------------------------------
+# nesting and wrapping with explicit stacks
+
+
+def _merged(shape, n, subjects):
+    """A finished fragment of n merges: "left" merges each new fragment
+    into the chain built so far (as the code-building packs do), "right"
+    merges the chain into each new fragment, and "two holes" fills the
+    first of two holes every time, then closes the holes left over."""
+    build, merge = fragments.build, fragments.merge
+    if shape == "left":
+        chain = build(1, subjects[1])
+        for _ in range(n):
+            chain = merge(chain, build(1, subjects[1]))
+        return merge(chain, build(0, subjects[0]))
+    if shape == "right":
+        chain = build(0, subjects[0])
+        for _ in range(n):
+            chain = merge(build(1, subjects[1]), chain)
+        return merge(build(1, subjects[1]), chain)
+    chain = build(2, subjects[2])
+    for _ in range(n):
+        chain = merge(chain, build(2, subjects[2]))
+    while chain.arity:
+        chain = merge(chain, build(0, subjects[0]))
+    return chain
+
+
+def _recursive_call_args(fragment, names):
+    """`subject_call_args` as it was written with recursion: the slot tree
+    nested by one call per merged fragment, and one wrapper per slot in
+    pre-order, each minting `ft`, `args` and `bt`."""
+
+    def open_(fragment, holes):
+        rights = []
+        while fragment._slots is None:
+            fragment, right = fragment._parts
+            rights.append(right)
+        slots = list(fragment._slots)
+        own = deque()
+        for i, slot in enumerate(slots):
+            if slot is None:
+                own.append((slots, i))
+            elif slot.arity > 0:
+                slots[i] = open_(slot, own)
+        for right in reversed(rights):
+            filled, i = own.popleft()
+            if right.arity == 0:
+                filled[i] = right
+            else:
+                inner = deque()
+                filled[i] = open_(right, inner)
+                own.extendleft(reversed(inner))
+        holes.extend(own)
+        return fragment.subject, slots
+
+    def opened(node):  # a fragment, or an opened (subject, slots) pair
+        if not isinstance(node, fragments.Fragment):
+            return node
+        if node._slots is not None:
+            return node.subject, node._slots
+        return open_(node, deque())
+
+    def wrapper(node):
+        subject, slots = opened(node)
+        ft, ys, bt = names.fresh("ft"), names.fresh("args"), names.fresh("bt")
+        inner = (Var(ft), Splice(Var(ys))) + tuple(wrapper(s) for s in slots)
+        return Lam((Param(ft), Param(ys, packed=True)), bt, Body(SRef(bt), App(subject, inner)))
+
+    return tuple(wrapper(s) for s in opened(fragment)[1])
+
+
+@pytest.mark.parametrize("shape", ["left", "right", "two holes"])
+def test_wrappers_equal_the_recursive_ones(shape):
+    sess = Session()
+    subjects = [_subject(sess, conts) for conts in range(3)]
+    built, model = Session(seed=5), Session(seed=5)
+    new = fragments.subject_call_args(_merged(shape, 6, subjects), built.names, ())
+    old = _recursive_call_args(_merged(shape, 6, subjects), model.names)
+    assert [print_core(w) for w in new] == [print_core(w) for w in old]
+    assert all(alpha_eq(a, b) for a, b in zip(new, old))
+    assert built.names.counter == model.names.counter > 5 + 3 * 6
+
+
+@pytest.mark.parametrize("shape", ["left", "right"])
+def test_deep_nesting_needs_no_host_recursion(shape):
+    """A fragment nested 20,000 merges deep is read and wrapped under the
+    interpreter's default recursion limit."""
+    sess = Session()
+    subjects = [_subject(sess, conts) for conts in range(2)]
+    fragment = _merged(shape, 20_000, subjects)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert fragment.slots
+        wrappers = fragments.subject_call_args(fragment, sess.names, ())
+    finally:
+        sys.setrecursionlimit(limit)
+    depth, node = 0, fragment
+    while node.slots:
+        (node,) = node.slots
+        depth += 1
+    assert depth == 20_001 and node.subject is subjects[0]
+    depth, (wrapper,) = 1, wrappers
+    while len(wrapper.body.form.args) > 2:
+        (wrapper,) = wrapper.body.form.args[2:]
+        depth += 1
+    assert depth == 20_001 and sess.names.counter == 3 * 20_001

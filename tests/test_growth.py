@@ -6,12 +6,15 @@ Counts, not times, so the check is deterministic: every substitution call
 constructed while `langweave run minusdiv_codegen` builds and invokes the
 residual of n terms, and the substitution calls plus steps while the
 residual of n `assignments` statements runs.  Doubling n may at most about
-double each count.
+double each count.  While the code-building packs parse, only the action
+that finalizes the program may reach the generic drain.
 """
 
 from collections import Counter
 
-from langweave import cli, evaluator, terms
+import pytest
+
+from langweave import cli, evaluator, runtime, terms
 from langweave.cli import main
 from langweave.errors import EXIT_OK
 from langweave.fragments import Fragment
@@ -76,3 +79,42 @@ def test_running_a_residual_grows_linearly(monkeypatch, capsys):
     small, large = (_counts(monkeypatch, capsys, *_assignments(n))["invoke"]
                     for n in (64, 128))
     assert 0 < large <= GROWTH_PER_DOUBLING * small, (small, large)
+
+
+def _graph(n):
+    """n vertices in a ring, each with an edge to the next."""
+    names = [f"v{i}" for i in range(n)]
+    text = " ".join(f"{a} -> {b};" for a, b in zip(names, names[1:] + names[:1]))
+    index = ",".join(f'["{name}",{i + 1}]' for i, name in enumerate(names))
+    edges = ",".join(f"[{(i + 1) % n + 1}]" for i in range(n))
+    return ["run", "graph", text, "--emit", "value"], f"[{index}]\n[{edges}]\n"
+
+
+@pytest.mark.parametrize("program", [_minusdiv, _assignments, _graph])
+@pytest.mark.parametrize("n", [64, 128])
+def test_only_finalizing_actions_reach_the_drain(monkeypatch, capsys, program, n):
+    """Build-time actions (`build`, `merge`, `newEnv` chains) run in the
+    environment loop; only an action that ends in `finalize` hands its
+    wrapper to `run`, once per program."""
+    drained, in_action = [], []
+    run, run_action = evaluator.run, runtime.Parser._run_action
+
+    def counted_run(session, root):
+        if in_action:
+            drained.append(in_action[-1])
+        return run(session, root)
+
+    def counted_action(parser, lang, rule_name, prod_idx, use, values):
+        in_action.append(rule_name)
+        try:
+            return run_action(parser, lang, rule_name, prod_idx, use, values)
+        finally:
+            in_action.pop()
+
+    monkeypatch.setattr(evaluator, "run", counted_run)
+    monkeypatch.setattr(runtime.Parser, "_run_action", counted_action)
+    argv, expected = program(n)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert drained == [{"minusdiv_codegen": "Expr", "assignments": "Program",
+                        "graph": "Graph"}[argv[1]]]
