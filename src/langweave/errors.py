@@ -25,10 +25,6 @@ class EvalError(LangError):
     pass
 
 
-class UnboundStageName(EvalError):
-    pass
-
-
 class ApplyNonClosure(EvalError):
     pass
 

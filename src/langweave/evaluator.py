@@ -44,9 +44,10 @@ shape alone guarantees that post-order runs the links one after another,
 so it is decided once per lambda, kept with the lambda's cached pair, and
 the loop is chosen before the first step.  The loop keeps `run`'s `prim`
 and `print` trace lines and step count, renames no binder (every value in
-the dict is closed, so no copy captures), and records a call of the host
-return continuation as `run` does.  It hands back to `run` what it cannot
-finish in order: a symbolic operand, a call of another value, or a
+the dict is closed, so no copy captures), and builds argument lists with
+`_flatten`, as `run` does; its last call, of the host return
+continuation, is made by `_try_execute`.  It hands back to `run` what it
+cannot finish in order: a symbolic operand, a call of another value, or a
 builtin result that holds an active body (the wrapper `finalize` returns,
 whose build-time chain `run` drains before the continuation is called).
 What is left is substituted back into the root from the same
@@ -65,14 +66,11 @@ from .fragments import build, finalize_wrapper, merge, subject_call_args
 from .names import FreshNames
 from . import prims as P
 from .printer import _quote_render, render_value
-from .terms import (App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Inert,
-                    Int, Lam, Param, PrimB, Rec, RetK, SConst, Splice,
+from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
+                    FragVal, Inert, Int, Lam, Param, PrimB, Rec, RetK, Splice,
                     SRef, StageConst, Str, TupleT, Var, body_info,
                     child_bodies, lam_info, postorder, stage_names,
                     stage_value, subst_body, subst_term, term_info)
-
-BOTTOM = SConst(False)
-TOP = SConst(True)
 
 
 class Session:
@@ -214,26 +212,19 @@ def _eval_bin(expr):
 # argument flattening and parameter binding
 
 
-def _flatten(args):
-    items = []
-
-    def splice(inner):
-        if isinstance(inner, TupleT):
-            for el in inner.items:
-                if isinstance(el, Splice):
-                    splice(el.inner)
-                else:
-                    items.append(("v", el))
-        elif isinstance(inner, Splice):
-            splice(inner.inner)
-        else:
-            items.append(("spl", inner))
-
+def _flatten(args, items=None):
+    """The argument list: every splice of a tuple spread in place, and a
+    splice of anything else kept as the `Splice` term, waiting for a value."""
+    items = [] if items is None else items
     for a in args:
-        if isinstance(a, Splice):
-            splice(a.inner)
+        if not isinstance(a, Splice):
+            items.append(a)
+        elif isinstance(a.inner, TupleT):
+            _flatten(a.inner.items, items)
+        elif isinstance(a.inner, Splice):
+            _flatten((a.inner,), items)
         else:
-            items.append(("v", a))
+            items.append(a)
     return items
 
 
@@ -264,58 +255,33 @@ def _bind(lam, items):
         else:
             post.append(p)
 
-    spl_positions = [i for i, (k, _) in enumerate(items) if k == "spl"]
-    mapping = {}
-
-    if not spl_positions:
-        vals = [t for _, t in items]
-        if pack is None:
-            if len(vals) != len(pre):
-                raise ArityMismatch(
-                    f"expected {len(pre)} argument(s), got {len(vals)}")
-            mapping.update(zip((p.name for p in pre), vals))
-        else:
-            if len(vals) < len(pre) + len(post):
-                raise ArityMismatch(
-                    f"expected at least {len(pre) + len(post)} argument(s), got {len(vals)}")
-            for p, v in zip(pre, vals[:len(pre)]):
-                mapping[p.name] = v
-            if post:
-                for p, v in zip(post, vals[-len(post):]):
-                    mapping[p.name] = v
-                middle = vals[len(pre):-len(post)]
-            else:
-                middle = vals[len(pre):]
-            mapping[pack.name] = TupleT(tuple(middle))
-        return mapping
-
+    spliced = [i for i, t in enumerate(items) if isinstance(t, Splice)]
     if pack is None:
-        if len(spl_positions) != 1:
+        if not spliced:
+            if len(items) != len(pre):
+                raise ArityMismatch(f"expected {len(pre)} argument(s), got {len(items)}")
+            return dict(zip((p.name for p in pre), items))
+        if len(spliced) != 1:
             raise _Blocked()
-        at = spl_positions[0]
-        lead = items[:at]
-        trail = items[at + 1:]
-        needed = len(pre) - len(lead) - len(trail)
+        needed = len(pre) - (len(items) - 1)
         if needed < 0:
             raise ArityMismatch("more arguments than parameters around a pack splice")
-        target = items[at][1]
+        target = items[spliced[0]].inner
         if isinstance(target, Var):
             raise _NeedsRefine(target.name, needed)
         raise _Blocked()
 
     # callee has a pack: fixed parameters must be covered by plain values
-    if len(items) < len(pre) + len(post):
-        raise ArityMismatch("not enough arguments for fixed parameters")
-    head = items[:len(pre)]
-    tail = items[len(items) - len(post):] if post else []
-    if any(k != "v" for k, _ in head) or any(k != "v" for k, _ in tail):
+    fixed = len(pre) + len(post)
+    if len(items) < fixed:
+        raise ArityMismatch("not enough arguments for fixed parameters" if spliced
+                            else f"expected at least {fixed} argument(s), got {len(items)}")
+    end = len(items) - len(post)
+    if any(isinstance(t, Splice) for t in items[:len(pre)] + items[end:]):
         raise _Blocked()
-    for p, (_, v) in zip(pre, head):
-        mapping[p.name] = v
-    for p, (_, v) in zip(post, tail):
-        mapping[p.name] = v
-    middle = items[len(pre):len(items) - len(post)] if post else items[len(pre):]
-    mapping[pack.name] = TupleT(tuple(t if k == "v" else Splice(t) for k, t in middle))
+    mapping = dict(zip((p.name for p in pre), items))
+    mapping.update(zip((p.name for p in post), items[end:]))
+    mapping[pack.name] = TupleT(tuple(items[len(pre):end]))
     return mapping
 
 
@@ -462,11 +428,10 @@ def _try_execute(session, root, body):
     stage_term = None
     if isinstance(callee, FragVal):
         # the subject, staged by the first argument, with slot wrappers appended
-        if not items or items[0][0] != "v":
+        if not items or isinstance(items[0], Splice):
             return False
-        stage_term = items[0][1]
-        wrappers = subject_call_args(callee.fragment, session.names, ())
-        items = items[1:] + [("v", w) for w in wrappers]
+        stage_term = items[0]
+        items = [*items[1:], *subject_call_args(callee.fragment, session.names, ())]
         callee = callee.fragment.subject
 
     if isinstance(callee, Lam):
@@ -482,13 +447,12 @@ def _try_execute(session, root, body):
 
     if isinstance(callee, RetK):
         # the host demands concrete attribute values; wait for symbolic ones
-        if any(k != "v" or isinstance(t, Var) for k, t in items):
+        if any(isinstance(t, (Splice, Var)) for t in items):
             return False
         if callee.tag in session.returned:
             raise ReturnCalledTwice("return continuation invoked twice")
-        args = tuple(t for _, t in items)
         session.returned[callee.tag] = body
-        body.replace(Body(BOTTOM, Inert(callee.tag, args)))
+        body.replace(Body(BOTTOM, Inert(callee.tag, tuple(items))))
         return True
 
     if isinstance(callee, Builtin):
@@ -500,12 +464,11 @@ def _try_execute(session, root, body):
     raise ApplyNonClosure(f"cannot apply {_describe(callee)}")
 
 
-def _do_builtin(session, name, items):
+def _do_builtin(session, name, vals):
     """Run a builtin on its flattened arguments: the continuation call it
     makes as (callee, arguments), or None while an operand is symbolic."""
-    if any(k != "v" for k, _ in items):
+    if any(isinstance(t, Splice) for t in vals):
         return None
-    vals = [t for _, t in items]
 
     def expect(n):
         if len(vals) != n:
@@ -736,8 +699,7 @@ def _run_chain(session, root):
             callee, args = look(form.callee), tuple(map(look, form.args))
             break
         *operands, k = form.args
-        call = _do_builtin(session, form.callee.name,
-                           [("v", operand(t)) for t in operands] + [("v", k)])
+        call = _do_builtin(session, form.callee.name, _flatten([*map(operand, operands), k]))
         if call is None:
             root.replace(subst_body(body, env, session.names))
             return False
@@ -753,14 +715,11 @@ def _run_chain(session, root):
         env[k.stage] = StageConst(True)
         _count_step(session)
         body = k.body
-    if not isinstance(callee, RetK) or callee.tag in session.returned \
-            or not all(map(_closed, args)):
-        root.replace(Body(TOP, App(callee, args)))
-        return False
-    session.returned[callee.tag] = root
-    root.replace(Body(BOTTOM, Inert(callee.tag, args)))
-    _count_step(session)
-    return True
+    root.replace(Body(TOP, App(callee, args)))
+    if isinstance(callee, RetK) and all(map(_closed, args)) and _try_execute(session, root, root):
+        _count_step(session)
+        return True
+    return False
 
 
 def apply_value(f, args, session):

@@ -98,7 +98,7 @@ def prim_leaves(expr):
 # parsing
 
 _TOKEN = re.compile(r"""\s*(?:
-    (?P<int>\d+) | (?P<name>[^\W\d]\w*) | (?P<str>'[^']*')
+    (?P<int>\d+) | (?P<name>[^\W\d]\w*) | (?P<str>'(?:[^']|'')*')
   | (?P<op>[=!<>]=|[-+*/<>()\[\],.]) | (?P<bad>.) )?""", re.S | re.X)
 
 
@@ -116,7 +116,7 @@ def _tokenize(text):
             if tok[0] == "'":
                 raise CoreSyntaxError(f"unterminated string in expression {text!r}")
             raise CoreSyntaxError(f"bad character {tok[0]!r} in expression {text!r}")
-        toks.append((kind, tok[1:-1] if kind == "str" else tok))
+        toks.append((kind, tok[1:-1].replace("''", "'") if kind == "str" else tok))
 
 
 class _P:
@@ -229,26 +229,32 @@ def _atom(p):
 # ---------------------------------------------------------------------------
 # substitution / rendering / comparison
 
-def prim_subst(expr, mapping, term_subst):
-    if isinstance(expr, PName):
-        if expr.name in mapping:
-            return PQuote(mapping[expr.name])
-        return expr
-    if isinstance(expr, PQuote):
-        return PQuote(term_subst(expr.term))
+def prim_map(expr, leaf):
+    """`expr` with each `PName` and `PQuote` node replaced by `leaf(node)`,
+    and the nodes above them rebuilt."""
+    if isinstance(expr, (PName, PQuote)):
+        return leaf(expr)
     if isinstance(expr, PNeg):
-        return PNeg(prim_subst(expr.inner, mapping, term_subst))
+        return PNeg(prim_map(expr.inner, leaf))
     if isinstance(expr, PBin):
-        return PBin(expr.op, prim_subst(expr.left, mapping, term_subst),
-                    prim_subst(expr.right, mapping, term_subst))
+        return PBin(expr.op, prim_map(expr.left, leaf), prim_map(expr.right, leaf))
     if isinstance(expr, PList):
-        return PList(tuple(prim_subst(a, mapping, term_subst) for a in expr.items))
+        return PList(tuple(prim_map(a, leaf) for a in expr.items))
     if isinstance(expr, PCall):
-        return PCall(expr.fn, tuple(prim_subst(a, mapping, term_subst) for a in expr.args))
+        return PCall(expr.fn, tuple(prim_map(a, leaf) for a in expr.args))
     if isinstance(expr, PMethod):
-        return PMethod(prim_subst(expr.obj, mapping, term_subst), expr.method,
-                       tuple(prim_subst(a, mapping, term_subst) for a in expr.args))
+        return PMethod(prim_map(expr.obj, leaf), expr.method,
+                       tuple(prim_map(a, leaf) for a in expr.args))
     return expr
+
+
+def prim_subst(expr, mapping, term_subst):
+    def leaf(node):
+        if isinstance(node, PQuote):
+            return PQuote(term_subst(node.term))
+        return PQuote(mapping[node.name]) if node.name in mapping else node
+
+    return prim_map(expr, leaf)
 
 
 _PREC = {"atom": 4, "neg": 3, "mul": 2, "add": 1, "cmp": 0}
@@ -261,7 +267,7 @@ def render_prim(expr, quote_render):
         if isinstance(e, PInt):
             return str(e.value)
         if isinstance(e, PStr):
-            return f"'{e.value}'"
+            return "'" + e.value.replace("'", "''") + "'"
         if isinstance(e, PName):
             return e.name
         if isinstance(e, PQuote):
@@ -295,23 +301,11 @@ def normalize_prim(expr, conv):
     """Fold `PQuote` nodes back into plain prim nodes where `conv` knows an
     equivalent (e.g. a quoted integer term becomes `PInt`), so partially
     evaluated expressions compare against freshly parsed ones."""
-    if isinstance(expr, PQuote):
-        folded = conv(expr.term)
-        if folded is not None:
-            return normalize_prim(folded, conv)
-        return expr
-    if isinstance(expr, PNeg):
-        return PNeg(normalize_prim(expr.inner, conv))
-    if isinstance(expr, PBin):
-        return PBin(expr.op, normalize_prim(expr.left, conv), normalize_prim(expr.right, conv))
-    if isinstance(expr, PList):
-        return PList(tuple(normalize_prim(a, conv) for a in expr.items))
-    if isinstance(expr, PCall):
-        return PCall(expr.fn, tuple(normalize_prim(a, conv) for a in expr.args))
-    if isinstance(expr, PMethod):
-        return PMethod(normalize_prim(expr.obj, conv), expr.method,
-                       tuple(normalize_prim(a, conv) for a in expr.args))
-    return expr
+    def leaf(node):
+        folded = conv(node.term) if isinstance(node, PQuote) else None
+        return node if folded is None else prim_map(folded, leaf)
+
+    return prim_map(expr, leaf)
 
 
 def prim_alpha_eq(a, b, name_eq, term_eq):

@@ -42,7 +42,7 @@ def _quote_render(term):
     if isinstance(term, Var):
         return term.name
     if isinstance(term, Str):
-        return f"'{term.value}'"
+        return "'" + term.value.replace("'", "''") + "'"
     if isinstance(term, Bool):
         return "1==1" if term.value else "1==0"
     if isinstance(term, TupleT):

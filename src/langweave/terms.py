@@ -28,8 +28,7 @@ superset and an over-estimate of activity, which is safe for both uses.
 
 from dataclasses import dataclass, field
 
-from .errors import UnboundStageName
-from .prims import (PInt, PList, PName, PQuote, PrimExpr, PStr,
+from .prims import (PInt, PList, PName, PNeg, PQuote, PrimExpr, PStr,
                     normalize_prim, prim_alpha_eq, prim_leaves, prim_subst)
 
 # ---------------------------------------------------------------------------
@@ -252,36 +251,6 @@ def stage_value(expr):
         return stage_value(expr.left) or stage_value(expr.right)
     if isinstance(expr, SNot):
         return not stage_value(expr.inner)
-    raise TypeError(f"not a stage expression: {expr!r}")
-
-
-def eval_stage(expr, bindings):
-    """Explicit-environment variant used by the public API and tests.
-
-    A name bound to a concrete (non-symbolic) value counts as top; a name
-    bound to a symbolic value is bottom; an unbound name is an error.
-    """
-    if isinstance(expr, SConst):
-        return expr.top
-    if isinstance(expr, SRef):
-        if expr.name not in bindings:
-            raise UnboundStageName(expr.name)
-        val = bindings[expr.name]
-        if isinstance(val, StageConst):
-            return val.top
-        if isinstance(val, SConst):
-            return val.top
-        if isinstance(val, Var):
-            return False
-        if val == "symbolic":
-            return False
-        return True
-    if isinstance(expr, SAnd):
-        return eval_stage(expr.left, bindings) and eval_stage(expr.right, bindings)
-    if isinstance(expr, SOr):
-        return eval_stage(expr.left, bindings) or eval_stage(expr.right, bindings)
-    if isinstance(expr, SNot):
-        return not eval_stage(expr.inner, bindings)
     raise TypeError(f"not a stage expression: {expr!r}")
 
 
@@ -563,8 +532,8 @@ def postorder(body):
 def _quote_to_prim(term):
     if isinstance(term, Var):
         return PName(term.name)
-    if isinstance(term, Int):
-        return PInt(term.value)
+    if isinstance(term, Int):  # as its rendering reads back
+        return PInt(term.value) if term.value >= 0 else PNeg(PInt(-term.value))
     if isinstance(term, Str):
         return PStr(term.value)
     if isinstance(term, TupleT) and not any(isinstance(t, Splice) for t in term.items):

@@ -10,7 +10,7 @@ from langweave.cli import main
 from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
                               EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE)
 from langweave.reader import read_core
-from langweave.terms import alpha_eq
+from langweave.terms import Bool, alpha_eq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 AMBIGUOUS = 'grammar amb {\n  entry A ::= "x";\n  A ::= "x" "y";\n}\n'
@@ -271,6 +271,25 @@ def test_run_with_explicit_grammar_files(capsys):
         "--expr", "go << 1 :: 2")
     assert code == EXIT_OK
     assert out == "3\n"
+
+
+QUOTING = """grammar q { entry Start|->(P)| ::= String|->(s)| |(s)->(P)| {
+  build 0 ('ft', end)'[bt]' { '@ft:' "s==s" (same)'[ft]' '@ft:' end same }
+    (F) finalize F return }; }
+"""
+
+
+def test_residual_inlining_a_quote_reads_back(capsys, tmp_path):
+    """A string inlined into a primitive writes `'` as `''`, so the printed
+    residual reads back and runs."""
+    grammar = tmp_path / "q.lw"
+    grammar.write_text(QUOTING)
+    code, out, _ = run_cli(capsys, "run", "--grammar", f"q={grammar}", "q", '"it\'s"',
+                           "--emit", "residual")
+    assert code == EXIT_OK
+    assert "\"'it''s'=='it''s'\"" in out
+    session = evaluator.Session()
+    assert evaluator.apply_value(read_core(out, session.names), [], session) == [Bool(True)]
 
 
 def test_graph_trace_matches_golden(capsys):

@@ -17,8 +17,8 @@ from langweave.fragments import Fragment
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
 from langweave.terms import (App, Body, Bool, EnvVal, FragVal, Inert, Int, Lam,
-                             RetK, SConst, Str, TupleT, Var, alpha_eq,
-                             postorder)
+                             PrimB, RetK, SConst, Splice, Str, TupleT, Var,
+                             alpha_eq)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -426,7 +426,10 @@ def _builder_chains(draw):
     `k` as its continuation.  Half the draws build a residual by the
     protocol (start, numbers and differences, end, `finalize`) with other
     links between; the rest draw links and operands freely, so most of
-    them fail with the same error both ways.
+    them fail with the same error both ways.  Some operands and final
+    arguments are spliced tuple literals (`print ![7]`, `print ![7, 8]`,
+    `newEnv ![]`, a closed subject in `![...]`, `k ![1, 2]`), which both
+    ways must spread alike.
 
     At most one draw in three is changed so that the loop must decline or
     hand back to `run`: a subject staged on a name bound earlier in the
@@ -461,21 +464,25 @@ def _builder_chains(draw):
             env = draw(st.sampled_from(envs))
             return f"\"{env}.insert('n',{value()})\" " + binder(out, "env", False)
         if link == "newEnv":
-            return "newEnv " + binder(out, "env")
+            return f"newEnv {draw(st.sampled_from(['', '![] ']))}" + binder(out, "env")
         if link == "print":
-            return f"print {draw(st.sampled_from(sorted(kinds)))} " + binder(None, None)
+            operand = draw(st.sampled_from(sorted(kinds) + ["![7]", "![7, 8]"]))
+            return f"print {operand} " + binder(None, None)
         expr = value() + draw(st.sampled_from("+-*<")) + value()
         return f'"{expr}" ' + binder(out, "int", False)
 
-    def build(text, arity):
+    def build(template, arity):
+        v = value()
+        text = template.format(v=v) if template is _PUSH else template
+        if (template is not _PUSH or v == "4") and draw(st.integers(0, 3)) == 0:
+            text = f"![{text}]"  # a closed subject, spliced
         lines.append(f"build {arity} {text} " + binder(f"x{len(lines)}", "frag"))
         return f"x{len(lines) - 1}"
 
     if draw(st.booleans()):  # by the protocol
         f = build(_START, 1)
         for template in [_PUSH] + [_PUSH, _MINUS] * draw(st.integers(0, 2)) + [_END]:
-            g = build(template.format(v=value()) if template is _PUSH else template,
-                      0 if template is _END else 1)
+            g = build(template, 0 if template is _END else 1)
             lines.append(f"merge {f} {g} " + binder(f"x{len(lines)}", "frag"))
             f = f"x{len(lines) - 1}"
             if template is not _END and draw(st.booleans()):
@@ -493,16 +500,15 @@ def _builder_chains(draw):
             elif link == "build":
                 template, arity = draw(st.sampled_from(
                     [(_START, 1), (_PUSH, 1), (_MINUS, 1), (_END, 0)]))
-                build(template.format(v=value()) if template is _PUSH else template,
-                      draw(st.sampled_from([arity] * 4 + [0, 2])))
+                build(template, draw(st.sampled_from([arity] * 4 + [0, 2])))
             else:
                 operands = " ".join(pick("frag") for _ in range(1 + (link == "merge")))
                 lines.append(f"{link} {operands} "
                              + binder(f"x{len(lines)}", "frag" if link == "merge" else "lam"))
         end = draw(st.sampled_from(["k", "merge", "print"]))
         if end == "k":
-            lines.append(" ".join(["k", *draw(st.lists(st.sampled_from(sorted(kinds) + ["7"]),
-                                                        max_size=2))]))
+            lines.append(" ".join(["k", *draw(st.lists(
+                st.sampled_from(sorted(kinds) + ["7", "![1, 2]"]), max_size=2))]))
         elif end == "merge":
             lines.append(f"merge {pick('frag')} {pick('frag')} k")
         else:
@@ -578,6 +584,20 @@ def test_environment_loop_runs_builtin_chains_as_step_does(chain, budget):
         by_step = _observed(stepped, lambda: _by_step(stepped, stepped_fn, []))
         by_loop = _observed(ran, lambda: apply_value(ran_fn, [], ran))
         assert by_loop == by_step
+
+
+def test_environment_loop_hands_back_an_operand_that_is_not_ready():
+    """`concat` waits while a tuple holds an unresolved splice, so the loop
+    hands the rest of the line back to `run`; both ways end alike."""
+    source = "(a, k)'[s]'{ '@s:' \"concat(a,a)\" (r)'[t]' '@t:' k r }"
+    arg = TupleT((Int(1), Splice(TupleT((Int(2),)))))
+    stepped, ran = Session(seed=3), Session(seed=3)
+    by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), [arg]))
+    with mock.patch.object(evaluator, "run", wraps=evaluator.run) as drained:
+        by_loop = _observed(ran, lambda: apply_value(rd(source, ran), [arg], ran))
+    assert isinstance(drained.call_args.args[1].form, PrimB)  # handed back past the beta step
+    assert by_loop == by_step
+    assert by_loop[0][0] == "ReturnNeverCalled" and by_loop[2] == 1
 
 
 def test_chain_shape_is_renewed_when_the_body_changes():

@@ -3,13 +3,13 @@
 import contextlib
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langweave.cli import main
 from langweave.errors import EXIT_OK
 from langweave.evaluator import Session, apply_value, render_value
-from langweave.prims import parse_prim
+from langweave.prims import parse_prim, prim_subst
 from langweave.printer import print_core
 from langweave.reader import read_core
 from langweave.terms import (App, Body, Bool, Builtin, FixB, Int, Lam, Param, PrimB,
@@ -47,7 +47,8 @@ def test_immediate_equals_codegen_equals_invoked_residual(text):
 # Core terms for the print/read round trip.  Binder and variable names avoid
 # the reader's keywords and builtins; a body's callee is never a string,
 # which would read as a primitive expression.
-_names = st.sampled_from(["a", "b", "k", "x", "y"])
+NAMES = ("a", "b", "k", "x", "y")
+_names = st.sampled_from(NAMES)
 _stage_names = st.sampled_from(["s", "t", "u", "a"])
 _stage_exprs = st.recursive(
     st.one_of(st.builds(SConst, st.booleans()), _stage_names.map(SRef)),
@@ -55,17 +56,25 @@ _stage_exprs = st.recursive(
                             st.builds(SNot, inner)),
     max_leaves=4)
 _prim_texts = st.recursive(
-    st.one_of(_names, st.integers(0, 99).map(str), st.just("'q\"'")),
+    st.one_of(_names, st.integers(0, 99).map(str), st.just("'q\"'"), st.just("'it''s'")),
     lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "==", "<="]), inner)
         .map(lambda t: "(" + "".join(t) + ")"),
         inner.map("-{}".format),
         st.lists(inner, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]")),
     max_leaves=5)
+_strs = st.text(alphabet='ab "\\\n\'', max_size=4).map(Str)
 _leaves = st.one_of(
-    _names.map(Var), st.integers(-99, 99).map(Int),
-    st.text(alphabet='ab "\\\n\'', max_size=4).map(Str), st.builds(Bool, st.booleans()),
+    _names.map(Var), st.integers(-99, 99).map(Int), _strs, st.builds(Bool, st.booleans()),
     st.builds(StageConst, st.booleans()), st.sampled_from(["print", "if"]).map(Builtin))
+# parsed primitives with a value substituted for each name, as evaluation
+# leaves them; a `Var` value keeps the primitive symbolic
+_prims = st.builds(
+    lambda expr, values: prim_subst(expr, dict(zip(NAMES, values)), lambda term: term),
+    _prim_texts.map(parse_prim),
+    st.lists(st.one_of(_names.map(Var), st.integers(-99, 99).map(Int), _strs,
+                       st.sampled_from([Int(-7), Str("it's")])),
+             min_size=len(NAMES), max_size=len(NAMES)))
 
 
 @st.composite
@@ -84,20 +93,33 @@ def _terms(depth):
         st.builds(Lam, _params(), _stage_names, _bodies(depth - 1)))
 
 
+def _prim_forms(rest):
+    return st.builds(PrimB, _prims,
+                     st.lists(_names, min_size=1, max_size=2, unique=True).map(tuple),
+                     _stage_names, rest)
+
+
 def _bodies(depth):
     callee = _terms(depth).filter(lambda t: not isinstance(t, Str))
     forms = [st.builds(App, callee, st.lists(_terms(depth), max_size=3).map(tuple))]
     if depth:
         forms += [
-            st.builds(PrimB, _prim_texts.map(parse_prim),
-                      st.lists(_names, min_size=1, max_size=2, unique=True).map(tuple),
-                      _stage_names, _bodies(depth - 1)),
+            _prim_forms(_bodies(depth - 1)),
             st.builds(FixB, _stage_names, _names, _terms(depth - 1), _bodies(depth - 1))]
     return st.builds(Body, _stage_exprs, st.one_of(*forms))
 
 
+# lambdas whose body starts with a primitive, so that half the draws print one
+_prim_lams = st.builds(Lam, _params(), _stage_names,
+                       st.builds(Body, _stage_exprs, _prim_forms(_bodies(1))))
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(_terms(3))
+@given(st.one_of(_terms(3), _prim_lams))
+@example(Lam((Param("k"),), "s", Body(SRef("s"), PrimB(
+    prim_subst(parse_prim("[a,b,x,'it''s']"), {"a": Str("it's"), "b": Int(-7), "x": Var("k")},
+               lambda term: term),
+    ("y",), "t", Body(SRef("t"), App(Var("k"), (Var("y"),)))))))
 def test_print_then_read_core_is_alpha_equal_and_reprints_identically(term):
     printed = print_core(term)
     again = read_core(printed)

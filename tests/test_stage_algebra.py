@@ -2,11 +2,8 @@
 
 import itertools
 
-import pytest
-
-from langweave.errors import UnboundStageName
 from langweave.terms import (SAnd, SConst, SNot, SOr, SRef, Int, Str, TupleT,
-                             Var, eval_stage, stage_value)
+                             Var, stage_value, subst_stage)
 
 TOP = SConst(True)
 BOT = SConst(False)
@@ -38,19 +35,14 @@ def test_boolean_algebra_laws_exhaustive():
 
 
 def test_concrete_binding_is_top():
-    assert eval_stage(SRef("v"), {"v": Int(5)}) is True
-    assert eval_stage(SRef("v"), {"v": Str("hello")}) is True
-    assert eval_stage(SRef("v"), {"v": TupleT((Int(1),))}) is True
+    assert stage_value(subst_stage(SRef("v"), {"v": Int(5)})) is True
+    assert stage_value(subst_stage(SRef("v"), {"v": Str("hello")})) is True
+    assert stage_value(subst_stage(SRef("v"), {"v": TupleT((Int(1),))})) is True
 
 
 def test_symbolic_binding_is_bottom():
-    assert eval_stage(SRef("v"), {"v": Var("v")}) is False
-    assert eval_stage(SAnd(TOP, SRef("v")), {"v": Var("v")}) is False
-
-
-def test_unbound_name_errors():
-    with pytest.raises(UnboundStageName):
-        eval_stage(SRef("missing"), {})
+    assert stage_value(subst_stage(SRef("v"), {"v": Var("v")})) is False
+    assert stage_value(subst_stage(SAnd(TOP, SRef("v")), {"v": Var("v")})) is False
 
 
 def test_post_substitution_reference_is_bottom():
