@@ -28,30 +28,29 @@ drain must agree with.
 
 `apply_value` first tries an environment loop, in the manner of the CEK
 machine, which binds each name in one dict instead of copying the body.
-It takes only a closed, quiet lambda applied to closed, quiet values whose
-body is a straight line of links.  The first link is staged on the
-lambda's stage parameter and each later one on the stage the link before
-it binds.  A link is a primitive whose quoted terms are names or closed
-terms, or a call of `build`, `merge`, `finalize`, `newEnv` or `print`
-whose last argument is a continuation lambda with plain parameters (it
-binds into the same dict) or a name (it ends the line); a call of a name
-on names or closed terms ends the line too.  Builtins run through
-`_do_builtin`.  A lambda among a builtin's operands (a build subject) is
-the only term copied, with the values of its own free names, and no stage
-in it may name one of them: a body staged on a name of the chain would
-turn on when that name is bound, and post-order would run it first.  The
-shape alone guarantees that post-order runs the links one after another,
-so it is decided once per lambda, kept with the lambda's cached pair, and
-the loop is chosen before the first step.  The loop keeps `run`'s `prim`
-and `print` trace lines and step count, renames no binder (every value in
-the dict is closed, so no copy captures), and builds argument lists with
-`_flatten`, as `run` does; its last call, of the host return
-continuation, is made by `_try_execute`.  It hands back to `run` what it
-cannot finish in order: a symbolic operand, a call of another value, or a
-builtin result that holds an active body (the wrapper `finalize` returns,
-whose build-time chain `run` drains before the continuation is called).
-What is left is substituted back into the root from the same
-environment, which is the tree `run` would have reached.
+It takes a closed, quiet lambda applied to closed values whose body is a
+straight line of links, each staged on the stage the one before it binds
+(the first on the lambda's own): a primitive over names and closed terms,
+or a call of `build`, `merge`, `finalize`, `newEnv` or `print` whose last
+argument is a continuation lambda with plain parameters (it binds into the
+same dict) or a name; a call of a name on names or closed terms ends the
+line.  A lambda among a builtin's operands (a build subject) is the only
+term copied, with the values of its free names, and no stage in it may
+name one of them: a body staged on a name of the chain would turn on when
+that name is bound, and post-order would run it first.  Since the shape
+alone makes post-order run the links one after another, it is turned once
+per lambda, at its first call, into a plan kept with the lambda's cached
+pair: the parameter names and, per link, what it evaluates and binds.
+`eval_prim` and `render_prim` read a primitive's names from the dict,
+builtins run through `_do_builtin` on lists built by `_flatten`, and a
+last call of the host return continuation on closed values is recorded
+directly, as `_try_execute` records it; the `prim` and `print` trace lines
+and the step count are `run`'s.  No binder is renamed (every value in the
+dict is closed).  What the loop cannot finish in order (a symbolic
+operand, a call of another value, a builtin result holding an active body,
+such as the wrapper `finalize` returns) is substituted from the same
+environment, which is the tree `run` would have reached, and handed to
+`run`; only then is a tree built for the call.
 """
 
 import sys
@@ -68,7 +67,7 @@ from . import prims as P
 from .printer import _quote_render, render_value
 from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
                     FragVal, Inert, Int, Lam, Param, PrimB, Rec, RetK, Splice,
-                    SRef, StageConst, Str, TupleT, Var, body_info,
+                    SRef, StageConst, Str, TupleT, Var, _CLOSED, body_info,
                     child_bodies, lam_info, postorder, stage_names,
                     stage_value, subst_body, subst_term, term_info)
 
@@ -108,36 +107,40 @@ def _strict(term):
     raise PrimTypeError(f"unusable operand {term!r}")
 
 
-def eval_prim(expr):
-    """Evaluate a quoted expression to a value term.
+def eval_prim(expr, env=None):
+    """Evaluate a quoted expression to a value term; a name takes its value
+    from the dict `env`, if one is given and binds it, and is not ready yet
+    otherwise.
 
     Arithmetic and comparison require concrete operands; environment and
     tuple constructors accept symbolic values as data (that is how build
     time name binding stores function-time values symbolically).
     """
+    if isinstance(expr, P.PName):
+        if env is None or expr.name not in env:
+            raise _Unready(expr.name)
+        return env[expr.name]
+    if isinstance(expr, P.PBin):
+        return _eval_bin(expr, env)
     if isinstance(expr, P.PInt):
         return Int(expr.value)
     if isinstance(expr, P.PStr):
         return Str(expr.value)
-    if isinstance(expr, P.PName):
-        raise _Unready(expr.name)
     if isinstance(expr, P.PQuote):
         return expr.term
     if isinstance(expr, P.PNeg):
-        v = _strict(eval_prim(expr.inner))
+        v = _strict(eval_prim(expr.inner, env))
         if not isinstance(v, Int):
             raise PrimTypeError("unary '-' needs an integer")
         return Int(-v.value)
-    if isinstance(expr, P.PBin):
-        return _eval_bin(expr)
     if isinstance(expr, P.PList):
-        return TupleT(tuple(eval_prim(a) for a in expr.items))
+        return TupleT(tuple(eval_prim(a, env) for a in expr.items))
     if isinstance(expr, P.PCall):
         if expr.fn == "concat":
             if len(expr.args) != 2:
                 raise PrimTypeError("concat takes two tuples")
-            a = _strict(eval_prim(expr.args[0]))
-            b = _strict(eval_prim(expr.args[1]))
+            a = _strict(eval_prim(expr.args[0], env))
+            b = _strict(eval_prim(expr.args[1], env))
             if not isinstance(a, TupleT) or not isinstance(b, TupleT):
                 raise PrimTypeError("concat takes two tuples")
             if any(isinstance(t, Splice) for t in a.items + b.items):
@@ -145,21 +148,21 @@ def eval_prim(expr):
             return TupleT(a.items + b.items)
         raise PrimTypeError(f"unknown primitive function {expr.fn!r}")
     if isinstance(expr, P.PMethod):
-        obj = _strict(eval_prim(expr.obj))
+        obj = _strict(eval_prim(expr.obj, env))
         if not isinstance(obj, EnvVal):
             raise PrimTypeError(f"method {expr.method!r} needs an environment")
         if expr.method == "insert":
             if len(expr.args) != 2:
                 raise PrimTypeError("insert takes a key and a value")
-            key = _strict(eval_prim(expr.args[0]))
+            key = _strict(eval_prim(expr.args[0], env))
             if not isinstance(key, Str):
                 raise PrimTypeError("insert key must be a string")
-            value = eval_prim(expr.args[1])
+            value = eval_prim(expr.args[1], env)
             return obj.insert(key.value, value)
         if expr.method == "lookup":
             if len(expr.args) != 1:
                 raise PrimTypeError("lookup takes a key")
-            key = _strict(eval_prim(expr.args[0]))
+            key = _strict(eval_prim(expr.args[0], env))
             if not isinstance(key, Str):
                 raise PrimTypeError("lookup key must be a string")
             found = obj.lookup(key.value)
@@ -174,10 +177,10 @@ def eval_prim(expr):
     raise PrimTypeError(f"cannot evaluate {expr!r}")
 
 
-def _eval_bin(expr):
+def _eval_bin(expr, env):
     op = expr.op
-    lv = _strict(eval_prim(expr.left))
-    rv = _strict(eval_prim(expr.right))
+    lv = _strict(eval_prim(expr.left, env))
+    rv = _strict(eval_prim(expr.right, env))
     if op in ("==", "!="):
         if type(lv) is not type(rv) or not isinstance(lv, (Int, Str, Bool)):
             raise PrimTypeError(f"cannot compare {lv!r} and {rv!r}")
@@ -449,10 +452,7 @@ def _try_execute(session, root, body):
         # the host demands concrete attribute values; wait for symbolic ones
         if any(isinstance(t, (Splice, Var)) for t in items):
             return False
-        if callee.tag in session.returned:
-            raise ReturnCalledTwice("return continuation invoked twice")
-        session.returned[callee.tag] = body
-        body.replace(Body(BOTTOM, Inert(callee.tag, tuple(items))))
+        body.replace(_return(session, callee.tag, items))
         return True
 
     if isinstance(callee, Builtin):
@@ -462,6 +462,14 @@ def _try_execute(session, root, body):
         return call is not None
 
     raise ApplyNonClosure(f"cannot apply {_describe(callee)}")
+
+
+def _return(session, tag, items):
+    """Record the values of a call of a host return continuation."""
+    if tag in session.returned:
+        raise ReturnCalledTwice("return continuation invoked twice")
+    session.returned[tag] = done = Body(BOTTOM, Inert(tag, tuple(items)))
+    return done
 
 
 def _do_builtin(session, name, vals):
@@ -589,6 +597,8 @@ def run(session, root):
 def _closed(term):
     """No free name and no active body: binding it can capture nothing, and
     nothing in it runs before the body it is passed to."""
+    if type(term) in _CLOSED:
+        return True
     names = set()
     return not term_info(term, names) and not names
 
@@ -606,129 +616,152 @@ def _stays_off(lam):
     return names.isdisjoint(lam_info(lam)[0])
 
 
+def _named(leaf):
+    """A quoted name as a plain one, which the loop looks up."""
+    quoted_name = isinstance(leaf, P.PQuote) and type(leaf.term) is Var
+    return P.PName(leaf.term.name) if quoted_name else leaf
+
+
 _CHAIN_BUILTINS = frozenset({"build", "merge", "finalize", "newEnv", "print"})
 
 
-def _straight_line(lam):
-    """Whether the environment loop may run a call of `lam`: it is closed
-    and quiet, and its body is a line of links, each staged on the stage
-    the link before it binds.  A link is a primitive over names and closed
-    terms, or a chain builtin whose operands are names, closed terms or
-    lambdas with no stage naming one of their free names, and whose last
-    argument is a continuation lambda with plain parameters or a name; a
-    call of a name on names or closed terms ends the line."""
+def _plan(lam):
+    """How the environment loop runs a call of `lam`, or None when its body
+    is not the straight line the module docstring describes.  The plan is
+    the parameter names (None if one is packed) and the links, each with
+    the body it starts: ("prim", body, expression with its quoted names
+    plain, outputs, continuation stage), ("builtin", body, name, operands,
+    continuation) or ("call", body, callee, arguments)."""
     free, active = lam_info(lam)
     if free or active:
-        return False
+        return None
+    links = []
     body, stage = lam.body, lam.stage
-    while type(body.stage) is SRef and body.stage.name == stage:
+    while True:
         form = body.form
+        if type(body.stage) is not SRef or body.stage.name != stage:
+            return None
         if isinstance(form, PrimB):
-            if form.cont_stage is None \
-                    or not all(map(_name_or_closed, form.expr.embedded_terms())):
-                return False
+            quoted = tuple(form.expr.embedded_terms())
+            if form.cont_stage is None or not all(map(_name_or_closed, quoted)):
+                return None
+            expr = P.prim_map(form.expr, _named) if Var in map(type, quoted) else form.expr
+            links.append(("prim", body, expr, form.outs, form.cont_stage))
             body, stage = form.rest, form.cont_stage
             continue
         if not isinstance(form, App):
-            return False
+            return None
         if isinstance(form.callee, Var):
-            return all(map(_name_or_closed, form.args))
+            if not all(map(_name_or_closed, form.args)):
+                return None
+            links.append(("call", body, form.callee, form.args))
+            break
         if not isinstance(form.callee, Builtin) or form.callee.name not in _CHAIN_BUILTINS \
                 or not form.args:
-            return False
+            return None
         *operands, k = form.args
         if not all(_name_or_closed(t) or isinstance(t, Lam) and _stays_off(t)
                    for t in operands):
-            return False
+            return None
+        links.append(("builtin", body, form.callee.name, operands, k))
         if isinstance(k, Var):
-            return True
+            break
         if not isinstance(k, Lam) or any(p.packed for p in k.params):
-            return False
+            return None
         body, stage = k.body, k.stage
-    return False
+    names = None if any(p.packed for p in lam.params) else tuple(p.name for p in lam.params)
+    return names, tuple(links)
 
 
 def _chain_shape(lam):
-    """`_straight_line(lam)`, decided once and kept after the lambda's
-    cached pair, so that it is decided again when the pair is renewed."""
+    """`_plan(lam)`, built once and kept after the lambda's cached pair, so
+    that it is built again when the pair is renewed."""
     lam_info(lam)
     if len(lam.info) == 2:
-        lam.info += (_straight_line(lam),)
+        lam.info += (_plan(lam),)
     return lam.info[2]
 
 
-def _run_chain(session, root):
-    """Run the call in `root` in one environment if `_straight_line` allows
-    and every argument is closed.  True when it ended by calling a host
-    return continuation; otherwise `root` holds what is left for `run`, if
-    anything."""
-    lam, args = root.form.callee, root.form.args
-    if not isinstance(lam, Lam) or not _chain_shape(lam) or not all(map(_closed, args)):
-        return False
-    env = _bind(lam, _flatten(args))
-    env[lam.stage] = StageConst(True)
+_ON = StageConst(True)
+
+
+def _value(session, env, term):
+    """A term's value in the loop: a name's from `env`, and a lambda with
+    the values of its free names."""
+    if type(term) is Var:
+        return env.get(term.name, term)
+    free = lam_info(term)[0] if isinstance(term, Lam) else None
+    return subst_term(term, {n: env[n] for n in free}, session.names) if free else term
+
+
+def _run_chain(session, lam, args):
+    """Run the call of `lam` on `args` by its plan, in one environment, if
+    it has one and every argument is closed.  None when the call ended by
+    calling a host return continuation; otherwise the body `run` must drain
+    for the rest, which is the whole call when the loop declines."""
+    plan = isinstance(lam, Lam) and _chain_shape(lam)
+    if not plan or not all(map(_closed, args)):
+        return Body(TOP, App(lam, args))
+    names, links = plan
+    items = _flatten(args)
+    if names is not None and len(items) == len(names) and Splice not in map(type, items):
+        env = dict(zip(names, items))
+    else:
+        try:
+            env = _bind(lam, items)
+        except (_Blocked, _NeedsRefine):  # a splice that is not a tuple: `run` waits
+            return Body(TOP, App(lam, args))
+    env[lam.stage] = _ON
     _count_step(session)
-
-    def look(term):
-        return env.get(term.name, term) if isinstance(term, Var) else term
-
-    def operand(term):  # a lambda gets the values of its free names
-        if not isinstance(term, Lam):
-            return look(term)
-        free = lam_info(term)[0]
-        return subst_term(term, {n: env[n] for n in free}, session.names) if free else term
-
-    body = lam.body
-    while True:
-        form = body.form
-        if isinstance(form, PrimB):
-            expr = P.prim_subst(form.expr, env, look)
+    for link in links:
+        kind, body = link[0], link[1]
+        if kind == "prim":
+            expr = link[2]
             try:
-                value = eval_prim(expr)
+                value = eval_prim(expr, env)
             except _Unready:
-                root.replace(subst_body(body, env, session.names))
-                return False
-            for out in form.outs:
+                return subst_body(body, env, session.names)
+            session.trace.append("prim " + P.render_prim(expr, _quote_render, env))
+            for out in link[3]:
                 env[out] = value
-            env[form.cont_stage] = StageConst(True)
-            session.trace.append("prim " + P.render_prim(expr, _quote_render))
+            env[link[4]] = _ON
             _count_step(session)
-            body = form.rest
-            continue
-        if not isinstance(form.callee, Builtin):
-            callee, args = look(form.callee), tuple(map(look, form.args))
-            break
-        *operands, k = form.args
-        call = _do_builtin(session, form.callee.name, _flatten([*map(operand, operands), k]))
-        if call is None:
-            root.replace(subst_body(body, env, session.names))
-            return False
-        _count_step(session)
-        args = call[1]
-        if not isinstance(k, Lam):
-            callee = look(k)
-            break
-        if not all(map(_closed, args)):  # the wrapper finalize returns is active
-            callee = subst_term(k, env, session.names)
-            break
-        env.update(_bind(k, _flatten(args)))
-        env[k.stage] = StageConst(True)
-        _count_step(session)
-        body = k.body
-    root.replace(Body(TOP, App(callee, args)))
-    if isinstance(callee, RetK) and all(map(_closed, args)) and _try_execute(session, root, root):
-        _count_step(session)
-        return True
-    return False
+        elif kind == "call":
+            callee = _value(session, env, link[2])
+            args = tuple(_value(session, env, t) for t in link[3])
+        else:
+            k = link[4]
+            operands = [_value(session, env, t) for t in link[3]]
+            call = _do_builtin(session, link[2], _flatten([*operands, k]))
+            if call is None:
+                return subst_body(body, env, session.names)
+            _count_step(session)
+            args = call[1]
+            if not isinstance(k, Lam):
+                callee = _value(session, env, k)
+                break
+            if not all(map(_closed, args)):  # the wrapper finalize returns is active
+                callee = subst_term(k, env, session.names)
+                break
+            env.update(_bind(k, _flatten(args)))
+            env[k.stage] = _ON
+            _count_step(session)
+    if isinstance(callee, RetK) and all(map(_closed, args)):
+        items = _flatten(args)
+        if Splice not in map(type, items):
+            _return(session, callee.tag, items)
+            _count_step(session)
+            return None
+    return Body(TOP, App(callee, args))
 
 
 def apply_value(f, args, session):
     """Call a closure with a host return continuation appended; run until
     quiescent and yield the values passed to the continuation."""
     ret = session.new_return()
-    root = Body(TOP, App(f, tuple(args) + (ret,)))
-    if not _run_chain(session, root):
-        run(session, root)
+    rest = _run_chain(session, f, (*args, ret))
+    if rest is not None:
+        run(session, rest)
     if ret.tag not in session.returned:
         raise ReturnNeverCalled("evaluation finished without invoking return")
     return list(session.returned[ret.tag].form.args)

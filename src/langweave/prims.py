@@ -260,8 +260,9 @@ def prim_subst(expr, mapping, term_subst):
 _PREC = {"atom": 4, "neg": 3, "mul": 2, "add": 1, "cmp": 0}
 
 
-def render_prim(expr, quote_render):
-    """Back to source text.  `quote_render` renders an embedded term."""
+def render_prim(expr, quote_render, env=None):
+    """Back to source text.  `quote_render` renders an embedded term, and
+    the term a name has in the dict `env`, if given, in place of the name."""
 
     def go(e, prec):
         if isinstance(e, PInt):
@@ -269,7 +270,7 @@ def render_prim(expr, quote_render):
         if isinstance(e, PStr):
             return "'" + e.value.replace("'", "''") + "'"
         if isinstance(e, PName):
-            return e.name
+            return quote_render(env[e.name]) if env is not None and e.name in env else e.name
         if isinstance(e, PQuote):
             return quote_render(e.term)
         if isinstance(e, PNeg):

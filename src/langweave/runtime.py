@@ -24,12 +24,14 @@ from .printer import render_value
 from .terms import Int, Str
 
 
-@dataclass(frozen=True)
 class Token:
-    key: tuple      # ("lit", text) | ("class", cls) | EOI
-    lexeme: str
-    value: object   # term for classes, None otherwise
-    span: tuple
+    __slots__ = ("key", "lexeme", "value", "span")
+
+    def __init__(self, key, lexeme, value, span):
+        self.key = key          # ("lit", text) | ("class", cls) | EOI
+        self.lexeme = lexeme
+        self.value = value      # term for classes, None otherwise
+        self.span = span
 
     def __str__(self):
         return token_key_str(self.key)
@@ -149,15 +151,22 @@ class Parser:
         self.pos = 0
         self.trace = self.session.trace
         self.consumed_spans = []
-        self._la = {}  # (language, pos) -> Token
+        self._la = {}  # (language, pos) -> Token, or (message, offset) of a LexFailure
 
     # -- lexing
 
     def peek(self, lang):
         key = (lang.name, self.pos)
-        if key not in self._la:
-            self._la[key] = lex_next(self.text, self.pos, lang.lexer, lang.name)
-        return self._la[key]
+        tok = self._la.get(key)
+        if tok is None:
+            try:
+                tok = lex_next(self.text, self.pos, lang.lexer, lang.name)
+            except LexFailure as exc:
+                tok = (str(exc), exc.offset)
+            self._la[key] = tok
+        if type(tok) is tuple:  # a new exception each time, so no traceback grows
+            raise LexFailure(*tok)
+        return tok
 
     def consume(self, lang, expected_key):
         tok = self.peek(lang)

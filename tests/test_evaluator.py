@@ -351,15 +351,19 @@ def test_step_loop_equals_run(src, invoke):
 def _chains(draw):
     """A closed straight-line function as core text, its arguments, and
     whether `apply_value` may run it without `run`: primitives over
-    parameters and earlier outputs (rebinding allowed, `k` included), the
-    last body a call of `k` or of another name.  Some draws stage a later
-    body on the lambda's own stage, which makes it active at the beta step,
-    so the environment loop must decline."""
+    parameters, earlier outputs, numbers and a string (rebinding allowed,
+    `k` included; arithmetic, comparison and unary minus, so that type
+    errors are drawn too), the last body a call of `k` or of another name.
+    Some draws stage a later body on the lambda's own stage, which makes it
+    active at the beta step, and some pass a splice of a number, which no
+    parameter can take; the environment loop must decline both."""
     params = ["a", "b"][:draw(st.integers(0, 2))]
     scope, lines, stages = list(params), [], ["s"]
     for _ in range(draw(st.integers(0, 4))):
-        operand = st.sampled_from(scope + ["0", "1", "2"])
-        expr = draw(operand) + draw(st.sampled_from("+-*/<")) + draw(operand)
+        operand = st.tuples(st.sampled_from(["", "", "-"]),
+                            st.sampled_from(scope + ["0", "1", "2", "'x'"])).map("".join)
+        op = st.sampled_from(["+", "-", "*", "/", "<", "==", "!=", ">="])
+        expr = draw(operand) + draw(op) + draw(operand)
         out = draw(st.sampled_from(["a", "b", "c", "d", "a", "b", "c", "k"]))
         stages.append(draw(st.sampled_from(["s", "t", "u"])))
         lines.append(f'"{expr}" ({out})\'[{stages[-1]}]\'')
@@ -374,7 +378,10 @@ def _chains(draw):
     source = f"({', '.join([*params, 'k'])})'[s]'{{ {body} }}"
     arity = draw(st.sampled_from([len(params)] * 8 + [len(params) + 1, max(len(params) - 1, 0)]))
     args = draw(st.lists(st.integers(-3, 3).map(Int), min_size=arity, max_size=arity))
-    return source, args, chained and callee == "k" and "k" not in scope
+    spliced = bool(args) and draw(st.integers(0, 7)) == 0
+    if spliced:
+        args[-1] = Splice(args[-1])
+    return source, args, chained and callee == "k" and "k" not in scope and not spliced
 
 
 def _outcome(session, call):
@@ -598,6 +605,30 @@ def test_environment_loop_hands_back_an_operand_that_is_not_ready():
     assert isinstance(drained.call_args.args[1].form, PrimB)  # handed back past the beta step
     assert by_loop == by_step
     assert by_loop[0][0] == "ReturnNeverCalled" and by_loop[2] == 1
+
+
+def test_prim_line_shows_the_values_its_outputs_replace():
+    """A primitive's trace line is rendered before its outputs are bound."""
+    sess = Session()
+    f = rd("(a, k)'[s]'{ '@s:' \"a+1\" (a)'[t]' '@t:' \"a*2\" (a)'[u]' '@u:' k a }", sess)
+    assert apply_value(f, [Int(5)], sess) == [Int(12)]
+    assert [line for line in sess.trace if line.startswith("prim ")] == ["prim 5+1", "prim 6*2"]
+
+
+@pytest.mark.parametrize("source, args, steps", [
+    ("(a, k)'[s]'{ '@s:' k a }", [Splice(Int(5))], 0),
+    ("(k)'[s]'{ '@s:' k !5 }", [], 1),
+], ids=["parameter", "return"])
+def test_a_splice_of_a_number_waits_as_in_step(source, args, steps):
+    """Neither a plain parameter nor a host continuation takes a splice of
+    a number, so the call waits for ever and the host continuation is
+    never called; the loop raises nothing of its own."""
+    stepped, ran = Session(), Session()
+    with pytest.raises(ReturnNeverCalled):
+        _by_step(stepped, rd(source, stepped), args)
+    with pytest.raises(ReturnNeverCalled):
+        apply_value(rd(source, ran), args, ran)
+    assert stepped.steps == ran.steps == steps
 
 
 def test_chain_shape_is_renewed_when_the_body_changes():

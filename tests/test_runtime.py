@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from langweave import runtime
 from langweave.errors import (GrammarError, LexFailure, Ll1Conflict,
                               UnexpectedToken, UnknownEntry)
 from langweave.evaluator import Session, apply_value, render_value
@@ -239,6 +240,33 @@ def test_each_alphabet_rejects_the_other():
         lex_next("1 :: 2", 0, reg.languages["outer"].lexer)
     with pytest.raises(LexFailure):
         lex_next("go <<", 0, reg.languages["calc"].lexer)
+
+
+_STATEMENT = """
+grammar stmt {
+  entry Stmt|->(v)| ::= Identifier|->(name)| "<<" |()->|minusdiv_immediate.Diff|->(v)| ";";
+}
+"""
+
+
+def test_a_failing_look_ahead_is_lexed_once(monkeypatch):
+    """Both `R` rules of `minusdiv_immediate` peek at the `;` that ends its
+    text; the failure is kept like a token, so each language lexes each
+    position once."""
+    reg = _registry("minusdiv_immediate")
+    prepared, diags = prepare(read_grammar(_STATEMENT))
+    assert not diags
+    reg.register("stmt", prepared)
+    seen = []
+
+    def counted(text, pos, lexdef, language=None):
+        seen.append((language, pos))
+        return lex_next(text, pos, lexdef, language)
+
+    monkeypatch.setattr(runtime, "lex_next", counted)
+    assert parse(reg, "stmt", "Stmt", "a << 7-4/2;", session=Session()) == [Int(5)]
+    assert ("minusdiv_immediate", 10) in seen
+    assert len(seen) == len(set(seen))
 
 
 def test_fragment_through_lpi_merges_into_one_residual():
