@@ -38,10 +38,10 @@ line.  A lambda among a builtin's operands (a build subject) is the only
 term copied, with the values of its free names, and no stage in it may
 name one of them: a body staged on a name of the chain would turn on when
 that name is bound, and post-order would run it first.  Since the shape
-alone makes post-order run the links one after another, it is turned once
-per lambda, at its first call, into a plan kept with the lambda's cached
-pair: the parameter names and, per link, what it evaluates and binds.
-`eval_prim` and `render_prim` read a primitive's names from the dict,
+alone makes post-order run the links one after another, it is decided once
+per lambda, at its first call, and kept with the lambda's cached pair; the
+loop then follows the body's links.  `eval_prim` and `render_prim` read a
+primitive's names, plain or quoted, from the dict, so nothing is copied;
 builtins run through `_do_builtin` on lists built by `_flatten`, and a
 last call of the host return continuation on closed values is recorded
 directly, as `_try_execute` records it; the `prim` and `print` trace lines
@@ -108,9 +108,9 @@ def _strict(term):
 
 
 def eval_prim(expr, env=None):
-    """Evaluate a quoted expression to a value term; a name takes its value
-    from the dict `env`, if one is given and binds it, and is not ready yet
-    otherwise.
+    """Evaluate a quoted expression to a value term; a name, plain or
+    quoted, takes its value from the dict `env`, if one is given and binds
+    it, and a plain one is not ready yet otherwise.
 
     Arithmetic and comparison require concrete operands; environment and
     tuple constructors accept symbolic values as data (that is how build
@@ -127,7 +127,8 @@ def eval_prim(expr, env=None):
     if isinstance(expr, P.PStr):
         return Str(expr.value)
     if isinstance(expr, P.PQuote):
-        return expr.term
+        term = expr.term
+        return env.get(term.name, term) if env is not None and type(term) is Var else term
     if isinstance(expr, P.PNeg):
         v = _strict(eval_prim(expr.inner, env))
         if not isinstance(v, Int):
@@ -249,35 +250,29 @@ class _RestartWalk(Exception):
 def _bind(lam, items):
     """Map parameters to argument terms; raises _Blocked / _NeedsRefine /
     ArityMismatch when the shape does not line up (yet)."""
-    pre, pack, post = [], None, []
-    for p in lam.params:
-        if p.packed:
-            pack = p
-        elif pack is None:
-            pre.append(p)
-        else:
-            post.append(p)
-
-    spliced = [i for i, t in enumerate(items) if isinstance(t, Splice)]
-    if pack is None:
-        if not spliced:
-            if len(items) != len(pre):
-                raise ArityMismatch(f"expected {len(pre)} argument(s), got {len(items)}")
-            return dict(zip((p.name for p in pre), items))
+    params = lam.params
+    packs = [i for i, p in enumerate(params) if p.packed]
+    if not packs:
+        if Splice not in map(type, items):
+            if len(items) != len(params):
+                raise ArityMismatch(f"expected {len(params)} argument(s), got {len(items)}")
+            return {p.name: t for p, t in zip(params, items)}
+        spliced = [t for t in items if isinstance(t, Splice)]
         if len(spliced) != 1:
             raise _Blocked()
-        needed = len(pre) - (len(items) - 1)
+        needed = len(params) - (len(items) - 1)
         if needed < 0:
             raise ArityMismatch("more arguments than parameters around a pack splice")
-        target = items[spliced[0]].inner
-        if isinstance(target, Var):
-            raise _NeedsRefine(target.name, needed)
+        if isinstance(spliced[0].inner, Var):
+            raise _NeedsRefine(spliced[0].inner.name, needed)
         raise _Blocked()
 
     # callee has a pack: fixed parameters must be covered by plain values
+    pre, pack, post = params[:packs[0]], params[packs[0]], params[packs[0] + 1:]
     fixed = len(pre) + len(post)
     if len(items) < fixed:
-        raise ArityMismatch("not enough arguments for fixed parameters" if spliced
+        raise ArityMismatch("not enough arguments for fixed parameters"
+                            if Splice in map(type, items)
                             else f"expected at least {fixed} argument(s), got {len(items)}")
     end = len(items) - len(post)
     if any(isinstance(t, Splice) for t in items[:len(pre)] + items[end:]):
@@ -616,69 +611,54 @@ def _stays_off(lam):
     return names.isdisjoint(lam_info(lam)[0])
 
 
-def _named(leaf):
-    """A quoted name as a plain one, which the loop looks up."""
-    quoted_name = isinstance(leaf, P.PQuote) and type(leaf.term) is Var
-    return P.PName(leaf.term.name) if quoted_name else leaf
-
-
 _CHAIN_BUILTINS = frozenset({"build", "merge", "finalize", "newEnv", "print"})
 
 
-def _plan(lam):
-    """How the environment loop runs a call of `lam`, or None when its body
-    is not the straight line the module docstring describes.  The plan is
-    the parameter names (None if one is packed) and the links, each with
-    the body it starts: ("prim", body, expression with its quoted names
-    plain, outputs, continuation stage), ("builtin", body, name, operands,
-    continuation) or ("call", body, callee, arguments)."""
+def _straight_line(lam):
+    """Whether the environment loop may run a call of `lam`: it is closed
+    and quiet, and its body is a line of links, each staged on the stage
+    the link before it binds.  A link is a primitive over names and closed
+    terms, or a chain builtin whose operands are names, closed terms or
+    lambdas with no stage naming one of their free names, and whose last
+    argument is a continuation lambda with plain parameters or a name; a
+    call of a name on names or closed terms ends the line."""
     free, active = lam_info(lam)
     if free or active:
-        return None
-    links = []
+        return False
     body, stage = lam.body, lam.stage
-    while True:
+    while type(body.stage) is SRef and body.stage.name == stage:
         form = body.form
-        if type(body.stage) is not SRef or body.stage.name != stage:
-            return None
         if isinstance(form, PrimB):
-            quoted = tuple(form.expr.embedded_terms())
-            if form.cont_stage is None or not all(map(_name_or_closed, quoted)):
-                return None
-            expr = P.prim_map(form.expr, _named) if Var in map(type, quoted) else form.expr
-            links.append(("prim", body, expr, form.outs, form.cont_stage))
+            if form.cont_stage is None \
+                    or not all(map(_name_or_closed, form.expr.embedded_terms())):
+                return False
             body, stage = form.rest, form.cont_stage
             continue
         if not isinstance(form, App):
-            return None
+            return False
         if isinstance(form.callee, Var):
-            if not all(map(_name_or_closed, form.args)):
-                return None
-            links.append(("call", body, form.callee, form.args))
-            break
+            return all(map(_name_or_closed, form.args))
         if not isinstance(form.callee, Builtin) or form.callee.name not in _CHAIN_BUILTINS \
                 or not form.args:
-            return None
+            return False
         *operands, k = form.args
         if not all(_name_or_closed(t) or isinstance(t, Lam) and _stays_off(t)
                    for t in operands):
-            return None
-        links.append(("builtin", body, form.callee.name, operands, k))
+            return False
         if isinstance(k, Var):
-            break
+            return True
         if not isinstance(k, Lam) or any(p.packed for p in k.params):
-            return None
+            return False
         body, stage = k.body, k.stage
-    names = None if any(p.packed for p in lam.params) else tuple(p.name for p in lam.params)
-    return names, tuple(links)
+    return False
 
 
 def _chain_shape(lam):
-    """`_plan(lam)`, built once and kept after the lambda's cached pair, so
-    that it is built again when the pair is renewed."""
+    """`_straight_line(lam)`, decided once and kept after the lambda's
+    cached pair, so that it is decided again when the pair is renewed."""
     lam_info(lam)
     if len(lam.info) == 2:
-        lam.info += (_plan(lam),)
+        lam.info += (_straight_line(lam),)
     return lam.info[2]
 
 
@@ -695,57 +675,59 @@ def _value(session, env, term):
 
 
 def _run_chain(session, lam, args):
-    """Run the call of `lam` on `args` by its plan, in one environment, if
-    it has one and every argument is closed.  None when the call ended by
-    calling a host return continuation; otherwise the body `run` must drain
-    for the rest, which is the whole call when the loop declines."""
-    plan = isinstance(lam, Lam) and _chain_shape(lam)
-    if not plan or not all(map(_closed, args)):
+    """Run the call of `lam` on `args` in one environment, if
+    `_straight_line` allows and every argument is closed.  None when the
+    call ended by calling a host return continuation; otherwise the body
+    `run` must drain for the rest, which is the whole call when the loop
+    declines."""
+    if not isinstance(lam, Lam) or not _chain_shape(lam) or not all(map(_closed, args)):
         return Body(TOP, App(lam, args))
-    names, links = plan
-    items = _flatten(args)
-    if names is not None and len(items) == len(names) and Splice not in map(type, items):
-        env = dict(zip(names, items))
-    else:
-        try:
-            env = _bind(lam, items)
-        except (_Blocked, _NeedsRefine):  # a splice that is not a tuple: `run` waits
-            return Body(TOP, App(lam, args))
+    try:
+        env = _bind(lam, _flatten(args))
+    except (_Blocked, _NeedsRefine):  # a splice that is not a tuple: `run` waits
+        return Body(TOP, App(lam, args))
     env[lam.stage] = _ON
     _count_step(session)
-    for link in links:
-        kind, body = link[0], link[1]
-        if kind == "prim":
-            expr = link[2]
+
+    def quote(term):  # what the `prim` line shows for a term in the loop
+        return _quote_render(env.get(term.name, term) if type(term) is Var else term)
+
+    body = lam.body
+    while True:
+        form = body.form
+        if isinstance(form, PrimB):
             try:
-                value = eval_prim(expr, env)
+                value = eval_prim(form.expr, env)
             except _Unready:
                 return subst_body(body, env, session.names)
-            session.trace.append("prim " + P.render_prim(expr, _quote_render, env))
-            for out in link[3]:
+            session.trace.append("prim " + P.render_prim(form.expr, quote, env))
+            for out in form.outs:
                 env[out] = value
-            env[link[4]] = _ON
+            env[form.cont_stage] = _ON
             _count_step(session)
-        elif kind == "call":
-            callee = _value(session, env, link[2])
-            args = tuple(_value(session, env, t) for t in link[3])
-        else:
-            k = link[4]
-            operands = [_value(session, env, t) for t in link[3]]
-            call = _do_builtin(session, link[2], _flatten([*operands, k]))
-            if call is None:
-                return subst_body(body, env, session.names)
-            _count_step(session)
-            args = call[1]
-            if not isinstance(k, Lam):
-                callee = _value(session, env, k)
-                break
-            if not all(map(_closed, args)):  # the wrapper finalize returns is active
-                callee = subst_term(k, env, session.names)
-                break
-            env.update(_bind(k, _flatten(args)))
-            env[k.stage] = _ON
-            _count_step(session)
+            body = form.rest
+            continue
+        if not isinstance(form.callee, Builtin):
+            callee = _value(session, env, form.callee)
+            args = tuple(_value(session, env, t) for t in form.args)
+            break
+        *operands, k = form.args
+        operands = [_value(session, env, t) for t in operands]
+        call = _do_builtin(session, form.callee.name, _flatten([*operands, k]))
+        if call is None:
+            return subst_body(body, env, session.names)
+        _count_step(session)
+        args = call[1]
+        if not isinstance(k, Lam):
+            callee = _value(session, env, k)
+            break
+        if not all(map(_closed, args)):  # the wrapper finalize returns is active
+            callee = subst_term(k, env, session.names)
+            break
+        env.update(_bind(k, _flatten(args)))
+        env[k.stage] = _ON
+        _count_step(session)
+        body = k.body
     if isinstance(callee, RetK) and all(map(_closed, args)):
         items = _flatten(args)
         if Splice not in map(type, items):

@@ -130,7 +130,7 @@ class Lam(Term):
         self.stage = stage
         self.body = body
         # (body info it was derived from, pair), see lam_info; the evaluator
-        # may append its plan for the loop, which is dropped with the pair
+        # may append its chain shape, which is dropped with the pair
         self.info = None
 
     def __repr__(self):
