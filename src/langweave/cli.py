@@ -285,6 +285,8 @@ def main(argv=None):
 
     if args.command == "run":
         text = args.positional_input if args.positional_input is not None else args.expr
+        if text == []:  # argparse before Python 3.12 drops the value of `--expr=--`
+            text = "--"
         if text is None and args.input_file:
             text = _read_file(args.input_file)
         args.input_text = text

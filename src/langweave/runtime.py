@@ -6,11 +6,20 @@ nonterminal swaps lexer and table wholesale until its entry rule returns.
 Tokens are lexed lazily against the current language only, so text beyond
 the cursor is never touched by the wrong alphabet, and the cursor is
 monotone: no backtracking, ever.
+
+Registering a language compiles each production into a tuple of
+operations over attribute slots numbered in advance; a use that fails
+whenever the parse reaches it (an unbound name) compiles into an operation
+that raises there.  A rule's LL(1) lookup yields the operations of the
+selected production directly.  `Parser.parse` runs them in one loop over
+one explicit stack of frames (language, operations, position, slot list),
+so the nesting of the input never reaches the host stack.
 """
 
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from .errors import (ActionError, ArityMismatch, EvalExit, GrammarError,
                      LangError, LexFailure, StepBudgetExceeded,
@@ -86,6 +95,82 @@ def lex_next(text, pos, lexdef, language=None):
 
 
 # ---------------------------------------------------------------------------
+# compiled productions
+
+# An operation is a tuple (code, argument, in slots, out slots, name, extra);
+# `_compile` shows what each code keeps in `argument`, `name` and `extra`.
+TOKEN, CALL, ACTION, PASS, RETURN, FAIL = range(6)
+
+
+class CompiledRule:
+    """A rule's arity, the padding of its slot list past the inputs, and its
+    productions: `single` if it has one, else `select` by look-ahead key."""
+    __slots__ = ("name", "arity", "pad", "single", "select")
+
+    def __init__(self, name, arity):
+        self.name, self.arity = name, arity
+
+
+def compile_rules(grammar, table):
+    """Each rule of a prepared grammar by name, compiled, with its row of the
+    LL(1) table pointing at the operations of the productions."""
+    rules = {name: CompiledRule(name, len(rule.ins or ())) for name, rule in grammar.rules.items()}
+    for rule in grammar.rules.values():
+        crule = rules[rule.name]
+        compiled = [_compile(rule, idx, prod, rules) for idx, prod in enumerate(rule.productions)]
+        crule.pad = [None] * (max((size for _, size in compiled), default=0) - crule.arity)
+        crule.single = compiled[0][0] if len(compiled) == 1 else None
+        crule.select = {key: compiled[idx][0] for (name, key), idx in table.table.items()
+                        if name == rule.name}
+    return rules
+
+
+def _compile(rule, idx, prod, rules):
+    """The operations of one production and the number of slots they use.
+    The rule's inputs take the first slots (of two equal names the later
+    one counts); a name bound again keeps its slot."""
+    slot = {name: i for i, name in enumerate(rule.ins or ())}
+    size, ops = len(rule.ins or ()), []
+
+    def reads(names):
+        for name in names:
+            if name not in slot:
+                raise GrammarError(f"name {name!r} is unbound in rule {rule.name!r}")
+        return tuple(slot[name] for name in names)
+
+    def binds(names):
+        nonlocal size
+        for name in names:
+            if name not in slot:
+                slot[name], size = size, size + 1
+        return tuple(slot[name] for name in names)
+
+    try:
+        for use in prod.body:
+            if isinstance(use, EpsilonUse) and not use.outs:
+                continue
+            ins = reads(getattr(use, "ins", ()))
+            if isinstance(use, Lit):
+                op = (TOKEN, ("lit", use.text), f'token "{use.text}" ', None)
+            elif isinstance(use, TokClass):
+                op = (TOKEN, ("class", use.cls), f"token {use.cls} ", None)
+            elif isinstance(use, NtUse):
+                op = (CALL, rules[use.name], use.name, None)
+            elif isinstance(use, ForeignUse):  # a switch to another language
+                op = (CALL, use.entry, f"{use.lang}.{use.entry}", use.lang)
+            elif isinstance(use, ActionUse):
+                op = (ACTION, use, "action", (rule.name, idx))
+            else:  # an epsilon passes its trailing inputs through
+                ins, op = ins[-len(use.outs):], (PASS, None, "epsilon", None)
+            code, arg, what, extra = op
+            ops.append((code, arg, ins, binds(getattr(use, "outs", ())), what, extra))
+        ops.append((RETURN, None, reads(prod.outs), (), None, None))
+    except GrammarError as exc:  # raised again when the parse gets here
+        ops.append((FAIL, None, (), (), str(exc), None))
+    return tuple(ops), size
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 
@@ -93,8 +178,8 @@ def lex_next(text, pos, lexdef, language=None):
 class Language:
     name: str
     grammar: object   # prepared (expanded + completed) grammar
-    table: object
     lexer: LexerDef
+    rules: dict       # rule name -> CompiledRule
 
 
 class LanguageRegistry:
@@ -109,7 +194,8 @@ class LanguageRegistry:
         table = build_table(prepared)
         if name in self.languages:
             self.warnings.append(f"replacing language {name!r}")
-        self.languages[name] = Language(name, prepared, table, lexer_for(prepared))
+        self.languages[name] = Language(name, prepared, lexer_for(prepared),
+                                        compile_rules(prepared, table))
         return self.languages[name]
 
     def language(self, name):
@@ -152,6 +238,7 @@ class Parser:
         self.trace = self.session.trace
         self.consumed_spans = []
         self._la = {}  # (language, pos) -> Token, or (message, offset) of a LexFailure
+        self._frames = []  # suspended frames of the running parse, outermost first
 
     # -- lexing
 
@@ -169,7 +256,10 @@ class Parser:
         return tok
 
     def consume(self, lang, expected_key):
-        tok = self.peek(lang)
+        try:
+            tok = self.peek(lang)
+        except LexFailure as exc:
+            raise LexFailure(f"{exc}{self._stack_note(lang)}", exc.offset) from None
         if tok.key != expected_key:
             raise UnexpectedToken(
                 f"expected {token_key_str(expected_key)}, found {tok} "
@@ -177,33 +267,36 @@ class Parser:
         assert tok.span[0] >= self.pos  # cursor monotonicity
         self.pos = tok.span[1]
         self.consumed_spans.append(tok.span)
-        self.trace.append(f"token {token_key_str(tok.key)} {tok.lexeme}".rstrip())
         return tok
 
     def _where(self, lang, offset):
         line, col = line_col(self.text, offset)
-        return f"{line}:{col} in language {lang.name!r}"
+        return f"{line}:{col} in language {lang.name!r}{self._stack_note(lang)}"
+
+    def _stack_note(self, lang):
+        """The languages of the running parse, outermost first, if a switch
+        has put more than one on the frame stack."""
+        names = [name for name, _ in groupby([f[0].name for f in self._frames] + [lang.name])]
+        return " (language stack " + " > ".join(map(repr, names)) + ")" if len(names) > 1 else ""
 
     # -- selection
 
     def _select(self, lang, rule):
-        if len(rule.productions) == 1:
-            return 0
+        """The operations of the production of `rule` the look-ahead selects."""
         try:
             tok_key = self.peek(lang).key
         except LexFailure:
             # the current text belongs to some other language; an inner
             # parse stops greedily as if at end of input
             tok_key = EOI
-        idx = lang.table.table.get((rule.name, tok_key))
-        if idx is None:
-            expected = sorted(token_key_str(k)
-                              for (r, k) in lang.table.table if r == rule.name)
+        ops = rule.select.get(tok_key)
+        if ops is None:
+            expected = sorted(token_key_str(k) for k in rule.select)
             at = self.pos if tok_key == EOI else self.peek(lang).span[0]
             raise UnexpectedToken(
                 f"in rule {rule.name!r}: unexpected {token_key_str(tok_key)} "
                 f"at {self._where(lang, at)}; expected one of: " + ", ".join(expected))
-        return idx
+        return ops
 
     # -- driving
 
@@ -215,63 +308,55 @@ class Parser:
         if not lang.grammar.rules[entry].is_entry:
             raise UnknownEntry(f"rule {entry!r} is not in the language "
                                f"programming interface of {lang_name!r}")
-        outs = self.parse_rule(lang, entry, list(args))
+        outs = self._run(lang, lang.rules[entry], list(args))
         tail = self.peek(lang)
         if tail.key != EOI:
             raise UnexpectedToken(f"trailing input {tail} at {self._where(lang, tail.span[0])}")
         return outs
 
-    def parse_rule(self, lang, rule_name, args):
-        rule = lang.grammar.rules[rule_name]
-        if len(args) != len(rule.ins or ()):
-            raise ArityMismatch(
-                f"rule {rule_name!r} takes {len(rule.ins or ())} argument(s), "
-                f"got {len(args)}")
-        idx = self._select(lang, rule)
-        prod = rule.productions[idx]
-        frame = dict(zip(rule.ins or (), args))
-
-        for use in prod.body:
-            if isinstance(use, Lit):
-                self.consume(lang, ("lit", use.text))
-            elif isinstance(use, TokClass):
-                tok = self.consume(lang, ("class", use.cls))
-                for out in use.outs:
-                    frame[out] = tok.value
-            elif isinstance(use, NtUse):
-                values = [self._resolve(frame, n, rule_name) for n in use.ins]
-                results = self.parse_rule(lang, use.name, values)
-                self._bind(frame, use.outs, results, use.name)
-            elif isinstance(use, ActionUse):
-                values = [self._resolve(frame, n, rule_name) for n in use.ins]
-                results = self._run_action(lang, rule_name, idx, use, values)
-                self._bind(frame, use.outs, results, "action")
-            elif isinstance(use, EpsilonUse):
-                if use.outs:
-                    values = [self._resolve(frame, n, rule_name) for n in use.ins]
-                    self._bind(frame, use.outs, values[-len(use.outs):], "epsilon")
-            elif isinstance(use, ForeignUse):
-                values = [self._resolve(frame, n, rule_name) for n in use.ins]
-                target = self.registry.language(use.lang)
-                self.trace.append(f"switch enter {use.lang}.{use.entry}")
-                results = self.parse_rule(target, use.entry, values)
-                self.trace.append(f"switch exit {use.lang}")
-                self._bind(frame, use.outs, results, f"{use.lang}.{use.entry}")
-            else:
-                raise GrammarError(f"unexpected term use {use!r}")
-
-        return [self._resolve(frame, n, rule_name) for n in prod.outs]
-
-    def _resolve(self, frame, name, where):
-        if name not in frame:
-            raise GrammarError(f"name {name!r} is unbound in rule {where!r}")
-        return frame[name]
-
-    def _bind(self, frame, outs, results, what):
-        if len(outs) != len(results):
-            raise ArityMismatch(
-                f"{what} produced {len(results)} value(s) for {len(outs)} name(s)")
-        frame.update(zip(outs, results))
+    def _run(self, lang, rule, args):
+        """The parse loop: run the entry `rule` on `args` with one explicit
+        stack of suspended frames (language, operations, position, slot
+        list) and return its output values.  The bottom frame holds a lone
+        call of the entry rule."""
+        trace, stack = self.trace, []
+        self._frames = stack
+        ops, pc, slots = ((CALL, rule, tuple(range(len(args))), (), rule.name, None),), 0, args
+        while True:
+            code, arg, ins, outs, what, extra = ops[pc]
+            pc += 1
+            values = [slots[i] for i in ins] if ins else []
+            if code == CALL:
+                stack.append((lang, ops, pc, slots))
+                if extra is not None:  # a switch to an entry rule of another language
+                    lang = self.registry.language(extra)
+                    trace.append(f"switch enter {what}")
+                    arg = lang.rules[arg]
+                if len(values) != arg.arity:
+                    raise ArityMismatch(f"rule {arg.name!r} takes {arg.arity} argument(s), "
+                                        f"got {len(values)}")
+                ops, pc, slots = arg.single or self._select(lang, arg), 0, values + arg.pad
+                continue
+            if code == RETURN:
+                lang, ops, pc, slots = stack.pop()
+                if not stack:
+                    return values
+                _, _, _, outs, what, extra = ops[pc - 1]
+                if extra is not None:
+                    trace.append(f"switch exit {extra}")
+            elif code == TOKEN:
+                tok = self.consume(lang, arg)
+                trace.append(f"{what}{tok.lexeme}".rstrip())
+                values = [tok.value] * len(outs)
+            elif code == ACTION:
+                values = self._run_action(lang, *extra, arg, values)
+            elif code == FAIL:
+                raise GrammarError(what)
+            if len(outs) != len(values):
+                raise ArityMismatch(f"{what} produced {len(values)} value(s) "
+                                    f"for {len(outs)} name(s)")
+            for out, value in zip(outs, values):
+                slots[out] = value
 
     def _run_action(self, lang, rule_name, prod_idx, use, values):
         rendered = ", ".join(render_value(v) for v in values)
@@ -281,11 +366,12 @@ class Parser:
         except (EvalExit, StepBudgetExceeded):
             raise
         except LangError as exc:  # a host fault is not a fault of the action
-            raise ActionError(f"action in rule {rule_name!r} failed: {exc}") from exc
+            raise ActionError(f"action in rule {rule_name!r} at "
+                              f"{self._where(lang, self.pos)} failed: {exc}") from exc
         if len(results) != len(use.action.outs):
             raise ActionError(
-                f"action in rule {rule_name!r} returned {len(results)} value(s), "
-                f"declared {len(use.action.outs)}")
+                f"action in rule {rule_name!r} at {self._where(lang, self.pos)} "
+                f"returned {len(results)} value(s), declared {len(use.action.outs)}")
         return results
 
 

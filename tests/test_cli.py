@@ -82,17 +82,38 @@ def _depth():
     return depth
 
 
-@pytest.mark.parametrize("pack", ["minusdiv_immediate", "minusdiv_codegen"])
-def test_nesting_past_the_host_recursion_limit_exits_three(capsys, pack):
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_depth() + 400)
+def _run_under_recursion_limit(capsys, limit, *argv):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
     try:
-        code, out, err = run_cli(capsys, "run", pack, "-".join(["7/1"] * 400))
+        return run_cli(capsys, *argv)
     finally:
-        sys.setrecursionlimit(limit)
+        sys.setrecursionlimit(saved)
+
+
+@pytest.mark.parametrize("pack", ["minusdiv_codegen"])
+def test_nesting_past_the_host_recursion_limit_exits_three(capsys, pack):
+    code, out, err = _run_under_recursion_limit(
+        capsys, _depth() + 400, "run", pack, "-".join(["7/1"] * 400))
     assert code == EXIT_BUDGET
     assert out == ""
     assert err.startswith("error: nesting-depth limit") and err.count("\n") == 1
+
+
+def test_immediate_nesting_past_the_host_recursion_limit_succeeds(capsys):
+    """The parser keeps its frames on an explicit stack, so the input that
+    exhausts the lowered limit in the code-building pack parses here."""
+    code, out, err = _run_under_recursion_limit(
+        capsys, _depth() + 400, "run", "minusdiv_immediate", "-".join(["7/1"] * 400))
+    assert (code, out, err) == (EXIT_OK, "-2786\n", "")
+
+
+def test_immediate_parse_depth_is_not_bounded_by_the_host_stack(capsys, tmp_path):
+    source = tmp_path / "deep.txt"
+    source.write_text("-".join(["7/1"] * 30_000))
+    code, out, err = _run_under_recursion_limit(
+        capsys, 1000, "run", "minusdiv_immediate", "--input", str(source))
+    assert (code, out, err) == (EXIT_OK, "-209986\n", "")
 
 
 def test_recursion_error_in_an_action_is_not_an_action_error(capsys, monkeypatch):
@@ -127,6 +148,12 @@ def test_input_errors_give_line_column_and_language(capsys, argv, where):
     assert code == EXIT_PARSE
     assert f" {where}" in err and repr(argv[1]) in err and "offset" not in err
     assert err.count("\n") == 1
+
+
+def test_an_expr_of_two_dashes_is_input_text(capsys):
+    code, _, err = run_cli(capsys, "run", "graph", "--expr=--")
+    assert code == EXIT_PARSE
+    assert err == "error: no token of language 'graph' matches '--' at 1:1\n"
 
 
 def test_check_clean_grammar(capsys):

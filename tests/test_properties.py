@@ -3,11 +3,13 @@
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from langweave import packs
 from langweave.cli import main
-from langweave.errors import EXIT_OK
+from langweave.errors import EXIT_ACTION, EXIT_BUDGET, EXIT_OK, EXIT_PARSE
 from langweave.evaluator import Session, apply_value, render_value
 from langweave.prims import parse_prim, prim_subst
 from langweave.printer import print_core
@@ -42,6 +44,31 @@ def test_immediate_equals_codegen_equals_invoked_residual(text):
                          session.names)
     invoked = [render_value(v) for v in apply_value(residual, [], session)]
     assert immediate == generated == "".join(v + "\n" for v in invoked)
+
+
+# Text for any pack: its own characters, blanks, and anything else.
+_any_text = st.text(st.one_of(st.sampled_from(list("0123456789-/#=;,<>: \n\"abxSt")),
+                              st.characters()), max_size=40)
+
+
+def _edited_samples(pack):
+    """A sample input of the pack with a slice of it replaced by any text."""
+    inputs = [sample["input"] for sample in packs.load_manifest(pack)["samples"]]
+    return st.tuples(st.sampled_from(inputs), st.integers(0, 30), st.integers(0, 3),
+                     _any_text).map(lambda t: t[0][:t[1]] + t[3] + t[0][t[1] + t[2]:])
+
+
+@pytest.mark.parametrize("pack", packs.pack_ids())
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_any_input_ends_in_a_documented_exit_code(pack, data):
+    """No input text makes a pack fail inside langweave (70) or raise.
+    `--expr=TEXT` keeps a text that starts with '-' from reading as an
+    option."""
+    text = data.draw(st.one_of(_any_text, _edited_samples(pack)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", pack, f"--expr={text}"])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_ACTION, EXIT_BUDGET)
 
 
 # Core terms for the print/read round trip.  Binder and variable names avoid

@@ -1,21 +1,28 @@
 """Lexing, predictive parsing, attribute flow, and language switching."""
 
+import functools
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from langweave import runtime
-from langweave.errors import (GrammarError, LexFailure, Ll1Conflict,
-                              UnexpectedToken, UnknownEntry)
+from langweave.errors import (ActionError, ArityMismatch, GrammarError,
+                              LexFailure, Ll1Conflict, UnexpectedToken,
+                              UnknownEntry)
 from langweave.evaluator import Session, apply_value, render_value
-from langweave.grammar import prepare
+from langweave.grammar import (ActionUse, EpsilonUse, ForeignUse, Lit, NtUse,
+                               TokClass, prepare)
 from langweave.grammar_reader import read_grammar
-from langweave.parsegen import EOI
+from langweave.names import FreshNames
+from langweave.parsegen import EOI, build_table, token_key_str
 from langweave.printer import print_core
 from langweave.reader import read_core
 from langweave.runtime import (LanguageRegistry, LexerDef, Parser, lex_next,
                                lexer_for, parse)
-from langweave.terms import Int, Str, alpha_eq
+from langweave.terms import Int, Lam, Str, alpha_eq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PACKS = Path(__file__).parent.parent / "src" / "langweave" / "packs"
@@ -350,3 +357,290 @@ def test_inner_parse_stops_greedily_at_foreign_text():
     # the inner Rest's lookahead lands on " !", unlexable under calc2
     assert parse(reg, "outer2", "Prog", "go << 1 :: 2 !",
                  session=sess) == [Int(3)]
+
+
+# ---------------------------------------------------------------------------
+# messages that name the position and the language stack
+
+
+def test_a_parse_error_inside_a_switch_names_the_language_stack():
+    reg = _two_language_registry(Session())
+    stack = "(language stack 'outer' > 'calc')"
+    with pytest.raises(UnexpectedToken) as err:
+        parse(reg, "outer", "Prog", "go << 1 :: ::", session=Session())
+    assert str(err.value) == f'expected Integer, found "::" at 1:12 in language \'calc\' {stack}'
+    with pytest.raises(LexFailure) as err:
+        parse(reg, "outer", "Prog", "go << 1 ; 2", session=Session())
+    assert str(err.value) == f"no token of language 'calc' matches '; 2' at 1:9 {stack}"
+    with pytest.raises(LexFailure) as err:  # back outside the switch
+        parse(reg, "outer", "Prog", "go << 1 :: 2 3", session=Session())
+    assert str(err.value) == "no token of language 'outer' matches '3' at 1:14"
+    with pytest.raises(UnexpectedToken) as err:  # a failed selection
+        parse(_stream_registry(FreshNames()), "stream", "Prog", "a << 1 2;", session=Session())
+    assert str(err.value) == (
+        "in rule 'R_5': unexpected Integer at 1:8 in language 'minusdiv_immediate' "
+        "(language stack 'stream' > 'minusdiv_immediate'); expected one of: \"-\", \"/\", <eoi>")
+
+
+def test_an_action_error_gives_the_cursor_and_the_language_stack():
+    reg = _stream_registry(FreshNames())
+    with pytest.raises(ActionError) as err:
+        parse(reg, "stream", "Prog", "a << 1;\nb << 4/0;", session=Session())
+    assert str(err.value) == (
+        "action in rule 'R_5' at 2:9 in language 'minusdiv_immediate' (language stack "
+        "'stream' > 'minusdiv_immediate') failed: division by zero")
+
+
+# ---------------------------------------------------------------------------
+# the compiled loop against the recursive parser it replaced
+
+
+class _RecursiveParser(Parser):
+    """The recursive parser the compiled loop replaced, kept as the reference.
+    `_select`, `parse`, `parse_rule`, `_resolve` and `_bind` are copied
+    verbatim; they read the LL(1) table from `lang.table`, which
+    `_recursive_registry` adds.  Its `consume` also traced the token."""
+
+    def consume(self, lang, expected_key):
+        tok = super().consume(lang, expected_key)
+        self.trace.append(f"token {token_key_str(tok.key)} {tok.lexeme}".rstrip())
+        return tok
+
+    def _select(self, lang, rule):
+        if len(rule.productions) == 1:
+            return 0
+        try:
+            tok_key = self.peek(lang).key
+        except LexFailure:
+            # the current text belongs to some other language; an inner
+            # parse stops greedily as if at end of input
+            tok_key = EOI
+        idx = lang.table.table.get((rule.name, tok_key))
+        if idx is None:
+            expected = sorted(token_key_str(k)
+                              for (r, k) in lang.table.table if r == rule.name)
+            at = self.pos if tok_key == EOI else self.peek(lang).span[0]
+            raise UnexpectedToken(
+                f"in rule {rule.name!r}: unexpected {token_key_str(tok_key)} "
+                f"at {self._where(lang, at)}; expected one of: " + ", ".join(expected))
+        return idx
+
+    def parse(self, lang_name, entry, args=()):
+        self.registry.link_check()
+        lang = self.registry.language(lang_name)
+        if entry not in lang.grammar.rules:
+            raise UnknownEntry(f"no rule {entry!r} in language {lang_name!r}")
+        if not lang.grammar.rules[entry].is_entry:
+            raise UnknownEntry(f"rule {entry!r} is not in the language "
+                               f"programming interface of {lang_name!r}")
+        outs = self.parse_rule(lang, entry, list(args))
+        tail = self.peek(lang)
+        if tail.key != EOI:
+            raise UnexpectedToken(f"trailing input {tail} at {self._where(lang, tail.span[0])}")
+        return outs
+
+    def parse_rule(self, lang, rule_name, args):
+        rule = lang.grammar.rules[rule_name]
+        if len(args) != len(rule.ins or ()):
+            raise ArityMismatch(
+                f"rule {rule_name!r} takes {len(rule.ins or ())} argument(s), "
+                f"got {len(args)}")
+        idx = self._select(lang, rule)
+        prod = rule.productions[idx]
+        frame = dict(zip(rule.ins or (), args))
+
+        for use in prod.body:
+            if isinstance(use, Lit):
+                self.consume(lang, ("lit", use.text))
+            elif isinstance(use, TokClass):
+                tok = self.consume(lang, ("class", use.cls))
+                for out in use.outs:
+                    frame[out] = tok.value
+            elif isinstance(use, NtUse):
+                values = [self._resolve(frame, n, rule_name) for n in use.ins]
+                results = self.parse_rule(lang, use.name, values)
+                self._bind(frame, use.outs, results, use.name)
+            elif isinstance(use, ActionUse):
+                values = [self._resolve(frame, n, rule_name) for n in use.ins]
+                results = self._run_action(lang, rule_name, idx, use, values)
+                self._bind(frame, use.outs, results, "action")
+            elif isinstance(use, EpsilonUse):
+                if use.outs:
+                    values = [self._resolve(frame, n, rule_name) for n in use.ins]
+                    self._bind(frame, use.outs, values[-len(use.outs):], "epsilon")
+            elif isinstance(use, ForeignUse):
+                values = [self._resolve(frame, n, rule_name) for n in use.ins]
+                target = self.registry.language(use.lang)
+                self.trace.append(f"switch enter {use.lang}.{use.entry}")
+                results = self.parse_rule(target, use.entry, values)
+                self.trace.append(f"switch exit {use.lang}")
+                self._bind(frame, use.outs, results, f"{use.lang}.{use.entry}")
+            else:
+                raise GrammarError(f"unexpected term use {use!r}")
+
+        return [self._resolve(frame, n, rule_name) for n in prod.outs]
+
+    def _resolve(self, frame, name, where):
+        if name not in frame:
+            raise GrammarError(f"name {name!r} is unbound in rule {where!r}")
+        return frame[name]
+
+    def _bind(self, frame, outs, results, what):
+        if len(outs) != len(results):
+            raise ArityMismatch(
+                f"{what} produced {len(results)} value(s) for {len(outs)} name(s)")
+        frame.update(zip(outs, results))
+
+
+class _Reference(_RecursiveParser):
+    """Keeps the language of every active rule on the frame stack, so that
+    error messages name the same language stack as the loop's."""
+
+    def parse_rule(self, lang, rule_name, args):
+        self._frames.append((lang,))
+        try:
+            return super().parse_rule(lang, rule_name, args)
+        finally:
+            self._frames.pop()
+
+
+def _recursive_registry(reg):
+    old = LanguageRegistry()
+    old.languages = {name: SimpleNamespace(name=name, grammar=lang.grammar, lexer=lang.lexer,
+                                           table=build_table(lang.grammar))
+                     for name, lang in reg.languages.items()}
+    return old
+
+
+# Registered despite its diagnostics, as a caller of the API may: each
+# alternative of `Tail` fails when the parse reaches it, except "ok".
+_BROKEN = """
+grammar broken {
+  entry Top|->(v)| ::= Integer|->(x)| |(x)->|Tail|->(v)|;
+  |(x)->|Tail|->(v)| ::= "unbound";
+  |(x)->|Tail|->(v)| ::= "short" |(x)->|epsilon|->(y, v)|;
+  |(x)->|Tail|->(v)| ::= "count" |(x)->(a, b)| { return x };
+  |(x)->|Tail|->(v)| ::= "wide" |(x)->(a, b)| { return x x } |->(v)|;
+  |(x)->|Tail|->(v, w)| ::= "two" |(x, x)->|epsilon|->(v, w)|;
+  |(x)->|Tail|->(v)| ::= "ok" |(x)->|epsilon|->(v)|;
+}
+"""
+
+
+def _register(reg, names, name, text, strict=True):
+    prepared, diags = prepare(read_grammar(text, names))
+    assert not (strict and diags), diags
+    reg.register(name, prepared)
+
+
+def _stream_registry(names):
+    reg = LanguageRegistry()
+    _register(reg, names, "stream", (Path(__file__).parent.parent / "perfbench" / "grammars"
+                                     / "stream.lw").read_text())
+    _register(reg, names, "minusdiv_immediate",
+              (PACKS / "minusdiv_immediate" / "grammar.lw").read_text())
+    return reg
+
+
+@functools.cache
+def _case(name):
+    """(registry, language, entry, arguments, reserved names) of a case."""
+    names = FreshNames()
+    if name == "stream":
+        return _stream_registry(names), "stream", "Prog", (), names.used
+    reg = LanguageRegistry()
+    if name == "outer":
+        for lang, path in (("outer", "lang_outer.lw"), ("calc", "lang_calc.lw")):
+            _register(reg, names, lang, (FIXTURES / path).read_text())
+        return reg, "outer", "Prog", (), names.used
+    if name in ("Left", "Right", "Top"):
+        path = "stack_lassoc.lw" if name == "Top" else "assoc.lw"
+        _register(reg, names, "fixture", (FIXTURES / path).read_text())
+        return reg, "fixture", name, (Int(5),) if name == "Top" else (), names.used
+    if name == "broken":
+        _register(reg, names, "broken", _BROKEN, strict=False)
+        return reg, "broken", "Top", (), names.used
+    _register(reg, names, name, (PACKS / name / "grammar.lw").read_text())
+    entry = {"minusdiv_immediate": "Diff", "assignments": "Program", "graph": "Graph"}
+    return reg, name, entry.get(name, "Expr"), (), names.used
+
+
+_LEXEMES = {"Integer": st.sampled_from(["0", "1", "2", "7", "12"]),
+            "Identifier": st.sampled_from(["a", "b", "go", "Start", "out"]),
+            "String": st.just('"s"')}
+
+
+def _derive(draw, reg, lang, rule, depth, out):
+    """Append to `out` the tokens of a random derivation of `rule`; past a
+    depth, take the alternative with the fewest calls."""
+    if depth > 60:
+        reject()
+    prods = reg.languages[lang].grammar.rules[rule].productions
+    if depth > 8:
+        prods = sorted(prods, key=lambda p: sum(isinstance(u, (NtUse, ForeignUse))
+                                                for u in p.body))[:1]
+    for use in draw(st.sampled_from(prods)).body:
+        if isinstance(use, Lit):
+            out.append(use.text)
+        elif isinstance(use, TokClass):
+            out.append(draw(_LEXEMES[use.cls]))
+        elif isinstance(use, NtUse):
+            _derive(draw, reg, lang, use.name, depth + 1, out)
+        elif isinstance(use, ForeignUse):
+            _derive(draw, reg, use.lang, use.entry, depth + 1, out)
+
+
+@st.composite
+def _inputs(draw, reg, lang, entry):
+    """A derived token list, often changed into an invalid one, joined by
+    blanks, newlines or nothing."""
+    tokens = []
+    _derive(draw, reg, lang, entry, 0, tokens)
+    alphabet = sorted({lit for known in reg.languages.values() for lit in known.lexer.literals})
+    edit = draw(st.sampled_from(["keep", "keep", "drop", "insert", "stray"]))
+    at = draw(st.integers(0, len(tokens)))
+    if edit == "drop" and tokens:
+        del tokens[min(at, len(tokens) - 1)]
+    elif edit == "insert":
+        tokens.insert(at, draw(st.sampled_from(alphabet + ["3", "x"])))
+    elif edit == "stray":
+        tokens.insert(at, draw(st.sampled_from(["%", ";", "::", "<<", "#"])))
+    return draw(st.sampled_from([" ", "\n", ""])).join(tokens)
+
+
+def _observed(parser_class, registry, lang, entry, args, used, text):
+    session = Session(seed=3)
+    session.names.used = set(used)
+    parser = parser_class(registry, text, session)
+    try:
+        outs = parser.parse(lang, entry, args)
+        result = [print_core(v) if isinstance(v, Lam) else render_value(v) for v in outs]
+    except Exception as exc:  # the same failure is part of the same behaviour
+        result = (type(exc).__name__, str(exc))
+    return result, session.trace, parser.consumed_spans, session.out, session.names.counter
+
+
+_CASES = ("minusdiv_immediate", "minusdiv_codegen", "typed_minusdiv", "assignments", "graph",
+          "stream", "outer", "Left", "Right", "Top", "broken")
+
+
+@pytest.mark.parametrize("case", _CASES)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_compiled_loop_equals_the_recursive_parser(case, data):
+    """Values, trace, consumed spans, printed output, fresh names and every
+    error type and message agree on derived and broken inputs."""
+    reg, lang, entry, args, used = _case(case)
+    text = data.draw(_inputs(reg, lang, entry))
+    new = _observed(Parser, reg, lang, entry, args, used, text)
+    old = _observed(_Reference, _recursive_registry(reg), lang, entry, args, used, text)
+    assert new == old
+
+
+def test_an_unbound_name_fails_when_the_parse_reaches_it():
+    reg = _case("broken")[0]
+    parser = Parser(reg, "4 unbound", Session())
+    with pytest.raises(GrammarError, match="^name 'v' is unbound in rule 'Tail'$"):
+        parser.parse("broken", "Top")
+    assert len(parser.consumed_spans) == 2
+    assert parse(reg, "broken", "Top", "4 ok", session=Session()) == [Int(4)]
