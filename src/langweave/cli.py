@@ -80,18 +80,28 @@ def _registry(loaded):
     return reg
 
 
-def _emit_outputs(outs, emit, session):
-    if emit == "residual":
-        for term in outs:
+def _finish(results, emit, session, invoke_args=()):
+    """Print the program's output, then its results as `emit` asks: as
+    code (a fragment finalized first) or as values, a generated function
+    invoked on `invoke_args` first.  Output printed while the results are
+    finished comes before them, also when the program exits."""
+    shown = []
+    try:
+        for term in results:
             if isinstance(term, FragVal):
                 term = finalize(term.fragment, session)
-            if isinstance(term, Lam):
-                print(print_core(term))
+            if emit == "residual":
+                shown.append(print_core(term) if isinstance(term, Lam) else render_value(term))
+            elif isinstance(term, Lam):
+                shown.extend(map(render_value, apply_value(term, invoke_args, session)))
             else:
-                print(render_value(term))
-    else:
-        for term in outs:
-            print(render_value(term))
+                shown.append(render_value(term))
+    finally:
+        for line in session.out:
+            print(line)
+    for line in shown:
+        print(line)
+    return EXIT_OK
 
 
 def _parse_invoke_args(expr):
@@ -147,18 +157,8 @@ def _run_script_pack(manifest, args, session):
     result = apply_value(creator, [], session)
     emit = args.emit or manifest.get("default_emit", "value")
     if emit == "residual":
-        for term in result:
-            term = run_term_to_normal(term, session)
-            print(print_core(term) if isinstance(term, Lam) else render_value(term))
-        return EXIT_OK
-    invoke_args = _parse_invoke_args(args.input_text)
-    outs = []
-    for term in result:
-        outs.extend(apply_value(term, invoke_args, session))
-    for line in session.out:
-        print(line)
-    _emit_outputs(outs, "value", session)
-    return EXIT_OK
+        return _finish((run_term_to_normal(term, session) for term in result), emit, session)
+    return _finish(result, emit, session, _parse_invoke_args(args.input_text))
 
 
 def cmd_run(args):
@@ -205,28 +205,11 @@ def cmd_run(args):
             for line in parser.trace:
                 print(line, file=sys.stderr)
 
-    for line in session.out:
-        print(line)
     if emit == "trace":
-        for line in parser.trace:
+        for line in session.out + parser.trace:
             print(line)
         return EXIT_OK
-    if emit == "value":
-        # a pack whose parse yields a generated function: invoke it to get
-        # the value(s) the input denotes
-        final = []
-        for term in outs:
-            if isinstance(term, Lam):
-                final.extend(apply_value(term, (), session))
-            elif isinstance(term, FragVal):
-                residual = finalize(term.fragment, session)
-                final.extend(apply_value(residual, (), session))
-            else:
-                final.append(term)
-        _emit_outputs(final, "value", session)
-    else:
-        _emit_outputs(outs, emit, session)
-    return EXIT_OK
+    return _finish(outs, emit, session)
 
 
 @functools.cache

@@ -159,14 +159,13 @@ class GrammarDef:
     def entry_rules(self):
         return [r.name for r in self.rules.values() if r.is_entry]
 
+    def uses(self):
+        """Every term use of every production."""
+        return (use for rule in self.rules.values() for prod in rule.productions
+                for use in prod.body)
+
     def used_foreign(self):
-        refs = set()
-        for rule in self.rules.values():
-            for prod in rule.productions:
-                for use in prod.body:
-                    if isinstance(use, ForeignUse):
-                        refs.add((use.lang, use.entry))
-        return refs
+        return {(use.lang, use.entry) for use in self.uses() if isinstance(use, ForeignUse)}
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +366,11 @@ def complete_default_args(g):
         rules[rule.name] = Rule(rule.name, tuple(rule.ins or ()),
                                 list(rule.productions), rule.is_entry)
 
+    # Each round that changes something adds to some head a name drawn from
+    # the grammar's finite set of names, so the loop ends without a cap.
     changed = True
-    iterations = 0
     while changed:
         changed = False
-        iterations += 1
-        if iterations > 100:
-            raise GrammarError("default-argument completion did not converge")
         for rule in rules.values():
             for prod in rule.productions:
                 defined = list(rule.ins)
@@ -409,12 +406,17 @@ def complete_default_args(g):
 # validation
 
 
-def check_signatures(g):
-    """Diagnostics, empty iff all productions of each rule agree on input
-    names and output count and term uses are well-formed."""
-    diagnostics = []
+def check_signatures(written, g):
+    """Diagnostics of an expanded grammar `written` and its completion `g`,
+    empty iff the input annotations written on the productions of each rule
+    agree, its productions agree on output count, the annotations written on
+    a use of an action or a rule match its counts (a rule's inputs as
+    written, else as completed), term uses are well-formed, and every
+    production output is bound."""
+    diagnostics, unbound = [], []
     for rule in g.rules.values():
-        sigs = {tuple(p.ins or ()) for p in rule.productions}
+        as_written = written.rules[rule.name].productions
+        sigs = {p.ins for p in as_written if p.ins is not None}
         if len(sigs) > 1:
             diagnostics.append(
                 f"rule {rule.name!r}: productions disagree on input parameters: "
@@ -425,60 +427,41 @@ def check_signatures(g):
                 f"rule {rule.name!r}: productions disagree on output count: "
                 + "/".join(str(n) for n in sorted(outs)))
         for idx, prod in enumerate(rule.productions):
-            for use in prod.body:
+            where, bound = f"rule {rule.name!r} production {idx}", set(prod.ins)
+            for use, written_use in zip(prod.body, as_written[idx].body):
+                declared = None
                 if isinstance(use, ActionUse):
-                    if use.ins is not None and len(use.ins) != len(use.action.ins):
-                        diagnostics.append(
-                            f"rule {rule.name!r} production {idx}: action expects "
-                            f"{len(use.action.ins)} input(s), given {len(use.ins)}")
-                    if use.outs is not None and len(use.outs) != len(use.action.outs):
-                        diagnostics.append(
-                            f"rule {rule.name!r} production {idx}: action produces "
-                            f"{len(use.action.outs)} output(s), bound to {len(use.outs)}")
-                outs_list = getattr(use, "outs", None) or ()
+                    declared = "action", use.action.ins, use.action.outs
+                elif isinstance(use, NtUse):
+                    called = g.rules[use.name]
+                    declared = (f"rule {use.name!r}", written.rules[use.name].ins or called.ins,
+                                called.productions[0].outs)
+                if declared:
+                    what, want_ins, want_outs = declared
+                    given_ins, given_outs = written_use.ins, written_use.outs
+                    if given_ins is not None and len(given_ins) != len(want_ins):
+                        diagnostics.append(f"{where}: {what} expects {len(want_ins)} "
+                                           f"input(s), given {len(given_ins)}")
+                    if given_outs is not None and len(given_outs) != len(want_outs):
+                        diagnostics.append(f"{where}: {what} produces {len(want_outs)} "
+                                           f"output(s), bound to {len(given_outs)}")
+                outs_list = getattr(use, "outs", ())
                 if len(set(outs_list)) != len(outs_list):
-                    diagnostics.append(
-                        f"rule {rule.name!r} production {idx}: duplicate output names")
-                if isinstance(use, EpsilonUse) and use.outs:
-                    if len(use.ins or ()) < len(use.outs):
-                        diagnostics.append(
-                            f"rule {rule.name!r} production {idx}: pass-through epsilon "
-                            "needs at least as many inputs as outputs")
-    return diagnostics
-
-
-def check_l_attributed(g):
-    """Every argument name must be defined earlier on the left-to-right
-    path; every production output must be bound by its end."""
-    diagnostics = []
-    for rule in g.rules.values():
-        for idx, prod in enumerate(rule.productions):
-            defined = set(prod.ins or ())
-            for use in prod.body:
-                for name in getattr(use, "ins", None) or ():
-                    if name not in defined:
-                        diagnostics.append(
-                            f"rule {rule.name!r} production {idx}: argument {name!r} "
-                            "is not defined to its left")
-                defined.update(getattr(use, "outs", None) or ())
-            for name in prod.outs:
-                if name not in defined:
-                    diagnostics.append(
-                        f"rule {rule.name!r} production {idx}: output {name!r} "
-                        "is never bound")
-    return diagnostics
-
-
-def validate(g):
-    return check_signatures(g) + check_l_attributed(g)
+                    diagnostics.append(f"{where}: duplicate output names")
+                if isinstance(use, EpsilonUse) and len(use.ins) < len(use.outs):
+                    diagnostics.append(f"{where}: pass-through epsilon "
+                                       "needs at least as many inputs as outputs")
+                bound.update(outs_list)
+            unbound.extend(f"{where}: output {name!r} is never bound"
+                           for name in prod.outs if name not in bound)
+    return diagnostics + unbound
 
 
 def prepare(g):
-    """Full pipeline: expand templates, complete defaults, validate."""
+    """Full pipeline: expand templates, complete defaults, check."""
     expanded = expand_templates(g)
     completed = complete_default_args(expanded)
-    diagnostics = validate(completed)
-    return completed, diagnostics
+    return completed, check_signatures(expanded, completed)
 
 
 # ---------------------------------------------------------------------------

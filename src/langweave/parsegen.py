@@ -109,8 +109,8 @@ def analyze(g):
 @dataclass
 class ParseTable:
     analysis: Analysis
-    table: dict           # (rule, token-key) -> production index
-    single: set           # rules with exactly one production (no lookahead)
+    table: dict           # (rule, token-key) -> production index; a rule
+                          # with one production has no row (no lookahead)
 
 
 def validate_foreign_positions(g, analysis=None):
@@ -146,10 +146,8 @@ def build_table(g):
     a = analyze(g)
     conflicts = list(validate_foreign_positions(g, a))
     table = {}
-    single = set()
     for rule in g.rules.values():
         if len(rule.productions) == 1:
-            single.add(rule.name)
             continue
         for idx, prod in enumerate(rule.productions):
             first, nullable = a.seq_first(prod.body)
@@ -166,27 +164,15 @@ def build_table(g):
                     table[cell] = idx
     if conflicts:
         raise Ll1Conflict(conflicts)
-    return ParseTable(a, table, single)
+    return ParseTable(a, table)
 
 
 def literal_tokens(g):
-    lits = set()
-    for rule in g.rules.values():
-        for prod in rule.productions:
-            for use in prod.body:
-                if isinstance(use, Lit):
-                    lits.add(use.text)
-    return lits
+    return {use.text for use in g.uses() if isinstance(use, Lit)}
 
 
 def used_classes(g):
-    classes = set()
-    for rule in g.rules.values():
-        for prod in rule.productions:
-            for use in prod.body:
-                if isinstance(use, TokClass):
-                    classes.add(use.cls)
-    return classes
+    return {use.cls for use in g.uses() if isinstance(use, TokClass)}
 
 
 def format_analysis(g, a):
@@ -202,9 +188,8 @@ def format_analysis(g, a):
 
 def format_table(g, table):
     lines = []
-    for (rule, key), idx in sorted(table.table.items(),
-                                   key=lambda kv: (kv[0][0], kv[0][1])):
+    for (rule, key), idx in sorted(table.table.items()):
         lines.append(f"{rule} x {token_key_str(key)} -> production {idx}")
-    for name in sorted(table.single):
+    for name in sorted(n for n, rule in g.rules.items() if len(rule.productions) == 1):
         lines.append(f"{name} -> sole production")
     return "\n".join(lines)

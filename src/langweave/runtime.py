@@ -108,20 +108,20 @@ class CompiledRule:
     __slots__ = ("name", "arity", "pad", "single", "select")
 
     def __init__(self, name, arity):
-        self.name, self.arity = name, arity
+        self.name, self.arity, self.select = name, arity, {}
 
 
 def compile_rules(grammar, table):
     """Each rule of a prepared grammar by name, compiled, with its row of the
     LL(1) table pointing at the operations of the productions."""
     rules = {name: CompiledRule(name, len(rule.ins or ())) for name, rule in grammar.rules.items()}
-    for rule in grammar.rules.values():
-        crule = rules[rule.name]
-        compiled = [_compile(rule, idx, prod, rules) for idx, prod in enumerate(rule.productions)]
-        crule.pad = [None] * (max((size for _, size in compiled), default=0) - crule.arity)
-        crule.single = compiled[0][0] if len(compiled) == 1 else None
-        crule.select = {key: compiled[idx][0] for (name, key), idx in table.table.items()
-                        if name == rule.name}
+    compiled = {name: [_compile(rule, i, prod, rules) for i, prod in enumerate(rule.productions)]
+                for name, rule in grammar.rules.items()}
+    for name, crule in rules.items():
+        crule.pad = [None] * (max(size for _, size in compiled[name]) - crule.arity)
+        crule.single = compiled[name][0][0] if len(compiled[name]) == 1 else None
+    for (name, key), idx in table.table.items():
+        rules[name].select[key] = compiled[name][idx][0]
     return rules
 
 

@@ -18,6 +18,22 @@ GRAMMAR_PACKS = tuple(p for p in packs.pack_ids()
                       if packs.load_manifest(p)["kind"] == "grammar")
 GRAMMAR_FILES = tuple(sorted(FIXTURES.glob("*.lw"))) + (
     Path(__file__).parent.parent / "perfbench" / "grammars" / "stream.lw",)
+CLI_FIXTURES = FIXTURES / "cli"
+# Faults of grammars that end a command with exit 1 and this one line on stderr.
+GRAMMAR_FAULTS = [
+    (("run", "--grammar", f"x={CLI_FIXTURES / 'one_integer.lw'}", "x", "4 5"),
+     "error: trailing input Integer at 1:3 in language 'x'"),
+    (("run", "--grammar", f"self={CLI_FIXTURES / 'one_integer.lw'}",
+      "--grammar", f"x={CLI_FIXTURES / 'calls_own_inner.lw'}", "x", "4"),
+     "error: 'x' references unknown rule self.Inner"),
+    (("run", "--grammar", f"self={CLI_FIXTURES / 'calls_own_inner.lw'}", "self", "4"),
+     "error: self.Inner is not an entry rule; only the language programming interface "
+     "may be called"),
+    (("check", "--grammar", f"x={CLI_FIXTURES / 'unknown_rule.lw'}"),
+     "error: unknown rule 'Missing'"),
+    (("run", "--grammar", f"x={CLI_FIXTURES / 'inputs_disagree.lw'}", "x", "4 b"),
+     "conflict: rule 'R': productions disagree on input parameters: ['x'] vs ['y']"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +222,7 @@ def test_missing_grammar_file_exit_66(capsys):
     (("run", "signum_builder", "abc", "--emit", "value"), EXIT_USAGE),
     # '²' passes str.isdigit() but int() rejects it
     (("run", "minusdiv_immediate", "1-²"), EXIT_PARSE),
+    *[(argv, EXIT_PARSE) for argv, _ in GRAMMAR_FAULTS],
 ])
 def test_bad_input_is_one_error_line_not_a_traceback(capsys, tmp_path, argv, expected):
     latin1 = tmp_path / "latin1.txt"
@@ -219,6 +236,42 @@ def test_bad_input_is_one_error_line_not_a_traceback(capsys, tmp_path, argv, exp
     assert code == expected
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", GRAMMAR_FAULTS,
+                         ids=["trailing_input", "link_unknown_rule", "link_not_entry",
+                              "unknown_rule_in_use", "inputs_disagree"])
+def test_grammar_faults_name_the_fault(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (EXIT_PARSE, "", message + "\n")
+
+
+@pytest.mark.parametrize("fixture, diagnostic", [
+    ("inputs_disagree", "rule 'R': productions disagree on input parameters: ['x'] vs ['y']"),
+    ("too_many_inputs", "rule 'Top' production 0: rule 'R' expects 1 input(s), given 2"),
+    ("too_many_outputs", "rule 'Top' production 0: rule 'R' produces 1 output(s), bound to 2"),
+], ids=["inputs_disagree", "too_many_inputs", "too_many_outputs"])
+def test_check_counts_written_annotations(capsys, fixture, diagnostic):
+    """Each of these grammars fails at the first parse if it is run."""
+    code, out, err = run_cli(capsys, "check", "--grammar", f"x={CLI_FIXTURES / fixture}.lw")
+    assert (code, out, err) == (EXIT_PARSE, f"== language x\ndiagnostic: {diagnostic}\n", "")
+
+
+def test_completion_has_no_round_limit(capsys, tmp_path):
+    """Completion moves `z` up this chain one rule per round: 110 rounds."""
+    chain = tmp_path / "chain.lw"
+    chain.write_text("grammar chain {\n  entry Top|->(v)| ::= Integer|->(z)| R1;\n"
+                     + "".join(f"  R{i}|->(v)| ::= R{i + 1};\n" for i in range(1, 110))
+                     + "  R110|->(v)| ::= |(z)->(v)| { return z };\n}\n")
+    assert run_cli(capsys, "run", "--grammar", f"x={chain}", "x", "7") == (EXIT_OK, "7\n", "")
+
+
+@pytest.mark.parametrize("fixture, code, out", [
+    ("late_print", EXIT_OK, "7\n5\n"),
+    ("late_exit", 4, "7\n"),
+])
+def test_output_printed_while_a_result_is_invoked_comes_first(capsys, fixture, code, out):
+    argv = ("run", "--grammar", f"x={CLI_FIXTURES / fixture}.lw", "x", "7")
+    assert run_cli(capsys, *argv) == (code, out, "")
 
 
 def test_usage_errors(capsys):

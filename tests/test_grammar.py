@@ -10,7 +10,7 @@ from langweave.grammar import (ActionUse, EpsilonUse, Lit, NtUse, Production,
                                TokClass, add_production, check_signatures,
                                complete_default_args, expand_templates,
                                grammar_equal, new_grammar, prepare,
-                               print_grammar, validate)
+                               print_grammar)
 from langweave.grammar_reader import read_grammar
 from langweave.reader import read_core
 from langweave.grammar import ActionDef
@@ -182,14 +182,14 @@ def test_signature_mismatch_diagnostics():
     g = new_grammar("sig")
     add_production(g, "A", ("F",), ("v",), (TokClass("Integer", ("v",)),))
     add_production(g, "A", ("G",), ("v",), (TokClass("Integer", ("v",)),))
-    diags = check_signatures(g)
+    diags = prepare(g)[1]
     assert any("disagree on input parameters" in d for d in diags)
 
     g2 = new_grammar("sig2")
     add_production(g2, "A", (), ("v",), (TokClass("Integer", ("v",)),))
     add_production(g2, "A", (), ("v", "w"),
                    (TokClass("Integer", ("v",)), TokClass("Integer", ("w",))))
-    diags2 = check_signatures(g2)
+    diags2 = prepare(g2)[1]
     assert any("output count" in d for d in diags2)
 
 

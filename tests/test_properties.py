@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from langweave import packs
 from langweave.cli import main
-from langweave.errors import EXIT_ACTION, EXIT_BUDGET, EXIT_OK, EXIT_PARSE
+from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK, EXIT_PARSE,
+                              EXIT_USAGE)
 from langweave.evaluator import Session, apply_value, render_value
 from langweave.prims import parse_prim, prim_subst
 from langweave.printer import print_core
@@ -69,6 +72,65 @@ def test_any_input_ends_in_a_documented_exit_code(pack, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["run", pack, f"--expr={text}"])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_ACTION, EXIT_BUDGET)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PACK_DIR = Path(packs.__file__).parent
+# Grammars to mutate: (file, the languages it switches into, entry, inputs).
+_GRAMMARS = [(PACK_DIR / pack / "grammar.lw", (), manifest["entry"],
+              [sample["input"] for sample in manifest["samples"]])
+             for pack in packs.pack_ids()
+             for manifest in [packs.load_manifest(pack)] if manifest["kind"] == "grammar"] + [
+    (FIXTURES / "assoc.lw", (), "Left", ["7-2-1"]),
+    (FIXTURES / "stack_lassoc.lw", (), "Top", ["8/2"]),
+    (FIXTURES / "lang_calc.lw", (), "Sum", ["1 :: 2"]),
+    (FIXTURES / "lang_outer.lw", (("calc", FIXTURES / "lang_calc.lw"),), "Prog", ["a << 1 :: 2"]),
+    (Path(__file__).parent.parent / "perfbench" / "grammars" / "stream.lw",
+     (("minusdiv_immediate", PACK_DIR / "minusdiv_immediate" / "grammar.lw"),), "Prog",
+     ["a << 12-7/3; b << 4;"]),
+]
+# the name list of an annotation: |(names)->|, |->(names)| or |(names)->(names)|
+_ANNOTATION = re.compile(r"(?<=\|\()[^()]*(?=\)->)|(?<=->\()[^()]*(?=\)\|)")
+
+
+@st.composite
+def _mutated(draw, text):
+    """`text` with one to three annotation names changed, added or dropped."""
+    pool = sorted(set(re.findall(r"\w+", " ".join(_ANNOTATION.findall(text))))) + ["q"]
+    for _ in range(draw(st.integers(1, 3))):
+        spans = list(_ANNOTATION.finditer(text))
+        span = draw(st.sampled_from(spans))
+        names = [n.strip() for n in span[0].split(",") if n.strip()]
+        at = draw(st.integers(0, len(names)))
+        edit = draw(st.sampled_from(["change", "add", "drop"]))
+        if edit == "add" or not names:
+            names.insert(at, draw(st.sampled_from(pool)))
+        elif edit == "change":
+            names[min(at, len(names) - 1)] = draw(st.sampled_from(pool))
+        else:
+            del names[min(at, len(names) - 1)]
+        text = text[:span.start()] + ", ".join(names) + text[span.end():]
+    return text
+
+
+@pytest.mark.parametrize("path, partners, entry, inputs", _GRAMMARS,
+                         ids=[path.stem if path.parent.parent == PACK_DIR else path.name
+                              for path, *_ in _GRAMMARS])
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_any_mutated_grammar_ends_in_a_documented_exit_code(tmp_path_factory, path, partners,
+                                                           entry, inputs, data):
+    """No change to a grammar's annotations makes `check` or `run` fail
+    inside langweave (70) or raise."""
+    mutated = tmp_path_factory.mktemp("mutated") / "grammar.lw"
+    mutated.write_text(data.draw(_mutated(path.read_text())))
+    specs = [arg for name, other in partners for arg in ("--grammar", f"{name}={other}")]
+    specs += ["--grammar", f"x={mutated}"]
+    text = data.draw(st.sampled_from(inputs))
+    documented = (EXIT_OK, EXIT_PARSE, EXIT_ACTION, EXIT_BUDGET, EXIT_USAGE, EXIT_NOINPUT)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["check", *specs]) in documented
+        assert main(["run", *specs, "x", "--entry", entry, f"--expr={text}"]) in documented
 
 
 # Core terms for the print/read round trip.  Binder and variable names avoid
