@@ -21,7 +21,7 @@ from .errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
                      EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE, ActionError,
                      EvalError, EvalExit, LangError, Ll1Conflict,
                      StepBudgetExceeded)
-from .evaluator import Session, apply_value, run_term_to_normal
+from .evaluator import Session, apply_value
 from .fragments import finalize
 from .grammar import prepare, print_grammar
 from .grammar_reader import read_grammar
@@ -80,28 +80,23 @@ def _registry(loaded):
     return reg
 
 
-def _finish(results, emit, session, invoke_args=()):
-    """Print the program's output, then its results as `emit` asks: as
-    code (a fragment finalized first) or as values, a generated function
-    invoked on `invoke_args` first.  Output printed while the results are
-    finished comes before them, also when the program exits."""
+def _finish(results, emit, session, invoke_args):
+    """The lines `emit` asks for: the trace so far, with nothing finished,
+    or the results as code (a fragment finalized first) or as values (a
+    generated function invoked on `invoke_args` first)."""
+    if emit == "trace":
+        return session.trace
     shown = []
-    try:
-        for term in results:
-            if isinstance(term, FragVal):
-                term = finalize(term.fragment, session)
-            if emit == "residual":
-                shown.append(print_core(term) if isinstance(term, Lam) else render_value(term))
-            elif isinstance(term, Lam):
-                shown.extend(map(render_value, apply_value(term, invoke_args, session)))
-            else:
-                shown.append(render_value(term))
-    finally:
-        for line in session.out:
-            print(line)
-    for line in shown:
-        print(line)
-    return EXIT_OK
+    for term in results:
+        if isinstance(term, FragVal):
+            term = finalize(term.fragment, session)
+        if emit == "residual":
+            shown.append(print_core(term) if isinstance(term, Lam) else render_value(term))
+        elif isinstance(term, Lam):
+            shown.extend(map(render_value, apply_value(term, invoke_args, session)))
+        else:
+            shown.append(render_value(term))
+    return shown
 
 
 def _parse_invoke_args(expr):
@@ -152,64 +147,49 @@ def cmd_expand(args):
     return EXIT_OK
 
 
-def _run_script_pack(manifest, args, session):
-    creator = read_core(packs.pack_source(manifest), session.names)
-    result = apply_value(creator, [], session)
-    emit = args.emit or manifest.get("default_emit", "value")
-    if emit == "residual":
-        return _finish((run_term_to_normal(term, session) for term in result), emit, session)
-    return _finish(result, emit, session, _parse_invoke_args(args.input_text))
-
-
 def cmd_run(args):
+    """Load every grammar, apply a script pack's creator or parse the input,
+    then print the output and trace (also on exit or failure) and `emit`."""
     session = Session(seed=args.seed, budget=args.steps)
     lang = args.lang or args.positional_lang
     if not lang:
         raise _Usage("run needs a language (--lang or positional)")
 
     specs = args.grammar or []
-    manifest = {}
-    loaded_names = [s.split("=", 1)[0] for s in specs if "=" in s]
-    if lang in packs.pack_ids() and lang not in loaded_names:
-        manifest = packs.load_manifest(lang)
-        if manifest["kind"] == "script":
-            return _run_script_pack(manifest, args, session)
-    reg = _registry(_load(session, specs, [lang] if manifest else []))
-    if lang not in reg.languages:
-        raise _Usage(f"language {lang!r} is neither a loaded grammar nor a pack")
-
-    entry = args.entry
-    if entry is None:
-        entry = manifest.get("entry")
-    if entry is None:
-        entries = reg.languages[lang].grammar.entry_rules
-        if len(entries) == 1:
-            entry = entries[0]
-        else:
-            raise _Usage("run needs --entry (language has several entry rules)")
-
-    if args.input_text is None:
-        raise _Usage("run needs input (positional, --expr, or --input)")
-
+    named = lang in packs.pack_ids() and lang not in [s.split("=", 1)[0] for s in specs]
+    manifest = packs.load_manifest(lang) if named else {}
+    script = manifest.get("kind") == "script"
+    reg = _registry(_load(session, specs, [lang] if manifest and not script else []))
     emit = args.emit or manifest.get("default_emit", "value")
+    invoke_args = _parse_invoke_args(args.input_text) if script and emit == "value" else ()
+    if not script:
+        if lang not in reg.languages:
+            raise _Usage(f"language {lang!r} is neither a loaded grammar nor a pack")
+        entry = args.entry if args.entry is not None else manifest.get("entry")
+        if entry is None:
+            entries = reg.languages[lang].grammar.entry_rules
+            if len(entries) != 1:
+                raise _Usage("run needs --entry (language has several entry rules)")
+            entry = entries[0]
+        if args.input_text is None:
+            raise _Usage("run needs input (positional, --expr, or --input)")
 
-    parser = Parser(reg, args.input_text, session)
     try:
-        outs = parser.parse(lang, entry, ())
-    except EvalExit as halt:
+        if script:
+            results = apply_value(read_core(packs.pack_source(manifest), session.names),
+                                  [], session)
+        else:
+            results = Parser(reg, args.input_text, session).parse(lang, entry, ())
+        shown = _finish(results, emit, session, invoke_args)
+    finally:
         for line in session.out:
             print(line)
-        return halt.code
-    finally:
         if args.trace:
-            for line in parser.trace:
+            for line in session.trace:
                 print(line, file=sys.stderr)
-
-    if emit == "trace":
-        for line in session.out + parser.trace:
-            print(line)
-        return EXIT_OK
-    return _finish(outs, emit, session)
+    for line in shown:
+        print(line)
+    return EXIT_OK
 
 
 @functools.cache
@@ -251,7 +231,7 @@ def _build_argparser():
     run.add_argument("--steps", type=int, default=1_000_000,
                      help="evaluation step budget")
     run.add_argument("--trace", action="store_true",
-                     help="print the parse trace to stderr")
+                     help="print the run's trace to stderr")
     run.set_defaults(func=cmd_run)
     return top
 

@@ -118,9 +118,15 @@ class RuntimeFailure(LangError):
 
 
 class LexFailure(RuntimeFailure):
+    """No token matches at `offset`; `msg` is the message or makes it."""
+
     def __init__(self, msg, offset):
         self.offset = offset
         super().__init__(msg)
+
+    def __str__(self):
+        msg = self.args[0]
+        return msg if isinstance(msg, str) else msg()
 
 
 class UnexpectedToken(RuntimeFailure):

@@ -165,7 +165,9 @@ class GrammarDef:
                 for use in prod.body)
 
     def used_foreign(self):
-        return {(use.lang, use.entry) for use in self.uses() if isinstance(use, ForeignUse)}
+        """The (language, entry) pairs of the foreign uses, in order of first use."""
+        return dict.fromkeys((use.lang, use.entry) for use in self.uses()
+                             if isinstance(use, ForeignUse)).keys()
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +338,19 @@ def expand_templates(g):
 # default arguments
 
 
-def _signature(use, rules):
+def _signature(use, rules, written_ins):
     """The use's (ins, outs), a missing list filled from its target: a
     rule's parameter names and first production's outputs, or an action's
-    declared lists."""
+    declared lists.  Explicit inputs of a rule in `written_ins` (name ->
+    number of inputs written on its head) gain the names completion added."""
     ins, outs = getattr(use, "ins", ()), getattr(use, "outs", ())
     if isinstance(use, NtUse):
         if use.name not in rules:
             raise GrammarError(f"unknown rule {use.name!r}")
         rule = rules[use.name]
         target = rule.ins, rule.productions[0].outs
+        if ins is not None and use.name in written_ins:
+            ins = ins + rule.ins[written_ins[use.name]:]
     elif isinstance(use, ActionUse):
         target = tuple(use.action.ins), tuple(use.action.outs)
     elif isinstance(use, ForeignUse) and ins is None:
@@ -361,10 +366,13 @@ def _signature(use, rules):
 def complete_default_args(g):
     """Fill missing use arguments with the target's parameter names and grow
     non-entry rule heads so every argument resolves; idempotent."""
-    rules = {}
+    rules, written_ins = {}, {}
     for rule in g.rules.values():
         rules[rule.name] = Rule(rule.name, tuple(rule.ins or ()),
                                 list(rule.productions), rule.is_entry)
+        # a rule whose written input annotations disagree is reported instead
+        if {p.ins for p in rule.productions if p.ins is not None} == {rule.ins}:
+            written_ins[rule.name] = len(rule.ins)
 
     # Each round that changes something adds to some head a name drawn from
     # the grammar's finite set of names, so the loop ends without a cap.
@@ -375,7 +383,7 @@ def complete_default_args(g):
             for prod in rule.productions:
                 defined = list(rule.ins)
                 for use in prod.body:
-                    ins, outs = _signature(use, rules)
+                    ins, outs = _signature(use, rules, written_ins)
                     for name in ins:
                         if name not in defined:
                             if rule.is_entry:
@@ -393,7 +401,7 @@ def complete_default_args(g):
             body = []
             for use in prod.body:
                 if isinstance(use, (NtUse, ActionUse, EpsilonUse, ForeignUse)):
-                    ins, outs = _signature(use, rules)
+                    ins, outs = _signature(use, rules, written_ins)
                     if (ins, outs) != (use.ins, use.outs):
                         use = replace(use, ins=ins, outs=outs)
                 body.append(use)

@@ -88,10 +88,12 @@ def lex_next(text, pos, lexdef, language=None):
         return Token(("class", cls), lexeme, value, (pos, pos + len(lexeme)))
     if lit:
         return Token(("lit", lit), lit, None, (pos, pos + len(lit)))
-    line, col = line_col(text, pos)
-    which = "the current language" if language is None else f"language {language!r}"
-    raise LexFailure(f"no token of {which} matches {text[pos:pos+10]!r} "
-                     f"at {line}:{col}", pos)
+
+    def message():  # made only where the failure is reported
+        line, col = line_col(text, pos)
+        which = "the current language" if language is None else f"language {language!r}"
+        return f"no token of {which} matches {text[pos:pos+10]!r} at {line}:{col}"
+    raise LexFailure(message, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +239,20 @@ class Parser:
         self.pos = 0
         self.trace = self.session.trace
         self.consumed_spans = []
-        self._la = {}  # (language, pos) -> Token, or (message, offset) of a LexFailure
+        self._la = (None, -1, None)  # the last look-ahead: language, position, token
         self._frames = []  # suspended frames of the running parse, outermost first
 
     # -- lexing
 
     def peek(self, lang):
-        key = (lang.name, self.pos)
-        tok = self._la.get(key)
-        if tok is None:
+        """The token of `lang` at the cursor; the last one is kept, a failure too."""
+        la_lang, la_pos, tok = self._la
+        if la_lang is not lang or la_pos != self.pos:
             try:
                 tok = lex_next(self.text, self.pos, lang.lexer, lang.name)
             except LexFailure as exc:
-                tok = (str(exc), exc.offset)
-            self._la[key] = tok
+                tok = (exc.args[0], exc.offset)
+            self._la = (lang, self.pos, tok)
         if type(tok) is tuple:  # a new exception each time, so no traceback grows
             raise LexFailure(*tok)
         return tok

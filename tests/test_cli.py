@@ -1,5 +1,7 @@
 """Command-line driver: exit codes, determinism, golden behavior."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -223,6 +225,7 @@ def test_missing_grammar_file_exit_66(capsys):
     # '²' passes str.isdigit() but int() rejects it
     (("run", "minusdiv_immediate", "1-²"), EXIT_PARSE),
     *[(argv, EXIT_PARSE) for argv, _ in GRAMMAR_FAULTS],
+    (("run", "signum_builder", "5", "--grammar", "x=/does/not/exist.lw"), EXIT_NOINPUT),
 ])
 def test_bad_input_is_one_error_line_not_a_traceback(capsys, tmp_path, argv, expected):
     latin1 = tmp_path / "latin1.txt"
@@ -340,6 +343,39 @@ def test_trace_flag_goes_to_stderr(capsys):
     assert code == EXIT_OK
     assert out == "5\n"
     assert "token Integer 8" in err
+
+
+def test_emit_trace_of_a_script_pack_invokes_nothing(capsys):
+    code, out, _ = run_cli(capsys, "run", "signum_builder", "5", "--emit", "trace")
+    assert code == EXIT_OK
+    assert "1" not in out.splitlines()
+    assert run_cli(capsys, "run", "signum_builder", "--emit", "trace")[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("argv, out, fired", [
+    (("signum_builder", "5"), "1\n", "prim 5>0"),
+    (("minusdiv_codegen", "1-2"), "-1\n", "prim 1-2"),
+], ids=["script_pack", "grammar_pack"])
+def test_trace_flag_covers_invoking_the_results(capsys, argv, out, fired):
+    code, stdout, err = run_cli(capsys, "run", *argv, "--emit", "value", "--trace")
+    assert (code, stdout) == (EXIT_OK, out)
+    assert fired in err.splitlines()
+
+
+def test_link_problems_keep_the_order_of_use():
+    """The problems of one grammar do not depend on string hashing."""
+    argv = [sys.executable, "-m", "langweave.cli", "run", "--grammar",
+            f"x={CLI_FIXTURES / 'two_unknown_languages.lw'}", "x", ""]
+    src = str(Path(__file__).parent.parent / "src")
+    errs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert done.returncode == EXIT_PARSE
+        errs.add(done.stderr)
+    assert errs == {"error: 'x' references unknown language 'p'; "
+                    "'x' references unknown language 'q'\n"}
 
 
 def test_run_with_explicit_grammar_files(capsys):

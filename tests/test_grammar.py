@@ -13,6 +13,8 @@ from langweave.grammar import (ActionUse, EpsilonUse, Lit, NtUse, Production,
                                print_grammar)
 from langweave.grammar_reader import read_grammar
 from langweave.reader import read_core
+from langweave.runtime import LanguageRegistry, parse
+from langweave.terms import EnvVal, Int
 from langweave.grammar import ActionDef
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -135,6 +137,31 @@ def test_default_args_env_threading_variant():
                     and u.name == "Value")
     assert elem_use.ins == ("env",)
     assert elem_use.outs == ("r_v",)
+
+
+def test_completion_grows_the_explicit_inputs_of_a_grown_rule():
+    """`R_2` grows to `(v, env)`; the uses written `|(v)->|R|` grow with it."""
+    src = """
+    grammar envdemo {
+      function lassoc<elem, op, action> {
+        alias |v| = |elem:out|;
+        N|->(v)| ::= elem|->(v)| |(v)->|R|->(v)|;
+        |(v)->|R|->(v)| ::= epsilon;
+        |(v)->|R|->(v)| ::= op elem|->(r.v)| |(v,r.v)->|action|->(v)| |(v)->|R|->(v)|;
+        return N;
+      }
+      entry |(env)->|Top|->(v)| ::= |(env)->|L|->(v)|;
+      |(env)->|L|->(v)| ::= lassoc< Value, "-", |(a, b)->(o)| { "a-b" (d) return d } >;
+      |(env)->|Value|->(v)| ::= Identifier|->(id)|
+          |(env, id)->(v)| { "env.lookup(id)" (v2) return v2 };
+    }
+    """
+    prepared, diags = prepare(read_grammar(src))
+    assert not diags
+    reg = LanguageRegistry()
+    reg.register("envdemo", prepared)
+    env = EnvVal((("a", Int(10)), ("b", Int(3))))
+    assert parse(reg, "envdemo", "Top", "a-b", (env,), Session()) == [Int(7)]
 
 
 def test_mark_entry_unknown_rule_errors():

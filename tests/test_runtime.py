@@ -276,6 +276,16 @@ def test_a_failing_look_ahead_is_lexed_once(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
+def test_a_stream_that_parses_computes_no_line_and_column(monkeypatch):
+    """The inner language fails to lex each `;`; no message is made for it."""
+    reg = _stream_registry(FreshNames())
+    calls = []
+    monkeypatch.setattr(runtime, "line_col", lambda *a: calls.append(a) or (0, 0))
+    assert parse(reg, "stream", "Prog", "a << 7-4/2;\nb << 1;\nc << 2;",
+                 session=Session()) == [Int(8)]
+    assert calls == []
+
+
 def test_fragment_through_lpi_merges_into_one_residual():
     sess = Session(seed=0)
     reg = _two_language_registry(sess)
