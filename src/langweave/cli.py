@@ -47,9 +47,16 @@ def _read_file(path):
     raise SystemExit(EXIT_NOINPUT)
 
 
-def _load(session, specs, pack_ids):
+def _manifest(pack_id):
+    try:
+        return packs.load_manifest(pack_id)
+    except KeyError:
+        raise _Usage(f"no bundled pack named {pack_id!r}") from None
+
+
+def _load(session, specs, manifests):
     """Read and prepare every ``--grammar`` spec in argv order, then every
-    named grammar pack (script packs are skipped), yielding
+    grammar pack of `manifests` (script packs are skipped), yielding
     ``(name, grammar, diagnostics)``.  The order fixes fresh-name numbering;
     yielding lazily lets a registering caller fail on an earlier grammar
     before a later file is read."""
@@ -59,13 +66,9 @@ def _load(session, specs, pack_ids):
                 raise _Usage(f"--grammar expects name=path, got {spec_item!r}")
             name, path = spec_item.split("=", 1)
             yield name, _read_file(path)
-        for pack_id in pack_ids:
-            try:
-                manifest = packs.load_manifest(pack_id)
-            except KeyError:
-                raise _Usage(f"no bundled pack named {pack_id!r}") from None
+        for manifest in manifests:
             if manifest["kind"] == "grammar":
-                yield pack_id, packs.pack_source(manifest)
+                yield manifest["id"], packs.pack_source(manifest)
 
     for name, text in sources():
         yield (name, *prepare(read_grammar(text, session.names)))
@@ -112,7 +115,7 @@ def _parse_invoke_args(expr):
 def cmd_check(args):
     session = Session(seed=args.seed)
     clean = True
-    loaded = list(_load(session, args.grammar or [], args.packs or []))
+    loaded = list(_load(session, args.grammar or [], map(_manifest, args.packs or [])))
     if not loaded:
         raise _Usage("check needs at least one grammar (--grammar name=path or a pack id)")
     for name, grammar, diagnostics in loaded:
@@ -140,7 +143,7 @@ def cmd_expand(args):
     name = args.lang or (args.packs[0] if args.packs else None)
     if not name:
         raise _Usage("expand needs --grammar/--lang or a pack id")
-    reg = _registry(_load(session, specs, [] if args.lang and specs else [name]))
+    reg = _registry(_load(session, specs, map(_manifest, [] if args.lang and specs else [name])))
     if name not in reg.languages:
         raise _Usage(f"{name!r} names neither a loaded grammar nor a grammar pack")
     print(print_grammar(reg.languages[name].grammar), end="")
@@ -156,15 +159,12 @@ def cmd_run(args):
         raise _Usage("run needs a language (--lang or positional)")
 
     specs = args.grammar or []
-    named = lang in packs.pack_ids() and lang not in [s.split("=", 1)[0] for s in specs]
-    manifest = packs.load_manifest(lang) if named else {}
+    manifest = {} if lang in [s.split("=", 1)[0] for s in specs] else _manifest(lang)
     script = manifest.get("kind") == "script"
-    reg = _registry(_load(session, specs, [lang] if manifest and not script else []))
+    reg = _registry(_load(session, specs, [manifest] if manifest and not script else []))
     emit = args.emit or manifest.get("default_emit", "value")
     invoke_args = _parse_invoke_args(args.input_text) if script and emit == "value" else ()
     if not script:
-        if lang not in reg.languages:
-            raise _Usage(f"language {lang!r} is neither a loaded grammar nor a pack")
         entry = args.entry if args.entry is not None else manifest.get("entry")
         if entry is None:
             entries = reg.languages[lang].grammar.entry_rules

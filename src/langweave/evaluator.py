@@ -18,13 +18,16 @@ and a stage reference to one is bottom.  That single rule
 is what makes build-time chains run inside not-yet-invoked lambdas while
 function-time chains stay residual.
 
-`run` drains the tree and skips every subtree whose cached pair (see
+`run` drains the tree on one explicit stack, holding the path from the
+root to the body it is at, and skips every subtree whose cached pair (see
 `terms.body_info`) says it holds no active body: nothing there can run.  A
 body that ends quiescent after running something drops its pair, so the
 next look recomputes it from its children's and the skip stays sharp as
-build-time chains finish.
-`step`, which walks the whole tree in post-order, is the reference the
-drain must agree with.
+build-time chains finish.  When a splice of a packed parameter must fill
+fixed parameters of a callee, the owning lambda is the nearest binder of
+the name on that path; it is narrowed in place, and the drain goes on at
+its body.  `step`, which walks the whole tree in post-order from the root,
+is the reference the drain must agree with.
 
 `apply_value` first tries an environment loop, in the manner of the CEK
 machine, which binds each name in one dict instead of copying the body.
@@ -59,7 +62,8 @@ from .errors import (ApplyNonClosure, ArityMismatch, EvalExit, NameNotFound,
                      PrimTypeError, ReturnCalledTwice, ReturnNeverCalled,
                      StepBudgetExceeded)
 
-# residual chains nest one level per step; recursion tracks tree depth
+# the drain keeps its own stack, but the cached pairs, substitution and
+# printing still recurse once per level of a term
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 from .fragments import build, finalize_wrapper, merge, subject_call_args
 from .names import FreshNames
@@ -69,7 +73,7 @@ from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
                     FragVal, Inert, Int, Lam, Param, PrimB, Rec, RetK, Splice,
                     SRef, StageConst, Str, TupleT, Var, _CLOSED, body_info,
                     child_bodies, lam_info, postorder, stage_names,
-                    stage_value, subst_body, subst_term, term_info)
+                    stage_value, subst_body, subst_term, term_info, walk)
 
 
 class Session:
@@ -91,7 +95,8 @@ class Session:
 
 
 class _Unready(Exception):
-    """A primitive operand is still symbolic; retry later."""
+    """Not ready yet: an operand is still symbolic, or arguments and
+    parameters line up only once a splice has a value; retry later."""
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +237,18 @@ def _flatten(args, items=None):
     return items
 
 
-class _Blocked(Exception):
-    pass
+class _NeedsRefine(_Unready):
+    """Not ready until the pack `name` is narrowed to `count` parameters."""
 
-
-class _NeedsRefine(Exception):
     def __init__(self, name, count):
         self.name = name
         self.count = count
 
 
-class _RestartWalk(Exception):
-    """A pack refinement rewrote an enclosing lambda, detaching the subtree
-    the walk was inside; re-enter from the root."""
-
-
 def _bind(lam, items):
-    """Map parameters to argument terms; raises _Blocked / _NeedsRefine /
-    ArityMismatch when the shape does not line up (yet)."""
+    """Map parameters to argument terms; raises _Unready (_NeedsRefine when
+    narrowing a pack would help) or ArityMismatch when the shape does not
+    line up (yet)."""
     params = lam.params
     packs = [i for i, p in enumerate(params) if p.packed]
     if not packs:
@@ -259,13 +258,13 @@ def _bind(lam, items):
             return {p.name: t for p, t in zip(params, items)}
         spliced = [t for t in items if isinstance(t, Splice)]
         if len(spliced) != 1:
-            raise _Blocked()
+            raise _Unready()
         needed = len(params) - (len(items) - 1)
         if needed < 0:
             raise ArityMismatch("more arguments than parameters around a pack splice")
         if isinstance(spliced[0].inner, Var):
             raise _NeedsRefine(spliced[0].inner.name, needed)
-        raise _Blocked()
+        raise _Unready()
 
     # callee has a pack: fixed parameters must be covered by plain values
     pre, pack, post = params[:packs[0]], params[packs[0]], params[packs[0] + 1:]
@@ -276,99 +275,57 @@ def _bind(lam, items):
                             else f"expected at least {fixed} argument(s), got {len(items)}")
     end = len(items) - len(post)
     if any(isinstance(t, Splice) for t in items[:len(pre)] + items[end:]):
-        raise _Blocked()
+        raise _Unready()
     mapping = dict(zip((p.name for p in pre), items))
     mapping.update(zip((p.name for p in post), items[end:]))
     mapping[pack.name] = TupleT(tuple(items[len(pre):end]))
     return mapping
 
 
-def _terms_of_form(form):
-    if isinstance(form, App):
-        return (form.callee,) + form.args
-    if isinstance(form, PrimB):
-        return tuple(form.expr.embedded_terms())
-    if isinstance(form, FixB):
-        return (form.value,)
-    if isinstance(form, Inert):
-        return form.args
-    return ()
-
-
-def _rests_of_form(form):
-    if isinstance(form, (PrimB, FixB)):
-        return (form.rest,)
-    return ()
-
-
-def _find_pack_lam(body, name, at_body):
-    """The lambda packing `name` whose body encloses `at_body` (the blocked
-    application): the reference is lexically bound, so the binder must be an
-    enclosing lambda, never a like-named one elsewhere in the tree, and
-    none when a nearer binder (a plain parameter, a primitive output, a
-    `fix` name or a stage parameter) shadows the name."""
-
-    def in_term(term, enclosing):
-        if isinstance(term, Lam):
-            bound = {p.name: p.packed for p in term.params}
-            bound[term.stage] = False
-            if name in bound:
-                enclosing = term if bound[name] else None
-            return in_body(term.body, enclosing)
-        if isinstance(term, TupleT):
-            for el in term.items:
-                found = in_term(el, enclosing)
-                if found is not None:
-                    return found
-            return None
-        if isinstance(term, Splice):
-            return in_term(term.inner, enclosing)
-        return None
-
-    def in_body(b, enclosing):
-        if b is at_body:
-            return enclosing
-        form = b.form
-        if isinstance(form, FixB) and form.name == name:
-            enclosing = None
-        for t in _terms_of_form(form):
-            found = in_term(t, enclosing)
-            if found is not None:
-                return found
-        if isinstance(form, PrimB) and name in (*form.outs, form.cont_stage) \
-                or isinstance(form, FixB) and form.stage_param == name:
-            enclosing = None
-        for r in _rests_of_form(form):
-            found = in_body(r, enclosing)
-            if found is not None:
-                return found
-        return None
-
-    return in_body(body, None)
-
-
-def _refine_pack(session, root, name, count, at_body):
-    """Narrow a packed parameter to `count` plain parameters.
+def _refine_pack(session, name, count, path):
+    """Narrow a packed parameter to `count` plain parameters; the body of
+    the lambda narrowed, or None when no lambda on `path` packs `name`.
 
     Happens when a symbolic splice of that pack must supply fixed parameters
     of a callee, which pins down exactly how many arguments the owning
     lambda will receive (the finalize shell discovering its argument list).
+    The splice sits in the last body of `path`, the bodies from the root
+    down to it, and its name is lexically bound: the owner is the nearest
+    binder of `name` going out along `path`, and there is none when that
+    binder is a plain parameter, a stage name, a primitive output or
+    `cont_stage`, or a `fix` name or stage parameter.
     """
-    lam = _find_pack_lam(root, name, at_body)
-    if lam is None:
-        return False
-    fresh = [session.names.fresh("arg") for _ in range(count)]
-    new_params = []
-    for p in lam.params:
-        if p.packed and p.name == name:
-            new_params.extend(Param(f) for f in fresh)
-        else:
-            new_params.append(p)
-    lam.params = tuple(new_params)
+    for depth in range(len(path) - 1, 0, -1):
+        cell, form = path[depth], path[depth - 1].form
+        if isinstance(form, (PrimB, FixB)) and cell is form.rest:
+            if name in ((*form.outs, form.cont_stage) if isinstance(form, PrimB)
+                        else (form.name, form.stage_param)):
+                return None
+            continue
+        if isinstance(form, FixB) and name == form.name:
+            return None
+        terms = ([form.callee, *form.args] if isinstance(form, App)
+                 else [*form.args] if isinstance(form, Inert)
+                 else [form.value] if isinstance(form, FixB)
+                 else [*form.expr.embedded_terms()])
+        lam = terms.pop()
+        while not (isinstance(lam, Lam) and lam.body is cell):
+            if isinstance(lam, (TupleT, Splice)):
+                terms.extend(lam.items if isinstance(lam, TupleT) else (lam.inner,))
+            lam = terms.pop()
+        if name == lam.stage or Param(name) in lam.params:
+            return None
+        if Param(name, True) in lam.params:
+            break
+    else:
+        return None
+    fresh = tuple(Param(session.names.fresh("arg")) for _ in range(count))
+    at = lam.params.index(Param(name, True))
+    lam.params = lam.params[:at] + fresh + lam.params[at + 1:]
     lam.info = None
-    mapping = {name: TupleT(tuple(Var(f) for f in fresh))}
+    mapping = {name: TupleT(tuple(Var(p.name) for p in fresh))}
     lam.body.replace(subst_body(lam.body, mapping, session.names))
-    return True
+    return lam.body
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +346,18 @@ def _describe(term):
     return type(term).__name__
 
 
-def _try_execute(session, root, body):
+def _try_execute(session, body, path):
+    """Execute `body`, the last of `path`, the bodies from the root down to
+    it: the cell rewritten, which is `body` itself unless a pack was
+    narrowed (see `_refine_pack`), or None while it cannot run."""
     form = body.form
     if isinstance(form, Inert):
-        return False
+        return None
     if isinstance(form, PrimB):
         try:
             value = eval_prim(form.expr)
         except _Unready:
-            return False
+            return None
         mapping = {form.outs[0]: value}
         for extra in form.outs[1:]:
             mapping[extra] = value
@@ -405,17 +365,17 @@ def _try_execute(session, root, body):
             mapping[form.cont_stage] = StageConst(True)
         session.trace.append("prim " + P.render_prim(form.expr, _quote_render))
         body.replace(subst_body(form.rest, mapping, session.names))
-        return True
+        return body
     if isinstance(form, FixB):
         rec = Rec(form.name, form.value)
         mapping = {form.name: rec, form.stage_param: StageConst(True)}
         body.replace(subst_body(form.rest, mapping, session.names))
-        return True
+        return body
 
     # application
     callee = form.callee
     if isinstance(callee, Var):
-        return False  # symbolic callee: wait for a value
+        return None  # symbolic callee: wait for a value
     if isinstance(callee, Rec):
         unfolded = subst_term(callee.value, {callee.name: callee}, session.names)
         if not isinstance(unfolded, Lam):
@@ -427,7 +387,7 @@ def _try_execute(session, root, body):
     if isinstance(callee, FragVal):
         # the subject, staged by the first argument, with slot wrappers appended
         if not items or isinstance(items[0], Splice):
-            return False
+            return None
         stage_term = items[0]
         items = [*items[1:], *subject_call_args(callee.fragment, session.names, ())]
         callee = callee.fragment.subject
@@ -435,26 +395,25 @@ def _try_execute(session, root, body):
     if isinstance(callee, Lam):
         try:
             _beta(session, body, callee, items, stage_term)
-        except _Blocked:
-            return False
         except _NeedsRefine as need:
-            if _refine_pack(session, root, need.name, need.count, body):
-                raise _RestartWalk()
-            return False
-        return True
+            return _refine_pack(session, need.name, need.count, path)
+        except _Unready:
+            return None
+        return body
 
     if isinstance(callee, RetK):
         # the host demands concrete attribute values; wait for symbolic ones
         if any(isinstance(t, (Splice, Var)) for t in items):
-            return False
+            return None
         body.replace(_return(session, callee.tag, items))
-        return True
+        return body
 
     if isinstance(callee, Builtin):
         call = _do_builtin(session, callee.name, items)
-        if call is not None:
-            body.replace(Body(TOP, App(*call)))
-        return call is not None
+        if call is None:
+            return None
+        body.replace(Body(TOP, App(*call)))
+        return body
 
     raise ApplyNonClosure(f"cannot apply {_describe(callee)}")
 
@@ -536,16 +495,13 @@ def _do_builtin(session, name, vals):
 
 
 def step(session, root):
-    """Execute one body; False when quiescent."""
-    try:
-        for body in postorder(root):
-            if stage_value(body.stage) and _try_execute(session, root, body):
-                _count_step(session)
-                return True
-        return False
-    except _RestartWalk:
-        _count_step(session)
-        return True
+    """Execute the first runnable body in post-order; False when quiescent."""
+    for path in walk(root):
+        body = path[-1]
+        if stage_value(body.stage) and _try_execute(session, body, path):
+            _count_step(session)
+            return True
+    return False
 
 
 def _count_step(session):
@@ -554,39 +510,44 @@ def _count_step(session):
         raise StepBudgetExceeded(f"step budget of {session.budget} exhausted")
 
 
-def _drain(session, root, body):
-    """Quiesce a subtree, innermost-leftmost first.
+def run(session, root):
+    """Drain `root`, innermost-leftmost first, on one explicit stack.
 
     Equivalent to repeatedly taking the first runnable body in post-order:
     an execution rewrites only its own cell, so nothing earlier in the walk
-    can change state, and the replacement is re-drained on the spot.  A
-    child holding no active body has nothing runnable and is skipped.
+    can change state, and the cell is drained again on the spot.  `path`
+    holds the bodies from `root` down to the one being drained, and
+    `frames` one `[children left, progress, ran]` for each.  A child holding
+    no active body has nothing runnable and is skipped.  A narrowed pack
+    rewrites the body of the lambda that owns it, which is on `path`: the
+    drain goes on from there.
     """
-    ran = False
-    while True:
-        progress = False
-        for child in list(child_bodies(body)):
-            if body_info(child)[1] and _drain(session, root, child):
-                progress = True
-                ran = True
-        if stage_value(body.stage) and _try_execute(session, root, body):
-            _count_step(session)
-            progress = True
-            ran = True
-            continue  # the replacement needs draining too
-        if not progress:
-            if ran:  # the cached pair predates the run
-                body.info = None
-            return ran
-
-
-def run(session, root):
-    while True:
-        try:
-            _drain(session, root, root)
-            return
-        except _RestartWalk:
-            _count_step(session)
+    path, frames = [root], [[child_bodies(root), False, False]]
+    while frames:
+        frame = frames[-1]
+        for child in frame[0]:
+            if body_info(child)[1]:
+                path.append(child)
+                frames.append([child_bodies(child), False, False])
+                break
+        else:
+            body = path[-1]
+            cell = stage_value(body.stage) and _try_execute(session, body, path)
+            if cell:
+                _count_step(session)
+                while path[-1] is not cell:
+                    path.pop()
+                    frames.pop()
+                frames[-1][:] = child_bodies(cell), False, True
+            elif frame[1]:
+                frame[0], frame[1] = child_bodies(body), False
+            else:
+                path.pop()
+                frames.pop()
+                if frame[2]:  # the cached pair predates the run
+                    body.info = None
+                    if frames:
+                        frames[-1][1] = frames[-1][2] = True
 
 
 def _closed(term):
@@ -684,7 +645,7 @@ def _run_chain(session, lam, args):
         return Body(TOP, App(lam, args))
     try:
         env = _bind(lam, _flatten(args))
-    except (_Blocked, _NeedsRefine):  # a splice that is not a tuple: `run` waits
+    except _Unready:  # a splice that is not a tuple: `run` waits
         return Body(TOP, App(lam, args))
     env[lam.stage] = _ON
     _count_step(session)

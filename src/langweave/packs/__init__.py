@@ -13,13 +13,13 @@ def pack_ids():
 
 def load_manifest(pack_id):
     path = PACK_ROOT / pack_id / "manifest.json"
-    if not path.exists():
+    if not pack_id.isidentifier() or not path.exists():
         raise KeyError(f"no bundled pack named {pack_id!r}")
-    manifest = json.loads(path.read_text())
+    manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest["_dir"] = PACK_ROOT / pack_id
     return manifest
 
 
 def pack_source(manifest):
     key = "grammar" if manifest["kind"] == "grammar" else "script"
-    return (manifest["_dir"] / manifest[key]).read_text()
+    return (manifest["_dir"] / manifest[key]).read_text(encoding="utf-8")

@@ -519,11 +519,25 @@ def child_bodies(body):
             yield from bodies_in_term(a)
 
 
+def walk(body):
+    """Post-order over the bodies reachable from `body`, on an explicit
+    stack: for each body, the path from `body` down to it, a list the walk
+    changes as it goes on."""
+    path, pending = [body], [child_bodies(body)]
+    while pending:
+        for child in pending[-1]:
+            path.append(child)
+            pending.append(child_bodies(child))
+            break
+        else:
+            yield path
+            path.pop()
+            pending.pop()
+
+
 def postorder(body):
     """All bodies reachable from `body`, children before parents."""
-    for child in child_bodies(body):
-        yield from postorder(child)
-    yield body
+    return (path[-1] for path in walk(body))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,15 @@ def test_immediate_nesting_past_the_host_recursion_limit_succeeds(capsys):
     assert (code, out, err) == (EXIT_OK, "-2786\n", "")
 
 
+def test_finalize_drain_past_the_host_recursion_limit_succeeds(capsys):
+    """The finalize drain keeps its frames on an explicit stack and narrows
+    the shell's pack where it stands, so the typed shell of 150 terms
+    finalizes under a limit its recursive drain exhausted."""
+    code, out, err = _run_under_recursion_limit(
+        capsys, _depth() + 2500, "run", "typed_minusdiv", "-".join(["7/1"] * 150))
+    assert (code, out, err) == (EXIT_OK, "-1036\n", "")
+
+
 def test_immediate_parse_depth_is_not_bounded_by_the_host_stack(capsys, tmp_path):
     source = tmp_path / "deep.txt"
     source.write_text("-".join(["7/1"] * 30_000))
@@ -226,6 +235,9 @@ def test_missing_grammar_file_exit_66(capsys):
     (("run", "minusdiv_immediate", "1-²"), EXIT_PARSE),
     *[(argv, EXIT_PARSE) for argv, _ in GRAMMAR_FAULTS],
     (("run", "signum_builder", "5", "--grammar", "x=/does/not/exist.lw"), EXIT_NOINPUT),
+    # a pack id is a plain name, never a path to another pack directory
+    (("check", "../packs/graph"), EXIT_USAGE),
+    (("expand", "../packs/graph"), EXIT_USAGE),
 ])
 def test_bad_input_is_one_error_line_not_a_traceback(capsys, tmp_path, argv, expected):
     latin1 = tmp_path / "latin1.txt"

@@ -2,12 +2,15 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langweave import packs
-from langweave.errors import EvalExit
-from langweave.evaluator import Session, apply_value, render_value
+from langweave import evaluator, packs
+from langweave.errors import EvalExit, LangError
+from langweave.evaluator import Session, apply_value, render_value, step
 from langweave.grammar import prepare
 from langweave.grammar_reader import read_grammar
 from langweave.prims import PMethod, render_prim
@@ -186,3 +189,87 @@ def test_residuals_print_and_read_back_alpha_equal():
     assert set(residuals) == set(packs.pack_ids()) - {"minusdiv_immediate"}
     for pack_id, residual in residuals.items():
         assert alpha_eq(read_core(print_core(residual)), residual), pack_id
+
+
+def _sums(numbers, max_terms):
+    """Quotients of one to three numbers, joined by '-'."""
+    quotients = st.lists(numbers, min_size=1, max_size=3).map("/".join)
+    return st.lists(quotients, min_size=1, max_size=max_terms).map("-".join)
+
+
+_NUMBERS = st.integers(1, 99).map(str)
+
+
+@st.composite
+def _typed_sums(draw):
+    """Integers ('7') or rationals ('#7'), mostly one type throughout so
+    that most draws pass the checks."""
+    kind = draw(st.sampled_from(["", "#", "", "#", "mixed"]))
+    tag = st.sampled_from(["", "#"]) if kind == "mixed" else st.just(kind)
+    return draw(_sums(st.tuples(tag, _NUMBERS).map("".join), 15))
+
+
+@st.composite
+def _assignments(draw):
+    """Statements over numbers and names assigned before them, then `out`;
+    now and then a name is used that nothing assigns."""
+    names = "abcdef"[:draw(st.integers(0, 6))]
+    text = ""
+    for i in range(len(names) + 1):
+        operands = st.one_of(_NUMBERS, st.sampled_from(list(names[:i]) * 8 + ["z"])) if i \
+            else _NUMBERS
+        value = draw(_sums(operands, 4))
+        text += f"{names[i]} = {value}; " if i < len(names) else f"out {value}"
+    return text
+
+
+@st.composite
+def _graphs(draw):
+    """Vertices with one to three edges each, now and then to an undeclared
+    one."""
+    heads = draw(st.lists(st.sampled_from(["A", "B", "C", "D", "Start", "X", "Y"]),
+                          min_size=1, max_size=8))
+    targets = st.sampled_from(heads * 8 + ["Z"])
+    return "".join(f"{head} -> {', '.join(draw(st.lists(targets, min_size=1, max_size=3)))};\n"
+                   for head in heads)
+
+
+def _stepping(session, root):
+    while step(session, root):
+        pass
+
+
+def _finalized(pack, text, drain):
+    """The residuals of parsing `text`, and what a caller sees: the values
+    they give when invoked, or the error raised, the step count, the `prim`
+    lines and the fresh-name counter; `drain` runs every finalize shell."""
+    session = Session(seed=7)
+    residuals = []
+    with mock.patch.object(evaluator, "run", drain):
+        try:
+            residuals, _, _ = run_pack(pack, text, session)
+            values = [render_value(v) for t in residuals for v in apply_value(t, [], session)]
+        except LangError as exc:
+            values = (type(exc).__name__, str(exc))
+    prims = [line for line in session.trace if line.startswith("prim ")]
+    return residuals, (values, session.steps, prims, session.names.counter)
+
+
+@pytest.mark.parametrize("pack, inputs", [
+    ("minusdiv_codegen", _sums(_NUMBERS, 30)),
+    ("typed_minusdiv", _typed_sums()),
+    ("assignments", _assignments()),
+    ("graph", _graphs()),
+])
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_finalize_drain_equals_step(pack, inputs, data):
+    """`run` drains each finalize shell on one stack and narrows its `!args`
+    pack where it stands; the `step` loop walks the whole tree from the root
+    for every step.  Both must build the same residual in the same steps."""
+    text = data.draw(inputs)
+    stepped, seen = _finalized(pack, text, _stepping)
+    drained, seen_drained = _finalized(pack, text, evaluator.run)
+    assert seen_drained == seen
+    assert len(drained) == len(stepped)
+    assert all(map(alpha_eq, drained, stepped))

@@ -4,8 +4,11 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from langweave.errors import Ll1Conflict
+from langweave.errors import LangError, Ll1Conflict
+from langweave.evaluator import Session
 from langweave.grammar import (ActionDef, ActionUse, EpsilonUse, ForeignUse,
                                Lit, NtUse, Production, TokClass,
                                add_production, new_grammar, prepare)
@@ -13,6 +16,7 @@ from langweave.grammar_reader import read_grammar
 from langweave.parsegen import (EOI, analyze, build_table, literal_tokens,
                                 used_classes, validate_foreign_positions)
 from langweave.reader import read_core
+from langweave.runtime import LanguageRegistry, Parser
 
 PACKS = Path(__file__).parent.parent / "src" / "langweave" / "packs"
 
@@ -192,3 +196,90 @@ def test_alphabet_collection():
     prepared, _ = prepare(g)
     assert literal_tokens(prepared) == {"->", ",", ";"}
     assert used_classes(prepared) == {"Identifier"}
+
+
+# Small grammars over the tokens a, b, c: three rules, each with one to
+# three productions of up to three symbols; S is the entry rule.
+_RULES = "SAB"
+_grammars = st.fixed_dictionaries({rule: st.lists(
+    st.lists(st.sampled_from(["a", "b", "c"] * 2 + [*_RULES]), max_size=3).map(tuple),
+    min_size=1, max_size=3, unique=True) for rule in _RULES})
+
+
+def _grammar_text(rules):
+    def use(symbol):
+        return symbol if symbol in rules else f'"{symbol}"'
+    return "grammar g {\n" + "".join(
+        f"  {'entry ' if rule == 'S' else ''}{rule} ::= {' '.join(map(use, body)) or 'epsilon'};\n"
+        for rule, productions in rules.items() for body in productions) + "}\n"
+
+
+def _derivable(rules, longest):
+    """The strings of up to `longest` tokens that S derives: the least sets
+    of such strings, one per rule, closed under the productions."""
+    strings = {rule: set() for rule in rules}
+    grown = True
+    while grown:
+        grown = False
+        for rule, productions in rules.items():
+            for body in productions:
+                derived = {()}
+                for symbol in body:
+                    parts = strings[symbol] if symbol in rules else {(symbol,)}
+                    derived = {s + p for s in derived for p in parts
+                               if len(s) + len(p) <= longest}
+                if not derived <= strings[rule]:
+                    strings[rule] |= derived
+                    grown = True
+    return strings["S"]
+
+
+def _left_recursive(rules):
+    """Whether some rule derives a sentential form that starts with itself."""
+    nullable, grown = set(), True
+    while grown:
+        grown = False
+        for rule, productions in rules.items():
+            if rule not in nullable and any(set(body) <= nullable for body in productions):
+                nullable.add(rule)
+                grown = True
+    leads = {rule: set() for rule in rules}
+    for rule, productions in rules.items():
+        for body in productions:
+            for symbol in body:
+                if symbol not in rules:
+                    break
+                leads[rule].add(symbol)
+                if symbol not in nullable:
+                    break
+    for _ in rules:
+        for rule in rules:
+            leads[rule] |= {far for near in leads[rule] for far in leads[near]}
+    return any(rule in leads[rule] for rule in rules)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_grammars)
+def test_ll1_parser_accepts_what_brute_force_derives(rules):
+    """The LL(1) parser of a grammar that tables without conflict accepts
+    exactly the strings of up to four tokens that S derives.
+    Left-recursive grammars are left out: `build_table` does not reject a
+    sole-production left-recursive rule, and the parser never returns on
+    one."""
+    assume(not _left_recursive(rules))
+    prepared, diagnostics = prepare(read_grammar(_grammar_text(rules)))
+    assert not diagnostics
+    registry = LanguageRegistry()
+    try:
+        registry.register("g", prepared)
+    except Ll1Conflict:
+        assume(False)
+    accepted = set()
+    for words in itertools.chain.from_iterable(
+            itertools.product("abc", repeat=n) for n in range(5)):
+        try:
+            Parser(registry, " ".join(words), Session()).parse("g", "S")
+        except LangError:
+            continue
+        accepted.add(words)
+    assert accepted == _derivable(rules, 4)
