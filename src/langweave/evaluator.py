@@ -10,6 +10,7 @@ the value.  Execution always rewrites the body cell in place:
   application   beta-substitution into the callee (implicit stage := top)
   primitive     evaluate the quoted expression, bind its outputs
   fix           bind the recursive value, continue with the rest
+  host return   record the values; the call stays in the tree, staged never
 
 Since substitution avoids capture (a copied binder is renamed exactly
 where a substituted value has its name free) and shares only subtrees it
@@ -70,8 +71,8 @@ from .names import FreshNames
 from . import prims as P
 from .printer import _quote_render, render_value
 from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
-                    FragVal, Inert, Int, Lam, Param, PrimB, Rec, RetK, Splice,
-                    SRef, StageConst, Str, TupleT, Var, _CLOSED, body_info,
+                    FragVal, Int, Lam, Param, PrimB, Rec, RetK, Splice, SRef,
+                    StageConst, Str, TupleT, Var, _CLOSED, body_info,
                     child_bodies, lam_info, postorder, stage_names,
                     stage_value, subst_body, subst_term, term_info, walk)
 
@@ -305,7 +306,6 @@ def _refine_pack(session, name, count, path):
         if isinstance(form, FixB) and name == form.name:
             return None
         terms = ([form.callee, *form.args] if isinstance(form, App)
-                 else [*form.args] if isinstance(form, Inert)
                  else [form.value] if isinstance(form, FixB)
                  else [*form.expr.embedded_terms()])
         lam = terms.pop()
@@ -351,18 +351,13 @@ def _try_execute(session, body, path):
     it: the cell rewritten, which is `body` itself unless a pack was
     narrowed (see `_refine_pack`), or None while it cannot run."""
     form = body.form
-    if isinstance(form, Inert):
-        return None
     if isinstance(form, PrimB):
         try:
             value = eval_prim(form.expr)
         except _Unready:
             return None
-        mapping = {form.outs[0]: value}
-        for extra in form.outs[1:]:
-            mapping[extra] = value
-        if form.cont_stage is not None:
-            mapping[form.cont_stage] = StageConst(True)
+        mapping = dict.fromkeys(form.outs, value)
+        mapping[form.cont_stage] = StageConst(True)
         session.trace.append("prim " + P.render_prim(form.expr, _quote_render))
         body.replace(subst_body(form.rest, mapping, session.names))
         return body
@@ -405,7 +400,7 @@ def _try_execute(session, body, path):
         # the host demands concrete attribute values; wait for symbolic ones
         if any(isinstance(t, (Splice, Var)) for t in items):
             return None
-        body.replace(_return(session, callee.tag, items))
+        body.replace(_return(session, callee, items))
         return body
 
     if isinstance(callee, Builtin):
@@ -418,11 +413,11 @@ def _try_execute(session, body, path):
     raise ApplyNonClosure(f"cannot apply {_describe(callee)}")
 
 
-def _return(session, tag, items):
-    """Record the values of a call of a host return continuation."""
-    if tag in session.returned:
+def _return(session, ret, items):
+    """Record the values of a call of the host return continuation `ret`."""
+    if ret.tag in session.returned:
         raise ReturnCalledTwice("return continuation invoked twice")
-    session.returned[tag] = done = Body(BOTTOM, Inert(tag, tuple(items)))
+    session.returned[ret.tag] = done = Body(BOTTOM, App(ret, tuple(items)))
     return done
 
 
@@ -590,8 +585,7 @@ def _straight_line(lam):
     while type(body.stage) is SRef and body.stage.name == stage:
         form = body.form
         if isinstance(form, PrimB):
-            if form.cont_stage is None \
-                    or not all(map(_name_or_closed, form.expr.embedded_terms())):
+            if not all(map(_name_or_closed, form.expr.embedded_terms())):
                 return False
             body, stage = form.rest, form.cont_stage
             continue
@@ -692,7 +686,7 @@ def _run_chain(session, lam, args):
     if isinstance(callee, RetK) and all(map(_closed, args)):
         items = _flatten(args)
         if Splice not in map(type, items):
-            _return(session, callee.tag, items)
+            _return(session, callee, items)
             _count_step(session)
             return None
     return Body(TOP, App(callee, args))
@@ -712,6 +706,6 @@ def apply_value(f, args, session):
 
 def run_term_to_normal(term, session):
     """Run every active body inside `term` to quiescence."""
-    root = Body(BOTTOM, Inert(None, (term,)))
+    root = Body(BOTTOM, App(term, ()))
     run(session, root)
-    return root.form.args[0]
+    return root.form.callee

@@ -197,12 +197,11 @@ class _Expander:
     def __init__(self, g):
         self.g = g
         self.counter = 0
-        self.out_rules = {}
 
     def fresh_rule(self, base):
         self.counter += 1
         name = f"{base}_{self.counter}"
-        while name in self.g.rules or name in self.out_rules:
+        while name in self.g.rules:
             self.counter += 1
             name = f"{base}_{self.counter}"
         return name
@@ -248,7 +247,8 @@ def instantiate(g, template, args, expander):
             f"got {len(args)}")
     bind = dict(zip(template.params, args))
 
-    aliases = {}
+    # a tuple argument splices its names wherever its parameter is written
+    aliases = {p: arg.names for p, arg in bind.items() if isinstance(arg, ArgTuple)}
     for alias_name, param, which in template.aliases:
         if param not in bind:
             raise UnknownSignatureQuery(f"unknown template parameter {param!r}")

@@ -141,10 +141,38 @@ def validate_foreign_positions(g, analysis=None):
     return diagnostics
 
 
+def left_recursion(g, analysis):
+    """One diagnostic for each rule that can call itself before it consumes
+    a token, on which the parser would push frames without end.  A rule
+    calls the nonterminals on the left edge of each production, up to the
+    first that is not nullable."""
+    calls = {name: set() for name in g.rules}
+    for rule in g.rules.values():
+        for prod in rule.productions:
+            for use in prod.body:
+                if isinstance(use, NtUse):
+                    calls[rule.name].add(use.name)
+                    if not analysis.nullable[use.name]:
+                        break
+                elif not isinstance(use, (ActionUse, EpsilonUse)):
+                    break
+    diagnostics = []
+    for name in g.rules:
+        reached, pending = set(), [name]
+        while pending:
+            new = calls[pending.pop()] - reached
+            reached |= new
+            pending.extend(new)
+        if name in reached:
+            diagnostics.append(f"rule {name!r} is left-recursive")
+    return diagnostics
+
+
 def build_table(g):
-    """Prediction table; raises Ll1Conflict if any cell is claimed twice."""
+    """Prediction table; raises Ll1Conflict if any cell is claimed twice or
+    a rule is left-recursive."""
     a = analyze(g)
-    conflicts = list(validate_foreign_positions(g, a))
+    conflicts = validate_foreign_positions(g, a) + left_recursion(g, a)
     table = {}
     for rule in g.rules.values():
         if len(rule.productions) == 1:

@@ -5,10 +5,10 @@ lambda braced), so reading the output back yields an alpha-equivalent term
 and re-printing it is byte-identical.
 """
 
-from .prims import render_prim
-from .terms import (App, Bool, Builtin, EnvVal, FixB, FragVal, Inert, Int,
-                    Lam, PrimB, Rec, RetK, SAnd, SConst, SNot, SOr, Splice,
-                    SRef, StageConst, Str, TupleT, Var)
+from .prims import normalize_prim, render_prim
+from .terms import (App, Bool, Builtin, EnvVal, FixB, FragVal, Int, Lam,
+                    PrimB, Rec, RetK, SAnd, SConst, SNot, SOr, Splice, SRef,
+                    StageConst, Str, TupleT, Var, _quote_to_prim)
 
 _INDENT = "  "
 
@@ -95,20 +95,15 @@ def print_body(body, indent=0):
         parts.extend(print_term(a, indent) for a in form.args)
         return pad + " ".join(parts)
     if isinstance(form, PrimB):
-        expr = _escape(render_prim(form.expr, _quote_render))
+        # a value prints as the expression it reads back as, parenthesized as one
+        expr = _escape(render_prim(normalize_prim(form.expr, _quote_to_prim), _quote_render))
         outs = ", ".join(form.outs)
-        line = f'{pad}{prefix} "{expr}" ({outs})'
-        if form.cont_stage is not None:
-            line += f"'[{form.cont_stage}]'"
+        line = f"{pad}{prefix} \"{expr}\" ({outs})'[{form.cont_stage}]'"
         return line + "\n" + print_body(form.rest, indent)
     if isinstance(form, FixB):
         line = (f"{pad}{prefix} fix '[{form.stage_param}]' {form.name} "
                 f"{print_term(form.value, indent)}")
         return line + "\n" + print_body(form.rest, indent)
-    if isinstance(form, Inert):
-        parts = [f"{pad}'@never:'", "#done"]
-        parts.extend(print_term(a, indent) for a in form.args)
-        return " ".join(parts)
     raise TypeError(f"cannot print body form {form!r}")
 
 

@@ -2,10 +2,12 @@
 
 Terms are the argument-position values (variables, literals, lambdas,
 tuples, opaque handles).  A lambda body is a mutable `Body` cell holding a
-stage expression plus one of the body forms (application, primitive
-expression, fix, or the inert result marker used by host continuations).
-Evaluation rewrites bodies in place; terms themselves are immutable and
-may be shared freely.
+stage expression plus one of the body forms: application, primitive
+expression or fix, each of which prints and reads back.  A body staged
+`never` never runs, since no substitution changes a constant stage; a
+finished call of a host return continuation is kept as one, so that its
+argument terms stay rooted in the tree.  Evaluation rewrites bodies in
+place; terms themselves are immutable and may be shared freely.
 
 Substitution shares what it cannot change.  Every `Body` and `Lam` caches
 one pair, computed on first use from its children's pairs: its free names,
@@ -28,7 +30,7 @@ superset and an over-estimate of activity, which is safe for both uses.
 
 from dataclasses import dataclass, field
 
-from .prims import (PInt, PList, PName, PNeg, PQuote, PrimExpr, PStr,
+from .prims import (PBin, PInt, PList, PName, PNeg, PQuote, PrimExpr, PStr,
                     normalize_prim, prim_alpha_eq, prim_leaves, prim_subst)
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ class App(Form):
 class PrimB(Form):
     expr: PrimExpr
     outs: tuple  # bound names, usually one
-    cont_stage: str  # staging parameter of the continuation; may be None
+    cont_stage: str  # staging parameter of the continuation
     rest: "Body"
 
 
@@ -207,15 +209,6 @@ class FixB(Form):
     name: str
     value: Term
     rest: "Body"
-
-
-@dataclass(frozen=True)
-class Inert(Form):
-    """Executed host-continuation site: keeps its argument terms rooted in
-    the tree so nested bodies continue to evaluate, but never runs again."""
-
-    tag: object
-    args: tuple
 
 
 class Body:
@@ -322,8 +315,8 @@ def body_info(body):
         stage_names(body.stage, names)
         active = stage_value(body.stage)
         form = body.form
-        if isinstance(form, (App, Inert)):
-            for t in (form.callee,) + form.args if isinstance(form, App) else form.args:
+        if isinstance(form, App):
+            for t in (form.callee,) + form.args:
                 active |= term_info(t, names)
         elif isinstance(form, PrimB):
             for leaf in prim_leaves(form.expr):
@@ -464,12 +457,11 @@ def subst_body(body, mapping, names, avoid=None):
             tuple(subst_term(a, mapping, names, avoid) for a in form.args),
         )
     elif isinstance(form, PrimB):
-        binders = form.outs if form.cont_stage is None else form.outs + (form.cont_stage,)
-        bound, inner = _rebind(binders, mapping, avoid, names)
+        bound, inner = _rebind(form.outs + (form.cont_stage,), mapping, avoid, names)
         new = PrimB(
             prim_subst(form.expr, mapping, lambda t: subst_term(t, mapping, names, avoid)),
-            tuple(bound[:len(form.outs)]),
-            None if form.cont_stage is None else bound[-1],
+            tuple(bound[:-1]),
+            bound[-1],
             subst_body(form.rest, inner, names, avoid),
         )
     elif isinstance(form, FixB):
@@ -481,8 +473,6 @@ def subst_body(body, mapping, names, avoid=None):
             subst_term(form.value, inner, names, avoid),
             subst_body(form.rest, inner, names, avoid),
         )
-    elif isinstance(form, Inert):
-        new = Inert(form.tag, tuple(subst_term(a, mapping, names, avoid) for a in form.args))
     else:
         raise TypeError(f"unknown body form: {form!r}")
     return Body(stage, new)
@@ -514,9 +504,6 @@ def child_bodies(body):
     elif isinstance(form, FixB):
         yield from bodies_in_term(form.value)
         yield form.rest
-    elif isinstance(form, Inert):
-        for a in form.args:
-            yield from bodies_in_term(a)
 
 
 def walk(body):
@@ -550,6 +537,8 @@ def _quote_to_prim(term):
         return PInt(term.value) if term.value >= 0 else PNeg(PInt(-term.value))
     if isinstance(term, Str):
         return PStr(term.value)
+    if isinstance(term, Bool):
+        return PBin("==", PInt(1), PInt(1 if term.value else 0))
     if isinstance(term, TupleT) and not any(isinstance(t, Splice) for t in term.items):
         return PList(tuple(PQuote(t) for t in term.items))
     return None
@@ -638,8 +627,6 @@ def _alpha_body(a, b, fwd, bwd):
     if isinstance(fa, PrimB):
         if len(fa.outs) != len(fb.outs):
             return False
-        if (fa.cont_stage is None) != (fb.cont_stage is None):
-            return False
         ea = normalize_prim(fa.expr, _quote_to_prim)
         eb = normalize_prim(fb.expr, _quote_to_prim)
         if not prim_alpha_eq(ea, eb, lambda x, y: _match_name(x, y, fwd, bwd),
@@ -647,15 +634,10 @@ def _alpha_body(a, b, fwd, bwd):
             return False
         for oa, ob in zip(fa.outs, fb.outs):
             fwd, bwd = _bind_name(oa, ob, fwd, bwd)
-        if fa.cont_stage is not None:
-            fwd, bwd = _bind_name(fa.cont_stage, fb.cont_stage, fwd, bwd)
+        fwd, bwd = _bind_name(fa.cont_stage, fb.cont_stage, fwd, bwd)
         return _alpha_body(fa.rest, fb.rest, fwd, bwd)
     if isinstance(fa, FixB):
         fwd, bwd = _bind_name(fa.stage_param, fb.stage_param, fwd, bwd)
         fwd, bwd = _bind_name(fa.name, fb.name, fwd, bwd)
         return _alpha_term(fa.value, fb.value, fwd, bwd) and _alpha_body(fa.rest, fb.rest, fwd, bwd)
-    if isinstance(fa, Inert):
-        return len(fa.args) == len(fb.args) and all(
-            _alpha_term(x, y, fwd, bwd) for x, y in zip(fa.args, fb.args)
-        )
     return False

@@ -197,6 +197,20 @@ def test_check_conflict_exit_one(capsys, tmp_path):
     assert '"x"' in out and "conflict" in out
 
 
+@pytest.mark.parametrize("rules, recursive", [
+    ('entry S ::= A "b"; A ::= A "a";', "A"),
+    ('entry S ::= N A "b"; N ::= epsilon; A ::= S "a";', "SA"),
+], ids=["direct", "through_a_nullable_prefix"])
+def test_check_rejects_left_recursion(capsys, tmp_path, rules, recursive):
+    """`run` on such a grammar would push parser frames without end."""
+    grammar = tmp_path / "lr.lw"
+    grammar.write_text(f"grammar g {{ {rules} }}\n")
+    code, out, err = run_cli(capsys, "check", "--grammar", f"g={grammar}")
+    assert (code, err) == (EXIT_PARSE, "")
+    assert out == "== language g\n" + "".join(
+        f"conflict: rule {rule!r} is left-recursive\n" for rule in recursive)
+
+
 def test_check_reports_every_grammar_under_a_reused_name(capsys, tmp_path):
     bad = tmp_path / "amb.lw"
     bad.write_text(AMBIGUOUS)
@@ -399,6 +413,13 @@ def test_run_with_explicit_grammar_files(capsys):
         "--expr", "go << 1 :: 2")
     assert code == EXIT_OK
     assert out == "3\n"
+
+
+def test_tuple_template_argument_splices_its_names(capsys):
+    grammar = f"x={FIXTURES / 'tuple_arg.lw'}"
+    code, _, err = run_cli(capsys, "check", "--grammar", grammar)
+    assert (code, err) == (EXIT_OK, "")
+    assert run_cli(capsys, "run", "--grammar", grammar, "x", "1 2") == (EXIT_OK, "1\n2\n", "")
 
 
 QUOTING = """grammar q { entry Start|->(P)| ::= String|->(s)| |(s)->(P)| {

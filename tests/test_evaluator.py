@@ -16,9 +16,8 @@ from langweave.evaluator import Session, apply_value, run_term_to_normal, step
 from langweave.fragments import Fragment
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
-from langweave.terms import (App, Body, Bool, EnvVal, FragVal, Inert, Int, Lam,
-                             PrimB, RetK, SConst, Splice, Str, TupleT, Var,
-                             alpha_eq)
+from langweave.terms import (App, Body, Bool, EnvVal, FragVal, Int, Lam, PrimB,
+                             RetK, SConst, Splice, Str, TupleT, Var, alpha_eq)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -137,7 +136,7 @@ def test_bottom_staged_term_is_unchanged():
 def test_no_active_body_means_done():
     sess = Session()
     t = rd("(x, k)'[s]'{ '@s:' k x }", sess)
-    root = Body(SConst(False), Inert(None, (t,)))
+    root = Body(SConst(False), App(t, ()))
     assert step(sess, root) is False
 
 

@@ -162,6 +162,7 @@ _prims = st.builds(
     lambda expr, values: prim_subst(expr, dict(zip(NAMES, values)), lambda term: term),
     _prim_texts.map(parse_prim),
     st.lists(st.one_of(_names.map(Var), st.integers(-99, 99).map(Int), _strs,
+                       st.builds(Bool, st.booleans()),
                        st.sampled_from([Int(-7), Str("it's")])),
              min_size=len(NAMES), max_size=len(NAMES)))
 
@@ -208,6 +209,9 @@ _prim_lams = st.builds(Lam, _params(), _stage_names,
 @example(Lam((Param("k"),), "s", Body(SRef("s"), PrimB(
     prim_subst(parse_prim("[a,b,x,'it''s']"), {"a": Str("it's"), "b": Int(-7), "x": Var("k")},
                lambda term: term),
+    ("y",), "t", Body(SRef("t"), App(Var("k"), (Var("y"),)))))))
+@example(Lam((Param("k"),), "s", Body(SRef("s"), PrimB(
+    prim_subst(parse_prim("[x,-y]"), {"x": Bool(True), "y": Bool(False)}, lambda term: term),
     ("y",), "t", Body(SRef("t"), App(Var("k"), (Var("y"),)))))))
 def test_print_then_read_core_is_alpha_equal_and_reprints_identically(term):
     printed = print_core(term)

@@ -14,8 +14,8 @@ from langweave.fragments import build
 from langweave.names import FreshNames
 from langweave.prims import PName, prim_leaves
 from langweave.reader import read_core
-from langweave.terms import (App, Body, EnvVal, FixB, FragVal, Inert, Int, Lam,
-                             PrimB, Rec, SAnd, SConst, SNot, SOr, SRef, Splice,
+from langweave.terms import (App, Body, EnvVal, FixB, FragVal, Int, Lam, PrimB,
+                             Rec, SAnd, SConst, SNot, SOr, SRef, Splice,
                              StageConst, TupleT, Var, body_info, lam_info,
                              stage_value, subst_body)
 
@@ -39,8 +39,6 @@ def _parts(x):
         f = x.form
         if isinstance(f, App):
             return [(t, ()) for t in (f.callee, *f.args)]
-        if isinstance(f, Inert):
-            return [(t, ()) for t in f.args]
         if isinstance(f, PrimB):
             return ([(t, ()) for t in f.expr.embedded_terms()]
                     + [(f.rest, (*f.outs, f.cont_stage))])

@@ -144,10 +144,8 @@ def _always_rename_body(body, mapping, names):
         for o in form.outs:
             outs.append(names.fresh(o))
             inner[o] = Var(outs[-1])
-        cont = None
-        if form.cont_stage is not None:
-            cont = names.fresh(form.cont_stage)
-            inner[form.cont_stage] = Var(cont)
+        cont = names.fresh(form.cont_stage)
+        inner[form.cont_stage] = Var(cont)
         expr = prim_subst(form.expr, mapping,
                           lambda t: _always_rename_term(t, mapping, names))
         new = PrimB(expr, tuple(outs), cont, _always_rename_body(form.rest, inner, names))
@@ -188,7 +186,7 @@ def _extend(bodies):
                   stages, terms, st.lists(terms, max_size=2)),
         st.builds(lambda s, x, y, o, c, rest: Body(s, PrimB(PBin("+", PName(x), PName(y)),
                                                            (o,), c, rest)),
-                  stages, name, name, name, st.one_of(st.none(), name), bodies),
+                  stages, name, name, name, name, bodies),
         st.builds(lambda s, p, f, v, rest: Body(s, FixB(p, f, v, rest)),
                   stages, name, name, _lambdas(bodies), bodies),
     )
