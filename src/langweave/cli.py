@@ -9,18 +9,20 @@ minusdiv_codegen "1-4/2-3" --emit residual``).  Stdout carries data;
 diagnostics go to stderr.  Exit codes: 0 ok, 1 parse/grammar error,
 2 action or type error, 3 step budget or nesting-depth limit, 64 usage,
 66 missing or unreadable file, 70 internal error (a fault of langweave
-itself, never of the input).
+itself, never of the input), 74 stdout closed early (a broken pipe),
+130 interrupted (Ctrl-C).
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from . import packs
-from .errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
-                     EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE, ActionError,
-                     EvalError, EvalExit, LangError, Ll1Conflict,
-                     StepBudgetExceeded)
+from .errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_INTERRUPT, EXIT_IOERR,
+                     EXIT_NOINPUT, EXIT_OK, EXIT_PARSE, EXIT_SOFTWARE,
+                     EXIT_USAGE, ActionError, EvalError, EvalExit, LangError,
+                     Ll1Conflict, StepBudgetExceeded)
 from .evaluator import Session, apply_value
 from .fragments import finalize
 from .grammar import prepare, print_grammar
@@ -163,6 +165,8 @@ def cmd_run(args):
     script = manifest.get("kind") == "script"
     reg = _registry(_load(session, specs, [manifest] if manifest and not script else []))
     emit = args.emit or manifest.get("default_emit", "value")
+    if args.trace or emit == "trace":
+        session.record_trace()
     invoke_args = _parse_invoke_args(args.input_text) if script and emit == "value" else ()
     if not script:
         entry = args.entry if args.entry is not None else manifest.get("entry")
@@ -255,7 +259,9 @@ def main(argv=None):
         args.input_text = text
 
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except _Usage as usage:
         print(f"usage error: {usage}", file=sys.stderr)
         return EXIT_USAGE
@@ -279,6 +285,15 @@ def main(argv=None):
     except LangError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # as in the "Note on SIGPIPE" of `signal`: the flush at exit must not fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IOERR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE

@@ -154,3 +154,5 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
+EXIT_INTERRUPT = 130

@@ -44,17 +44,18 @@ name one of them: a body staged on a name of the chain would turn on when
 that name is bound, and post-order would run it first.  Since the shape
 alone makes post-order run the links one after another, it is decided once
 per lambda, at its first call, and kept with the lambda's cached pair; the
-loop then follows the body's links.  `eval_prim` and `render_prim` read a
-primitive's names, plain or quoted, from the dict, so nothing is copied;
-builtins run through `_do_builtin` on lists built by `_flatten`, and a
-last call of the host return continuation on closed values is recorded
-directly, as `_try_execute` records it; the `prim` and `print` trace lines
-and the step count are `run`'s.  No binder is renamed (every value in the
-dict is closed).  What the loop cannot finish in order (a symbolic
-operand, a call of another value, a builtin result holding an active body,
-such as the wrapper `finalize` returns) is substituted from the same
-environment, which is the tree `run` would have reached, and handed to
-`run`; only then is a tree built for the call.
+loop then follows the body's links.  `eval_prim` and the trace formatter
+read a primitive's names, plain or quoted, from the dict, so nothing is
+copied; builtins run through `_do_builtin` on lists built by `_flatten`,
+and a last call of the host return continuation on closed values is
+recorded directly, as `_try_execute` records it; the `prim` and `print`
+events (sent only to a listener) and the step count are `run`'s.  No
+binder is renamed (every value in the dict is closed).  What the loop
+cannot finish in order (a symbolic operand, a call of another value, a
+builtin result holding an active body, such as the wrapper `finalize`
+returns) is substituted from the same environment, which is the tree `run`
+would have reached, and handed to `run`; only then is a tree built for the
+call.
 """
 
 import sys
@@ -79,7 +80,8 @@ from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
 
 class Session:
     """Shared evaluation context: fresh names, budget, output, and the
-    trace (``prim``/``print`` lines here, plus the parser's own lines)."""
+    `listener` of events (see `trace_line`), None while nobody listens;
+    `record_trace` makes the text formatter fill `trace`."""
 
     def __init__(self, seed=0, budget=1_000_000):
         self.names = FreshNames(seed)
@@ -87,12 +89,37 @@ class Session:
         self.steps = 0
         self.out = []
         self.trace = []
+        self.listener = None
         self.returned = {}
         self._ret_tags = 0
 
     def new_return(self):
         self._ret_tags += 1
         return RetK(self._ret_tags)
+
+    def record_trace(self):
+        """Listen with the text formatter; returns the session."""
+        trace = self.trace
+        self.listener = lambda kind, fields: trace.append(trace_line(kind, fields))
+        return self
+
+
+def trace_line(kind, fields):
+    """The trace line of an event, sent as ``listener(kind, fields)`` and
+    only to a listener: `token` (a consumed `runtime.Token`, with its span),
+    `action` (rule, production, values), `prim` (expression, the loop's dict
+    or None) before its outputs are bound, `switch enter` (language, entry),
+    `switch exit` (language,) or `print` (text,)."""
+    if kind == "token":
+        return f"token {fields[0]} {fields[0].lexeme}".rstrip()
+    if kind == "action":
+        rule, production, values = fields
+        return f"action {rule}#{production} ({', '.join(map(render_value, values))})"
+    if kind != "prim":
+        return f"{kind} {'.'.join(fields)}"
+    expr, env = fields
+    return "prim " + P.render_prim(expr, lambda term: _quote_render(
+        env.get(term.name, term) if env is not None and type(term) is Var else term), env)
 
 
 class _Unready(Exception):
@@ -358,7 +385,8 @@ def _try_execute(session, body, path):
             return None
         mapping = dict.fromkeys(form.outs, value)
         mapping[form.cont_stage] = StageConst(True)
-        session.trace.append("prim " + P.render_prim(form.expr, _quote_render))
+        if session.listener is not None:
+            session.listener("prim", (form.expr, None))
         body.replace(subst_body(form.rest, mapping, session.names))
         return body
     if isinstance(form, FixB):
@@ -446,7 +474,8 @@ def _do_builtin(session, name, vals):
             return None
         text = render_value(value, nested=False)
         session.out.append(text)
-        session.trace.append("print " + text)
+        if session.listener is not None:
+            session.listener("print", (text,))
         return k, ()
     if name == "exit":
         if len(vals) not in (0, 1):
@@ -643,10 +672,6 @@ def _run_chain(session, lam, args):
         return Body(TOP, App(lam, args))
     env[lam.stage] = _ON
     _count_step(session)
-
-    def quote(term):  # what the `prim` line shows for a term in the loop
-        return _quote_render(env.get(term.name, term) if type(term) is Var else term)
-
     body = lam.body
     while True:
         form = body.form
@@ -655,7 +680,8 @@ def _run_chain(session, lam, args):
                 value = eval_prim(form.expr, env)
             except _Unready:
                 return subst_body(body, env, session.names)
-            session.trace.append("prim " + P.render_prim(form.expr, quote, env))
+            if session.listener is not None:
+                session.listener("prim", (form.expr, env))
             for out in form.outs:
                 env[out] = value
             env[form.cont_stage] = _ON

@@ -29,7 +29,6 @@ from .grammar import (ActionUse, EpsilonUse, ForeignUse, Lit, NtUse,
                       TokClass)
 from .reader import BLANK, IDENT, STRING, ident_start, line_col
 from .parsegen import EOI, build_table, literal_tokens, token_key_str, used_classes
-from .printer import render_value
 from .terms import Int, Str
 
 
@@ -152,10 +151,9 @@ def _compile(rule, idx, prod, rules):
             if isinstance(use, EpsilonUse) and not use.outs:
                 continue
             ins = reads(getattr(use, "ins", ()))
-            if isinstance(use, Lit):
-                op = (TOKEN, ("lit", use.text), f'token "{use.text}" ', None)
-            elif isinstance(use, TokClass):
-                op = (TOKEN, ("class", use.cls), f"token {use.cls} ", None)
+            if isinstance(use, (Lit, TokClass)):
+                key = ("lit", use.text) if isinstance(use, Lit) else ("class", use.cls)
+                op = (TOKEN, key, "token", None)
             elif isinstance(use, NtUse):
                 op = (CALL, rules[use.name], use.name, None)
             elif isinstance(use, ForeignUse):  # a switch to another language
@@ -321,7 +319,7 @@ class Parser:
         stack of suspended frames (language, operations, position, slot
         list) and return its output values.  The bottom frame holds a lone
         call of the entry rule."""
-        trace, stack = self.trace, []
+        listener, stack = self.session.listener, []
         self._frames = stack
         ops, pc, slots = ((CALL, rule, tuple(range(len(args))), (), rule.name, None),), 0, args
         while True:
@@ -332,7 +330,8 @@ class Parser:
                 stack.append((lang, ops, pc, slots))
                 if extra is not None:  # a switch to an entry rule of another language
                     lang = self.registry.language(extra)
-                    trace.append(f"switch enter {what}")
+                    if listener is not None:
+                        listener("switch enter", (extra, arg))
                     arg = lang.rules[arg]
                 if len(values) != arg.arity:
                     raise ArityMismatch(f"rule {arg.name!r} takes {arg.arity} argument(s), "
@@ -344,11 +343,12 @@ class Parser:
                 if not stack:
                     return values
                 _, _, _, outs, what, extra = ops[pc - 1]
-                if extra is not None:
-                    trace.append(f"switch exit {extra}")
+                if extra is not None and listener is not None:
+                    listener("switch exit", (extra,))
             elif code == TOKEN:
                 tok = self.consume(lang, arg)
-                trace.append(f"{what}{tok.lexeme}".rstrip())
+                if listener is not None:
+                    listener("token", (tok,))
                 values = [tok.value] * len(outs)
             elif code == ACTION:
                 values = self._run_action(lang, *extra, arg, values)
@@ -361,8 +361,8 @@ class Parser:
                 slots[out] = value
 
     def _run_action(self, lang, rule_name, prod_idx, use, values):
-        rendered = ", ".join(render_value(v) for v in values)
-        self.trace.append(f"action {rule_name}#{prod_idx} ({rendered})")
+        if self.session.listener is not None:
+            self.session.listener("action", (rule_name, prod_idx, values))
         try:
             results = apply_value(use.action.body, values, self.session)
         except (EvalExit, StepBudgetExceeded):

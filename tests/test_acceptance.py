@@ -143,14 +143,14 @@ def test_criterion_4_associativity_and_firing_order():
     reg = LanguageRegistry()
     load_language(reg, "assoc", FIXTURES / "assoc.lw", sess)
 
-    left = Parser(reg, "8-3-2", Session())
+    left = Parser(reg, "8-3-2", Session().record_trace())
     assert left.parse("assoc", "Left") == [Int(3)]
     left_actions = [l for l in left.trace if l.startswith("action") and "(" in l
                     and "()" not in l]
     assert left_actions[0].endswith("(8, 3)")
     assert left_actions[1].endswith("(5, 2)")
 
-    right = Parser(reg, "8-3-2", Session())
+    right = Parser(reg, "8-3-2", Session().record_trace())
     assert right.parse("assoc", "Right") == [Int(7)]
     right_actions = [l for l in right.trace if l.startswith("action") and "(" in l
                      and "()" not in l]
@@ -216,7 +216,7 @@ def test_criterion_6_default_argument_derivation_exact_and_idempotent():
 
 
 def test_criterion_7_graph_outputs_and_pass_ordering():
-    sess = Session(seed=0)
+    sess = Session(seed=0).record_trace()
     outs, _ = run_pack("graph", "Start -> X, Y;\nX -> Y;\nY -> X, Start;\n", sess)
     env_list, adjacency = apply_value(outs[0], [], Session())
     assert render_value(env_list) == '[["Start",1],["X",2],["Y",3]]'
@@ -267,7 +267,7 @@ def test_criterion_8_residual_purity():
 
 
 def test_criterion_9_language_switching():
-    sess = Session(seed=0)
+    sess = Session(seed=0).record_trace()
     reg = LanguageRegistry()
     load_language(reg, "outer", FIXTURES / "lang_outer.lw", sess)
     load_language(reg, "calc", FIXTURES / "lang_calc.lw", sess)
@@ -294,7 +294,7 @@ def test_criterion_9_language_switching():
 
 
 def test_criterion_10_typed_mismatch():
-    sess = Session(seed=0)
+    sess = Session(seed=0).record_trace()
     with pytest.raises(EvalExit) as err:
         run_pack("typed_minusdiv", "1-#2", sess)
     assert err.value.code == 2

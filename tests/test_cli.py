@@ -9,8 +9,8 @@ import pytest
 
 from langweave import evaluator, packs, runtime
 from langweave.cli import main
-from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK,
-                              EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE)
+from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_INTERRUPT, EXIT_IOERR,
+                              EXIT_NOINPUT, EXIT_OK, EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE)
 from langweave.reader import read_core
 from langweave.terms import Bool, alpha_eq
 
@@ -163,6 +163,53 @@ def test_host_fault_in_an_action_is_an_internal_error(capsys, monkeypatch):
     assert out == ""
     assert err == "internal error: TypeError: unsupported operand\n"
     assert "action in rule" not in err
+
+
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    def interrupted(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runtime, "apply_value", interrupted)
+    assert run_cli(capsys, "run", "minusdiv_immediate", "1-2") == (EXIT_INTERRUPT, "",
+                                                                   "interrupted\n")
+
+
+def test_stdout_closed_early_exits_74_without_a_traceback(tmp_path):
+    """The reader of stdout is gone before anything is written."""
+    source = tmp_path / "terms.txt"
+    source.write_text("-".join(["7/1"] * 300))
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "langweave.cli", "run", "minusdiv_codegen",
+                             "--input", str(source), "--emit", "residual"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (EXIT_IOERR, b"")
+
+
+def test_nothing_is_rendered_without_a_listener(capsys, monkeypatch):
+    """Without --trace or --emit trace no trace line is rendered: the
+    renderers the trace formatter calls raise, and a stream switching into
+    minusdiv_immediate, a generated function and a graph all still run.
+    None of these programs calls the `print` builtin."""
+    def unwanted(*_args, **_kwargs):
+        raise AssertionError("a trace line was rendered")
+
+    for owner, name in ((evaluator.P, "render_prim"), (evaluator, "_quote_render"),
+                        (evaluator, "render_value")):
+        monkeypatch.setattr(owner, name, unwanted)
+    outer = Path(__file__).parent.parent / "perfbench" / "grammars" / "stream.lw"
+    immediate = Path(packs.PACK_ROOT) / "minusdiv_immediate" / "grammar.lw"
+    stream = ("run", "--grammar", f"stream={outer}", "--grammar",
+              f"minusdiv_immediate={immediate}", "stream", "a << 12-7/3; b << 4;")
+    assert run_cli(capsys, *stream) == (EXIT_OK, "14\n", "")
+    assert run_cli(capsys, "run", "minusdiv_codegen", "1-4/2-3", "--emit", "value") \
+        == (EXIT_OK, "-4\n", "")
+    assert run_cli(capsys, "run", "graph", "Start -> X, Y;\nX -> Y;\nY -> X, Start;") \
+        == (EXIT_OK, '[["Start",1],["X",2],["Y",3]]\n[[2,3],[3],[2,1]]\n', "")
 
 
 @pytest.mark.parametrize("argv, where", [

@@ -77,7 +77,7 @@ def test_beta_binds_and_stages_on():
 
 
 def test_staging_chain_runs_in_order():
-    sess = Session()
+    sess = Session().record_trace()
     chain = rd("""
     (x, k)'[s1]' {
       '@s1:' "x+1" (a)'[s2]'
@@ -248,7 +248,7 @@ def test_step_budget():
 
 
 def test_symbolic_operand_blocks_prim():
-    sess = Session()
+    sess = Session().record_trace()
     # the body is active but x is never supplied, so the prim must not fire
     t = rd('(x)\'[s]\'{ \'@always:\' "x+1" (y) y }', sess)
     result = run_term_to_normal(t, sess)
@@ -328,7 +328,7 @@ def test_step_loop_equals_run(src, invoke):
     """`run` skips subtrees with no active body; the `step` loop walks the
     whole tree every time.  Both must execute the same bodies in order.
     A program that builds code has its result invoked the same two ways."""
-    stepped, ran = Session(seed=5), Session(seed=5)
+    stepped, ran = Session(seed=5).record_trace(), Session(seed=5).record_trace()
     results = [_by_step(stepped, rd(src, stepped), []),
                apply_value(rd(src, ran), [], ran)]
     if invoke is not None:
@@ -400,7 +400,7 @@ def test_environment_loop_equals_step(chain, budget):
     the `step` loop substitutes one step at a time.  Both must agree on
     everything a caller can see, with or without an exhausted budget."""
     source, args, fast = chain
-    stepped, ran = Session(seed=3, budget=budget), Session(seed=3, budget=budget)
+    stepped, ran = (Session(seed=3, budget=budget).record_trace() for _ in range(2))
     by_step = _outcome(stepped, lambda: _by_step(stepped, rd(source, stepped), args))
     with mock.patch.object(evaluator, "run", wraps=evaluator.run) as drained:
         by_loop = _outcome(ran, lambda: apply_value(rd(source, ran), args, ran))
@@ -576,20 +576,26 @@ def test_environment_loop_runs_builtin_chains_as_step_does(chain, budget):
     time.  Both must agree on the values, the output, the trace, the step
     count and the fresh-name counter, and so must invoking a function the
     chain returns.  `run` is called only for a draw the loop declines or
-    hands back."""
+    hands back.  With no listener `apply_value` gives the same, and an
+    empty trace."""
     source, args, fast = chain
-    stepped, ran = Session(seed=3, budget=budget), Session(seed=3, budget=budget)
+    stepped, ran = (Session(seed=3, budget=budget).record_trace() for _ in range(2))
+    quiet = Session(seed=3, budget=budget)
     by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), args))
     with mock.patch.object(evaluator, "run", wraps=evaluator.run) as drained:
         by_loop = _observed(ran, lambda: apply_value(rd(source, ran), args, ran))
     assert by_loop == by_step
+    assert _observed(quiet, lambda: apply_value(rd(source, quiet), args, quiet)) \
+        == (by_loop[0], [], *by_loop[2:])
     if fast:
         assert not drained.called
     if ran.kept and isinstance(ran.kept[0], Lam):
-        stepped_fn, ran_fn = stepped.kept[0], ran.kept[0]
+        stepped_fn, ran_fn, quiet_fn = stepped.kept[0], ran.kept[0], quiet.kept[0]
         by_step = _observed(stepped, lambda: _by_step(stepped, stepped_fn, []))
         by_loop = _observed(ran, lambda: apply_value(ran_fn, [], ran))
         assert by_loop == by_step
+        assert _observed(quiet, lambda: apply_value(quiet_fn, [], quiet)) \
+            == (by_loop[0], [], *by_loop[2:])
 
 
 def test_environment_loop_hands_back_an_operand_that_is_not_ready():
@@ -597,7 +603,7 @@ def test_environment_loop_hands_back_an_operand_that_is_not_ready():
     hands the rest of the line back to `run`; both ways end alike."""
     source = "(a, k)'[s]'{ '@s:' \"concat(a,a)\" (r)'[t]' '@t:' k r }"
     arg = TupleT((Int(1), Splice(TupleT((Int(2),)))))
-    stepped, ran = Session(seed=3), Session(seed=3)
+    stepped, ran = Session(seed=3).record_trace(), Session(seed=3).record_trace()
     by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), [arg]))
     with mock.patch.object(evaluator, "run", wraps=evaluator.run) as drained:
         by_loop = _observed(ran, lambda: apply_value(rd(source, ran), [arg], ran))
@@ -608,7 +614,7 @@ def test_environment_loop_hands_back_an_operand_that_is_not_ready():
 
 def test_prim_line_shows_the_values_its_outputs_replace():
     """A primitive's trace line is rendered before its outputs are bound."""
-    sess = Session()
+    sess = Session().record_trace()
     f = rd("(a, k)'[s]'{ '@s:' \"a+1\" (a)'[t]' '@t:' \"a*2\" (a)'[u]' '@u:' k a }", sess)
     assert apply_value(f, [Int(5)], sess) == [Int(12)]
     assert [line for line in sess.trace if line.startswith("prim ")] == ["prim 5+1", "prim 6*2"]

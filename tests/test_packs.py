@@ -103,7 +103,7 @@ def test_assignments_value_and_purity():
 
 def test_graph_outputs_and_pass_ordering():
     text = "Start -> X, Y;\nX -> Y;\nY -> X, Start;\n"
-    outs, parser, sess = run_pack("graph", text)
+    outs, parser, sess = run_pack("graph", text, Session(seed=0).record_trace())
     residual = outs[0]
     values = apply_value(residual, [], Session())
     assert len(values) == 2
@@ -128,7 +128,7 @@ def test_typed_minusdiv_success():
 
 
 def test_typed_minusdiv_mismatch_reports_before_any_arithmetic():
-    sess = Session(seed=0)
+    sess = Session(seed=0).record_trace()
     with pytest.raises(EvalExit) as err:
         run_pack("typed_minusdiv", "1-#2", session=sess)
     assert err.value.code == 2
@@ -243,7 +243,7 @@ def _finalized(pack, text, drain):
     """The residuals of parsing `text`, and what a caller sees: the values
     they give when invoked, or the error raised, the step count, the `prim`
     lines and the fresh-name counter; `drain` runs every finalize shell."""
-    session = Session(seed=7)
+    session = Session(seed=7).record_trace()
     residuals = []
     with mock.patch.object(evaluator, "run", drain):
         try:

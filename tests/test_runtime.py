@@ -228,7 +228,7 @@ def _two_language_registry(session):
 
 
 def test_boundary_crossing_input_lexes_per_region():
-    sess = Session(seed=0)
+    sess = Session(seed=0).record_trace()
     reg = _two_language_registry(sess)
     parser = Parser(reg, "go << 1 :: 2", sess)
     assert parser.trace is sess.trace  # one trace channel
@@ -618,8 +618,8 @@ def _inputs(draw, reg, lang, entry):
     return draw(st.sampled_from([" ", "\n", ""])).join(tokens)
 
 
-def _observed(parser_class, registry, lang, entry, args, used, text):
-    session = Session(seed=3)
+def _observed(parser_class, registry, lang, entry, args, used, text, listen=True):
+    session = Session(seed=3).record_trace() if listen else Session(seed=3)
     session.names.used = set(used)
     parser = parser_class(registry, text, session)
     try:
@@ -639,12 +639,15 @@ _CASES = ("minusdiv_immediate", "minusdiv_codegen", "typed_minusdiv", "assignmen
 @given(data=st.data())
 def test_compiled_loop_equals_the_recursive_parser(case, data):
     """Values, trace, consumed spans, printed output, fresh names and every
-    error type and message agree on derived and broken inputs."""
+    error type and message agree on derived and broken inputs.  With no
+    listener the loop gives the same, and an empty trace."""
     reg, lang, entry, args, used = _case(case)
     text = data.draw(_inputs(reg, lang, entry))
     new = _observed(Parser, reg, lang, entry, args, used, text)
     old = _observed(_Reference, _recursive_registry(reg), lang, entry, args, used, text)
     assert new == old
+    quiet = _observed(Parser, reg, lang, entry, args, used, text, listen=False)
+    assert quiet == (new[0], [], *new[2:])
 
 
 def test_an_unbound_name_fails_when_the_parse_reaches_it():
