@@ -70,7 +70,7 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 from .fragments import build, finalize_wrapper, merge, subject_call_args
 from .names import FreshNames
 from . import prims as P
-from .printer import _quote_render, render_value
+from .printer import print_prim, render_value
 from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
                     FragVal, Int, Lam, Param, PrimB, Rec, RetK, Splice, SRef,
                     StageConst, Str, TupleT, Var, _CLOSED, body_info,
@@ -118,8 +118,10 @@ def trace_line(kind, fields):
     if kind != "prim":
         return f"{kind} {'.'.join(fields)}"
     expr, env = fields
-    return "prim " + P.render_prim(expr, lambda term: _quote_render(
-        env.get(term.name, term) if env is not None and type(term) is Var else term), env)
+    if env is not None:
+        expr = P.prim_subst(expr, env, lambda term: env.get(term.name, term)
+                            if type(term) is Var else term)
+    return "prim " + print_prim(expr)
 
 
 class _Unready(Exception):
@@ -153,8 +155,56 @@ def eval_prim(expr, env=None):
         if env is None or expr.name not in env:
             raise _Unready(expr.name)
         return env[expr.name]
-    if isinstance(expr, P.PBin):
-        return _eval_bin(expr, env)
+    if isinstance(expr, P.POp):
+        op, args = expr.op, expr.args
+        if len(args) == 2 and op in P.BINARY:
+            return _eval_bin(op, _strict(eval_prim(args[0], env)),
+                             _strict(eval_prim(args[1], env)))
+        if op == "-":
+            v = _strict(eval_prim(args[0], env))
+            if not isinstance(v, Int):
+                raise PrimTypeError("unary '-' needs an integer")
+            return Int(-v.value)
+        if op == "[]":
+            return TupleT(tuple(eval_prim(a, env) for a in args))
+        if op[0] == ".":
+            obj, method, args = _strict(eval_prim(args[0], env)), op[1:], args[1:]
+            if not isinstance(obj, EnvVal):
+                raise PrimTypeError(f"method {method!r} needs an environment")
+            if method == "insert":
+                if len(args) != 2:
+                    raise PrimTypeError("insert takes a key and a value")
+                key = _strict(eval_prim(args[0], env))
+                if not isinstance(key, Str):
+                    raise PrimTypeError("insert key must be a string")
+                value = eval_prim(args[1], env)
+                return obj.insert(key.value, value)
+            if method == "lookup":
+                if len(args) != 1:
+                    raise PrimTypeError("lookup takes a key")
+                key = _strict(eval_prim(args[0], env))
+                if not isinstance(key, Str):
+                    raise PrimTypeError("lookup key must be a string")
+                found = obj.lookup(key.value)
+                if found is None:
+                    raise NameNotFound(f"name {key.value!r} not present in environment")
+                return found
+            if method == "items":
+                if args:
+                    raise PrimTypeError("items takes no arguments")
+                return TupleT(tuple(TupleT((Str(k), v)) for k, v in obj.entries))
+            raise PrimTypeError(f"unknown environment method {method!r}")
+        if op == "concat":
+            if len(args) != 2:
+                raise PrimTypeError("concat takes two tuples")
+            a = _strict(eval_prim(args[0], env))
+            b = _strict(eval_prim(args[1], env))
+            if not isinstance(a, TupleT) or not isinstance(b, TupleT):
+                raise PrimTypeError("concat takes two tuples")
+            if any(isinstance(t, Splice) for t in a.items + b.items):
+                raise _Unready("concat over an unresolved pack")
+            return TupleT(a.items + b.items)
+        raise PrimTypeError(f"unknown primitive function {op!r}")
     if isinstance(expr, P.PInt):
         return Int(expr.value)
     if isinstance(expr, P.PStr):
@@ -162,59 +212,11 @@ def eval_prim(expr, env=None):
     if isinstance(expr, P.PQuote):
         term = expr.term
         return env.get(term.name, term) if env is not None and type(term) is Var else term
-    if isinstance(expr, P.PNeg):
-        v = _strict(eval_prim(expr.inner, env))
-        if not isinstance(v, Int):
-            raise PrimTypeError("unary '-' needs an integer")
-        return Int(-v.value)
-    if isinstance(expr, P.PList):
-        return TupleT(tuple(eval_prim(a, env) for a in expr.items))
-    if isinstance(expr, P.PCall):
-        if expr.fn == "concat":
-            if len(expr.args) != 2:
-                raise PrimTypeError("concat takes two tuples")
-            a = _strict(eval_prim(expr.args[0], env))
-            b = _strict(eval_prim(expr.args[1], env))
-            if not isinstance(a, TupleT) or not isinstance(b, TupleT):
-                raise PrimTypeError("concat takes two tuples")
-            if any(isinstance(t, Splice) for t in a.items + b.items):
-                raise _Unready("concat over an unresolved pack")
-            return TupleT(a.items + b.items)
-        raise PrimTypeError(f"unknown primitive function {expr.fn!r}")
-    if isinstance(expr, P.PMethod):
-        obj = _strict(eval_prim(expr.obj, env))
-        if not isinstance(obj, EnvVal):
-            raise PrimTypeError(f"method {expr.method!r} needs an environment")
-        if expr.method == "insert":
-            if len(expr.args) != 2:
-                raise PrimTypeError("insert takes a key and a value")
-            key = _strict(eval_prim(expr.args[0], env))
-            if not isinstance(key, Str):
-                raise PrimTypeError("insert key must be a string")
-            value = eval_prim(expr.args[1], env)
-            return obj.insert(key.value, value)
-        if expr.method == "lookup":
-            if len(expr.args) != 1:
-                raise PrimTypeError("lookup takes a key")
-            key = _strict(eval_prim(expr.args[0], env))
-            if not isinstance(key, Str):
-                raise PrimTypeError("lookup key must be a string")
-            found = obj.lookup(key.value)
-            if found is None:
-                raise NameNotFound(f"name {key.value!r} not present in environment")
-            return found
-        if expr.method == "items":
-            if expr.args:
-                raise PrimTypeError("items takes no arguments")
-            return TupleT(tuple(TupleT((Str(k), v)) for k, v in obj.entries))
-        raise PrimTypeError(f"unknown environment method {expr.method!r}")
     raise PrimTypeError(f"cannot evaluate {expr!r}")
 
 
-def _eval_bin(expr, env):
-    op = expr.op
-    lv = _strict(eval_prim(expr.left, env))
-    rv = _strict(eval_prim(expr.right, env))
+def _eval_bin(op, lv, rv):
+    """`lv op rv` for a binary operator of `prims.BINARY`."""
     if op in ("==", "!="):
         if type(lv) is not type(rv) or not isinstance(lv, (Int, Str, Bool)):
             raise PrimTypeError(f"cannot compare {lv!r} and {rv!r}")

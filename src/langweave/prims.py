@@ -2,9 +2,11 @@
 
 Covers exactly the forms the bundled languages need: integer/boolean/string
 arithmetic and comparison, list literals, `concat`, and environment method
-calls (`env.insert(k,v)`, `env.lookup(k)`, `env.items()`).  Parsing and
-rendering live here; evaluation lives in the evaluator, which knows the
-value domain.
+calls (`env.insert(k,v)`, `env.lookup(k)`, `env.items()`).  Besides the
+literals and names, every form is one `POp` node, and one table, `BINARY`,
+gives the binary operators' levels to the parser, to `render_prim` and to
+the evaluator.  Parsing and rendering live here; evaluation lives in the
+evaluator, which knows the value domain.
 
 Substituted operands are carried as `PQuote` nodes wrapping a term, so a
 partially evaluated expression renders back to source with concrete values
@@ -16,7 +18,12 @@ from dataclasses import dataclass
 
 from .errors import CoreSyntaxError
 
-CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+# The binary operators and their levels, loosest first: comparisons, which
+# do not chain, then `+ -`, then `* /`.  Each groups left.  Unary `-` binds
+# tighter than all of them, and a method call tighter still.
+BINARY = {"==": 0, "!=": 0, "<=": 0, ">=": 0, "<": 0, ">": 0,
+          "+": 1, "-": 1, "*": 2, "/": 2}
+_NEG, _POSTFIX = 3, 4
 
 
 class PrimExpr:
@@ -47,51 +54,22 @@ class PQuote(PrimExpr):
 
 
 @dataclass(frozen=True)
-class PNeg(PrimExpr):
-    inner: PrimExpr
-
-
-@dataclass(frozen=True)
-class PBin(PrimExpr):
+class POp(PrimExpr):
+    """An operator applied to its operands.  `op` is as the source writes
+    it: a binary operator (see `BINARY`); `-` with one operand, negation;
+    `[]`, a list; a function name; or `.` and a method name, the object
+    first among the operands."""
     op: str
-    left: PrimExpr
-    right: PrimExpr
-
-
-@dataclass(frozen=True)
-class PList(PrimExpr):
-    items: tuple
-
-
-@dataclass(frozen=True)
-class PCall(PrimExpr):
-    fn: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class PMethod(PrimExpr):
-    obj: PrimExpr
-    method: str
     args: tuple
 
 
 def prim_leaves(expr):
     """The `PName` and `PQuote` nodes of an expression, left to right."""
-    if isinstance(expr, (PName, PQuote)):
-        yield expr
-    elif isinstance(expr, PNeg):
-        yield from prim_leaves(expr.inner)
-    elif isinstance(expr, PBin):
-        yield from prim_leaves(expr.left)
-        yield from prim_leaves(expr.right)
-    elif isinstance(expr, (PList, PCall)):
-        for a in expr.items if isinstance(expr, PList) else expr.args:
-            yield from prim_leaves(a)
-    elif isinstance(expr, PMethod):
-        yield from prim_leaves(expr.obj)
+    if isinstance(expr, POp):
         for a in expr.args:
             yield from prim_leaves(a)
+    elif isinstance(expr, (PName, PQuote)):
+        yield expr
 
 
 # ---------------------------------------------------------------------------
@@ -142,40 +120,31 @@ class _P:
 
 def parse_prim(text):
     p = _P(_tokenize(text), text)
-    expr = _cmp(p)
+    expr = _binary(p)
     if p.peek()[0] != "end":
         raise CoreSyntaxError(f"trailing input in expression {text!r}")
     return expr
 
 
-def _cmp(p):
-    left = _add(p)
-    if p.at_op(*CMP_OPS):
-        op = p.take("op")
-        return PBin(op, left, _add(p))
-    return left
-
-
-def _add(p):
-    left = _mul(p)
-    while p.at_op("+", "-"):
-        op = p.take("op")
-        left = PBin(op, left, _mul(p))
-    return left
-
-
-def _mul(p):
+def _binary(p, level=0):
+    """Operands joined by binary operators of `level` or tighter
+    (precedence climbing); a comparison ends it, so comparisons do not chain."""
     left = _unary(p)
-    while p.at_op("*", "/"):
-        op = p.take("op")
-        left = PBin(op, left, _unary(p))
-    return left
+    while True:
+        kind, op = p.peek()
+        op_level = BINARY.get(op) if kind == "op" else None
+        if op_level is None or op_level < level:
+            return left
+        p.take()
+        left = POp(op, (left, _binary(p, op_level + 1)))
+        if op_level == 0:
+            return left
 
 
 def _unary(p):
     if p.at_op("-"):
         p.take("op")
-        return PNeg(_unary(p))
+        return POp("-", (_unary(p),))
     return _postfix(p)
 
 
@@ -183,20 +152,19 @@ def _postfix(p):
     expr = _atom(p)
     while p.at_op("."):
         p.take("op")
-        method = p.take("name")
+        method = "." + p.take("name")
         p.take("op", "(")
-        args = _args(p, ")")
-        expr = PMethod(expr, method, tuple(args))
+        expr = POp(method, (expr, *_args(p, ")")))
     return expr
 
 
 def _args(p, closer):
     args = []
     if not p.at_op(closer):
-        args.append(_cmp(p))
+        args.append(_binary(p))
         while p.at_op(","):
             p.take("op")
-            args.append(_cmp(p))
+            args.append(_binary(p))
     p.take("op", closer)
     return args
 
@@ -213,16 +181,16 @@ def _atom(p):
         p.take()
         if p.at_op("("):
             p.take("op")
-            return PCall(val, tuple(_args(p, ")")))
+            return POp(val, tuple(_args(p, ")")))
         return PName(val)
     if p.at_op("("):
         p.take("op")
-        inner = _cmp(p)
+        inner = _binary(p)
         p.take("op", ")")
         return inner
     if p.at_op("["):
         p.take("op")
-        return PList(tuple(_args(p, "]")))
+        return POp("[]", tuple(_args(p, "]")))
     raise CoreSyntaxError(f"unexpected {val!r} in expression {p.text!r}")
 
 
@@ -232,19 +200,10 @@ def _atom(p):
 def prim_map(expr, leaf):
     """`expr` with each `PName` and `PQuote` node replaced by `leaf(node)`,
     and the nodes above them rebuilt."""
+    if isinstance(expr, POp):
+        return POp(expr.op, tuple([prim_map(a, leaf) for a in expr.args]))
     if isinstance(expr, (PName, PQuote)):
         return leaf(expr)
-    if isinstance(expr, PNeg):
-        return PNeg(prim_map(expr.inner, leaf))
-    if isinstance(expr, PBin):
-        return PBin(expr.op, prim_map(expr.left, leaf), prim_map(expr.right, leaf))
-    if isinstance(expr, PList):
-        return PList(tuple(prim_map(a, leaf) for a in expr.items))
-    if isinstance(expr, PCall):
-        return PCall(expr.fn, tuple(prim_map(a, leaf) for a in expr.args))
-    if isinstance(expr, PMethod):
-        return PMethod(prim_map(expr.obj, leaf), expr.method,
-                       tuple(prim_map(a, leaf) for a in expr.args))
     return expr
 
 
@@ -257,12 +216,8 @@ def prim_subst(expr, mapping, term_subst):
     return prim_map(expr, leaf)
 
 
-_PREC = {"atom": 4, "neg": 3, "mul": 2, "add": 1, "cmp": 0}
-
-
-def render_prim(expr, quote_render, env=None):
-    """Back to source text.  `quote_render` renders an embedded term, and
-    the term a name has in the dict `env`, if given, in place of the name."""
+def render_prim(expr, quote_render):
+    """Back to source text; `quote_render` renders an embedded term."""
 
     def go(e, prec):
         if isinstance(e, PInt):
@@ -270,30 +225,26 @@ def render_prim(expr, quote_render, env=None):
         if isinstance(e, PStr):
             return "'" + e.value.replace("'", "''") + "'"
         if isinstance(e, PName):
-            return quote_render(env[e.name]) if env is not None and e.name in env else e.name
+            return e.name
         if isinstance(e, PQuote):
             return quote_render(e.term)
-        if isinstance(e, PNeg):
-            s = "-" + go(e.inner, _PREC["neg"])
-            return f"({s})" if prec > _PREC["neg"] else s
-        if isinstance(e, PBin):
-            if e.op in CMP_OPS:
-                level = _PREC["cmp"]
-            elif e.op in "+-":
-                level = _PREC["add"]
-            else:
-                level = _PREC["mul"]
+        if not isinstance(e, POp):
+            raise TypeError(f"not a prim expression: {e!r}")
+        op, args = e.op, e.args
+        level = BINARY.get(op) if len(args) == 2 else None
+        if level is not None:
             # comparisons do not chain, so neither operand may be one
-            left = go(e.left, level + (level == _PREC["cmp"]))
-            s = f"{left}{e.op}{go(e.right, level + 1)}"
-            return f"({s})" if prec > level else s
-        if isinstance(e, PList):
-            return "[" + ",".join(go(a, 0) for a in e.items) + "]"
-        if isinstance(e, PCall):
-            return e.fn + "(" + ",".join(go(a, 0) for a in e.args) + ")"
-        if isinstance(e, PMethod):
-            return go(e.obj, _PREC["atom"]) + "." + e.method + "(" + ",".join(go(a, 0) for a in e.args) + ")"
-        raise TypeError(f"not a prim expression: {e!r}")
+            s = go(args[0], level + (level == 0)) + op + go(args[1], level + 1)
+        elif op == "-":
+            level = _NEG
+            s = "-" + go(args[0], _NEG)
+        elif op == "[]":
+            return "[" + ",".join(go(a, 0) for a in args) + "]"
+        elif op[0] == ".":
+            return go(args[0], _POSTFIX) + op + "(" + ",".join(go(a, 0) for a in args[1:]) + ")"
+        else:
+            return op + "(" + ",".join(go(a, 0) for a in args) + ")"
+        return f"({s})" if prec > level else s
 
     return go(expr, 0)
 
@@ -314,27 +265,13 @@ def prim_alpha_eq(a, b, name_eq, term_eq):
         # a substituted operand may compare against a still-named one only
         # if both are names/quotes of matching vars; keep it strict.
         return False
-    if isinstance(a, PInt):
-        return a.value == b.value
-    if isinstance(a, PStr):
+    if isinstance(a, POp):
+        return a.op == b.op and len(a.args) == len(b.args) and all(
+            prim_alpha_eq(x, y, name_eq, term_eq) for x, y in zip(a.args, b.args))
+    if isinstance(a, (PInt, PStr)):
         return a.value == b.value
     if isinstance(a, PName):
         return name_eq(a.name, b.name)
     if isinstance(a, PQuote):
         return term_eq(a.term, b.term)
-    if isinstance(a, PNeg):
-        return prim_alpha_eq(a.inner, b.inner, name_eq, term_eq)
-    if isinstance(a, PBin):
-        return a.op == b.op and prim_alpha_eq(a.left, b.left, name_eq, term_eq) \
-            and prim_alpha_eq(a.right, b.right, name_eq, term_eq)
-    if isinstance(a, PList):
-        return len(a.items) == len(b.items) and all(
-            prim_alpha_eq(x, y, name_eq, term_eq) for x, y in zip(a.items, b.items))
-    if isinstance(a, PCall):
-        return a.fn == b.fn and len(a.args) == len(b.args) and all(
-            prim_alpha_eq(x, y, name_eq, term_eq) for x, y in zip(a.args, b.args))
-    if isinstance(a, PMethod):
-        return a.method == b.method and prim_alpha_eq(a.obj, b.obj, name_eq, term_eq) \
-            and len(a.args) == len(b.args) and all(
-                prim_alpha_eq(x, y, name_eq, term_eq) for x, y in zip(a.args, b.args))
     return False

@@ -86,6 +86,12 @@ def print_term(term, indent=0):
     raise TypeError(f"cannot print {term!r}")
 
 
+def print_prim(expr):
+    """A primitive expression as source text, each value in it printed as
+    the expression it reads back as, parenthesized as one."""
+    return render_prim(normalize_prim(expr, _quote_to_prim), _quote_render)
+
+
 def print_body(body, indent=0):
     pad = _INDENT * indent
     prefix = f"'@{_stage_text(body.stage)}:'"
@@ -95,8 +101,7 @@ def print_body(body, indent=0):
         parts.extend(print_term(a, indent) for a in form.args)
         return pad + " ".join(parts)
     if isinstance(form, PrimB):
-        # a value prints as the expression it reads back as, parenthesized as one
-        expr = _escape(render_prim(normalize_prim(form.expr, _quote_to_prim), _quote_render))
+        expr = _escape(print_prim(form.expr))
         outs = ", ".join(form.outs)
         line = f"{pad}{prefix} \"{expr}\" ({outs})'[{form.cont_stage}]'"
         return line + "\n" + print_body(form.rest, indent)
@@ -110,10 +115,6 @@ def print_body(body, indent=0):
 def print_core(term):
     """Public printer: term to source text."""
     return print_term(term, 0)
-
-
-def print_program(body):
-    return print_body(body, 0)
 
 
 # ---------------------------------------------------------------------------

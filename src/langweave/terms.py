@@ -30,8 +30,8 @@ superset and an over-estimate of activity, which is safe for both uses.
 
 from dataclasses import dataclass, field
 
-from .prims import (PBin, PInt, PList, PName, PNeg, PQuote, PrimExpr, PStr,
-                    normalize_prim, prim_alpha_eq, prim_leaves, prim_subst)
+from .prims import (PInt, PName, POp, PQuote, PrimExpr, PStr, normalize_prim,
+                    prim_alpha_eq, prim_leaves, prim_subst)
 
 # ---------------------------------------------------------------------------
 # stage expressions
@@ -534,13 +534,13 @@ def _quote_to_prim(term):
     if isinstance(term, Var):
         return PName(term.name)
     if isinstance(term, Int):  # as its rendering reads back
-        return PInt(term.value) if term.value >= 0 else PNeg(PInt(-term.value))
+        return PInt(term.value) if term.value >= 0 else POp("-", (PInt(-term.value),))
     if isinstance(term, Str):
         return PStr(term.value)
     if isinstance(term, Bool):
-        return PBin("==", PInt(1), PInt(1 if term.value else 0))
+        return POp("==", (PInt(1), PInt(1 if term.value else 0)))
     if isinstance(term, TupleT) and not any(isinstance(t, Splice) for t in term.items):
-        return PList(tuple(PQuote(t) for t in term.items))
+        return POp("[]", tuple(PQuote(t) for t in term.items))
     return None
 
 

@@ -198,9 +198,8 @@ def test_nothing_is_rendered_without_a_listener(capsys, monkeypatch):
     def unwanted(*_args, **_kwargs):
         raise AssertionError("a trace line was rendered")
 
-    for owner, name in ((evaluator.P, "render_prim"), (evaluator, "_quote_render"),
-                        (evaluator, "render_value")):
-        monkeypatch.setattr(owner, name, unwanted)
+    for name in ("print_prim", "render_value"):
+        monkeypatch.setattr(evaluator, name, unwanted)
     outer = Path(__file__).parent.parent / "perfbench" / "grammars" / "stream.lw"
     immediate = Path(packs.PACK_ROOT) / "minusdiv_immediate" / "grammar.lw"
     stream = ("run", "--grammar", f"stream={outer}", "--grammar",

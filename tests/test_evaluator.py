@@ -14,9 +14,10 @@ from langweave.errors import (EvalExit, LangError, NameNotFound, PrimTypeError,
                               StepBudgetExceeded)
 from langweave.evaluator import Session, apply_value, run_term_to_normal, step
 from langweave.fragments import Fragment
+from langweave.prims import parse_prim, prim_subst
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
-from langweave.terms import (App, Body, Bool, EnvVal, FragVal, Int, Lam, PrimB,
+from langweave.terms import (App, Body, Bool, Builtin, EnvVal, FragVal, Int, Lam, PrimB,
                              RetK, SConst, Splice, Str, TupleT, Var, alpha_eq)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -195,6 +196,80 @@ def test_division_by_zero():
     prog = rd('(k)\'[s]\'{ \'@s:\' "1/0" (q) k q }', sess)
     with pytest.raises(PrimTypeError):
         apply_value(prog, [], sess)
+
+
+WAITS = "waits"
+_ENV = {"e": EnvVal((("a", Int(1)),)), "i": Int(7), "s": Str("q"), "y": Bool(True),
+        "t": TupleT((Int(1),)), "p": TupleT((Splice(Var("r")),)), "v": Var("sym"),
+        "u": Builtin("print")}
+
+
+@pytest.mark.parametrize("expr, expected", [
+    # one case for each row of the quoted-expression table in core-reference.md
+    ("i+2", Int(9)), ("i-9", Int(-2)), ("i*3", Int(21)),
+    ("i/2", Int(3)), ("-i/2", Int(-3)), ("i/0", (PrimTypeError, "division by zero")),
+    ("i==7", Bool(True)), ("s!='q'", Bool(False)), ("y==(1==1)", Bool(True)),
+    ("i<8", Bool(True)), ("i<=6", Bool(False)), ("i>7", Bool(False)), ("i>=7", Bool(True)),
+    ("-i", Int(-7)),
+    ("[i, v]", TupleT((Int(7), Var("sym")))),
+    ("concat(t, [2])", TupleT((Int(1), Int(2)))),
+    ("e.insert('b', 2)", (("a", Int(1)), ("b", Int(2)))),
+    ("e.insert('a', 3)", (("a", Int(3)),)),
+    ("e.lookup('a')", Int(1)),
+    ("e.lookup('z')", (NameNotFound, "name 'z' not present in environment")),
+    ("e.items()", TupleT((TupleT((Str("a"), Int(1))),))),
+    ("'it''s'", Str("it's")),
+    # one case for each other error message
+    ("i+u", (PrimTypeError, f"unusable operand {Builtin('print')!r}")),
+    ("u+x", (PrimTypeError, f"unusable operand {Builtin('print')!r}")),
+    ("-s", (PrimTypeError, "unary '-' needs an integer")),
+    ("concat(t)", (PrimTypeError, "concat takes two tuples")),
+    ("concat(t, i)", (PrimTypeError, "concat takes two tuples")),
+    ("foo(x)", (PrimTypeError, "unknown primitive function 'foo'")),
+    ("i.insert(x, 1)", (PrimTypeError, "method 'insert' needs an environment")),
+    ("e.insert('a')", (PrimTypeError, "insert takes a key and a value")),
+    ("e.insert(i, x)", (PrimTypeError, "insert key must be a string")),
+    ("e.lookup()", (PrimTypeError, "lookup takes a key")),
+    ("e.lookup(i)", (PrimTypeError, "lookup key must be a string")),
+    ("e.items(i)", (PrimTypeError, "items takes no arguments")),
+    ("e.bogus(x)", (PrimTypeError, "unknown environment method 'bogus'")),
+    ("s==i", (PrimTypeError, f"cannot compare {Str('q')!r} and {Int(7)!r}")),
+    ("t==t", (PrimTypeError, f"cannot compare {TupleT((Int(1),))!r} and {TupleT((Int(1),))!r}")),
+    ("s+1", (PrimTypeError, "operator '+' needs integers")),
+    ("i<s", (PrimTypeError, "operator '<' needs integers")),
+    (Var("x"), (PrimTypeError, f"cannot evaluate {Var('x')!r}")),
+    # an operand that is not known yet waits, unless the expression fails first
+    ("x+1", WAITS), ("s+x", WAITS), ("v*2", WAITS), ("-x", WAITS), ("[i, x]", WAITS),
+    ("x.lookup('a')", WAITS), ("e.lookup(x)", WAITS), ("e.insert('k', x)", WAITS),
+    ("concat(p, t)", WAITS), ("concat(t, x)", WAITS),
+    ("e.insert('k', v)", (("a", Int(1)), ("k", Var("sym")))),
+])
+def test_eval_prim_values_errors_and_waits(expr, expected):
+    """`eval_prim` over a dict: each value, each error message, and where an
+    operand that is not known yet makes the expression wait instead."""
+    expr = parse_prim(expr) if isinstance(expr, str) else expr
+    if expected == WAITS:
+        with pytest.raises(evaluator._Unready):
+            evaluator.eval_prim(expr, dict(_ENV))
+    elif isinstance(expected, tuple) and isinstance(expected[0], type):
+        with pytest.raises(expected[0]) as info:
+            evaluator.eval_prim(expr, dict(_ENV))
+        assert str(info.value) == expected[1]
+    else:
+        value = evaluator.eval_prim(expr, dict(_ENV))
+        assert (value.entries if isinstance(value, EnvVal) else value) == expected
+
+
+def test_eval_prim_reads_quoted_operands_without_a_dict():
+    """Substitution leaves values as quoted operands; a quoted name is
+    symbolic data, and a plain name waits."""
+    expr = prim_subst(parse_prim("[x+1, k]"), {"x": Int(2), "k": Var("k")}, lambda t: t)
+    assert evaluator.eval_prim(expr) == TupleT((Int(3), Var("k")))
+    for text in ("x+1", "[x]"):
+        with pytest.raises(evaluator._Unready):
+            evaluator.eval_prim(parse_prim(text))
+    with pytest.raises(evaluator._Unready):
+        evaluator.eval_prim(prim_subst(parse_prim("k+1"), {"k": Var("k")}, lambda t: t))
 
 
 def test_if_builtin_branches():

@@ -13,7 +13,7 @@ from langweave.errors import EvalExit, LangError
 from langweave.evaluator import Session, apply_value, render_value, step
 from langweave.grammar import prepare
 from langweave.grammar_reader import read_grammar
-from langweave.prims import PMethod, render_prim
+from langweave.prims import render_prim
 from langweave.printer import print_core, _quote_render
 from langweave.reader import read_core
 from langweave.runtime import LanguageRegistry, Parser

@@ -14,7 +14,7 @@ from langweave.cli import main
 from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK, EXIT_PARSE,
                               EXIT_USAGE)
 from langweave.evaluator import Session, apply_value, render_value
-from langweave.prims import parse_prim, prim_subst
+from langweave.prims import parse_prim, prim_subst, render_prim
 from langweave.printer import print_core
 from langweave.reader import read_core
 from langweave.terms import (App, Body, Bool, Builtin, FixB, Int, Lam, Param, PrimB,
@@ -144,13 +144,24 @@ _stage_exprs = st.recursive(
     lambda inner: st.one_of(st.builds(SAnd, inner, inner), st.builds(SOr, inner, inner),
                             st.builds(SNot, inner)),
     max_leaves=4)
+# Every binary operator is drawn parenthesized, so that a looser operator
+# sits inside a tighter one (`(a+b)*c`, `a-(b-c)`, `-(a+b)`); arithmetic is
+# also drawn without parentheses, so that precedence decides `a-b*c` and
+# `-a*b`.  Comparisons are only drawn parenthesized, since they do not
+# chain.  A method's object is a name or a parenthesized expression.
 _prim_texts = st.recursive(
     st.one_of(_names, st.integers(0, 99).map(str), st.just("'q\"'"), st.just("'it''s'")),
     lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "==", "<="]), inner)
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "==", "!=", "<", ">", "<=", ">="]),
+                  inner)
         .map(lambda t: "(" + "".join(t) + ")"),
         inner.map("-{}".format),
-        st.lists(inner, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]")),
+        st.lists(inner, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]"),
+        st.tuples(inner, inner).map(lambda t: "concat({},{})".format(*t)),
+        st.tuples(st.one_of(_names, inner.map("({})".format)),
+                  st.sampled_from([".insert({},{})", ".lookup({})", ".items()"]), inner, inner)
+        .map(lambda t: t[0] + t[1].format(t[2], t[3]))),
     max_leaves=5)
 _strs = st.text(alphabet='ab "\\\n\'', max_size=4).map(Str)
 _leaves = st.one_of(
@@ -218,3 +229,16 @@ def test_print_then_read_core_is_alpha_equal_and_reprints_identically(term):
     again = read_core(printed)
     assert alpha_eq(term, again)
     assert print_core(again) == printed
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_prim_texts.map(parse_prim))
+@example(parse_prim("a-(b-c)*-d"))
+@example(parse_prim("(a+b)*c"))
+@example(parse_prim("-(a+b)"))
+@example(parse_prim("(a<b)==(-x.lookup('k')>=concat([y],(k).items()))"))
+def test_a_rendered_primitive_parses_back_to_itself(expr):
+    def no_quote(term):
+        raise AssertionError(f"a parsed expression quotes {term!r}")
+
+    assert parse_prim(render_prim(expr, no_quote)) == expr

@@ -8,7 +8,7 @@ from langweave.errors import CoreSyntaxError, LangError
 from langweave.grammar import TOKEN_CLASSES, NtUse
 from langweave.grammar_reader import read_grammar
 from langweave.parsegen import EOI
-from langweave.printer import print_core, print_program
+from langweave.printer import print_body, print_core
 from langweave.prims import PName, parse_prim
 from langweave.reader import read_core, read_program
 from langweave.runtime import LexerDef, lex_next
@@ -44,6 +44,22 @@ def test_prim_expression_sugar():
     # the rest activates on the expression's continuation stage
     assert form.rest.stage == SRef(form.cont_stage)
     assert isinstance(form.rest.form, App)
+
+
+@pytest.mark.parametrize("text, grouped", [
+    ("a-b*c", "a-(b*c)"), ("a/b+c", "(a/b)+c"), ("a-b-c", "(a-b)-c"),
+    ("-a*b", "(-a)*b"), ("-a.items()", "-(a.items())"), ("a+b<c*d", "(a+b)<(c*d)"),
+])
+def test_prim_precedence(text, grouped):
+    """Method calls bind tightest, then unary `-`, then `* /`, then `+ -`,
+    then comparisons; binary operators group left."""
+    assert parse_prim(text) == parse_prim(grouped)
+
+
+@pytest.mark.parametrize("text", ["a<b<c", "(a==b!=c)", "[a<=b>c]"])
+def test_prim_comparisons_do_not_chain(text):
+    with pytest.raises(CoreSyntaxError):
+        parse_prim(text)
 
 
 def test_packed_param_and_splice():
@@ -176,7 +192,7 @@ def test_round_trip_alpha_identity(path):
 
 def test_round_trip_program_body():
     body = read_program("f 1 2 (out)'[s]' '@s:' g out")
-    printed = print_program(body)
+    printed = print_body(body)
     again = read_program(printed)
     assert alpha_eq_body(body, again)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langweave.names import FreshNames
-from langweave.prims import PBin, PInt, PName, PQuote, prim_subst
+from langweave.prims import PInt, PName, POp, PQuote, prim_subst
 from langweave.reader import read_core
 from langweave.terms import (App, Body, FixB, Int, Lam, Param, PrimB, Rec,
                              SConst, SRef, Splice, StageConst, TupleT, Var,
@@ -102,7 +102,7 @@ def test_mapping_stops_at_prim_and_fix_binders():
         k x }""", names)
     copy = subst_body(lam.body, {"x": Int(5)}, names)
     assert copy.form.outs == ("x",)
-    left, right = copy.form.expr.left, copy.form.expr.right
+    left, right = copy.form.expr.args
     assert isinstance(left, PQuote) and left.term == Int(5) and right == PInt(1)
     assert copy.form.rest is lam.body.form.rest  # the out `x` shadows the mapping
     fix = lam.body.form.rest
@@ -184,7 +184,7 @@ def _extend(bodies):
     return st.one_of(
         st.builds(lambda s, f, xs: Body(s, App(f, tuple(xs))),
                   stages, terms, st.lists(terms, max_size=2)),
-        st.builds(lambda s, x, y, o, c, rest: Body(s, PrimB(PBin("+", PName(x), PName(y)),
+        st.builds(lambda s, x, y, o, c, rest: Body(s, PrimB(POp("+", (PName(x), PName(y))),
                                                            (o,), c, rest)),
                   stages, name, name, name, name, bodies),
         st.builds(lambda s, p, f, v, rest: Body(s, FixB(p, f, v, rest)),
