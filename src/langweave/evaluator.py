@@ -14,10 +14,10 @@ the value.  Execution always rewrites the body cell in place:
 
 Since substitution avoids capture (a copied binder is renamed exactly
 where a substituted value has its name free) and shares only subtrees it
-cannot change, a bare `Var` in any position is precisely a symbolic value,
-and a stage reference to one is bottom.  That single rule
-is what makes build-time chains run inside not-yet-invoked lambdas while
-function-time chains stay residual.
+cannot change, a bare `Var` in any position is precisely a symbolic value.
+A stage expression is a term too (see `terms`), and a `Var` in it reads as
+bottom.  That single rule is what makes build-time chains run inside
+not-yet-invoked lambdas while function-time chains stay residual.
 
 `run` drains the tree on one explicit stack, holding the path from the
 root to the body it is at, and skips every subtree whose cached pair (see
@@ -72,10 +72,10 @@ from .names import FreshNames
 from . import prims as P
 from .printer import print_prim, render_value
 from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
-                    FragVal, Int, Lam, Param, PrimB, Rec, RetK, Splice, SRef,
+                    FragVal, Int, Lam, Param, PrimB, Rec, RetK, Splice,
                     StageConst, Str, TupleT, Var, _CLOSED, body_info,
-                    child_bodies, lam_info, postorder, stage_names,
-                    stage_value, subst_body, subst_term, term_info, walk)
+                    child_bodies, lam_info, postorder, stage_value,
+                    subst_body, subst_term, term_info, walk)
 
 
 class Session:
@@ -363,7 +363,7 @@ def _refine_pack(session, name, count, path):
 
 def _beta(session, body, lam, items, stage_term=None):
     mapping = _bind(lam, items)
-    mapping[lam.stage] = stage_term if stage_term is not None else StageConst(True)
+    mapping[lam.stage] = stage_term if stage_term is not None else TOP
     body.replace(subst_body(lam.body, mapping, session.names))
 
 
@@ -386,14 +386,14 @@ def _try_execute(session, body, path):
         except _Unready:
             return None
         mapping = dict.fromkeys(form.outs, value)
-        mapping[form.cont_stage] = StageConst(True)
+        mapping[form.cont_stage] = TOP
         if session.listener is not None:
             session.listener("prim", (form.expr, None))
         body.replace(subst_body(form.rest, mapping, session.names))
         return body
     if isinstance(form, FixB):
         rec = Rec(form.name, form.value)
-        mapping = {form.name: rec, form.stage_param: StageConst(True)}
+        mapping = {form.name: rec, form.stage_param: TOP}
         body.replace(subst_body(form.rest, mapping, session.names))
         return body
 
@@ -594,7 +594,7 @@ def _stays_off(lam):
     names, so that no value bound outside turns a body in it on."""
     names = set()
     for body in postorder(lam.body):
-        stage_names(body.stage, names)
+        term_info(body.stage, names)
     return names.isdisjoint(lam_info(lam)[0])
 
 
@@ -613,7 +613,7 @@ def _straight_line(lam):
     if free or active:
         return False
     body, stage = lam.body, lam.stage
-    while type(body.stage) is SRef and body.stage.name == stage:
+    while type(body.stage) is Var and body.stage.name == stage:
         form = body.form
         if isinstance(form, PrimB):
             if not all(map(_name_or_closed, form.expr.embedded_terms())):
@@ -648,9 +648,6 @@ def _chain_shape(lam):
     return lam.info[2]
 
 
-_ON = StageConst(True)
-
-
 def _value(session, env, term):
     """A term's value in the loop: a name's from `env`, and a lambda with
     the values of its free names."""
@@ -672,7 +669,7 @@ def _run_chain(session, lam, args):
         env = _bind(lam, _flatten(args))
     except _Unready:  # a splice that is not a tuple: `run` waits
         return Body(TOP, App(lam, args))
-    env[lam.stage] = _ON
+    env[lam.stage] = TOP
     _count_step(session)
     body = lam.body
     while True:
@@ -686,7 +683,7 @@ def _run_chain(session, lam, args):
                 session.listener("prim", (form.expr, env))
             for out in form.outs:
                 env[out] = value
-            env[form.cont_stage] = _ON
+            env[form.cont_stage] = TOP
             _count_step(session)
             body = form.rest
             continue
@@ -708,7 +705,7 @@ def _run_chain(session, lam, args):
             callee = subst_term(k, env, session.names)
             break
         env.update(_bind(k, _flatten(args)))
-        env[k.stage] = _ON
+        env[k.stage] = TOP
         _count_step(session)
         body = k.body
     if isinstance(callee, RetK) and all(map(_closed, args)):

@@ -19,8 +19,7 @@ shapes compose without knowing each other's layout.
 
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
                      ZeroArityLeft)
-from .terms import (App, Body, FragVal, Lam, Param, SConst, Splice, SRef,
-                    StageConst, Var, lam_info)
+from .terms import TOP, App, Body, FragVal, Lam, Param, Splice, Var, lam_info
 
 HOLE = None
 
@@ -141,7 +140,7 @@ def child_wrappers(fragments, names):
     made = []
     for fragment, ft, ys, bt in reversed(order):
         inner_args = (Var(ft), Splice(Var(ys))) + tuple(made.pop() for _ in fragment.slots)
-        body = Body(SRef(bt), App(fragment.subject, inner_args))
+        body = Body(Var(bt), App(fragment.subject, inner_args))
         made.append(Lam((Param(ft), Param(ys, packed=True)), bt, body))
     return tuple(reversed(made))
 
@@ -165,8 +164,7 @@ def finalize_wrapper(fragment, names):
             f"finalize requires arity 0, fragment has {fragment.arity}")
     ft = names.fresh("ft")
     packed = names.fresh("args")
-    body = Body(SConst(True), App(FragVal(fragment),
-                                  (StageConst(True), Var(ft), Splice(Var(packed)))))
+    body = Body(TOP, App(FragVal(fragment), (TOP, Var(ft), Splice(Var(packed)))))
     return Lam((Param(packed, packed=True),), ft, body)
 
 

@@ -23,7 +23,7 @@ from .errors import GrammarSyntaxError
 from .names import FreshNames
 from .reader import (BLANK, IDENT, STRING, Reader as CoreReader, ident_start,
                      line_col, unescape)
-from .terms import Lam, Param, SRef
+from .terms import Lam, Param, Var
 from .grammar import (ActionDef, ActionUse, ArgAction, ArgEpsilon, ArgLit,
                       ArgNt, ArgTuple, EpsilonUse, ForeignUse, GrammarDef,
                       Lit, NtUse, Production, Template, TemplateCall,
@@ -140,7 +140,7 @@ class GrammarReader:
         self.s.take("|")
         brace = self.s.take("{")
         core = CoreReader(self.s.text, self.names, brace[3], ins + ("return",))
-        body = core.parse_body(SRef("parse"))
+        body = core.parse_body(Var("parse"))
         end = core.take("eof")
         if end.pos == len(self.s.text):
             self.s.error("unterminated action body", brace[2])

@@ -7,8 +7,8 @@ and re-printing it is byte-identical.
 
 from .prims import normalize_prim, render_prim
 from .terms import (App, Bool, Builtin, EnvVal, FixB, FragVal, Int, Lam,
-                    PrimB, Rec, RetK, SAnd, SConst, SNot, SOr, Splice, SRef,
-                    StageConst, Str, TupleT, Var, _quote_to_prim)
+                    PrimB, Rec, RetK, Splice, StageConst, StageOp, Str, TupleT,
+                    Var, _quote_to_prim)
 
 _INDENT = "  "
 
@@ -16,19 +16,18 @@ _INDENT = "  "
 def _stage_text(expr, prec=0):
     # `&` and `|` read left-associative, so a right operand of the same
     # operator keeps its parentheses
-    if isinstance(expr, SConst):
+    if isinstance(expr, StageConst):
         return "always" if expr.top else "never"
-    if isinstance(expr, SRef):
+    if isinstance(expr, Var):
         return expr.name
-    if isinstance(expr, SOr):
-        s = f"{_stage_text(expr.left, 1)} | {_stage_text(expr.right, 2)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(expr, SAnd):
-        s = f"{_stage_text(expr.left, 2)} & {_stage_text(expr.right, 3)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(expr, SNot):
-        return f"!{_stage_text(expr.inner, 3)}"
-    raise TypeError(f"not a stage expression: {expr!r}")
+    if not isinstance(expr, StageOp):
+        raise TypeError(f"not a stage expression: {expr!r}")
+    if expr.op == "!":
+        return f"!{_stage_text(expr.args[0], 3)}"
+    level = 1 if expr.op == "|" else 2  # `&` binds tighter
+    left, right = expr.args
+    s = f"{_stage_text(left, level)} {expr.op} {_stage_text(right, level + 1)}"
+    return f"({s})" if prec > level else s
 
 
 def _escape(text):

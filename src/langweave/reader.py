@@ -17,9 +17,9 @@ import re
 from .errors import CoreSyntaxError
 from .names import FreshNames
 from .prims import parse_prim
-from .terms import (BUILTIN_NAMES, App, Body, Bool, Builtin, FixB, Int, Lam,
-                    Param, PrimB, SAnd, SConst, SNot, SOr, Splice, SRef,
-                    StageConst, Str, TupleT, Var)
+from .terms import (BUILTIN_NAMES, TOP, App, Body, Bool, Builtin, FixB, Int,
+                    Lam, Param, PrimB, Splice, StageConst, StageOp, Str,
+                    TupleT, Var)
 
 # Lexical classes shared by the core, grammar and runtime lexers.  Blanks
 # are whitespace (`str.isspace`) and `//` line comments.  An identifier is
@@ -109,32 +109,30 @@ def _parse_stage_text(src, start, stop, fail):
     def atom():
         t = take()
         if t.kind == "ident" or t.kind == "quoted":
-            if t.text == "always":
-                return SConst(True)
-            if t.text == "never":
-                return SConst(False)
-            return SRef(t.text)
+            if t.text in ("always", "never"):
+                return StageConst(t.text == "always")
+            return Var(t.text)
         if t.kind == "(":
             e = alt()
             if take().kind != ")":
                 fail("expected ')' in stage expression")
             return e
         if t.kind == "!":
-            return SNot(atom())
+            return StageOp("!", (atom(),))
         fail(f"bad stage expression {text!r}")
 
     def conj():
         e = atom()
         while peek().kind == "&":
             take()
-            e = SAnd(e, atom())
+            e = StageOp("&", (e, atom()))
         return e
 
     def alt():
         e = conj()
         while peek().kind == "|":
             take()
-            e = SOr(e, conj())
+            e = StageOp("|", (e, conj()))
         return e
 
     expr = alt()
@@ -183,7 +181,7 @@ class Reader:
         """`parse_body` staged on `stage`, with `names` and `stage` bound."""
         mark = len(self.shadowed)
         self.shadowed.extend(n for n in (*names, stage) if n in BUILTIN_NAMES)
-        body = self.parse_body(SRef(stage))
+        body = self.parse_body(Var(stage))
         del self.shadowed[mark:]
         return body
 
@@ -397,7 +395,7 @@ def read_core(text, names=None):
 def read_program(text, names=None):
     """Read a whole program as a body; top level is always staged on."""
     r = Reader(text, names)
-    body = r.parse_body(SConst(True))
+    body = r.parse_body(TOP)
     if r.peek().kind != "eof" or r.peek().pos < len(text):
         r.error("trailing input after program")
     return body

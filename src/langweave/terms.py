@@ -3,11 +3,14 @@
 Terms are the argument-position values (variables, literals, lambdas,
 tuples, opaque handles).  A lambda body is a mutable `Body` cell holding a
 stage expression plus one of the body forms: application, primitive
-expression or fix, each of which prints and reads back.  A body staged
-`never` never runs, since no substitution changes a constant stage; a
-finished call of a host return continuation is kept as one, so that its
-argument terms stay rooted in the tree.  Evaluation rewrites bodies in
-place; terms themselves are immutable and may be shared freely.
+expression or fix, each of which prints and reads back.  A stage
+expression is a term too: `TOP` and `BOTTOM` (`always` and `never`) are the
+stage constants, a stage name is a `Var`, and a `StageOp` joins stages with
+`&`, `|` or `!`.  A body staged `never` never runs, since no substitution
+changes a constant stage; a finished call of a host return continuation is
+kept as one, so that its argument terms stay rooted in the tree.
+Evaluation rewrites bodies in place; terms themselves are immutable and may
+be shared freely.
 
 Substitution shares what it cannot change.  Every `Body` and `Lam` caches
 one pair, computed on first use from its children's pairs: its free names,
@@ -32,45 +35,6 @@ from dataclasses import dataclass, field
 
 from .prims import (PInt, PName, POp, PQuote, PrimExpr, PStr, normalize_prim,
                     prim_alpha_eq, prim_leaves, prim_subst)
-
-# ---------------------------------------------------------------------------
-# stage expressions
-
-
-class StageExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SConst(StageExpr):
-    top: bool
-
-
-@dataclass(frozen=True)
-class SRef(StageExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class SAnd(StageExpr):
-    left: StageExpr
-    right: StageExpr
-
-
-@dataclass(frozen=True)
-class SOr(StageExpr):
-    left: StageExpr
-    right: StageExpr
-
-
-@dataclass(frozen=True)
-class SNot(StageExpr):
-    inner: StageExpr
-
-
-TOP = SConst(True)
-BOTTOM = SConst(False)
-
 
 # ---------------------------------------------------------------------------
 # terms
@@ -103,6 +67,18 @@ class Bool(Term):
 @dataclass(frozen=True)
 class StageConst(Term):
     top: bool
+
+
+TOP = StageConst(True)
+BOTTOM = StageConst(False)
+
+
+@dataclass(frozen=True)
+class StageOp(Term):
+    """Stages joined by an operator, in stage position only: `&` or `|`
+    with two operands, `!` with one."""
+    op: str
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -232,44 +208,22 @@ class Body:
 # stage evaluation
 
 def stage_value(expr):
-    """Post-substitution stage evaluation: a surviving SRef is a symbolic
+    """Post-substitution stage evaluation: a surviving `Var` is a symbolic
     name, hence bottom."""
-    if isinstance(expr, SConst):
+    if isinstance(expr, StageConst):
         return expr.top
-    if isinstance(expr, SRef):
+    if isinstance(expr, Var):
         return False
-    if isinstance(expr, SAnd):
-        return stage_value(expr.left) and stage_value(expr.right)
-    if isinstance(expr, SOr):
-        return stage_value(expr.left) or stage_value(expr.right)
-    if isinstance(expr, SNot):
-        return not stage_value(expr.inner)
+    if isinstance(expr, StageOp):
+        if expr.op == "!":
+            return not stage_value(expr.args[0])
+        values = map(stage_value, expr.args)
+        return all(values) if expr.op == "&" else any(values)
     raise TypeError(f"not a stage expression: {expr!r}")
-
-
-def term_to_stage(term):
-    """A term landing in stage position: stage constants keep their value,
-    a still-symbolic variable stays a reference, any other concrete value
-    is top."""
-    if isinstance(term, StageConst):
-        return SConst(term.top)
-    if isinstance(term, Var):
-        return SRef(term.name)
-    return TOP
 
 
 # ---------------------------------------------------------------------------
 # free names and activity
-
-def stage_names(expr, names):
-    if isinstance(expr, SRef):
-        names.add(expr.name)
-    elif isinstance(expr, (SAnd, SOr)):
-        stage_names(expr.left, names)
-        stage_names(expr.right, names)
-    elif isinstance(expr, SNot):
-        stage_names(expr.inner, names)
-
 
 def term_info(term, names):
     """Add the free names of `term` to the set `names`; True when it holds
@@ -284,6 +238,10 @@ def term_info(term, names):
         for t in term.items if isinstance(term, TupleT) else (term.inner,):
             active |= term_info(t, names)
         return active
+    elif isinstance(term, StageOp):  # a stage holds names, not bodies
+        for t in term.args:
+            term_info(t, names)
+        return False
     elif isinstance(term, Rec):
         inner = set()
         active = term_info(term.value, inner)
@@ -312,7 +270,7 @@ def body_info(body):
     the fix moves the value out from under that binder."""
     if body.info is None:
         names = set()
-        stage_names(body.stage, names)
+        term_info(body.stage, names)
         active = stage_value(body.stage)
         form = body.form
         if isinstance(form, App):
@@ -358,19 +316,15 @@ def _untouched(info, mapping):
 # substitution
 
 def subst_stage(expr, mapping):
-    if isinstance(expr, SConst):
-        return expr
-    if isinstance(expr, SRef):
-        if expr.name in mapping:
-            return term_to_stage(mapping[expr.name])
-        return expr
-    if isinstance(expr, SAnd):
-        return SAnd(subst_stage(expr.left, mapping), subst_stage(expr.right, mapping))
-    if isinstance(expr, SOr):
-        return SOr(subst_stage(expr.left, mapping), subst_stage(expr.right, mapping))
-    if isinstance(expr, SNot):
-        return SNot(subst_stage(expr.inner, mapping))
-    raise TypeError(f"not a stage expression: {expr!r}")
+    """The stage `expr` with `mapping` substituted.  A value landing in
+    stage position keeps its value if it is a stage constant and stays
+    symbolic if it is a variable; any other concrete value is top."""
+    if isinstance(expr, Var):
+        value = mapping.get(expr.name, expr)
+        return value if type(value) in (StageConst, Var) else TOP
+    if isinstance(expr, StageOp):
+        return StageOp(expr.op, tuple(subst_stage(a, mapping) for a in expr.args))
+    return expr
 
 
 _CLOSED = frozenset((Int, Str, Bool, StageConst, Builtin, RetK))
@@ -465,14 +419,12 @@ def subst_body(body, mapping, names, avoid=None):
             subst_body(form.rest, inner, names, avoid),
         )
     elif isinstance(form, FixB):
-        (stage_param, name), inner = _rebind((form.stage_param, form.name),
-                                             mapping, avoid, names)
-        new = FixB(
-            stage_param,
-            name,
-            subst_term(form.value, inner, names, avoid),
-            subst_body(form.rest, inner, names, avoid),
-        )
+        # the name scopes over the value and the rest, the stage parameter
+        # over the rest only
+        (name,), inner = _rebind((form.name,), mapping, avoid, names)
+        value = subst_term(form.value, inner, names, avoid)
+        (stage_param,), inner = _rebind((form.stage_param,), inner, avoid, names)
+        new = FixB(stage_param, name, value, subst_body(form.rest, inner, names, avoid))
     else:
         raise TypeError(f"unknown body form: {form!r}")
     return Body(stage, new)
@@ -569,20 +521,6 @@ def _bind_name(na, nb, fwd, bwd):
     return fwd, bwd
 
 
-def _alpha_stage(a, b, fwd, bwd):
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, SConst):
-        return a.top == b.top
-    if isinstance(a, SRef):
-        return _match_name(a.name, b.name, fwd, bwd)
-    if isinstance(a, (SAnd, SOr)):
-        return _alpha_stage(a.left, b.left, fwd, bwd) and _alpha_stage(a.right, b.right, fwd, bwd)
-    if isinstance(a, SNot):
-        return _alpha_stage(a.inner, b.inner, fwd, bwd)
-    return False
-
-
 def _alpha_term(a, b, fwd, bwd):
     if type(a) is not type(b):
         return False
@@ -600,6 +538,9 @@ def _alpha_term(a, b, fwd, bwd):
         return len(a.items) == len(b.items) and all(
             _alpha_term(x, y, fwd, bwd) for x, y in zip(a.items, b.items)
         )
+    if isinstance(a, StageOp):  # an operator fixes the operand count
+        return a.op == b.op and all(
+            _alpha_term(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
     if isinstance(a, Lam):
         if len(a.params) != len(b.params):
             return False
@@ -613,7 +554,7 @@ def _alpha_term(a, b, fwd, bwd):
 
 
 def _alpha_body(a, b, fwd, bwd):
-    if not _alpha_stage(a.stage, b.stage, fwd, bwd):
+    if not _alpha_term(a.stage, b.stage, fwd, bwd):
         return False
     fa, fb = a.form, b.form
     if type(fa) is not type(fb):
@@ -637,7 +578,9 @@ def _alpha_body(a, b, fwd, bwd):
         fwd, bwd = _bind_name(fa.cont_stage, fb.cont_stage, fwd, bwd)
         return _alpha_body(fa.rest, fb.rest, fwd, bwd)
     if isinstance(fa, FixB):
-        fwd, bwd = _bind_name(fa.stage_param, fb.stage_param, fwd, bwd)
         fwd, bwd = _bind_name(fa.name, fb.name, fwd, bwd)
-        return _alpha_term(fa.value, fb.value, fwd, bwd) and _alpha_body(fa.rest, fb.rest, fwd, bwd)
+        if not _alpha_term(fa.value, fb.value, fwd, bwd):
+            return False
+        fwd, bwd = _bind_name(fa.stage_param, fb.stage_param, fwd, bwd)
+        return _alpha_body(fa.rest, fb.rest, fwd, bwd)
     return False

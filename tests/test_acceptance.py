@@ -20,9 +20,8 @@ from langweave.prims import render_prim
 from langweave.printer import _quote_render
 from langweave.reader import read_core
 from langweave.runtime import LanguageRegistry, Parser, lex_next
-from langweave.terms import (App, Builtin, Int, Lam, PrimB, SAnd, SConst, SNot,
-                             SOr, Var, alpha_eq, child_bodies, postorder,
-                             stage_value)
+from langweave.terms import (App, Builtin, Int, Lam, PrimB, StageConst, StageOp,
+                             Var, alpha_eq, child_bodies, postorder, stage_value)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PACKS = Path(__file__).parent.parent / "src" / "langweave" / "packs"
@@ -311,12 +310,12 @@ def test_criterion_10_typed_mismatch():
 
 
 def test_criterion_11_algebra_and_round_trip():
-    top, bot = SConst(True), SConst(False)
+    top, bot = StageConst(True), StageConst(False)
     for a, b in itertools.product((top, bot), repeat=2):
-        assert stage_value(SAnd(a, b)) == (stage_value(a) and stage_value(b))
-        assert stage_value(SOr(a, b)) == (stage_value(a) or stage_value(b))
+        assert stage_value(StageOp("&", (a, b))) == (stage_value(a) and stage_value(b))
+        assert stage_value(StageOp("|", (a, b))) == (stage_value(a) or stage_value(b))
     for a in (top, bot):
-        assert stage_value(SNot(a)) == (not stage_value(a))
+        assert stage_value(StageOp("!", (a,))) == (not stage_value(a))
 
     sources = sorted(FIXTURES.glob("*.core"))
     sources.append(PACKS / "signum_builder" / "script.core")

@@ -229,6 +229,14 @@ def test_an_expr_of_two_dashes_is_input_text(capsys):
     assert err == "error: no token of language 'graph' matches '--' at 1:1\n"
 
 
+def test_fix_stage_parameter_does_not_capture_an_action_input(capsys, tmp_path):
+    grammar = tmp_path / "fix.lw"
+    grammar.write_text("grammar g { entry S|->(v)| ::= Integer|->(s)| |(s)->(v)| "
+                       "{ fix '[s]' f (j)'[u]'{ '@u:' j s } '@s:' f return }; }\n")
+    code, out, _ = run_cli(capsys, "run", "--grammar", f"g={grammar}", "g", "5")
+    assert (code, out) == (EXIT_OK, "5\n")
+
+
 def test_check_clean_grammar(capsys):
     code, out, _ = run_cli(capsys, "check", "minusdiv_codegen")
     assert code == EXIT_OK

@@ -18,7 +18,7 @@ from langweave.prims import parse_prim, prim_subst
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
 from langweave.terms import (App, Body, Bool, Builtin, EnvVal, FragVal, Int, Lam, PrimB,
-                             RetK, SConst, Splice, Str, TupleT, Var, alpha_eq)
+                             RetK, Splice, StageConst, Str, TupleT, Var, alpha_eq)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,6 +115,23 @@ def test_return_never_called():
         apply_value(prog, [], sess)
 
 
+# `fix '[y]' f v b` binds `f` in `v` and `b`, and `y` in `b` only: the `s`
+# in the fix value below is the lambda's parameter, not the fix's stage
+FIX_SHADOW_PROGRAM = "(s, k)'[t]'{ '@t:' fix '[s]' f (j)'[u]'{ '@u:' j s } '@s:' f k }"
+FIX_RENAMED_PROGRAM = "(s, k)'[t]'{ '@t:' fix '[q]' f (j)'[u]'{ '@u:' j s } '@q:' f k }"
+
+
+@pytest.mark.parametrize("src", [FIX_SHADOW_PROGRAM, FIX_RENAMED_PROGRAM],
+                         ids=["shadowing", "renamed"])
+def test_fix_stage_parameter_scopes_over_the_rest_only(src):
+    sess = Session()
+    assert apply_value(rd(src, sess), [Int(5)], sess) == [Int(5)]
+
+
+def test_fix_stage_parameter_renamed_is_alpha_equal():
+    assert alpha_eq(read_core(FIX_SHADOW_PROGRAM), read_core(FIX_RENAMED_PROGRAM))
+
+
 def test_packed_parameter_law():
     sess = Session()
     f = rd("(a, !rest, k)'[s]'{ '@s:' k a !rest }", sess)
@@ -137,7 +154,7 @@ def test_bottom_staged_term_is_unchanged():
 def test_no_active_body_means_done():
     sess = Session()
     t = rd("(x, k)'[s]'{ '@s:' k x }", sess)
-    root = Body(SConst(False), App(t, ()))
+    root = Body(StageConst(False), App(t, ()))
     assert step(sess, root) is False
 
 
@@ -385,7 +402,7 @@ def test_run_twice_alpha_equivalent_results():
 def _by_step(session, f, args):
     """`apply_value` through a `step` loop instead of `run`."""
     ret = session.new_return()
-    root = Body(SConst(True), App(f, tuple(args) + (ret,)))
+    root = Body(StageConst(True), App(f, tuple(args) + (ret,)))
     while step(session, root):
         pass
     if ret.tag not in session.returned:

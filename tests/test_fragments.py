@@ -14,8 +14,7 @@ from langweave.errors import (NegativeArity, NonClosureSubject,
 from langweave.evaluator import Session, apply_value
 from langweave.printer import print_core
 from langweave.reader import read_core
-from langweave.terms import (App, Body, Int, Lam, Param, Splice, SRef, Str, Var,
-                             alpha_eq)
+from langweave.terms import App, Body, Int, Lam, Param, Splice, Str, Var, alpha_eq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -331,7 +330,7 @@ def _recursive_call_args(fragment, names):
         subject, slots = opened(node)
         ft, ys, bt = names.fresh("ft"), names.fresh("args"), names.fresh("bt")
         inner = (Var(ft), Splice(Var(ys))) + tuple(wrapper(s) for s in slots)
-        return Lam((Param(ft), Param(ys, packed=True)), bt, Body(SRef(bt), App(subject, inner)))
+        return Lam((Param(ft), Param(ys, packed=True)), bt, Body(Var(bt), App(subject, inner)))
 
     return tuple(wrapper(s) for s in opened(fragment)[1])
 

@@ -18,8 +18,7 @@ from langweave.prims import parse_prim, prim_subst, render_prim
 from langweave.printer import print_core
 from langweave.reader import read_core
 from langweave.terms import (App, Body, Bool, Builtin, FixB, Int, Lam, Param, PrimB,
-                             SAnd, SConst, SNot, SOr, Splice, SRef, StageConst, Str,
-                             TupleT, Var, alpha_eq)
+                             Splice, StageConst, StageOp, Str, TupleT, Var, alpha_eq)
 
 # A quotient is one to three integers joined by '/'; divisors are nonzero.
 quotients = st.tuples(
@@ -140,9 +139,10 @@ NAMES = ("a", "b", "k", "x", "y")
 _names = st.sampled_from(NAMES)
 _stage_names = st.sampled_from(["s", "t", "u", "a"])
 _stage_exprs = st.recursive(
-    st.one_of(st.builds(SConst, st.booleans()), _stage_names.map(SRef)),
-    lambda inner: st.one_of(st.builds(SAnd, inner, inner), st.builds(SOr, inner, inner),
-                            st.builds(SNot, inner)),
+    st.one_of(st.builds(StageConst, st.booleans()), _stage_names.map(Var)),
+    lambda inner: st.one_of(st.builds(StageOp, st.just("&"), st.tuples(inner, inner)),
+                            st.builds(StageOp, st.just("|"), st.tuples(inner, inner)),
+                            st.builds(StageOp, st.just("!"), st.tuples(inner))),
     max_leaves=4)
 # Every binary operator is drawn parenthesized, so that a looser operator
 # sits inside a tighter one (`(a+b)*c`, `a-(b-c)`, `-(a+b)`); arithmetic is
@@ -217,13 +217,13 @@ _prim_lams = st.builds(Lam, _params(), _stage_names,
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.one_of(_terms(3), _prim_lams))
-@example(Lam((Param("k"),), "s", Body(SRef("s"), PrimB(
+@example(Lam((Param("k"),), "s", Body(Var("s"), PrimB(
     prim_subst(parse_prim("[a,b,x,'it''s']"), {"a": Str("it's"), "b": Int(-7), "x": Var("k")},
                lambda term: term),
-    ("y",), "t", Body(SRef("t"), App(Var("k"), (Var("y"),)))))))
-@example(Lam((Param("k"),), "s", Body(SRef("s"), PrimB(
+    ("y",), "t", Body(Var("t"), App(Var("k"), (Var("y"),)))))))
+@example(Lam((Param("k"),), "s", Body(Var("s"), PrimB(
     prim_subst(parse_prim("[x,-y]"), {"x": Bool(True), "y": Bool(False)}, lambda term: term),
-    ("y",), "t", Body(SRef("t"), App(Var("k"), (Var("y"),)))))))
+    ("y",), "t", Body(Var("t"), App(Var("k"), (Var("y"),)))))))
 def test_print_then_read_core_is_alpha_equal_and_reprints_identically(term):
     printed = print_core(term)
     again = read_core(printed)

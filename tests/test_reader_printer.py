@@ -12,8 +12,8 @@ from langweave.printer import print_body, print_core
 from langweave.prims import PName, parse_prim
 from langweave.reader import read_core, read_program
 from langweave.runtime import LexerDef, lex_next
-from langweave.terms import (BUILTIN_NAMES, App, Bool, Int, Lam, PrimB, SConst,
-                             Splice, SRef, Str, TupleT, Var, alpha_eq,
+from langweave.terms import (BUILTIN_NAMES, App, Bool, Int, Lam, PrimB, Splice,
+                             StageConst, StageOp, Str, TupleT, Var, alpha_eq,
                              alpha_eq_body, postorder)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,7 +25,7 @@ def test_explicit_core_lambda():
     assert [p.name for p in t.params] == ["x"]
     assert t.stage == "s"
     assert isinstance(t.body.form, App)
-    assert t.body.stage == SRef("s")
+    assert t.body.stage == Var("s")
     assert t.body.form.callee == Var("f")
     assert t.body.form.args == (Var("x"),)
 
@@ -42,7 +42,7 @@ def test_prim_expression_sugar():
     assert isinstance(form, PrimB)
     assert form.outs == ("c2",)
     # the rest activates on the expression's continuation stage
-    assert form.rest.stage == SRef(form.cont_stage)
+    assert form.rest.stage == Var(form.cont_stage)
     assert isinstance(form.rest.form, App)
 
 
@@ -96,17 +96,12 @@ def test_stage_expressions():
 
 
 def stagetext(e):
-    from langweave.terms import SAnd, SNot, SOr
-    if isinstance(e, SRef):
+    if isinstance(e, Var):
         return e.name
-    if isinstance(e, SConst):
+    if isinstance(e, StageConst):
         return "T" if e.top else "F"
-    if isinstance(e, SAnd):
-        return stagetext(e.left) + "&" + stagetext(e.right)
-    if isinstance(e, SOr):
-        return stagetext(e.left) + "|" + stagetext(e.right)
-    if isinstance(e, SNot):
-        return "!" + stagetext(e.inner)
+    if isinstance(e, StageOp):
+        return "!" + stagetext(*e.args) if e.op == "!" else e.op.join(map(stagetext, e.args))
     raise AssertionError
 
 
@@ -118,7 +113,7 @@ def test_let_sugar_desugars_to_application():
     assert form.args == (Int(5),)
     inner = form.callee
     assert [p.name for p in inner.params] == ["x"]
-    assert inner.body.stage == SRef("y")
+    assert inner.body.stage == Var("y")
 
 
 def test_trailing_continuation_sugar():

@@ -15,20 +15,18 @@ from langweave.names import FreshNames
 from langweave.prims import PName, prim_leaves
 from langweave.reader import read_core
 from langweave.terms import (App, Body, EnvVal, FixB, FragVal, Int, Lam, PrimB,
-                             Rec, SAnd, SConst, SNot, SOr, SRef, Splice,
-                             StageConst, TupleT, Var, body_info, lam_info,
+                             Rec, Splice, StageConst, StageOp, TupleT, Var,
+                             body_info, lam_info,
                              stage_value, subst_body)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _stage_names(e):
-    if isinstance(e, SRef):
+    if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, (SAnd, SOr)):
-        return _stage_names(e.left) | _stage_names(e.right)
-    if isinstance(e, SNot):
-        return _stage_names(e.inner)
+    if isinstance(e, StageOp):
+        return set().union(*map(_stage_names, e.args))
     return set()
 
 
@@ -118,7 +116,7 @@ def test_free_names_reach_into_environments_fragments_and_fix_values():
     names = FreshNames()
     subject = read_core("(c)'[b]'{ '@b:' c z }", names)
     env = EnvVal((("k", Var("y")),))
-    body = Body(SConst(False), App(Var("k"), (env, FragVal(build(0, subject)))))
+    body = Body(StageConst(False), App(Var("k"), (env, FragVal(build(0, subject)))))
     assert body_info(body) == (frozenset({"k", "y", "z"}), False)
     fix = read_core("()'[q]'{ '@q:' fix '[y]' f (j)'[s]'{ '@y:' j f } f 1 }", names)
     free, active = body_info(fix.body)
@@ -143,9 +141,9 @@ def test_free_names_reach_into_environments_fragments_and_fix_values():
 ], ids=["signum_script", "dormant_fix", "pack_refinement", "dormant_env"])
 def test_cached_pairs_never_undercount(src):
     stepped, drained = Session(), Session()
-    root = Body(SConst(True), App(read_core(src, stepped.names), (stepped.new_return(),)))
+    root = Body(StageConst(True), App(read_core(src, stepped.names), (stepped.new_return(),)))
     while step(stepped, root):
         assert_caches_safe(root)
-    root = Body(SConst(True), App(read_core(src, drained.names), (drained.new_return(),)))
+    root = Body(StageConst(True), App(read_core(src, drained.names), (drained.new_return(),)))
     run(drained, root)
     assert_caches_safe(root, exact_activity=True)  # quiet bodies dropped theirs

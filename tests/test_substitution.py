@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from langweave.names import FreshNames
 from langweave.prims import PInt, PName, POp, PQuote, prim_subst
 from langweave.reader import read_core
-from langweave.terms import (App, Body, FixB, Int, Lam, Param, PrimB, Rec,
-                             SConst, SRef, Splice, StageConst, TupleT, Var,
-                             alpha_eq_body, subst_body, subst_stage, subst_term)
+from langweave.terms import (App, Body, FixB, Int, Lam, Param, PrimB, Rec, Splice,
+                             StageConst, TupleT, Var, alpha_eq_body, subst_body,
+                             subst_stage, subst_term)
 
 
 def test_value_with_free_name_renames_the_binder_it_would_meet():
@@ -150,13 +150,15 @@ def _always_rename_body(body, mapping, names):
                           lambda t: _always_rename_term(t, mapping, names))
         new = PrimB(expr, tuple(outs), cont, _always_rename_body(form.rest, inner, names))
     elif isinstance(form, FixB):
+        # the name scopes over the value and the rest, the stage parameter
+        # over the rest only
         inner = dict(mapping)
-        stage = names.fresh(form.stage_param)
-        inner[form.stage_param] = Var(stage)
         name = names.fresh(form.name)
         inner[form.name] = Var(name)
-        new = FixB(stage, name, _always_rename_term(form.value, inner, names),
-                   _always_rename_body(form.rest, inner, names))
+        value = _always_rename_term(form.value, inner, names)
+        stage = names.fresh(form.stage_param)
+        inner[form.stage_param] = Var(stage)
+        new = FixB(stage, name, value, _always_rename_body(form.rest, inner, names))
     else:
         raise TypeError(form)
     return Body(subst_stage(body.stage, mapping), new)
@@ -167,7 +169,7 @@ def _always_rename_body(body, mapping, names):
 
 NAMES = ("a", "b", "c")
 name = st.sampled_from(NAMES)
-stages = st.one_of(name.map(SRef), st.sampled_from((SConst(True), SConst(False))))
+stages = st.one_of(name.map(Var), st.sampled_from((StageConst(True), StageConst(False))))
 atoms = st.one_of(name.map(Var), st.integers(0, 3).map(Int))
 leaf_bodies = st.builds(lambda s, f, xs: Body(s, App(f, tuple(xs))),
                         stages, name.map(Var), st.lists(atoms, max_size=2))
