@@ -30,32 +30,9 @@ the name on that path; it is narrowed in place, and the drain goes on at
 its body.  `step`, which walks the whole tree in post-order from the root,
 is the reference the drain must agree with.
 
-`apply_value` first tries an environment loop, in the manner of the CEK
-machine, which binds each name in one dict instead of copying the body.
-It takes a closed, quiet lambda applied to closed values whose body is a
-straight line of links, each staged on the stage the one before it binds
-(the first on the lambda's own): a primitive over names and closed terms,
-or a call of `build`, `merge`, `finalize`, `newEnv` or `print` whose last
-argument is a continuation lambda with plain parameters (it binds into the
-same dict) or a name; a call of a name on names or closed terms ends the
-line.  A lambda among a builtin's operands (a build subject) is the only
-term copied, with the values of its free names, and no stage in it may
-name one of them: a body staged on a name of the chain would turn on when
-that name is bound, and post-order would run it first.  Since the shape
-alone makes post-order run the links one after another, it is decided once
-per lambda, at its first call, and kept with the lambda's cached pair; the
-loop then follows the body's links.  `eval_prim` and the trace formatter
-read a primitive's names, plain or quoted, from the dict, so nothing is
-copied; builtins run through `_do_builtin` on lists built by `_flatten`,
-and a last call of the host return continuation on closed values is
-recorded directly, as `_try_execute` records it; the `prim` and `print`
-events (sent only to a listener) and the step count are `run`'s.  No
-binder is renamed (every value in the dict is closed).  What the loop
-cannot finish in order (a symbolic operand, a call of another value, a
-builtin result holding an active body, such as the wrapper `finalize`
-returns) is substituted from the same environment, which is the tree `run`
-would have reached, and handed to `run`; only then is a tree built for the
-call.
+`apply_value` first tries the environment loop of `machine`, which binds
+names in a dict instead of copying bodies, and hands `run` what it cannot
+finish, from the state `run` would have reached.
 """
 
 import sys
@@ -73,9 +50,8 @@ from . import prims as P
 from .printer import print_prim, render_value
 from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
                     FragVal, Int, Lam, Param, PrimB, Rec, RetK, Splice,
-                    StageConst, Str, TupleT, Var, _CLOSED, body_info,
-                    child_bodies, lam_info, postorder, stage_value,
-                    subst_body, subst_term, term_info, walk)
+                    StageConst, Str, TupleT, Var, body_info, child_bodies,
+                    stage_value, subst_body, subst_term, walk)
 
 
 class Session:
@@ -375,21 +351,30 @@ def _describe(term):
     return type(term).__name__
 
 
+def _prim_step(session, form):
+    """The rest of the primitive `form` with its outputs bound to the value
+    of its expression, or None while the expression is not ready."""
+    try:
+        value = eval_prim(form.expr)
+    except _Unready:
+        return None
+    mapping = dict.fromkeys(form.outs, value)
+    mapping[form.cont_stage] = TOP
+    if session.listener is not None:
+        session.listener("prim", (form.expr, None))
+    return subst_body(form.rest, mapping, session.names)
+
+
 def _try_execute(session, body, path):
     """Execute `body`, the last of `path`, the bodies from the root down to
     it: the cell rewritten, which is `body` itself unless a pack was
     narrowed (see `_refine_pack`), or None while it cannot run."""
     form = body.form
     if isinstance(form, PrimB):
-        try:
-            value = eval_prim(form.expr)
-        except _Unready:
+        rest = _prim_step(session, form)
+        if rest is None:
             return None
-        mapping = dict.fromkeys(form.outs, value)
-        mapping[form.cont_stage] = TOP
-        if session.listener is not None:
-            session.listener("prim", (form.expr, None))
-        body.replace(subst_body(form.rest, mapping, session.names))
+        body.replace(rest)
         return body
     if isinstance(form, FixB):
         rec = Rec(form.name, form.value)
@@ -576,152 +561,11 @@ def run(session, root):
                         frames[-1][1] = frames[-1][2] = True
 
 
-def _closed(term):
-    """No free name and no active body: binding it can capture nothing, and
-    nothing in it runs before the body it is passed to."""
-    if type(term) in _CLOSED:
-        return True
-    names = set()
-    return not term_info(term, names) and not names
-
-
-def _name_or_closed(term):
-    return isinstance(term, Var) or _closed(term)
-
-
-def _stays_off(lam):
-    """Whether no stage expression in the lambda `lam` names one of its free
-    names, so that no value bound outside turns a body in it on."""
-    names = set()
-    for body in postorder(lam.body):
-        term_info(body.stage, names)
-    return names.isdisjoint(lam_info(lam)[0])
-
-
-_CHAIN_BUILTINS = frozenset({"build", "merge", "finalize", "newEnv", "print"})
-
-
-def _straight_line(lam):
-    """Whether the environment loop may run a call of `lam`: it is closed
-    and quiet, and its body is a line of links, each staged on the stage
-    the link before it binds.  A link is a primitive over names and closed
-    terms, or a chain builtin whose operands are names, closed terms or
-    lambdas with no stage naming one of their free names, and whose last
-    argument is a continuation lambda with plain parameters or a name; a
-    call of a name on names or closed terms ends the line."""
-    free, active = lam_info(lam)
-    if free or active:
-        return False
-    body, stage = lam.body, lam.stage
-    while type(body.stage) is Var and body.stage.name == stage:
-        form = body.form
-        if isinstance(form, PrimB):
-            if not all(map(_name_or_closed, form.expr.embedded_terms())):
-                return False
-            body, stage = form.rest, form.cont_stage
-            continue
-        if not isinstance(form, App):
-            return False
-        if isinstance(form.callee, Var):
-            return all(map(_name_or_closed, form.args))
-        if not isinstance(form.callee, Builtin) or form.callee.name not in _CHAIN_BUILTINS \
-                or not form.args:
-            return False
-        *operands, k = form.args
-        if not all(_name_or_closed(t) or isinstance(t, Lam) and _stays_off(t)
-                   for t in operands):
-            return False
-        if isinstance(k, Var):
-            return True
-        if not isinstance(k, Lam) or any(p.packed for p in k.params):
-            return False
-        body, stage = k.body, k.stage
-    return False
-
-
-def _chain_shape(lam):
-    """`_straight_line(lam)`, decided once and kept after the lambda's
-    cached pair, so that it is decided again when the pair is renewed."""
-    lam_info(lam)
-    if len(lam.info) == 2:
-        lam.info += (_straight_line(lam),)
-    return lam.info[2]
-
-
-def _value(session, env, term):
-    """A term's value in the loop: a name's from `env`, and a lambda with
-    the values of its free names."""
-    if type(term) is Var:
-        return env.get(term.name, term)
-    free = lam_info(term)[0] if isinstance(term, Lam) else None
-    return subst_term(term, {n: env[n] for n in free}, session.names) if free else term
-
-
-def _run_chain(session, lam, args):
-    """Run the call of `lam` on `args` in one environment, if
-    `_straight_line` allows and every argument is closed.  None when the
-    call ended by calling a host return continuation; otherwise the body
-    `run` must drain for the rest, which is the whole call when the loop
-    declines."""
-    if not isinstance(lam, Lam) or not _chain_shape(lam) or not all(map(_closed, args)):
-        return Body(TOP, App(lam, args))
-    try:
-        env = _bind(lam, _flatten(args))
-    except _Unready:  # a splice that is not a tuple: `run` waits
-        return Body(TOP, App(lam, args))
-    env[lam.stage] = TOP
-    _count_step(session)
-    body = lam.body
-    while True:
-        form = body.form
-        if isinstance(form, PrimB):
-            try:
-                value = eval_prim(form.expr, env)
-            except _Unready:
-                return subst_body(body, env, session.names)
-            if session.listener is not None:
-                session.listener("prim", (form.expr, env))
-            for out in form.outs:
-                env[out] = value
-            env[form.cont_stage] = TOP
-            _count_step(session)
-            body = form.rest
-            continue
-        if not isinstance(form.callee, Builtin):
-            callee = _value(session, env, form.callee)
-            args = tuple(_value(session, env, t) for t in form.args)
-            break
-        *operands, k = form.args
-        operands = [_value(session, env, t) for t in operands]
-        call = _do_builtin(session, form.callee.name, _flatten([*operands, k]))
-        if call is None:
-            return subst_body(body, env, session.names)
-        _count_step(session)
-        args = call[1]
-        if not isinstance(k, Lam):
-            callee = _value(session, env, k)
-            break
-        if not all(map(_closed, args)):  # the wrapper finalize returns is active
-            callee = subst_term(k, env, session.names)
-            break
-        env.update(_bind(k, _flatten(args)))
-        env[k.stage] = TOP
-        _count_step(session)
-        body = k.body
-    if isinstance(callee, RetK) and all(map(_closed, args)):
-        items = _flatten(args)
-        if Splice not in map(type, items):
-            _return(session, callee, items)
-            _count_step(session)
-            return None
-    return Body(TOP, App(callee, args))
-
-
 def apply_value(f, args, session):
     """Call a closure with a host return continuation appended; run until
     quiescent and yield the values passed to the continuation."""
     ret = session.new_return()
-    rest = _run_chain(session, f, (*args, ret))
+    rest = machine.run_chain(session, f, (*args, ret))
     if rest is not None:
         run(session, rest)
     if ret.tag not in session.returned:
@@ -734,3 +578,6 @@ def run_term_to_normal(term, session):
     root = Body(BOTTOM, App(term, ()))
     run(session, root)
     return root.form.callee
+
+
+from . import machine  # noqa: E402  (it imports names defined above)

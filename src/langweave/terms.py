@@ -107,8 +107,9 @@ class Lam(Term):
         self.params = tuple(params)
         self.stage = stage
         self.body = body
-        # (body info it was derived from, pair), see lam_info; the evaluator
-        # may append its chain shape, which is dropped with the pair
+        # (body info it was derived from, pair), see lam_info; the
+        # environment machine may append its chain shape, which is dropped
+        # with the pair
         self.info = None
 
     def __repr__(self):
@@ -299,8 +300,8 @@ def body_info(body):
 def lam_info(lam):
     """The (free names, holds an active body) pair of a lambda, cached
     with the body pair it was derived from."""
-    derived = body_info(lam.body)
-    if lam.info is None or lam.info[0] is not derived:
+    if lam.info is None or lam.info[0] is not lam.body.info:
+        derived = body_info(lam.body)
         bound = [p.name for p in lam.params]
         bound.append(lam.stage)
         lam.info = (derived, (derived[0].difference(bound), derived[1]))
@@ -513,12 +514,32 @@ def _match_name(na, nb, fwd, bwd):
     return na == nb  # free names must agree literally
 
 
-def _bind_name(na, nb, fwd, bwd):
-    fwd = dict(fwd)
-    bwd = dict(bwd)
-    fwd[na] = nb
-    bwd[nb] = na
-    return fwd, bwd
+_UNBOUND = object()
+
+
+def _bind_names(pairs, fwd, bwd):
+    """Bind each name of `a` to its partner in `b` in the maps themselves;
+    what they held before, for `_unbind` to restore when the scope of the
+    binders is left.  A mismatch ends the whole comparison, so a scope left
+    by one need not be restored."""
+    saved = []
+    for na, nb in pairs:
+        saved.append((na, fwd.get(na, _UNBOUND), nb, bwd.get(nb, _UNBOUND)))
+        fwd[na] = nb
+        bwd[nb] = na
+    return saved
+
+
+def _unbind(saved, fwd, bwd):
+    for na, old_a, nb, old_b in reversed(saved):
+        if old_a is _UNBOUND:
+            del fwd[na]
+        else:
+            fwd[na] = old_a
+        if old_b is _UNBOUND:
+            del bwd[nb]
+        else:
+            bwd[nb] = old_b
 
 
 def _alpha_term(a, b, fwd, bwd):
@@ -542,14 +563,14 @@ def _alpha_term(a, b, fwd, bwd):
         return a.op == b.op and all(
             _alpha_term(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
     if isinstance(a, Lam):
-        if len(a.params) != len(b.params):
+        if len(a.params) != len(b.params) or any(
+                pa.packed != pb.packed for pa, pb in zip(a.params, b.params)):
             return False
-        for pa, pb in zip(a.params, b.params):
-            if pa.packed != pb.packed:
-                return False
-            fwd, bwd = _bind_name(pa.name, pb.name, fwd, bwd)
-        fwd, bwd = _bind_name(a.stage, b.stage, fwd, bwd)
-        return _alpha_body(a.body, b.body, fwd, bwd)
+        saved = _bind_names([*((pa.name, pb.name) for pa, pb in zip(a.params, b.params)),
+                             (a.stage, b.stage)], fwd, bwd)
+        same = _alpha_body(a.body, b.body, fwd, bwd)
+        _unbind(saved, fwd, bwd)
+        return same
     return a is b  # handles (EnvVal, FragVal, RetK, Rec) compare by identity
 
 
@@ -573,14 +594,15 @@ def _alpha_body(a, b, fwd, bwd):
         if not prim_alpha_eq(ea, eb, lambda x, y: _match_name(x, y, fwd, bwd),
                              lambda x, y: _alpha_term(x, y, fwd, bwd)):
             return False
-        for oa, ob in zip(fa.outs, fb.outs):
-            fwd, bwd = _bind_name(oa, ob, fwd, bwd)
-        fwd, bwd = _bind_name(fa.cont_stage, fb.cont_stage, fwd, bwd)
-        return _alpha_body(fa.rest, fb.rest, fwd, bwd)
-    if isinstance(fa, FixB):
-        fwd, bwd = _bind_name(fa.name, fb.name, fwd, bwd)
+        saved = _bind_names([*zip(fa.outs, fb.outs), (fa.cont_stage, fb.cont_stage)],
+                            fwd, bwd)
+    elif isinstance(fa, FixB):
+        saved = _bind_names([(fa.name, fb.name)], fwd, bwd)
         if not _alpha_term(fa.value, fb.value, fwd, bwd):
-            return False
-        fwd, bwd = _bind_name(fa.stage_param, fb.stage_param, fwd, bwd)
-        return _alpha_body(fa.rest, fb.rest, fwd, bwd)
-    return False
+            return False  # a mismatch ends the comparison: no scope to undo
+        saved += _bind_names([(fa.stage_param, fb.stage_param)], fwd, bwd)
+    else:
+        return False
+    same = _alpha_body(fa.rest, fb.rest, fwd, bwd)
+    _unbind(saved, fwd, bwd)
+    return same

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langweave import evaluator
+from langweave import evaluator, machine
 from langweave.errors import (EvalExit, LangError, NameNotFound, PrimTypeError,
                               ReturnCalledTwice, ReturnNeverCalled,
                               StepBudgetExceeded)
@@ -533,8 +533,9 @@ def _builder_chains(draw):
     hand back to `run`: a subject staged on a name bound earlier in the
     chain, a later link staged on an earlier stage, an unbound name, a
     symbolic argument whose name a continuation binds, or a continuation
-    lambda with a packed parameter.  A `finalize` is handed back too: its
-    wrapper must be drained before `return` is recorded."""
+    lambda with a packed parameter.  The loop finishes the shell of a
+    `finalize` by the protocol too; one of freely drawn links may be handed
+    back, since its subject need not take the shell's arguments."""
     mutation = draw(st.sampled_from((None,) * 10 + _MUTATIONS))
     kinds = {"a": "int"}
     stages, lines = ["s"], []
@@ -577,7 +578,8 @@ def _builder_chains(draw):
         lines.append(f"build {arity} {text} " + binder(f"x{len(lines)}", "frag"))
         return f"x{len(lines) - 1}"
 
-    if draw(st.booleans()):  # by the protocol
+    protocol = draw(st.booleans())
+    if protocol:
         f = build(_START, 1)
         for template in [_PUSH] + [_PUSH, _MINUS] * draw(st.integers(0, 2)) + [_END]:
             g = build(template, 0 if template is _END else 1)
@@ -627,7 +629,7 @@ def _builder_chains(draw):
     arg = Int(draw(st.integers(-3, 3)))
     if mutation == "symbolic argument":
         arg = Var(draw(st.sampled_from(["ft", "t0", "t1", "x1", "b"])))
-    fast = mutation is None and "finalize" not in body
+    fast = mutation is None and (protocol or "finalize" not in body)
     return f"(a, k)'[s]'{{ {body} }}", [arg], fast
 
 
@@ -690,6 +692,54 @@ def test_environment_loop_runs_builtin_chains_as_step_does(chain, budget):
             == (by_loop[0], [], *by_loop[2:])
 
 
+# Subjects that take the value on top of the stack, `v`, and push one in
+# its place.  `defer` runs a build-time primitive below which the call is
+# on, so post-order runs the rest of the chain first; in `wake` its value
+# then turns the rest on again; `rename` binds `d`, the name of the value
+# `_MINUS` leaves, at build time; `branch` takes an `if`.
+_SUBJECTS = {
+    "defer": "('ft', v, !args, cont)'[bt]' { \"v+1\" (w)'[q]' "
+             "'@ft:' \"w*2\" (d)'[ft]' '@bt:' cont 'ft' d !args }",
+    "wake": "('ft', v, !args, cont)'[bt]' { \"v+1\" (w)'[q]' "
+            "'@q:' \"w*2\" (d)'[ft]' '@bt:' cont 'ft' d !args }",
+    "rename": "('ft', v, !args, cont)'[bt]' { '@bt:' \"3\" (d)'[q]' '@q:' cont 'ft' v !args }",
+    "branch": "('ft', v, !args, cont)'[bt]' { '@bt:' \"1<2\" (c)'[q]' "
+              "'@q:' if c ()'[y]'{ '@y:' cont 'ft' v !args } ()'[n]'{ '@n:' exit } }",
+    "env": "('ft', v, !args, cont)'[bt]' { '@bt:' newEnv (e)'[q]' '@q:' print e ()'[r]' "
+           "'@r:' cont 'ft' v !args }",
+}
+
+
+@pytest.mark.parametrize("budget", [1_000_000, 25, 40])
+@pytest.mark.parametrize("subjects, drained", [
+    (["defer"], False), (["env"], False), (["defer", "rename"], True),
+    (["wake"], True), (["branch"], True),
+])
+def test_finalize_shell_subjects_run_as_step_does(subjects, drained, budget):
+    """The shell of a chain whose subjects run build-time code: the loop
+    gives what the `step` loop gives, fresh names and trace included, and
+    hands back to `run` only where post-order or a rename needs it."""
+    lines, stages, f = [], ["s"], None
+    for template in [_START, _PUSH.format(v=3), _PUSH.format(v=4),
+                     *map(_SUBJECTS.get, subjects), _MINUS, _END]:
+        lines.append(f"build {0 if template is _END else 1} {template} (x{len(lines)})"
+                     f"'[t{len(lines)}]'")
+        stages.append(f"t{len(lines) - 1}")
+        if f is not None:
+            lines.append(f"merge {f} x{len(lines) - 1} (x{len(lines)})'[t{len(lines)}]'")
+            stages.append(f"t{len(lines) - 1}")
+        f = f"x{len(lines) - 1}"
+    body = " ".join(f"'@{st_}:' {line}" for st_, line in zip(stages, lines + [f"finalize {f} k"]))
+    source = f"(a, k)'[s]'{{ {body} }}"
+    stepped, ran = (Session(seed=3, budget=budget).record_trace() for _ in range(2))
+    by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), [Int(1)]))
+    with mock.patch.object(evaluator, "run", wraps=evaluator.run) as run:
+        by_loop = _observed(ran, lambda: apply_value(rd(source, ran), [Int(1)], ran))
+    assert by_loop == by_step
+    if budget > 100:
+        assert run.called is drained
+
+
 def test_environment_loop_hands_back_an_operand_that_is_not_ready():
     """`concat` waits while a tuple holds an unresolved splice, so the loop
     hands the rest of the line back to `run`; both ways end alike."""
@@ -702,6 +752,24 @@ def test_environment_loop_hands_back_an_operand_that_is_not_ready():
     assert isinstance(drained.call_args.args[1].form, PrimB)  # handed back past the beta step
     assert by_loop == by_step
     assert by_loop[0][0] == "ReturnNeverCalled" and by_loop[2] == 1
+
+
+@pytest.mark.parametrize("source, args, values, out", [
+    ("(a, !rest, k)'[s]'{ '@s:' k a !rest }", [Int(1), Int(2), Int(3)],
+     [Int(1), Int(2), Int(3)], []),
+    ("(x, k)'[s]'{ '@s:' print !x k }", [TupleT((Int(4),))], [], ["4"]),
+], ids=["return", "print"])
+def test_environment_loop_splices_a_bound_name(source, args, values, out):
+    """A splice of a name the dict binds (`k a !rest`, `print !x`) is read
+    from the dict; the loop finishes the call without `run`, as the `step`
+    loop does."""
+    stepped, ran = Session(seed=3).record_trace(), Session(seed=3).record_trace()
+    by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), args))
+    with mock.patch.object(evaluator, "run", wraps=evaluator.run) as drained:
+        by_loop = _observed(ran, lambda: apply_value(rd(source, ran), args, ran))
+    assert not drained.called
+    assert by_loop == by_step
+    assert ran.kept == values and ran.out == out
 
 
 def test_prim_line_shows_the_values_its_outputs_replace():
@@ -733,7 +801,7 @@ def test_chain_shape_is_renewed_when_the_body_changes():
     its body, and so its cached pair, has changed."""
     sess = Session()
     lam = rd("(x, k)'[s]'{ '@s:' k x }", sess)
-    assert evaluator._chain_shape(lam)
+    assert machine._chain_shape(lam)
     lam.body.replace(rd("(x, k)'[s]'{ '@s:' if x k k }", sess).body)
-    assert not evaluator._chain_shape(lam)
+    assert not machine._chain_shape(lam)
     assert apply_value(lam, [Bool(True)], sess) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langweave import evaluator, packs
+from langweave import evaluator, machine, packs
 from langweave.errors import EvalExit, LangError
 from langweave.evaluator import Session, apply_value, render_value, step
 from langweave.grammar import prepare
@@ -17,8 +17,8 @@ from langweave.prims import render_prim
 from langweave.printer import print_core, _quote_render
 from langweave.reader import read_core
 from langweave.runtime import LanguageRegistry, Parser
-from langweave.terms import (Int, Lam, PrimB, Str, TupleT, alpha_eq, postorder,
-                             stage_value)
+from langweave.terms import (TOP, App, Body, Int, Lam, PrimB, Str, TupleT, alpha_eq,
+                             postorder, stage_value)
 
 PACKS = Path(__file__).parent.parent / "src" / "langweave" / "packs"
 
@@ -239,20 +239,28 @@ def _stepping(session, root):
         pass
 
 
-def _finalized(pack, text, drain):
-    """The residuals of parsing `text`, and what a caller sees: the values
-    they give when invoked, or the error raised, the step count, the `prim`
-    lines and the fresh-name counter; `drain` runs every finalize shell."""
+def _declined(session, lam, args):
+    return Body(TOP, App(lam, args))
+
+
+def _finalized(pack, text, by_step):
+    """The residuals of parsing `text`, what a caller sees (the values they
+    give when invoked, or the error raised, the step count, the `prim` lines
+    and the fresh-name counter), and the calls of `run`.  With `by_step`,
+    the environment loop declines every call and the `step` loop drains
+    everything, finalize shells included."""
     session = Session(seed=7).record_trace()
     residuals = []
-    with mock.patch.object(evaluator, "run", drain):
+    with mock.patch.object(evaluator, "run", wraps=_stepping if by_step else evaluator.run) \
+            as drained, mock.patch.object(machine, "run_chain",
+                                          _declined if by_step else machine.run_chain):
         try:
             residuals, _, _ = run_pack(pack, text, session)
             values = [render_value(v) for t in residuals for v in apply_value(t, [], session)]
         except LangError as exc:
             values = (type(exc).__name__, str(exc))
     prims = [line for line in session.trace if line.startswith("prim ")]
-    return residuals, (values, session.steps, prims, session.names.counter)
+    return residuals, (values, session.steps, prims, session.names.counter), drained.call_count
 
 
 @pytest.mark.parametrize("pack, inputs", [
@@ -264,12 +272,16 @@ def _finalized(pack, text, drain):
 @settings(max_examples=30, deadline=None, database=None)
 @given(data=st.data())
 def test_finalize_drain_equals_step(pack, inputs, data):
-    """`run` drains each finalize shell on one stack and narrows its `!args`
-    pack where it stands; the `step` loop walks the whole tree from the root
-    for every step.  Both must build the same residual in the same steps."""
+    """The environment loop runs every action and finishes each finalize
+    shell in one dict per call; the `step` loop substitutes one step at a
+    time from the root.  Both must build the same residual in the same
+    steps, and, but for `typed_minusdiv` (whose type checks post-order runs
+    after the rest of the chain), the loop never calls `run`."""
     text = data.draw(inputs)
-    stepped, seen = _finalized(pack, text, _stepping)
-    drained, seen_drained = _finalized(pack, text, evaluator.run)
-    assert seen_drained == seen
-    assert len(drained) == len(stepped)
-    assert all(map(alpha_eq, drained, stepped))
+    stepped, seen, _ = _finalized(pack, text, by_step=True)
+    looped, seen_looped, drained = _finalized(pack, text, by_step=False)
+    assert seen_looped == seen
+    assert len(looped) == len(stepped)
+    assert all(map(alpha_eq, looped, stepped))
+    if pack != "typed_minusdiv":
+        assert drained == 0

@@ -192,6 +192,31 @@ def test_round_trip_program_body():
     assert alpha_eq_body(body, again)
 
 
+@pytest.mark.parametrize("a, b, same", [
+    # an inner binder shadows the mapped outer name, and back
+    ("(x)'[s]'{ '@s:' \"1\" (x)'[t]' '@t:' f x }",
+     "(y)'[s]'{ '@s:' \"1\" (z)'[t]' '@t:' f z }", True),
+    ("(x)'[s]'{ '@s:' \"1\" (x)'[t]' '@t:' f x }",
+     "(y)'[s]'{ '@s:' \"1\" (z)'[t]' '@t:' f y }", False),
+    # after the inner lambda's scope the outer name is mapped again
+    ("(x)'[s]'{ '@s:' g (x)'[t]'{ '@t:' h x } x }",
+     "(y)'[s]'{ '@s:' g (z)'[t]'{ '@t:' h z } y }", True),
+    ("(x)'[s]'{ '@s:' g (x)'[t]'{ '@t:' h x } x }",
+     "(y)'[s]'{ '@s:' g (z)'[t]'{ '@t:' h z } z }", False),
+    # a mismatch inside the inner scope
+    ("(x)'[s]'{ '@s:' g (y)'[t]'{ '@t:' h x } x }",
+     "(a)'[s]'{ '@s:' g (b)'[t]'{ '@t:' h b } a }", False),
+    ("(x)'[s]'{ '@s:' fix '[u]' x (y)'[t]'{ '@t:' x y } '@u:' k x }",
+     "(a)'[s]'{ '@s:' fix '[w]' b (c)'[t]'{ '@t:' b c } '@w:' k a }", False),
+], ids=["shadow", "shadow-outer-use", "scope-left", "scope-left-inner-name",
+        "inner-mismatch", "fix-scopes"])
+def test_alpha_eq_binds_names_for_their_scope_only(a, b, same):
+    """`alpha_eq` binds names in its maps and undoes each binding when the
+    binder's scope is left; the answer is the same either way round."""
+    assert alpha_eq(read_core(a), read_core(b)) is same
+    assert alpha_eq(read_core(b), read_core(a)) is same
+
+
 def test_printer_deterministic():
     src = (FIXTURES / "signum_script.core").read_text()
     a = print_core(read_core(src))
