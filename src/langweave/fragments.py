@@ -131,7 +131,8 @@ def child_wrappers(fragments, names):
 
     Names are minted in pre-order (`ft`, `args`, `bt` per wrapper); the
     closures are built in reverse pre-order, so each finds the closures of
-    its children already made."""
+    its children already made, their cached pairs computed: the first pair
+    of an outer wrapper then reads its children's, not the whole slot tree."""
     order, todo = [], list(reversed(fragments))
     while todo:
         fragment = todo.pop()
@@ -141,7 +142,9 @@ def child_wrappers(fragments, names):
     for fragment, ft, ys, bt in reversed(order):
         inner_args = (Var(ft), Splice(Var(ys))) + tuple(made.pop() for _ in fragment.slots)
         body = Body(Var(bt), App(fragment.subject, inner_args))
-        made.append(Lam((Param(ft), Param(ys, packed=True)), bt, body))
+        wrapper = Lam((Param(ft), Param(ys, packed=True)), bt, body)
+        lam_info(wrapper)
+        made.append(wrapper)
     return tuple(reversed(made))
 
 

@@ -6,9 +6,9 @@ and re-printing it is byte-identical.
 """
 
 from .prims import normalize_prim, render_prim
-from .terms import (App, Bool, Builtin, EnvVal, FixB, FragVal, Int, Lam,
-                    PrimB, Rec, RetK, Splice, StageConst, StageOp, Str, TupleT,
-                    Var, _quote_to_prim)
+from .terms import (STAGE_LEVELS, App, Bool, Builtin, EnvVal, FixB, FragVal,
+                    Int, Lam, PrimB, Rec, RetK, Splice, StageConst, StageOp,
+                    Str, TupleT, Var, _quote_to_prim)
 
 _INDENT = "  "
 
@@ -23,8 +23,8 @@ def _stage_text(expr, prec=0):
     if not isinstance(expr, StageOp):
         raise TypeError(f"not a stage expression: {expr!r}")
     if expr.op == "!":
-        return f"!{_stage_text(expr.args[0], 3)}"
-    level = 1 if expr.op == "|" else 2  # `&` binds tighter
+        return f"!{_stage_text(expr.args[0], max(STAGE_LEVELS.values()) + 1)}"
+    level = STAGE_LEVELS[expr.op]
     left, right = expr.args
     s = f"{_stage_text(left, level)} {expr.op} {_stage_text(right, level + 1)}"
     return f"({s})" if prec > level else s

@@ -1,8 +1,11 @@
 """Reader for the staged-CPS concrete syntax.
 
-Accepts both the quoted style (`'@s:'`, `'[y]'`, `'ft'`, `'always'`) and the
-bare style (`@s:`, `[y]`, `ft`, `always`); the quotes are decoration.  All
-sugar is desugared on the way in:
+The lexer reads the text between a pair of single quotes in place and drops
+the quotes, so the quoted style the printer writes (`'@s:'`, `'[y]'`,
+`'always'`) and the bare style (`@s:`, `[y]`, `always`) make the same tokens
+and take one path through the parser; a quote also ends the token before
+it.  A stage expression is parsed by precedence climbing over
+`terms.STAGE_LEVELS`.  All sugar is desugared on the way in:
 
   (x){ f x }                natural staging: fresh stage name, body staged on it
   @e: let [y] x v b         application of (x)[y]{ b } to v
@@ -17,9 +20,9 @@ import re
 from .errors import CoreSyntaxError
 from .names import FreshNames
 from .prims import parse_prim
-from .terms import (BUILTIN_NAMES, TOP, App, Body, Bool, Builtin, FixB, Int,
-                    Lam, Param, PrimB, Splice, StageConst, StageOp, Str,
-                    TupleT, Var)
+from .terms import (BUILTIN_NAMES, STAGE_LEVELS, TOP, App, Body, Bool, Builtin,
+                    FixB, Int, Lam, Param, PrimB, Splice, StageConst, StageOp,
+                    Str, TupleT, Var)
 
 # Lexical classes shared by the core, grammar and runtime lexers.  Blanks
 # are whitespace (`str.isspace`) and `//` line comments.  An identifier is
@@ -31,7 +34,7 @@ STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 _TOKEN = re.compile(BLANK + rf"""(?:
-    (?P<quoted>'[^']*') | (?P<string>{STRING}) | (?P<int>-?\d+)
+    (?P<quote>'(?=[^']*')) | (?P<string>{STRING}) | (?P<int>-?\d+)
   | (?P<ident>{IDENT}) | (?P<punct>[(){{}}\[\],!@:&|]) | (?P<bad>.) )?""",
                     re.S | re.X)
 _UNTERMINATED = {"'": "unterminated quote", '"': "unterminated string"}
@@ -53,29 +56,35 @@ def ident_start(char):
 
 
 class Tok:
-    __slots__ = ("kind", "text", "pos", "end")
+    __slots__ = ("kind", "text", "pos")
 
-    def __init__(self, kind, text, pos, end):
+    def __init__(self, kind, text, pos):
         self.kind = kind
         self.text = text
         self.pos = pos
-        self.end = end
 
     def __repr__(self):
         return f"Tok({self.kind}, {self.text!r})"
 
 
-def tokenize(src, start=0, stop=None):
-    """Tokens of `src` from offset `start` to `stop` (its end by default)
-    or to the first unmatched '}', where the `eof` token stands."""
+def tokenize(src, start=0):
+    """Tokens of `src` from offset `start` to its end or to the first
+    unmatched '}', where the `eof` token stands.  The text between a pair
+    of single quotes is lexed in place and the quotes make no token."""
     toks, depth, end = [], 0, start
-    stop = len(src) if stop is None else stop
+    stop = limit = len(src)  # limit: the closing quote inside a pair of quotes
     while True:
-        m = _TOKEN.match(src, end, stop)
+        m = _TOKEN.match(src, end, limit)
         kind, end = m.lastgroup, m.end()
+        if kind is None and limit < stop:
+            end, limit = limit + 1, stop
+            continue
+        if kind == "quote":
+            limit = src.index("'", end, stop)
+            continue
         pos, text = (m.start(kind), m[kind]) if kind else (end, "")
         if kind is None or (text == "}" and not depth):
-            toks.append(Tok("eof", "", pos, pos))
+            toks.append(Tok("eof", "", pos))
             return toks
         if kind == "bad" or (kind == "ident" and not ident_start(text[0])):
             msg = _UNTERMINATED.get(text[0], f"unexpected character {text[0]!r}")
@@ -83,62 +92,9 @@ def tokenize(src, start=0, stop=None):
         if kind == "punct":
             kind = text
             depth += (text == "{") - (text == "}")
-        elif kind == "quoted":
-            text = text[1:-1]
         elif kind == "string":
             text = unescape(text[1:-1])
-        toks.append(Tok(kind, text, pos, end))
-
-
-def _parse_stage_text(src, start, stop, fail):
-    """Parse the inside of a stage prefix, `src[start:stop]`: `a & b`,
-    `!x | always`, ...; `fail(msg)` raises a syntax error placed at the
-    prefix, and a lexical error is placed in `src`."""
-    text = src[start:stop]
-    toks = tokenize(src, start, stop)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def take():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def atom():
-        t = take()
-        if t.kind == "ident" or t.kind == "quoted":
-            if t.text in ("always", "never"):
-                return StageConst(t.text == "always")
-            return Var(t.text)
-        if t.kind == "(":
-            e = alt()
-            if take().kind != ")":
-                fail("expected ')' in stage expression")
-            return e
-        if t.kind == "!":
-            return StageOp("!", (atom(),))
-        fail(f"bad stage expression {text!r}")
-
-    def conj():
-        e = atom()
-        while peek().kind == "&":
-            take()
-            e = StageOp("&", (e, atom()))
-        return e
-
-    def alt():
-        e = conj()
-        while peek().kind == "|":
-            take()
-            e = StageOp("|", (e, conj()))
-        return e
-
-    expr = alt()
-    if peek().kind != "eof" or peek().pos < stop:
-        fail(f"trailing stage expression input {text!r}")
-    return expr
+        toks.append(Tok(kind, text, pos))
 
 
 class Reader:
@@ -154,8 +110,6 @@ class Reader:
         self.shadowed = [n for n in bound if n in BUILTIN_NAMES]
         for t in self.toks:
             if t.kind == "ident":
-                self.names.reserve(t.text)
-            elif t.kind == "quoted" and t.text.isidentifier():
                 self.names.reserve(t.text)
 
     # -- token plumbing
@@ -187,47 +141,43 @@ class Reader:
 
     # -- stage annotations
 
-    def try_stage_ann(self):
-        """`'[y]'` or `[y]` right after a parameter list; None if absent."""
-        t = self.peek()
-        if t.kind == "quoted" and t.text.startswith("[") and t.text.endswith("]"):
+    def stage_ann(self):
+        """The name of a `[y]` right after a parameter list, or a fresh one
+        if none is written."""
+        if self.peek().kind == "[" and self.peek(1).kind == "ident" and self.peek(2).kind == "]":
             self.take()
-            name = t.text[1:-1].strip()
-            self.names.reserve(name)
-            return name
-        if t.kind == "[" and self.peek(1).kind == "ident" and self.peek(2).kind == "]":
+            name = self.take().text
             self.take()
-            name = self.take("ident").text
-            self.take("]")
             return name
-        return None
+        return self.names.fresh("s")
 
     def try_stage_prefix(self):
-        """`'@e:'` or `@ e... :`; None if absent."""
-        t = self.peek()
-        if t.kind == "quoted" and t.text.startswith("@") and t.text.endswith(":"):
-            self.take()
-            return _parse_stage_text(self.src, t.pos + 2, t.end - 2,
-                                     lambda msg: self.error(msg, t))
-        if t.kind == "@":
-            self.take()
-            parts = []
-            depth = 0
-            while True:
-                nxt = self.peek()
-                if nxt.kind == "eof":
-                    self.error("unterminated stage prefix")
-                if nxt.kind == ":" and depth == 0:
-                    self.take()
-                    break
-                if nxt.kind == "(":
-                    depth += 1
-                if nxt.kind == ")":
-                    depth -= 1
-                parts.append(self.take())
-            text = " ".join(p.text if p.kind != "!" else "!" for p in parts)
-            return _parse_stage_text(text, 0, len(text), lambda msg: self.error(msg, t))
-        return None
+        """The stage of an `@stage:` prefix; None if absent."""
+        if self.peek().kind != "@":
+            return None
+        self.take()
+        stage = self.parse_stage()
+        self.take(":")
+        return stage
+
+    def parse_stage(self, level=1):
+        """A stage expression whose binary operators bind at least as tightly
+        as `level`, by precedence climbing over `STAGE_LEVELS`; binary
+        operators group left and `!` binds tightest."""
+        t = self.take()
+        if t.kind == "!":
+            left = StageOp("!", (self.parse_stage(max(STAGE_LEVELS.values()) + 1),))
+        elif t.kind == "(":
+            left = self.parse_stage()
+            self.take(")")
+        elif t.kind == "ident":
+            left = StageConst(t.text == "always") if t.text in ("always", "never") else Var(t.text)
+        else:
+            self.error(f"expected a stage, found {t.text!r}", t)
+        while STAGE_LEVELS.get(self.peek().kind, 0) >= level:
+            op = self.take().kind
+            left = StageOp(op, (left, self.parse_stage(STAGE_LEVELS[op] + 1)))
+        return left
 
     # -- parameters
 
@@ -240,7 +190,7 @@ class Reader:
                 self.take()
                 packed = True
             t = self.peek()
-            if t.kind in ("ident", "quoted"):
+            if t.kind == "ident":
                 self.take()
                 if any(p.name == t.text for p in params):
                     self.error(f"duplicate parameter name {t.text!r}")
@@ -278,7 +228,7 @@ class Reader:
         if t.kind == "string":
             self.take()
             return Str(t.text)
-        if t.kind in ("ident", "quoted"):
+        if t.kind == "ident":
             self.take()
             return self._name_term(t.text)
         if t.kind == "!":
@@ -296,8 +246,7 @@ class Reader:
         if t.kind == "(":
             self.take()
             params = self.parse_params()
-            ann = self.try_stage_ann()
-            stage = ann if ann is not None else self.names.fresh("s")
+            stage = self.stage_ann()
             self.take("{")
             body = self._scoped_body([p.name for p in params], stage)
             self.take("}")
@@ -314,8 +263,7 @@ class Reader:
 
         if t.kind == "ident" and t.text in ("let", "fix"):
             self.take()
-            ann = self.try_stage_ann()
-            sp = ann if ann is not None else self.names.fresh("s")
+            sp = self.stage_ann()
             name = self.take("ident").text
             self.names.reserve(name)
             mark = len(self.shadowed)
@@ -339,7 +287,7 @@ class Reader:
             outs = []
             while self.peek().kind != ")":
                 o = self.peek()
-                if o.kind not in ("ident", "quoted"):
+                if o.kind != "ident":
                     self.error("expected binder name")
                 self.take()
                 outs.append(o.text)
@@ -351,8 +299,7 @@ class Reader:
                 self.error("primitive expression must bind at least one name")
             # the continuation behaves like any lambda: it has an implicit
             # staging parameter which flips on when the expression fires
-            ann = self.try_stage_ann()
-            cont_stage = ann if ann is not None else self.names.fresh("s")
+            cont_stage = self.stage_ann()
             rest = self._scoped_body(outs, cont_stage)
             return Body(stage, PrimB(expr, tuple(outs), cont_stage, rest))
 
@@ -366,8 +313,7 @@ class Reader:
             if nxt.kind == "(":
                 self.take()
                 params = self.parse_params()
-                ann = self.try_stage_ann()
-                sp = ann if ann is not None else self.names.fresh("s")
+                sp = self.stage_ann()
                 names = [p.name for p in params]
                 if self.peek().kind == "{":
                     self.take()

@@ -81,6 +81,11 @@ class StageOp(Term):
     args: tuple
 
 
+# binding levels of the binary stage operators, read by the reader and the
+# printer; both group left, and `!` binds tighter than either
+STAGE_LEVELS = {"|": 1, "&": 2}
+
+
 @dataclass(frozen=True)
 class TupleT(Term):
     items: tuple  # elements may include Splice

@@ -135,6 +135,18 @@ def test_finalize_drain_past_the_host_recursion_limit_succeeds(capsys):
     assert (code, out, err) == (EXIT_OK, "-1036\n", "")
 
 
+def test_slot_wrapper_pairs_do_not_recurse_down_the_slot_tree(capsys, tmp_path):
+    """Each slot wrapper's cached pair is computed as the wrapper is made,
+    children first, so the 2048-term residual builds under the limit set
+    at import time instead of exhausting it in the outermost wrapper's
+    first pair."""
+    source = tmp_path / "deep.txt"
+    source.write_text("-".join(["7/1"] * 2048))
+    code, out, err = run_cli(capsys, "run", "minusdiv_codegen", "--input", str(source),
+                             "--emit", "value")
+    assert (code, out, err) == (EXIT_OK, "-14322\n", "")
+
+
 def test_immediate_parse_depth_is_not_bounded_by_the_host_stack(capsys, tmp_path):
     source = tmp_path / "deep.txt"
     source.write_text("-".join(["7/1"] * 30_000))

@@ -16,7 +16,7 @@ from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK, E
 from langweave.evaluator import Session, apply_value, render_value
 from langweave.prims import parse_prim, prim_subst, render_prim
 from langweave.printer import print_core
-from langweave.reader import read_core
+from langweave.reader import STRING, read_core
 from langweave.terms import (App, Body, Bool, Builtin, FixB, Int, Lam, Param, PrimB,
                              Splice, StageConst, StageOp, Str, TupleT, Var, alpha_eq)
 
@@ -229,6 +229,20 @@ def test_print_then_read_core_is_alpha_equal_and_reprints_identically(term):
     again = read_core(printed)
     assert alpha_eq(term, again)
     assert print_core(again) == printed
+
+
+# a string literal, kept as it is, or a single quote outside one, dropped
+_STRING_OR_QUOTE = re.compile(rf"({STRING})|'")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_terms(3), _prim_lams))
+def test_a_printed_term_reads_the_same_without_its_quotes(term):
+    """The single quotes the printer writes around stage prefixes,
+    annotations and stage constants are decoration."""
+    printed = print_core(term)
+    bare = _STRING_OR_QUOTE.sub(lambda m: m[1] or "", printed)
+    assert alpha_eq(read_core(bare), read_core(printed))
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -125,10 +125,30 @@ def test_trailing_continuation_sugar():
     assert rest.form.callee == Var("k")
 
 
+# programs whose quotes enclose more or less than one name, stage prefix or
+# annotation; each reads as its text with the quotes removed, or fails as it
+QUOTED_PROGRAMS = [
+    "(x)'[s]'{ '@s:' f 'always' x }", "k 'a b'", "k '5'", "k ''", "k '}'", "'let' k",
+    "(k)'[a b]'{ k 1 }", "'@a & (b | !c):' k", "'@s' k 1",
+]
+
+
+def _read_or_error(text):
+    try:
+        return read_program(text), None
+    except CoreSyntaxError as err:
+        assert err.line is not None, text
+        return None, str(err).rsplit(" at ", 1)[0]
+
+
 def test_quoted_and_bare_forms_agree():
-    quoted = read_core("(x)'[s]'{ '@s:' f 'always' x }")
-    bare = read_core("(x)[s]{ @s: f always x }")
-    assert alpha_eq(quoted, bare)
+    for text in QUOTED_PROGRAMS:
+        body, error = _read_or_error(text)
+        bare_body, bare_error = _read_or_error(text.replace("'", ""))
+        assert error == bare_error, text
+        if body is not None:
+            assert alpha_eq_body(body, bare_body), text
+            assert alpha_eq_body(read_program(print_body(body)), body), text
 
 
 def test_duplicate_and_double_pack_params_rejected():
