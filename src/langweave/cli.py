@@ -155,6 +155,8 @@ def cmd_expand(args):
 def cmd_run(args):
     """Load every grammar, apply a script pack's creator or parse the input,
     then print the output and trace (also on exit or failure) and `emit`."""
+    if args.steps < 0:
+        raise _Usage(f"--steps must be a non-negative count, got {args.steps}")
     session = Session(seed=args.seed, budget=args.steps)
     lang = args.lang or args.positional_lang
     if not lang:

@@ -15,12 +15,12 @@ lacks explicit inputs with the target's own parameter names, growing rule
 heads as needed; entry rules are never altered.
 """
 
-from dataclasses import dataclass, field, replace
 
 from .errors import (EntryRuleWouldChange, GrammarError, KindMismatch,
                      UnknownSignatureQuery, UnresolvableDefault)
 from .printer import print_body
-from .terms import Lam, alpha_eq
+from .records import Ident, Record, Value, replace
+from .terms import alpha_eq
 
 TOKEN_CLASSES = ("Identifier", "Integer", "String")
 
@@ -29,116 +29,81 @@ TOKEN_CLASSES = ("Identifier", "Integer", "String")
 # term uses
 
 
-@dataclass(frozen=True)
-class Lit:
-    text: str
+class Lit(Value):
+    __slots__ = ("text",)
 
 
-@dataclass(frozen=True)
-class TokClass:
-    cls: str
-    outs: tuple = ()
+class TokClass(Value, outs=()):
+    __slots__ = ("cls", "outs")
 
 
-@dataclass(frozen=True)
-class NtUse:
-    name: str
-    ins: tuple = None    # None: fill with defaults
-    outs: tuple = None
+class NtUse(Value, ins=None, outs=None):
+    __slots__ = ("name", "ins", "outs")  # ins None: fill with defaults
 
 
-@dataclass(frozen=True)
-class ForeignUse:
-    lang: str
-    entry: str
-    ins: tuple = None
-    outs: tuple = None
+class ForeignUse(Value, ins=None, outs=None):
+    __slots__ = ("lang", "entry", "ins", "outs")
 
 
-@dataclass(frozen=True, eq=False)
-class ActionDef:
-    ins: tuple
-    outs: tuple
-    body: Lam  # (ins..., return)['parse'] lambda
+class ActionDef(Ident):
+    __slots__ = ("ins", "outs", "body")  # body: the (ins..., return)['parse'] lambda
 
 
-@dataclass(frozen=True, eq=False)
-class ActionUse:
-    action: ActionDef
-    ins: tuple = None
-    outs: tuple = None
+class ActionUse(Ident, ins=None, outs=None):
+    __slots__ = ("action", "ins", "outs")
 
 
-@dataclass(frozen=True)
-class EpsilonUse:
+class EpsilonUse(Value, ins=None, outs=None):
     # with annotations this is a pass-through: outputs take the values of
     # the trailing inputs (the freshest ones)
-    ins: tuple = None
-    outs: tuple = None
+    __slots__ = ("ins", "outs")
 
 
-@dataclass(frozen=True)
-class TemplateCall:
-    name: str
-    args: tuple
+class TemplateCall(Value):
+    __slots__ = ("name", "args")
 
 
 # template arguments
-@dataclass(frozen=True)
-class ArgNt:
-    name: str
+class ArgNt(Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class ArgLit:
-    text: str
+class ArgLit(Value):
+    __slots__ = ("text",)
 
 
-@dataclass(frozen=True, eq=False)
-class ArgAction:
-    action: ActionDef
+class ArgAction(Ident):
+    __slots__ = ("action",)
 
 
-@dataclass(frozen=True)
-class ArgEpsilon:
-    pass
+class ArgEpsilon(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ArgTuple:
-    names: tuple
+class ArgTuple(Value):
+    __slots__ = ("names",)
 
 
-@dataclass
-class Production:
-    head: str
-    ins: tuple  # None while unresolved
-    outs: tuple
-    body: tuple
+class Production(Record):
+    __slots__ = ("head", "ins", "outs", "body")  # ins None while unresolved
 
 
-@dataclass
-class Rule:
-    name: str
-    ins: tuple
-    productions: list
-    is_entry: bool = False
+class Rule(Record, is_entry=False):
+    __slots__ = ("name", "ins", "productions", "is_entry")
 
 
-@dataclass
-class Template:
-    name: str
-    params: tuple
-    aliases: tuple  # (alias_name, param_name, "in"|"out")
-    productions: list
-    result: str
+class Template(Record):
+    # aliases: (alias_name, param_name, "in"|"out")
+    __slots__ = ("name", "params", "aliases", "productions", "result")
 
 
-@dataclass
-class GrammarDef:
-    name: str
-    templates: dict = field(default_factory=dict)
-    rules: dict = field(default_factory=dict)  # insertion-ordered
+class GrammarDef(Record):
+    __slots__ = ("name", "templates", "rules")  # rules insertion-ordered
+
+    def __init__(self, name):
+        self.name = name
+        self.templates = {}
+        self.rules = {}
 
     def add(self, prod, entry=False):
         """Append `prod` to its head's rule, creating the rule with the

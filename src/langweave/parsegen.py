@@ -8,10 +8,10 @@ the inner language's tokens are unknowable here, so any rule that would
 need a foreign FIRST set to pick between alternatives is diagnosed.
 """
 
-from dataclasses import dataclass, field
 
 from .errors import Ll1Conflict
 from .grammar import ActionUse, EpsilonUse, ForeignUse, Lit, NtUse, TokClass
+from .records import Record
 
 EOI = ("eoi", "")
 
@@ -40,11 +40,13 @@ def token_key_str(key):
     return "<eoi>"
 
 
-@dataclass
-class Analysis:
-    nullable: dict = field(default_factory=dict)
-    first: dict = field(default_factory=dict)
-    follow: dict = field(default_factory=dict)
+class Analysis(Record):
+    __slots__ = ("nullable", "first", "follow")
+
+    def __init__(self):
+        self.nullable = {}
+        self.first = {}
+        self.follow = {}
 
     def seq_first(self, uses):
         """FIRST of a symbol sequence plus whether it is nullable."""
@@ -106,11 +108,10 @@ def analyze(g):
     return a
 
 
-@dataclass
-class ParseTable:
-    analysis: Analysis
-    table: dict           # (rule, token-key) -> production index; a rule
-                          # with one production has no row (no lookahead)
+class ParseTable(Record):
+    # table: (rule, token-key) -> production index; a rule with one
+    # production has no row (no lookahead)
+    __slots__ = ("analysis", "table")
 
 
 def validate_foreign_positions(g, analysis=None):

@@ -14,9 +14,8 @@ inlined ("l-r" becomes "1-quot" once l is known).
 """
 
 import re
-from dataclasses import dataclass
-
 from .errors import CoreSyntaxError
+from .records import Ident, Value
 
 # The binary operators and their levels, loosest first: comparisons, which
 # do not chain, then `+ -`, then `* /`.  Each groups left.  Unary `-` binds
@@ -33,34 +32,28 @@ class PrimExpr:
         return (leaf.term for leaf in prim_leaves(self) if isinstance(leaf, PQuote))
 
 
-@dataclass(frozen=True)
-class PInt(PrimExpr):
-    value: int
+class PInt(PrimExpr, Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class PStr(PrimExpr):
-    value: str
+class PStr(PrimExpr, Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class PName(PrimExpr):
-    name: str
+class PName(PrimExpr, Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False)
-class PQuote(PrimExpr):
-    term: object
+class PQuote(PrimExpr, Ident):
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
-class POp(PrimExpr):
+class POp(PrimExpr, Value):
     """An operator applied to its operands.  `op` is as the source writes
     it: a binary operator (see `BINARY`); `-` with one operand, negation;
     `[]`, a list; a function name; or `.` and a method name, the object
     first among the operands."""
-    op: str
-    args: tuple
+    __slots__ = ("op", "args")
 
 
 def prim_leaves(expr):

@@ -17,7 +17,6 @@ so the nesting of the input never reaches the host stack.
 """
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
@@ -29,6 +28,7 @@ from .grammar import (ActionUse, EpsilonUse, ForeignUse, Lit, NtUse,
                       TokClass)
 from .reader import BLANK, IDENT, STRING, ident_start, line_col
 from .parsegen import EOI, build_table, literal_tokens, token_key_str, used_classes
+from .records import Record, Value
 from .terms import Int, Str
 
 
@@ -48,10 +48,9 @@ class Token:
 _CLASS_PATTERNS = {"Identifier": IDENT, "Integer": r"\d+", "String": STRING}
 
 
-@dataclass(frozen=True)
-class LexerDef:
-    literals: tuple  # longest first
-    classes: frozenset
+class LexerDef(Value):
+    # literals longest first; `pattern` is cached in the instance
+    __slots__ = ("literals", "classes", "__dict__")
 
     @cached_property
     def pattern(self):
@@ -174,12 +173,11 @@ def _compile(rule, idx, prod, rules):
 # registry
 
 
-@dataclass
-class Language:
-    name: str
-    grammar: object   # prepared (expanded + completed) grammar
-    lexer: LexerDef
-    rules: dict       # rule name -> CompiledRule
+class Language(Record):
+    __slots__ = ("name",
+                 "grammar",   # prepared (expanded + completed) grammar
+                 "lexer",
+                 "rules")     # rule name -> CompiledRule
 
 
 class LanguageRegistry:

@@ -31,10 +31,9 @@ until a substitution copies it.  A stale cached pair is therefore a
 superset and an over-estimate of activity, which is safe for both uses.
 """
 
-from dataclasses import dataclass, field
-
 from .prims import (PInt, PName, POp, PQuote, PrimExpr, PStr, normalize_prim,
                     prim_alpha_eq, prim_leaves, prim_subst)
+from .records import Ident, Value
 
 # ---------------------------------------------------------------------------
 # terms
@@ -44,41 +43,34 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
+class Var(Term, Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Int(Term):
-    value: int
+class Int(Term, Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Str(Term):
-    value: str
+class Str(Term, Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Bool(Term):
-    value: bool
+class Bool(Term, Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class StageConst(Term):
-    top: bool
+class StageConst(Term, Value):
+    __slots__ = ("top",)
 
 
 TOP = StageConst(True)
 BOTTOM = StageConst(False)
 
 
-@dataclass(frozen=True)
-class StageOp(Term):
+class StageOp(Term, Value):
     """Stages joined by an operator, in stage position only: `&` or `|`
     with two operands, `!` with one."""
-    op: str
-    args: tuple
+    __slots__ = ("op", "args")
 
 
 # binding levels of the binary stage operators, read by the reader and the
@@ -86,20 +78,20 @@ class StageOp(Term):
 STAGE_LEVELS = {"|": 1, "&": 2}
 
 
-@dataclass(frozen=True)
-class TupleT(Term):
-    items: tuple  # elements may include Splice
+class TupleT(Term, Value):
+    __slots__ = ("items",)  # elements may include Splice
 
 
-@dataclass(frozen=True)
-class Splice(Term):
-    inner: Term
+class Splice(Term, Value):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    packed: bool = False
+class Param(Value):
+    __slots__ = ("name", "packed")
+
+    def __init__(self, name, packed=False):  # by hand: `packed` is passed by name
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "packed", packed)
 
 
 class Lam(Term):
@@ -122,19 +114,18 @@ class Lam(Term):
         return f"Lam(({ps})[{self.stage}])"
 
 
-@dataclass(frozen=True)
-class Builtin(Term):
-    name: str
+class Builtin(Term, Value):
+    __slots__ = ("name",)
 
 
 # the reader reads these names as `Builtin` unless a binder shadows them
 BUILTIN_NAMES = frozenset({"if", "print", "exit", "newEnv", "build", "merge", "finalize"})
 
 
-@dataclass(frozen=True, eq=False)
-class EnvVal(Term):
-    entries: tuple  # ((key, term), ...) insertion-ordered, persistent
-    info: tuple = field(default=None, init=False, repr=False)  # see term_info
+class EnvVal(Term, Ident):
+    # entries: ((key, term), ...) insertion-ordered, persistent
+    __slots__ = ("entries", "__dict__")
+    info = None  # term_info's pair, once computed, is kept in the instance dict
 
     def insert(self, key, term):
         kept = tuple((k, v) for k, v in self.entries if k != key)
@@ -147,20 +138,16 @@ class EnvVal(Term):
         return None
 
 
-@dataclass(frozen=True, eq=False)
-class FragVal(Term):
-    fragment: object
+class FragVal(Term, Ident):
+    __slots__ = ("fragment",)
 
 
-@dataclass(frozen=True, eq=False)
-class RetK(Term):
-    tag: int
+class RetK(Term, Ident):
+    __slots__ = ("tag",)
 
 
-@dataclass(frozen=True, eq=False)
-class Rec(Term):
-    name: str
-    value: Term
+class Rec(Term, Ident):
+    __slots__ = ("name", "value")
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +158,19 @@ class Form:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class App(Form):
-    callee: Term
-    args: tuple
+class App(Form, Value):
+    __slots__ = ("callee", "args")
 
 
-@dataclass(frozen=True)
-class PrimB(Form):
-    expr: PrimExpr
-    outs: tuple  # bound names, usually one
-    cont_stage: str  # staging parameter of the continuation
-    rest: "Body"
+class PrimB(Form, Value):
+    __slots__ = ("expr",
+                 "outs",        # bound names, usually one
+                 "cont_stage",  # staging parameter of the continuation
+                 "rest")
 
 
-@dataclass(frozen=True)
-class FixB(Form):
-    stage_param: str
-    name: str
-    value: Term
-    rest: "Body"
+class FixB(Form, Value):
+    __slots__ = ("stage_param", "name", "value", "rest")
 
 
 class Body:

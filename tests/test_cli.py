@@ -93,6 +93,15 @@ def test_run_step_budget_exit_three(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("steps, expected, message", [
+    ("-5", EXIT_USAGE, "usage error: --steps must be a non-negative count, got -5\n"),
+    ("0", EXIT_BUDGET, "error: step budget of 0 exhausted\n"),
+])
+def test_steps_is_a_non_negative_count(capsys, steps, expected, message):
+    assert run_cli(capsys, "run", "minusdiv_immediate", "1-2", "--steps", steps) == (
+        expected, "", message)
+
+
 def _depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
