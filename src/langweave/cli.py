@@ -155,8 +155,6 @@ def cmd_expand(args):
 def cmd_run(args):
     """Load every grammar, apply a script pack's creator or parse the input,
     then print the output and trace (also on exit or failure) and `emit`."""
-    if args.steps < 0:
-        raise _Usage(f"--steps must be a non-negative count, got {args.steps}")
     session = Session(seed=args.seed, budget=args.steps)
     lang = args.lang or args.positional_lang
     if not lang:
@@ -261,6 +259,9 @@ def main(argv=None):
         args.input_text = text
 
     try:
+        for flag in ("seed", "steps"):
+            if getattr(args, flag, 0) < 0:
+                raise _Usage(f"--{flag} must be a non-negative count, got {getattr(args, flag)}")
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code

@@ -10,10 +10,12 @@ monotone: no backtracking, ever.
 Registering a language compiles each production into a tuple of
 operations over attribute slots numbered in advance; a use that fails
 whenever the parse reaches it (an unbound name) compiles into an operation
-that raises there.  A rule's LL(1) lookup yields the operations of the
-selected production directly.  `Parser.parse` runs them in one loop over
-one explicit stack of frames (language, operations, position, slot list),
-so the nesting of the input never reaches the host stack.
+that raises there.  A call of a short one-production rule compiles into
+that rule's operations, and a last call whose outputs the production
+returns into a tail call.  `Parser.parse` runs the operations in one loop
+over one explicit stack of frames (language, operations, position, slot
+list), so the nesting of the input never reaches the host stack; a tail
+call takes the running frame, so a right-recursive list keeps it flat.
 """
 
 import re
@@ -99,23 +101,38 @@ def lex_next(text, pos, lexdef, language=None):
 
 # An operation is a tuple (code, argument, in slots, out slots, name, extra);
 # `_compile` shows what each code keeps in `argument`, `name` and `extra`.
-TOKEN, CALL, ACTION, PASS, RETURN, FAIL = range(6)
+TAIL, CALL, TOKEN, ACTION, PASS, RETURN, FAIL = range(7)  # a TAIL: a last CALL, run in place
+_INLINE_MAX = 32  # the most operations of a rule compiled into its callers
 
 
 class CompiledRule:
-    """A rule's arity, the padding of its slot list past the inputs, and its
-    productions: `single` if it has one, else `select` by look-ahead key."""
-    __slots__ = ("name", "arity", "pad", "single", "select")
+    """A rule's arity, output count (None if productions differ), slot padding
+    past the inputs, and productions: `single` if one, else `select` by key."""
+    __slots__ = ("name", "arity", "returns", "pad", "single", "select")
 
-    def __init__(self, name, arity):
-        self.name, self.arity, self.select = name, arity, {}
+    def __init__(self, rule):
+        self.name, self.arity, self.select = rule.name, len(rule.ins or ()), {}
+        counts = {len(prod.outs) for prod in rule.productions}
+        self.returns = counts.pop() if len(counts) == 1 else None
 
 
 def compile_rules(grammar, table):
     """Each rule of a prepared grammar by name, compiled, with its row of the
     LL(1) table pointing at the operations of the productions."""
-    rules = {name: CompiledRule(name, len(rule.ins or ())) for name, rule in grammar.rules.items()}
-    compiled = {name: [_compile(rule, i, prod, rules) for i, prod in enumerate(rule.productions)]
+    rules = {name: CompiledRule(rule) for name, rule in grammar.rules.items()}
+    memo = {}
+
+    def single(name):
+        """The operations and slot count of a rule with one production,
+        compiled once; None if it has more, or while it is being compiled."""
+        rule = grammar.rules[name]
+        if len(rule.productions) == 1 and name not in memo:
+            memo[name] = None
+            memo[name] = _compile(rule, 0, rule.productions[0], rules, single)
+        return memo.get(name)
+
+    compiled = {name: [single(name)] if len(rule.productions) == 1 else
+                [_compile(rule, i, prod, rules, single) for i, prod in enumerate(rule.productions)]
                 for name, rule in grammar.rules.items()}
     for name, crule in rules.items():
         crule.pad = [None] * (max(size for _, size in compiled[name]) - crule.arity)
@@ -125,10 +142,11 @@ def compile_rules(grammar, table):
     return rules
 
 
-def _compile(rule, idx, prod, rules):
+def _compile(rule, idx, prod, rules, single):
     """The operations of one production and the number of slots they use.
     The rule's inputs take the first slots (of two equal names the later
-    one counts); a name bound again keeps its slot."""
+    one counts); a name bound again keeps its slot.  A call of a short rule
+    `single` gives, with as many inputs and outputs, becomes its operations."""
     slot = {name: i for i, name in enumerate(rule.ins or ())}
     size, ops = len(rule.ins or ()), []
 
@@ -145,16 +163,43 @@ def _compile(rule, idx, prod, rules):
                 slot[name], size = size, size + 1
         return tuple(slot[name] for name in names)
 
+    def splice(body, body_size, ins, outs):
+        """`body` on fresh slots, an input it binds again copied first; its
+        last write, or else a PASS, writes what it returns into `outs`."""
+        nonlocal size
+        written = {out for op in body for out in op[3]}
+        at = [ins[i] if i < len(ins) and i not in written else size + i for i in range(body_size)]
+        ops.extend((PASS, None, (ins[i],), (at[i],), "epsilon", None) for i in sorted(written)
+                   if i < len(ins))
+        size += body_size
+        body = [(code, arg, tuple([at[i] for i in i_s]), tuple([at[o] for o in o_s]), what, extra)
+                for code, arg, i_s, o_s, what, extra in body]
+        if body[-1][0] == TAIL:  # it writes just what the rule returns
+            body[-1] = (CALL, body[-1][1], body[-1][2], outs) + body[-1][4:]
+        elif body[-1][0] == RETURN:  # else the FAIL of an unbound name
+            returned = body.pop()[2]
+            if body and body[-1][3] == returned and len(set(returned)) == len(returned):
+                body[-1] = body[-1][:3] + (outs,) + body[-1][4:]
+            elif outs:
+                body.append((PASS, None, returned, outs, "epsilon", None))
+        ops.extend(body)
+
     try:
         for use in prod.body:
             if isinstance(use, EpsilonUse) and not use.outs:
                 continue
             ins = reads(getattr(use, "ins", ()))
+            outs = binds(getattr(use, "outs", ()))
             if isinstance(use, (Lit, TokClass)):
                 key = ("lit", use.text) if isinstance(use, Lit) else ("class", use.cls)
                 op = (TOKEN, key, "token", None)
             elif isinstance(use, NtUse):
-                op = (CALL, rules[use.name], use.name, None)
+                callee, body = rules[use.name], single(use.name)
+                if body and len(body[0]) <= _INLINE_MAX and (
+                        len(ins) == callee.arity and len(outs) == callee.returns):
+                    splice(*body, ins, outs)
+                    continue
+                op = (CALL, callee, use.name, None)
             elif isinstance(use, ForeignUse):  # a switch to another language
                 op = (CALL, use.entry, f"{use.lang}.{use.entry}", use.lang)
             elif isinstance(use, ActionUse):
@@ -162,8 +207,12 @@ def _compile(rule, idx, prod, rules):
             else:  # an epsilon passes its trailing inputs through
                 ins, op = ins[-len(use.outs):], (PASS, None, "epsilon", None)
             code, arg, what, extra = op
-            ops.append((code, arg, ins, binds(getattr(use, "outs", ())), what, extra))
+            ops.append((code, arg, ins, outs, what, extra))
         ops.append((RETURN, None, reads(prod.outs), (), None, None))
+        code, arg, ins, outs, what, extra = ops[-2] if len(ops) > 1 else ops[-1]
+        if code == CALL and extra is None and outs == ops[-1][2] and (
+                len(set(outs)) == len(outs) == arg.returns):  # as the callee returns them
+            ops[-2:] = [(TAIL, arg, ins, outs, what, extra)]
     except GrammarError as exc:  # raised again when the parse gets here
         ops.append((FAIL, None, (), (), str(exc), None))
     return tuple(ops), size
@@ -324,8 +373,9 @@ class Parser:
             code, arg, ins, outs, what, extra = ops[pc]
             pc += 1
             values = [slots[i] for i in ins] if ins else []
-            if code == CALL:
-                stack.append((lang, ops, pc, slots))
+            if code <= CALL:  # a TAIL runs the callee in place of the current frame
+                if code == CALL:
+                    stack.append((lang, ops, pc, slots))
                 if extra is not None:  # a switch to an entry rule of another language
                     lang = self.registry.language(extra)
                     if listener is not None:

@@ -102,6 +102,22 @@ def test_steps_is_a_non_negative_count(capsys, steps, expected, message):
         expected, "", message)
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "minusdiv_codegen", "1-4/2-3", "--emit", "residual"),
+    ("run", "minusdiv_immediate", "1-2"),
+    ("check", "minusdiv_immediate"),
+    ("expand", "minusdiv_immediate"),
+])
+def test_seed_is_a_non_negative_count(capsys, argv):
+    """A negative seed would mint names such as `arg_-16`, which do not
+    read back as identifiers."""
+    assert run_cli(capsys, *argv, "--seed", "-50") == (
+        EXIT_USAGE, "", "usage error: --seed must be a non-negative count, got -50\n")
+    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert code == EXIT_OK and out
+    assert run_cli(capsys, *argv) == (code, out, "")
+
+
 def _depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:

@@ -5,7 +5,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langweave import runtime
@@ -537,6 +537,55 @@ grammar broken {
 """
 
 
+# Registered despite its diagnostics too.  It exercises what registration
+# compiles: calls of one-production rules into their callers (chains with
+# and without inputs, one binding an input name again, one returning its
+# input, one failing on an unbound name, one around a cycle, ones that
+# return a name twice), calls left as calls (output or input counts that
+# differ from the rule's), and last calls made tail calls or not (a list, a
+# rule whose productions return different counts, a language switch).
+_INLINED = """
+grammar inlined {
+  entry Top|->(v)| ::= "chain" Outer|->(v)|;
+  Top|->(v)| ::= "args" Integer|->(x)| |(x)->|Add|->(v)|;
+  Top|->(v)| ::= "same" Integer|->(x)| |(x)->|Same|->(v)|;
+  Top|->(v)| ::= "rebind" Integer|->(x)| |(x)->|Rebind|->(y)|
+      |(x, y)->(v)| { "x*1000+y" (v) return v };
+  Top|->(v)| ::= "cycle" S |()->(v)| { "0" (v) return v };
+  Top|->(v)| ::= "count" |()->|Leaf|->(v, w)|;
+  Top|->(v)| ::= "arity" Integer|->(x)| |(x)->|Leaf|->(v)|;
+  Top|->(v)| ::= "bad" AfterBad|->(v)|;
+  Top|->(v)| ::= "list" Integer|->(t)| |(t)->|List|->(v)|;
+  Top|->(v)| ::= "var" Integer|->(x)| |(x)->|Var|->(v)|;
+  Top|->(v)| ::= "sw" Switch|->(v)|;
+  Top|->(v)| ::= "last" |()->|minusdiv_immediate.Diff|->(v)|;
+  Top|->(v)| ::= "dup" Pair|->(a, b)| |(a, b)->(v)| { "a*10+b" (v) return v };
+  Top|->(v)| ::= "duptail" DupTail|->(a, b)| |(a, b)->(v)| { "a*10+b" (v) return v };
+  Outer|->(v)| ::= Mid|->(v)|;
+  Mid|->(w)| ::= Leaf|->(v)| |(v)->(w)| { "v+1" (w) return w };
+  Leaf|->(v)| ::= Integer|->(v)|;
+  |(x)->|Add|->(v)| ::= "+" Integer|->(y)| |(x, y)->|Sum|->(v)|;
+  |(a, b)->|Sum|->(s)| ::= |(a, b)->(s)| { "a+b" (s) return s };
+  |(x)->|Same|->(x)| ::= "same";
+  |(x)->|Rebind|->(y)| ::= Integer|->(x)| |(x)->(y)| { "x+1" (y) return y };
+  S ::= "x" T;
+  T ::= "y" S;
+  AfterBad|->(v)| ::= Bad|->(u)| "after" |(u)->(v)| { "u" (v) return v };
+  Bad|->(v)| ::= "unbound";
+  |(t)->|List|->(t)| ::= ";";
+  |(t)->|List|->(t)| ::= "," Integer|->(n)| |(t, n)->(t)| { "t-n" (t) return t }
+      |(t)->|List|->(t)|;
+  |(x)->|Var|->(v)| ::= "one" |(x)->|epsilon|->(v)|;
+  |(x)->|Var|->(v, w)| ::= "two" |(x, x)->|epsilon|->(v, w)|;
+  Switch|->(v)| ::= |()->|minusdiv_immediate.Diff|->(v)|;
+  Pair|->(a, a)| ::= |()->(a, a)| { "1" (x) "2" (y) return x y };
+  DupTail|->(p, p)| ::= Choice|->(p, p)|;
+  Choice|->(a, b)| ::= "c1" |()->(a, b)| { "1" (x) "2" (y) return x y };
+  Choice|->(a, b)| ::= "c2" |()->(a, b)| { "3" (x) "4" (y) return x y };
+}
+"""
+
+
 def _register(reg, names, name, text, strict=True):
     prepared, diags = prepare(read_grammar(text, names))
     assert not (strict and diags), diags
@@ -570,6 +619,11 @@ def _case(name):
     if name == "broken":
         _register(reg, names, "broken", _BROKEN, strict=False)
         return reg, "broken", "Top", (), names.used
+    if name == "inlined":
+        _register(reg, names, "inlined", _INLINED, strict=False)
+        _register(reg, names, "minusdiv_immediate",
+                  (PACKS / "minusdiv_immediate" / "grammar.lw").read_text())
+        return reg, "inlined", "Top", (), names.used
     _register(reg, names, name, (PACKS / name / "grammar.lw").read_text())
     entry = {"minusdiv_immediate": "Diff", "assignments": "Program", "graph": "Graph"}
     return reg, name, entry.get(name, "Expr"), (), names.used
@@ -582,9 +636,10 @@ _LEXEMES = {"Integer": st.sampled_from(["0", "1", "2", "7", "12"]),
 
 def _derive(draw, reg, lang, rule, depth, out):
     """Append to `out` the tokens of a random derivation of `rule`; past a
-    depth, take the alternative with the fewest calls."""
+    depth, take the alternative with the fewest calls, and deeper still, as
+    on a cycle of one-production rules that never ends, stop."""
     if depth > 60:
-        reject()
+        return
     prods = reg.languages[lang].grammar.rules[rule].productions
     if depth > 8:
         prods = sorted(prods, key=lambda p: sum(isinstance(u, (NtUse, ForeignUse))
@@ -631,7 +686,7 @@ def _observed(parser_class, registry, lang, entry, args, used, text, listen=True
 
 
 _CASES = ("minusdiv_immediate", "minusdiv_codegen", "typed_minusdiv", "assignments", "graph",
-          "stream", "outer", "Left", "Right", "Top", "broken")
+          "stream", "outer", "Left", "Right", "Top", "broken", "inlined")
 
 
 @pytest.mark.parametrize("case", _CASES)
@@ -650,6 +705,30 @@ def test_compiled_loop_equals_the_recursive_parser(case, data):
     assert quiet == (new[0], [], *new[2:])
 
 
+@pytest.mark.parametrize("text", [
+    "chain 7", "args 3 + 4", "same 5 same", "rebind 3 4", "cycle x y x y", "count 7",
+    "arity 3 4", "bad unbound after", "list 10 , 1 , 2 ;", "var 3 one", "var 3 two",
+    "sw 7-1/1", "last 7-2", "dup", "duptail c1", "duptail c2"])
+def test_each_path_of_the_inlined_fixture_equals_the_recursive_parser(text):
+    """One input down each alternative of `_INLINED`, so that none depends
+    on what the derivations draw."""
+    reg, lang, entry, args, used = _case("inlined")
+    assert _observed(Parser, reg, lang, entry, args, used, text) == _observed(
+        _Reference, _recursive_registry(reg), lang, entry, args, used, text)
+
+
+def test_calls_compiled_in_place_stay_few_on_a_doubling_chain():
+    """Copying every call of `R1 ::= R2 R2; ... R23 ::= R24 R24` into its
+    caller would take 2^23 operations; only short rules are copied."""
+    rules = " ".join(f"R{i} ::= R{i + 1} R{i + 1};" for i in range(1, 24))
+    reg, names = LanguageRegistry(), FreshNames()
+    _register(reg, names, "g", f'grammar g {{ entry R0 ::= R1; {rules} R24 ::= "a"; }}')
+    longest = max(len(rule.single) for rule in reg.languages["g"].rules.values())
+    assert longest <= 2 * runtime._INLINE_MAX
+    assert _observed(Parser, reg, "g", "R0", (), names.used, "a " * 40) == _observed(
+        _Reference, _recursive_registry(reg), "g", "R0", (), names.used, "a " * 40)
+
+
 def test_an_unbound_name_fails_when_the_parse_reaches_it():
     reg = _case("broken")[0]
     parser = Parser(reg, "4 unbound", Session())
@@ -657,3 +736,17 @@ def test_an_unbound_name_fails_when_the_parse_reaches_it():
         parser.parse("broken", "Top")
     assert len(parser.consumed_spans) == 2
     assert parse(reg, "broken", "Top", "4 ok", session=Session()) == [Int(4)]
+
+
+@pytest.mark.parametrize("terms", [1000, 4000])
+def test_the_frame_stack_stays_flat_on_a_right_recursive_list(terms):
+    """The list rule `R ::= op elem action R` ends in a call of itself
+    whose outputs it returns; that call takes the running frame, so the
+    stack does not grow with the number of terms."""
+    parser = Parser(_registry("minusdiv_immediate"), "-".join(["7/1"] * terms), Session())
+    depths = []
+    parser.session.listener = lambda kind, fields: (
+        depths.append(len(parser._frames)) if kind == "token" else None)
+    assert parser.parse("minusdiv_immediate", "Diff") == [Int(7 - 7 * (terms - 1))]
+    assert len(depths) == 4 * terms - 1
+    assert max(depths) <= 2
