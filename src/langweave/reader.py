@@ -1,10 +1,14 @@
-"""Reader for the staged-CPS concrete syntax.
+"""Reader for the staged-CPS concrete syntax, and the one lexer of both
+grammar files and core syntax.
 
-The lexer reads the text between a pair of single quotes in place and drops
-the quotes, so the quoted style the printer writes (`'@s:'`, `'[y]'`,
-`'always'`) and the bare style (`@s:`, `[y]`, `always`) make the same tokens
-and take one path through the parser; a quote also ends the token before
-it.  A stage expression is parsed by precedence climbing over
+`tokenize` lexes a whole text with one pattern: the core token classes and
+the grammar format's punctuation, so `grammar_reader.GrammarReader`, a
+subclass of `Reader`, reads a grammar file and its action bodies from one
+token list.  The text between a pair of single quotes is read in place and
+the quotes dropped, so the quoted style the printer writes (`'@s:'`,
+`'[y]'`, `'always'`) and the bare style (`@s:`, `[y]`, `always`) make the
+same tokens and take one path through the parser; a quote also ends the
+token before it.  A stage expression is parsed by precedence climbing over
 `terms.STAGE_LEVELS`.  All sugar is desugared on the way in:
 
   (x){ f x }                natural staging: fresh stage name, body staged on it
@@ -24,19 +28,20 @@ from .terms import (BUILTIN_NAMES, STAGE_LEVELS, TOP, App, Body, Bool, Builtin,
                     FixB, Int, Lam, Param, PrimB, Splice, StageConst, StageOp,
                     Str, TupleT, Var)
 
-# Lexical classes shared by the core, grammar and runtime lexers.  Blanks
-# are whitespace (`str.isspace`) and `//` line comments.  An identifier is
-# a letter or `_`, then letters, digits and `_` (`str.isalnum`); no regex
+# Lexical classes shared by this lexer and the runtime's.  Blanks are
+# whitespace (`str.isspace`) and `//` line comments.  An identifier is a
+# letter or `_`, then letters, digits and `_` (`str.isalnum`); no regex
 # class is `str.isalpha`, so the first character is checked after a match.
 BLANK = r"\s*(?://[^\n]*\s*)*"
 IDENT = r"[^\W\d]\w*"
 STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _ESCAPES = {"n": "\n", "t": "\t"}
 
+# No two classes start with the same character, so the order of the
+# alternatives only sets how soon the commonest match: identifiers first.
 _TOKEN = re.compile(BLANK + rf"""(?:
-    (?P<quote>'(?=[^']*')) | (?P<string>{STRING}) | (?P<int>-?\d+)
-  | (?P<ident>{IDENT}) | (?P<punct>[(){{}}\[\],!@:&|]) | (?P<bad>.) )?""",
-                    re.S | re.X)
+    (?P<ident>{IDENT}) | (?P<punct>::=|->|[(){{}}\[\],!@:&|<>;.=]) | (?P<quote>'(?=[^']*'))
+  | (?P<string>{STRING}) | (?P<int>-?\d+) | (?P<bad>.) )?""", re.S | re.X)
 _UNTERMINATED = {"'": "unterminated quote", '"': "unterminated string"}
 
 
@@ -55,79 +60,78 @@ def ident_start(char):
     return char.isalpha() or char == "_"
 
 
-class Tok:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"Tok({self.kind}, {self.text!r})"
-
-
-def tokenize(src, start=0):
-    """Tokens of `src` from offset `start` to its end or to the first
-    unmatched '}', where the `eof` token stands.  The text between a pair
-    of single quotes is lexed in place and the quotes make no token."""
-    toks, depth, end = [], 0, start
+def tokenize(src):
+    """Tokens `(kind, text, pos)` of `src`.  A punctuation token's kind is
+    its text; a string's text is its unescaped body.  The list ends with
+    an `eof` token, or at the first lexical error with an `error` token
+    whose text is the message."""
+    toks, end = [], 0
     stop = limit = len(src)  # limit: the closing quote inside a pair of quotes
     while True:
         m = _TOKEN.match(src, end, limit)
         kind, end = m.lastgroup, m.end()
         if kind is None and limit < stop:
             end, limit = limit + 1, stop
-            continue
-        if kind == "quote":
+        elif kind == "quote":
             limit = src.index("'", end, stop)
-            continue
-        pos, text = (m.start(kind), m[kind]) if kind else (end, "")
-        if kind is None or (text == "}" and not depth):
-            toks.append(Tok("eof", "", pos))
+        elif kind is None:
+            toks.append(("eof", "", end))
             return toks
-        if kind == "bad" or (kind == "ident" and not ident_start(text[0])):
-            msg = _UNTERMINATED.get(text[0], f"unexpected character {text[0]!r}")
-            raise CoreSyntaxError(msg, *line_col(src, pos))
-        if kind == "punct":
-            kind = text
-            depth += (text == "{") - (text == "}")
-        elif kind == "string":
-            text = unescape(text[1:-1])
-        toks.append(Tok(kind, text, pos))
+        else:
+            pos, text = m.start(kind), m[kind]
+            if kind == "punct":
+                kind = text
+            elif kind == "string":
+                text = unescape(text[1:-1])
+            elif kind == "bad" or kind == "ident" and not ident_start(text[0]):
+                toks.append(("error", _UNTERMINATED.get(
+                    text[0], f"unexpected character {text[0]!r}"), pos))
+                return toks
+            toks.append((kind, text, pos))
 
 
 class Reader:
-    """Reads `src` from offset `start`; `bound` names the binders in scope
-    around the text.  A builtin's name reads as `Builtin` unless a binder
-    of that name is in scope."""
+    """Reads the tokens of `src`; errors are raised as `Error`.  A
+    builtin's name reads as `Builtin` unless a binder of that name is in
+    scope (`shadowed`)."""
 
-    def __init__(self, src, names=None, start=0, bound=()):
+    Error = CoreSyntaxError
+
+    def __init__(self, src, names=None):
         self.src = src
-        self.toks = tokenize(src, start)
+        self.toks = tokenize(src)
         self.i = 0
+        if self.toks[-1][0] == "error":
+            self.error(self.toks[-1][1], self.toks[-1])
         self.names = names if names is not None else FreshNames()
-        self.shadowed = [n for n in bound if n in BUILTIN_NAMES]
-        for t in self.toks:
-            if t.kind == "ident":
-                self.names.reserve(t.text)
+        self.shadowed = []
+        for kind, text, _ in self.toks:
+            if kind == "ident":
+                self.names.reserve(text)
 
     # -- token plumbing
 
     def peek(self, ahead=0):
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
 
+    def at(self, kind):
+        return self.toks[self.i][0] == kind
+
     def take(self, kind=None):
         t = self.toks[self.i]
-        if kind is not None and t.kind != kind:
-            self.error(f"expected {kind!r}, found {t.text!r}", t)
+        if kind is not None and t[0] != kind:
+            self.expected(repr(kind), t)
         self.i += 1
         return t
 
     def error(self, msg, tok=None):
         """Raise at `tok` (the next token by default); its line and column
         are found only here."""
-        raise CoreSyntaxError(msg, *line_col(self.src, (tok or self.peek()).pos))
+        raise self.Error(msg, *line_col(self.src, (tok or self.peek())[2]))
+
+    def expected(self, what, tok):
+        shown = "end of file" if tok[0] == "eof" else tok[1]
+        self.error(f"expected {what}, found {shown!r}", tok)
 
     # -- scope
 
@@ -144,16 +148,16 @@ class Reader:
     def stage_ann(self):
         """The name of a `[y]` right after a parameter list, or a fresh one
         if none is written."""
-        if self.peek().kind == "[" and self.peek(1).kind == "ident" and self.peek(2).kind == "]":
+        if self.at("[") and self.peek(1)[0] == "ident" and self.peek(2)[0] == "]":
             self.take()
-            name = self.take().text
+            name = self.take()[1]
             self.take()
             return name
         return self.names.fresh("s")
 
     def try_stage_prefix(self):
         """The stage of an `@stage:` prefix; None if absent."""
-        if self.peek().kind != "@":
+        if not self.at("@"):
             return None
         self.take()
         stage = self.parse_stage()
@@ -164,18 +168,18 @@ class Reader:
         """A stage expression whose binary operators bind at least as tightly
         as `level`, by precedence climbing over `STAGE_LEVELS`; binary
         operators group left and `!` binds tightest."""
-        t = self.take()
-        if t.kind == "!":
+        kind, text, _ = t = self.take()
+        if kind == "!":
             left = StageOp("!", (self.parse_stage(max(STAGE_LEVELS.values()) + 1),))
-        elif t.kind == "(":
+        elif kind == "(":
             left = self.parse_stage()
             self.take(")")
-        elif t.kind == "ident":
-            left = StageConst(t.text == "always") if t.text in ("always", "never") else Var(t.text)
+        elif kind == "ident":
+            left = StageConst(text == "always") if text in ("always", "never") else Var(text)
         else:
-            self.error(f"expected a stage, found {t.text!r}", t)
-        while STAGE_LEVELS.get(self.peek().kind, 0) >= level:
-            op = self.take().kind
+            self.expected("a stage", t)
+        while STAGE_LEVELS.get(self.peek()[0], 0) >= level:
+            op = self.take()[0]
             left = StageOp(op, (left, self.parse_stage(STAGE_LEVELS[op] + 1)))
         return left
 
@@ -184,23 +188,20 @@ class Reader:
     def parse_params(self):
         """After '('; returns tuple of Param."""
         params = []
-        while self.peek().kind != ")":
-            packed = False
-            if self.peek().kind == "!":
+        while not self.at(")"):
+            packed = self.at("!")
+            if packed:
                 self.take()
-                packed = True
-            t = self.peek()
-            if t.kind == "ident":
-                self.take()
-                if any(p.name == t.text for p in params):
-                    self.error(f"duplicate parameter name {t.text!r}")
-                if packed and any(p.packed for p in params):
-                    self.error("a lambda may pack at most one parameter")
-                params.append(Param(t.text, packed))
-                self.names.reserve(t.text)
-            else:
+            if not self.at("ident"):
                 self.error("expected parameter name")
-            if self.peek().kind == ",":
+            _, name, _ = t = self.take()
+            if any(p.name == name for p in params):
+                self.error(f"duplicate parameter name {name!r}", t)
+            if packed and any(p.packed for p in params):
+                self.error("a lambda may pack at most one parameter", t)
+            params.append(Param(name, packed))
+            self.names.reserve(name)
+            if self.at(","):
                 self.take()
         self.take(")")
         return tuple(params)
@@ -221,29 +222,29 @@ class Reader:
         return Var(text)
 
     def parse_term(self):
-        t = self.peek()
-        if t.kind == "int":
+        kind, text, _ = t = self.peek()
+        if kind == "int":
             self.take()
-            return Int(int(t.text))
-        if t.kind == "string":
+            return Int(int(text))
+        if kind == "string":
             self.take()
-            return Str(t.text)
-        if t.kind == "ident":
+            return Str(text)
+        if kind == "ident":
             self.take()
-            return self._name_term(t.text)
-        if t.kind == "!":
+            return self._name_term(text)
+        if kind == "!":
             self.take()
             return Splice(self.parse_term())
-        if t.kind == "[":
+        if kind == "[":
             self.take()
             items = []
-            while self.peek().kind != "]":
+            while not self.at("]"):
                 items.append(self.parse_term())
-                if self.peek().kind == ",":
+                if self.at(","):
                     self.take()
             self.take("]")
             return TupleT(tuple(items))
-        if t.kind == "(":
+        if kind == "(":
             self.take()
             params = self.parse_params()
             stage = self.stage_ann()
@@ -251,7 +252,7 @@ class Reader:
             body = self._scoped_body([p.name for p in params], stage)
             self.take("}")
             return Lam(params, stage, body)
-        self.error(f"expected a term, found {t.text!r}")
+        self.expected("a term", t)
 
     # -- bodies
 
@@ -259,40 +260,38 @@ class Reader:
         """One body; `natural` is the stage used when no prefix is written."""
         explicit = self.try_stage_prefix()
         stage = explicit if explicit is not None else natural
-        t = self.peek()
+        kind, text, _ = t = self.peek()
 
-        if t.kind == "ident" and t.text in ("let", "fix"):
+        if kind == "ident" and text in ("let", "fix"):
             self.take()
             sp = self.stage_ann()
-            name = self.take("ident").text
+            name = self.take("ident")[1]
             self.names.reserve(name)
             mark = len(self.shadowed)
-            if t.text == "fix" and name in BUILTIN_NAMES:
+            if text == "fix" and name in BUILTIN_NAMES:
                 self.shadowed.append(name)  # a fix value sees its own name
             value = self.parse_term()
             del self.shadowed[mark:]
             rest = self._scoped_body((name,), sp)
-            if t.text == "let":
+            if text == "let":
                 # let [y] x v b  ==  apply (x)[y]{ b } to v
                 return Body(stage, App(Lam((Param(name),), sp, rest), (value,)))
             return Body(stage, FixB(sp, name, value, rest))
 
-        if t.kind == "string":
+        if kind == "string":
             self.take()
             try:
-                expr = parse_prim(t.text)
+                expr = parse_prim(text)
             except CoreSyntaxError as err:
-                raise CoreSyntaxError(str(err), *line_col(self.src, t.pos)) from None
+                self.error(str(err), t)
             self.take("(")
             outs = []
-            while self.peek().kind != ")":
-                o = self.peek()
-                if o.kind != "ident":
+            while not self.at(")"):
+                if not self.at("ident"):
                     self.error("expected binder name")
-                self.take()
-                outs.append(o.text)
-                self.names.reserve(o.text)
-                if self.peek().kind == ",":
+                outs.append(self.take()[1])
+                self.names.reserve(outs[-1])
+                if self.at(","):
                     self.take()
             self.take(")")
             if not outs:
@@ -307,15 +306,15 @@ class Reader:
         callee = self.parse_term()
         args = []
         while True:
-            nxt = self.peek()
-            if nxt.kind in ("}", "eof"):
+            kind = self.peek()[0]
+            if kind in ("}", "eof"):
                 break
-            if nxt.kind == "(":
+            if kind == "(":
                 self.take()
                 params = self.parse_params()
                 sp = self.stage_ann()
                 names = [p.name for p in params]
-                if self.peek().kind == "{":
+                if self.at("{"):
                     self.take()
                     body = self._scoped_body(names, sp)
                     self.take("}")
@@ -333,7 +332,7 @@ def read_core(text, names=None):
     """Read a single term (usually a lambda)."""
     r = Reader(text, names)
     term = r.parse_term()
-    if r.peek().kind != "eof" or r.peek().pos < len(text):
+    if not r.at("eof"):
         r.error("trailing input after term")
     return term
 
@@ -342,6 +341,6 @@ def read_program(text, names=None):
     """Read a whole program as a body; top level is always staged on."""
     r = Reader(text, names)
     body = r.parse_body(TOP)
-    if r.peek().kind != "eof" or r.peek().pos < len(text):
+    if not r.at("eof"):
         r.error("trailing input after program")
     return body

@@ -54,6 +54,38 @@ def test_syntax_error_reports_position():
         read_grammar("grammar g { Broken ::= }")
 
 
+# One text per error site of the grammar reader, with its message and the
+# position of the token it is about.
+@pytest.mark.parametrize("text, message", [
+    ('grammar g S ::= "x"; }', "expected '{', found 'S' at 1:11"),
+    ("grammar", "expected 'ident', found 'end of file' at 1:8"),
+    ('grammar "" { }', "expected 'ident', found '' at 1:9"),
+    ("gramar g { }", "a grammar file starts with 'grammar <name>' at 1:1"),
+    ('grammar g { S ::= "x";', "unterminated grammar (missing '}') at 1:23"),
+    ("grammar g { } x", "trailing input after grammar at 1:15"),
+    ("grammar g { function f<a> { S ::= a; } }",
+     "grammar function 'f' has no 'return' at 1:38"),
+    ("grammar g { function f<a> { alias |v| = |a:bad|; return S; } }",
+     "alias query must be ':in' or ':out' at 1:44"),
+    ("grammar g { function f<a> { entry S ::= a; return S; } }",
+     "a template rule cannot be an entry rule at 1:29"),
+    ('grammar g { |->(v)| S ::= "x"; }',
+     "expected an input annotation before the rule name at 1:13"),
+    ('grammar g { S ::= "x"', "unterminated production (missing ';') at 1:22"),
+    ('grammar g { S ::= |->(v)| "x"; }', "unexpected output annotation at term start at 1:19"),
+    ("grammar g { entry S|->(v)| ::= |()->(v)| { return 1 ",
+     "unterminated action body at 1:42"),
+    ('grammar g { S ::= "x" % ; }', "unexpected character '%' at 1:23"),
+    ("grammar g { S ::= |()->()| { return 'x }; }", "unterminated quote at 1:37"),
+], ids=["take", "take_at_end", "empty_string_is_not_end_of_file", "keyword", "grammar_end",
+        "trailing", "no_return", "alias_query", "template_entry", "rule_annotation",
+        "production_end", "term_annotation", "action_end", "lexical", "lexical_in_action"])
+def test_every_grammar_error_is_reported_at_its_token(text, message):
+    with pytest.raises(GrammarSyntaxError) as err:
+        read_grammar(text)
+    assert str(err.value) == message
+
+
 def test_action_inputs_shadow_builtins():
     g = read_grammar('grammar g { entry S|->(v)| ::= Integer|->(n)| '
                      '|(n)->(v)| { print n return }; '

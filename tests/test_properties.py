@@ -14,6 +14,7 @@ from langweave.cli import main
 from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_NOINPUT, EXIT_OK, EXIT_PARSE,
                               EXIT_USAGE)
 from langweave.evaluator import Session, apply_value, render_value
+from langweave.grammar_reader import read_grammar
 from langweave.prims import parse_prim, prim_subst, render_prim
 from langweave.printer import print_core
 from langweave.reader import STRING, read_core
@@ -243,6 +244,19 @@ def test_a_printed_term_reads_the_same_without_its_quotes(term):
     printed = print_core(term)
     bare = _STRING_OR_QUOTE.sub(lambda m: m[1] or "", printed)
     assert alpha_eq(read_core(bare), read_core(printed))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_terms(3), _prim_lams))
+def test_a_printed_term_reads_the_same_inside_an_action_body(term):
+    """Grammar files and core syntax share one lexer, so core text reads
+    the same as an action's argument, quoted or bare."""
+    printed = print_core(term)
+    for text in (printed, _STRING_OR_QUOTE.sub(lambda m: m[1] or "", printed)):
+        grammar = read_grammar("grammar g { entry S|->(v)| ::= |()->(v)| "
+                               f"{{ '@parse:' return {text} }}; }}")
+        action = grammar.rules["S"].productions[0].body[0].action
+        assert alpha_eq(action.body.body.form.args[0], read_core(text))
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -193,6 +193,12 @@ def test_unterminated_string():
         read_core('(x){ "unclosed (y) f y }')
 
 
+def test_end_of_text_is_reported_as_end_of_file():
+    with pytest.raises(CoreSyntaxError) as err:
+        read_core("(x){ f x")
+    assert str(err.value) == "expected '}', found 'end of file' at 1:9"
+
+
 ROUND_TRIP_SOURCES = sorted(FIXTURES.glob("*.core"))
 
 
