@@ -5,16 +5,20 @@ names) plus a sequence of term uses.  Input names of a use are arguments
 resolved against names already bound to the left; outputs bind new names.
 All productions of one rule share input names and output count.
 
-Grammar abstractions (`function f<...>`) are first-order templates: each
-instantiation mints fresh nonterminal names, resolves signature queries
-(`|t:in|`, `|t:out|`) against the argument's declared signature, and
-splices name tuples (with `p.v` creating a `p_`-prefixed copy).
+Grammar abstractions (`function f<...>`) are first-order templates whose
+arguments are the term uses they stand for (a rule, token class, literal,
+action or epsilon use without annotations), or tuples of names.  Each
+instantiation mints fresh nonterminal names, puts each argument in place of
+its parameter with the annotations written there, resolves signature
+queries (`|t:in|`, `|t:out|`) against the argument's declared signature,
+and splices name tuples (with `p.v` creating a `p_`-prefixed copy).
 
 Default-argument completion then fills every nonterminal/action use that
 lacks explicit inputs with the target's own parameter names, growing rule
 heads as needed; entry rules are never altered.
 """
 
+from itertools import count
 
 from .errors import (EntryRuleWouldChange, GrammarError, KindMismatch,
                      UnknownSignatureQuery, UnresolvableDefault)
@@ -63,23 +67,7 @@ class TemplateCall(Value):
     __slots__ = ("name", "args")
 
 
-# template arguments
-class ArgNt(Value):
-    __slots__ = ("name",)
-
-
-class ArgLit(Value):
-    __slots__ = ("text",)
-
-
-class ArgAction(Ident):
-    __slots__ = ("action",)
-
-
-class ArgEpsilon(Value):
-    __slots__ = ()
-
-
+# a template argument is the use it stands for, or else a tuple of names
 class ArgTuple(Value):
     __slots__ = ("names",)
 
@@ -158,33 +146,19 @@ def mark_entry(g, name):
 # template instantiation
 
 
-class _Expander:
-    def __init__(self, g):
-        self.g = g
-        self.counter = 0
-
-    def fresh_rule(self, base):
-        self.counter += 1
-        name = f"{base}_{self.counter}"
-        while name in self.g.rules:
-            self.counter += 1
-            name = f"{base}_{self.counter}"
-        return name
-
-
-def _arg_signature(g, arg, which):
-    if isinstance(arg, ArgNt):
-        if arg.name in TOKEN_CLASSES:
-            return ("v",) if which == "out" else ()
+def _arg_signature(g, arg, which, alias, param):
+    """The names that `alias |alias| = |param:which|` binds for the argument `arg`."""
+    if isinstance(arg, TokClass):
+        return ("v",) if which == "out" else ()
+    if isinstance(arg, NtUse):
         rule = g.rule(arg.name)
-        if which == "in":
-            return tuple(rule.ins or ())
-        outs = rule.productions[0].outs
-        return tuple(outs)
-    if isinstance(arg, ArgAction):
+        return tuple(rule.ins or ()) if which == "in" else tuple(rule.productions[0].outs)
+    if isinstance(arg, ActionUse):
         return tuple(arg.action.ins if which == "in" else arg.action.outs)
-    raise UnknownSignatureQuery(
-        f"signature query on a {type(arg).__name__} template argument")
+    kind = ("a terminal literal" if isinstance(arg, Lit) else
+            "epsilon" if isinstance(arg, EpsilonUse) else "a name tuple")
+    raise UnknownSignatureQuery(f"alias |{alias}| = |{param}:{which}|: argument {param!r} "
+                                f"is {kind} and has no signature")
 
 
 def _resolve_names(names, aliases):
@@ -204,8 +178,9 @@ def _resolve_names(names, aliases):
     return tuple(out)
 
 
-def instantiate(g, template, args, expander):
-    """Expand one template call; returns (new productions, result rule name)."""
+def instantiate(g, template, args, counter):
+    """Expand one template call, numbering new rules from the iterator
+    `counter`; returns (new productions, result rule name)."""
     if len(args) != len(template.params):
         raise KindMismatch(
             f"template {template.name!r} takes {len(template.params)} argument(s), "
@@ -217,56 +192,44 @@ def instantiate(g, template, args, expander):
     for alias_name, param, which in template.aliases:
         if param not in bind:
             raise UnknownSignatureQuery(f"unknown template parameter {param!r}")
-        aliases[alias_name] = _arg_signature(g, bind[param], which)
+        aliases[alias_name] = _arg_signature(g, bind[param], which, alias_name, param)
 
     head_map = {}
-    for prod in template.productions:
-        head_map.setdefault(prod.head, expander.fresh_rule(prod.head))
+    for prod in template.productions:  # a number for each production, so some go unused
+        name = f"{prod.head}_{next(counter)}"
+        while name in g.rules:
+            name = f"{prod.head}_{next(counter)}"
+        head_map.setdefault(prod.head, name)
+
+    # a rule argument renames the uses of its parameter, as a template rule is renamed
+    renamed = {**head_map, **{p: arg.name for p, arg in bind.items() if isinstance(arg, NtUse)}}
 
     def convert(use):
-        ins = _resolve_names(use.ins, aliases) if hasattr(use, "ins") else None
-        outs = _resolve_names(use.outs, aliases) if hasattr(use, "outs") else None
+        """`use`, or the argument its parameter stands for, with the names
+        of its annotations resolved and a rule renamed."""
+        ins = _resolve_names(getattr(use, "ins", None), aliases)
+        outs = _resolve_names(getattr(use, "outs", None), aliases)
         if isinstance(use, NtUse):
-            if use.name in bind:
-                arg = bind[use.name]
-                if isinstance(arg, ArgNt):
-                    if arg.name in TOKEN_CLASSES:
-                        return TokClass(arg.name, outs or ())
-                    return NtUse(arg.name, ins, outs)
-                if isinstance(arg, ArgLit):
-                    if ins or outs:
-                        raise KindMismatch(
-                            f"terminal argument {arg.text!r} cannot carry attributes")
-                    return Lit(arg.text)
-                if isinstance(arg, ArgAction):
-                    return ActionUse(arg.action, ins, outs)
-                if isinstance(arg, ArgEpsilon):
-                    return EpsilonUse(ins, outs)
+            arg = bind.get(use.name, use)
+            if isinstance(arg, NtUse):
+                return NtUse(renamed.get(use.name, use.name), ins, outs)
+            if isinstance(arg, ArgTuple):
                 raise KindMismatch(
                     f"template argument {use.name!r} cannot appear as a grammar term")
-            if use.name in head_map:
-                return NtUse(head_map[use.name], ins, outs)
-            return NtUse(use.name, ins, outs)
-        if isinstance(use, TokClass):
-            return TokClass(use.cls, outs or ())
+            if isinstance(arg, Lit) and (ins or outs):
+                raise KindMismatch(f"terminal argument {arg.text!r} cannot carry attributes")
+            use = arg
         if isinstance(use, Lit):
             return use
-        if isinstance(use, ActionUse):
-            return ActionUse(use.action, ins, outs)
-        if isinstance(use, EpsilonUse):
-            return EpsilonUse(ins, outs)
-        if isinstance(use, ForeignUse):
-            return ForeignUse(use.lang, use.entry, ins, outs)
-        raise GrammarError(f"unexpected term in template body: {use!r}")
+        if isinstance(use, TokClass):
+            return TokClass(use.cls, outs or ())
+        # any other use keeps its first fields and takes the resolved ins and outs, its last
+        return type(use)(*[getattr(use, f) for f in use._fields[:-2]], ins, outs)
 
-    new_prods = []
-    for prod in template.productions:
-        new_prods.append(Production(
-            head_map[prod.head],
-            _resolve_names(prod.ins, aliases),
-            _resolve_names(prod.outs, aliases) or (),
-            tuple(convert(u) for u in prod.body),
-        ))
+    new_prods = [Production(head_map[prod.head], _resolve_names(prod.ins, aliases),
+                            _resolve_names(prod.outs, aliases) or (),
+                            tuple([convert(u) for u in prod.body]))
+                 for prod in template.productions]
     if template.result not in head_map:
         raise GrammarError(
             f"template {template.name!r} returns unknown rule {template.result!r}")
@@ -275,7 +238,7 @@ def instantiate(g, template, args, expander):
 
 def expand_templates(g):
     """Replace every template call with freshly instantiated rules."""
-    expander = _Expander(g)
+    counter = count(1)
     out = GrammarDef(g.name)
     pending = []
     for rule in g.rules.values():
@@ -289,7 +252,7 @@ def expand_templates(g):
                 if call.name not in g.templates:
                     raise GrammarError(f"unknown grammar function {call.name!r}")
                 new_prods, result = instantiate(g, g.templates[call.name],
-                                                call.args, expander)
+                                                call.args, counter)
                 pending.extend(new_prods)
                 prod = Production(prod.head, prod.ins, prod.outs,
                                   (NtUse(result, None, None),))

@@ -14,16 +14,18 @@
 `GrammarReader` is a `reader.Reader` over the tokens of the whole file,
 which `reader.tokenize` lexes as it lexes core syntax, so an action body
 between braces is read in place by the inherited `parse_body`, which stops
-at the body's closing brace.  Every error, lexical errors included, is a
+at the body's closing brace.  A template argument is read as the term use
+it stands for, or as a tuple of names.  A function body that calls a
+function, a function defined twice and a parameter named twice are
+rejected as they are read.  Every error, lexical errors included, is a
 `GrammarSyntaxError`.
 """
 
 from .errors import GrammarSyntaxError
 from .reader import Reader
 from .terms import BUILTIN_NAMES, Lam, Param, Var
-from .grammar import (ActionDef, ActionUse, ArgAction, ArgEpsilon, ArgLit,
-                      ArgNt, ArgTuple, EpsilonUse, ForeignUse, GrammarDef,
-                      Lit, NtUse, Production, Template, TemplateCall,
+from .grammar import (ActionDef, ActionUse, ArgTuple, EpsilonUse, ForeignUse,
+                      GrammarDef, Lit, NtUse, Production, Template, TemplateCall,
                       TokClass, TOKEN_CLASSES)
 
 
@@ -122,15 +124,18 @@ class GrammarReader(Reader):
     # -- template machinery
 
     def _template_arg(self):
+        """The use an argument stands for, without annotations, or a tuple."""
         if self.at("string"):
-            return ArgLit(self.take()[1])
+            return Lit(self.take()[1])
         if self.at("("):
             self.take()
             return ArgTuple(self._name_list())
         if self.at("|"):
-            return ArgAction(self._action(self._ins()))
+            return ActionUse(self._action(self._ins()))
         name = self.take("ident")[1]
-        return ArgEpsilon() if name == "epsilon" else ArgNt(name)
+        if name == "epsilon":
+            return EpsilonUse()
+        return TokClass(name) if name in TOKEN_CLASSES else NtUse(name)
 
     def _template_call(self, name):
         self.take("<")
@@ -142,7 +147,7 @@ class GrammarReader(Reader):
         self.take(">")
         return TemplateCall(name, tuple(args))
 
-    def _production(self):
+    def _production(self, in_function=False):
         entry = self._at_word("entry")
         if entry:
             self.take()
@@ -157,7 +162,10 @@ class GrammarReader(Reader):
         outs = self._outs() or ()
         self.take("::=")
         if self.at("ident") and not self._at_word("epsilon") and self.peek(1)[0] == "<":
-            body = [self._template_call(self.take()[1])]  # the entire body
+            call = self.take()
+            if in_function:  # functions are first-order
+                self.error("a grammar function cannot call a grammar function", call)
+            body = [self._template_call(call[1])]  # the entire body
         else:
             body = []
             while not self.at(";"):
@@ -167,13 +175,19 @@ class GrammarReader(Reader):
         self.take(";")
         return Production(head, ins, outs, tuple(body)), entry
 
-    def _function(self):
+    def _function(self, templates):
         self.take()  # 'function'
-        name = self.take("ident")[1]
+        tok = self.take("ident")
+        name = tok[1]
+        if name in templates:
+            self.error(f"grammar function {name!r} is defined twice", tok)
         self.take("<")
         params = []
         while not self.at(">"):
-            params.append(self.take("ident")[1])
+            param = self.take("ident")
+            if param[1] in params:
+                self.error(f"duplicate parameter name {param[1]!r}", param)
+            params.append(param[1])
             if self.at(","):
                 self.take()
         self.take(">")
@@ -204,7 +218,7 @@ class GrammarReader(Reader):
             elif self._at_word("entry"):
                 self.error("a template rule cannot be an entry rule")
             else:
-                productions.append(self._production()[0])
+                productions.append(self._production(in_function=True)[0])
         close = self.take("}")
         if result is None:
             self.error(f"grammar function {name!r} has no 'return'", close)
@@ -222,7 +236,7 @@ class GrammarReader(Reader):
             if self.at("eof"):
                 self.error("unterminated grammar (missing '}')")
             if self._at_word("function"):
-                template = self._function()
+                template = self._function(g.templates)
                 g.templates[template.name] = template
             else:
                 g.add(*self._production())

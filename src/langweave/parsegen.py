@@ -6,6 +6,10 @@ plus a synthetic end-of-input marker.  Actions and epsilon are transparent.
 A foreign nonterminal contributes nothing to FIRST and is never nullable:
 the inner language's tokens are unknowable here, so any rule that would
 need a foreign FIRST set to pick between alternatives is diagnosed.
+
+A production's left edge, its uses up to the first that is not nullable,
+is walked in one place, `Analysis.left_edge`; FIRST, the prediction table,
+the foreign-position check and the left-recursion check all read it.
 """
 
 
@@ -14,21 +18,6 @@ from .grammar import ActionUse, EpsilonUse, ForeignUse, Lit, NtUse, TokClass
 from .records import Record
 
 EOI = ("eoi", "")
-
-
-def _symbol(use):
-    """('t', token-key) | ('n', rule) | ('foreign', lang.entry) | None."""
-    if isinstance(use, Lit):
-        return ("t", ("lit", use.text))
-    if isinstance(use, TokClass):
-        return ("t", ("class", use.cls))
-    if isinstance(use, NtUse):
-        return ("n", use.name)
-    if isinstance(use, ForeignUse):
-        return ("foreign", f"{use.lang}.{use.entry}")
-    if isinstance(use, (ActionUse, EpsilonUse)):
-        return None
-    raise TypeError(f"unexpected term use {use!r}")
 
 
 def token_key_str(key):
@@ -41,70 +30,75 @@ def token_key_str(key):
 
 
 class Analysis(Record):
-    __slots__ = ("nullable", "first", "follow")
+    # edges: rule -> what `left_edge` gives for each production, once final
+    __slots__ = ("nullable", "first", "follow", "edges")
 
     def __init__(self):
         self.nullable = {}
         self.first = {}
         self.follow = {}
+        self.edges = {}
 
-    def seq_first(self, uses):
-        """FIRST of a symbol sequence plus whether it is nullable."""
-        out = set()
-        for use in uses:
-            sym = _symbol(use)
-            if sym is None:
+    def left_edge(self, uses):
+        """The uses of a sequence up to and including the first terminal,
+        foreign use or nonterminal that is not nullable, the FIRST set of
+        the sequence, and whether it is nullable (it has no such use)."""
+        first = set()
+        for i, use in enumerate(uses):
+            if isinstance(use, NtUse):
+                first |= self.first[use.name]
+                if self.nullable[use.name]:
+                    continue
+            elif isinstance(use, Lit):
+                first.add(("lit", use.text))
+            elif isinstance(use, TokClass):
+                first.add(("class", use.cls))
+            elif isinstance(use, (ActionUse, EpsilonUse)):
                 continue
-            kind, key = sym
-            if kind == "t":
-                out.add(key)
-                return out, False
-            if kind == "foreign":
-                return out, False
-            out |= self.first[key]
-            if not self.nullable[key]:
-                return out, False
-        return out, True
+            elif not isinstance(use, ForeignUse):
+                raise TypeError(f"unexpected term use {use!r}")
+            return uses[:i + 1], first, False
+        return uses, first, True
 
 
 def analyze(g):
     """Least-fixpoint nullable/FIRST/FOLLOW over the grammar's alphabet."""
     a = Analysis()
-    for name in g.rules:
+    for name, rule in g.rules.items():
         a.nullable[name] = False
         a.first[name] = set()
-        a.follow[name] = set()
-    for rule in g.rules.values():
-        if rule.is_entry:
-            a.follow[rule.name].add(EOI)
+        a.follow[name] = {EOI} if rule.is_entry else set()
+        a.edges[name] = None  # keeps the grammar's order; filled below
+
+    # a rule's FIRST comes from the rules it calls, which tend to come after it
+    changed = True
+    while changed:  # the edges of the last round, which changes nothing, are final
+        changed = False
+        for name, rule in reversed(g.rules.items()):
+            a.edges[name] = edges = [a.left_edge(prod.body) for prod in rule.productions]
+            for _, first, nullable in edges:
+                if not first <= a.first[name]:
+                    a.first[name] |= first
+                    changed = True
+                if nullable and not a.nullable[name]:
+                    a.nullable[name] = True
+                    changed = True
 
     changed = True
     while changed:
         changed = False
-        for rule in g.rules.values():
+        for name, rule in g.rules.items():
             for prod in rule.productions:
-                first, nullable = a.seq_first(prod.body)
-                if not first <= a.first[rule.name]:
-                    a.first[rule.name] |= first
-                    changed = True
-                if nullable and not a.nullable[rule.name]:
-                    a.nullable[rule.name] = True
-                    changed = True
-
-    changed = True
-    while changed:
-        changed = False
-        for rule in g.rules.values():
-            for prod in rule.productions:
-                for i, use in enumerate(prod.body):
-                    if not isinstance(use, NtUse):
-                        continue
-                    add, rest_nullable = a.seq_first(prod.body[i + 1:])
-                    if rest_nullable:
-                        add |= a.follow[rule.name]
-                    if not add <= a.follow[use.name]:
-                        a.follow[use.name] |= add
-                        changed = True
+                after = a.follow[name]  # what can come after the use, right to left
+                for use in reversed(prod.body):
+                    if isinstance(use, NtUse):
+                        if not after <= a.follow[use.name]:
+                            a.follow[use.name] |= after
+                            changed = True
+                        first = a.first[use.name]
+                        after = after | first if a.nullable[use.name] else first
+                    elif isinstance(use, (Lit, TokClass, ForeignUse)):
+                        after = a.left_edge((use,))[1]  # its token; a foreign use's are unknown
     return a
 
 
@@ -119,44 +113,22 @@ def validate_foreign_positions(g, analysis=None):
     on: with several alternatives, none may reach a foreign use first."""
     a = analysis if analysis is not None else analyze(g)
     diagnostics = []
-    for rule in g.rules.values():
-        if len(rule.productions) < 2:
-            continue
-        for idx, prod in enumerate(rule.productions):
-            for use in prod.body:
-                sym = _symbol(use)
-                if sym is None:
-                    continue
-                kind, key = sym
-                if kind == "foreign":
-                    diagnostics.append(
-                        f"rule {rule.name!r} production {idx}: foreign nonterminal "
-                        f"{key} decides selection among alternatives, but its "
-                        "tokens are unknown to this language")
-                    break
-                if kind == "t":
-                    break
-                if not a.nullable[key]:
-                    break
-        # nullable prefixes fall through to the next symbol, handled above
+    for name, edges in a.edges.items():
+        for idx, (edge, _, _) in enumerate(edges if len(edges) > 1 else ()):
+            if edge and isinstance(edge[-1], ForeignUse):
+                diagnostics.append(
+                    f"rule {name!r} production {idx}: foreign nonterminal "
+                    f"{edge[-1].lang}.{edge[-1].entry} decides selection among "
+                    "alternatives, but its tokens are unknown to this language")
     return diagnostics
 
 
 def left_recursion(g, analysis):
     """One diagnostic for each rule that can call itself before it consumes
     a token, on which the parser would push frames without end.  A rule
-    calls the nonterminals on the left edge of each production, up to the
-    first that is not nullable."""
-    calls = {name: set() for name in g.rules}
-    for rule in g.rules.values():
-        for prod in rule.productions:
-            for use in prod.body:
-                if isinstance(use, NtUse):
-                    calls[rule.name].add(use.name)
-                    if not analysis.nullable[use.name]:
-                        break
-                elif not isinstance(use, (ActionUse, EpsilonUse)):
-                    break
+    calls the nonterminals on the left edge of each of its productions."""
+    calls = {name: {use.name for edge, _, _ in edges for use in edge if isinstance(use, NtUse)}
+             for name, edges in analysis.edges.items()}
     diagnostics = []
     for name in g.rules:
         reached, pending = set(), [name]
@@ -175,19 +147,13 @@ def build_table(g):
     a = analyze(g)
     conflicts = validate_foreign_positions(g, a) + left_recursion(g, a)
     table = {}
-    for rule in g.rules.values():
-        if len(rule.productions) == 1:
-            continue
-        for idx, prod in enumerate(rule.productions):
-            first, nullable = a.seq_first(prod.body)
-            select = set(first)
-            if nullable:
-                select |= a.follow[rule.name]
-            for key in sorted(select):
-                cell = (rule.name, key)
+    for name, edges in a.edges.items():
+        for idx, (_, first, nullable) in enumerate(edges if len(edges) > 1 else ()):
+            for key in sorted(first | a.follow[name] if nullable else first):
+                cell = (name, key)
                 if cell in table:
                     conflicts.append(
-                        f"rule {rule.name!r}: productions {table[cell]} and {idx} "
+                        f"rule {name!r}: productions {table[cell]} and {idx} "
                         f"both claim token {token_key_str(key)}")
                 else:
                     table[cell] = idx

@@ -163,26 +163,34 @@ def _compile(rule, idx, prod, rules, single):
                 slot[name], size = size, size + 1
         return tuple(slot[name] for name in names)
 
-    def splice(body, body_size, ins, outs):
+    def splice(body, ins, outs):
         """`body` on fresh slots, an input it binds again copied first; its
-        last write, or else a PASS, writes what it returns into `outs`."""
-        nonlocal size
+        last write, or else a PASS, writes what it returns into `outs`.  A
+        slot of the callee gets a fresh slot only if an operation names it."""
         written = {out for op in body for out in op[3]}
-        at = [ins[i] if i < len(ins) and i not in written else size + i for i in range(body_size)]
-        ops.extend((PASS, None, (ins[i],), (at[i],), "epsilon", None) for i in sorted(written)
+        at = {i: slot for i, slot in enumerate(ins) if i not in written}
+
+        def to(callee_slots):
+            nonlocal size
+            for i in callee_slots:
+                if i not in at:
+                    at[i], size = size, size + 1
+            return tuple([at[i] for i in callee_slots])
+
+        ops.extend((PASS, None, (ins[i],), to((i,)), "epsilon", None) for i in sorted(written)
                    if i < len(ins))
-        size += body_size
-        body = [(code, arg, tuple([at[i] for i in i_s]), tuple([at[o] for o in o_s]), what, extra)
-                for code, arg, i_s, o_s, what, extra in body]
+        body, last = list(body), None
         if body[-1][0] == TAIL:  # it writes just what the rule returns
-            body[-1] = (CALL, body[-1][1], body[-1][2], outs) + body[-1][4:]
+            body[-1], last = (CALL,) + body[-1][1:], len(body) - 1
         elif body[-1][0] == RETURN:  # else the FAIL of an unbound name
             returned = body.pop()[2]
             if body and body[-1][3] == returned and len(set(returned)) == len(returned):
-                body[-1] = body[-1][:3] + (outs,) + body[-1][4:]
+                last = len(body) - 1
             elif outs:
-                body.append((PASS, None, returned, outs, "epsilon", None))
-        ops.extend(body)
+                body.append((PASS, None, returned, (), "epsilon", None))
+                last = len(body) - 1
+        ops.extend((code, arg, to(i_s), outs if n == last else to(o_s), what, extra)
+                   for n, (code, arg, i_s, o_s, what, extra) in enumerate(body))
 
     try:
         for use in prod.body:
@@ -197,7 +205,7 @@ def _compile(rule, idx, prod, rules, single):
                 callee, body = rules[use.name], single(use.name)
                 if body and len(body[0]) <= _INLINE_MAX and (
                         len(ins) == callee.arity and len(outs) == callee.returns):
-                    splice(*body, ins, outs)
+                    splice(body[0], ins, outs)
                     continue
                 op = (CALL, callee, use.name, None)
             elif isinstance(use, ForeignUse):  # a switch to another language

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from langweave.errors import EntryRuleWouldChange, GrammarSyntaxError
+from langweave.errors import (EntryRuleWouldChange, GrammarError, GrammarSyntaxError,
+                              UnknownSignatureQuery)
 from langweave.evaluator import Session
 from langweave.grammar import (ActionUse, EpsilonUse, Lit, NtUse, Production,
                                TokClass, add_production, check_signatures,
@@ -338,3 +339,167 @@ def test_foreign_ref_recorded():
     prepared, diags = prepare(g)
     assert not diags
     assert prepared.used_foreign() == {("other", "Entry")}
+
+
+# One row per branch of grammar-function instantiation: a grammar text and
+# its prepared grammar as printed, or the error it raises.
+@pytest.mark.parametrize("text, want", [
+    ('''grammar g {
+  function f<a> {
+    S|->(v)| ::= "k" Integer|->(n)| |(n)->(m)| { return n } |()->|o.E|->(w)| Outer|->(x)|
+        a|->(v)|;
+    return S;
+  }
+  entry Top|->(v)| ::= f<Leaf>;
+  Leaf|->(v)| ::= Integer|->(v)|;
+  Outer|->(x)| ::= "o" Integer|->(x)|;
+}''', '''grammar g {
+  entry |()->|Top|->(v)| ::=
+      |()->|S_1|->(v)|;
+  |()->|Leaf|->(v)| ::=
+      Integer|->(v)|;
+  |()->|Outer|->(x)| ::=
+      "o"
+      Integer|->(x)|;
+  |()->|S_1|->(v)| ::=
+      "k"
+      Integer|->(n)|
+      |(n)->(m)| {
+    '@parse:' return n
+    }
+      |()->|o.E|->(w)|
+      |()->|Outer|->(x)|
+      |()->|Leaf|->(v)|;
+}
+'''),
+    ('''grammar g {
+  function f<a> { S|->(v)| ::= a T a|->(v)|; T ::= a; return S; }
+  entry Top|->(v)| ::= f<Integer>;
+}''', '''grammar g {
+  entry |()->|Top|->(v)| ::=
+      |()->|S_1|->(v)|;
+  |()->|S_1|->(v)| ::=
+      Integer
+      |()->|T_2|->()|
+      Integer|->(v)|;
+  |()->|T_2|->()| ::=
+      Integer;
+}
+'''),
+    ('''grammar g {
+  function f<a> {
+    alias |i| = |a:in|; alias |o| = |a:out|;
+    |(i)->|S|->(o)| ::= "s" |(i)->|a|->(o)|;
+    return S;
+  }
+  |(p, q)->|Top|->(r)| ::= f<R>;
+  |(p, q)->|R|->(r)| ::= |(p, q)->(r)| { return p };
+}''', '''grammar g {
+  |(p, q)->|Top|->(r)| ::=
+      |(p, q)->|S_1|->(r)|;
+  |(p, q)->|R|->(r)| ::=
+      |(p, q)->(r)| {
+    '@parse:' return p
+    };
+  |(p, q)->|S_1|->(r)| ::=
+      "s"
+      |(p, q)->|R|->(r)|;
+}
+'''),
+    ('''grammar g {
+  function f<a> {
+    alias |i| = |a:in|; alias |o| = |a:out|;
+    |(i)->|S|->(o)| ::= |(i)->|a|->(o)|;
+    return S;
+  }
+  entry Top|->(v)| ::= f<Integer>;
+}''', '''grammar g {
+  entry |()->|Top|->(v)| ::=
+      |()->|S_1|->(v)|;
+  |()->|S_1|->(v)| ::=
+      Integer|->(v)|;
+}
+'''),
+    ('''grammar g {
+  function f<a> {
+    alias |i| = |a:in|; alias |o| = |a:out|;
+    |(i)->|S|->(o)| ::= "s" |(i)->|a|->(o)|;
+    return S;
+  }
+  |(p)->|Top|->(q)| ::= f<|(p)->(q)| { return p }>;
+}''', '''grammar g {
+  |(p)->|Top|->(q)| ::=
+      |(p)->|S_1|->(q)|;
+  |(p)->|S_1|->(q)| ::=
+      "s"
+      |(p)->(q)| {
+    '@parse:' return p
+    };
+}
+'''),
+    ('''grammar g {
+  function f<a> { S|->(v)| ::= a|->(v)|; return S; }
+  entry Top|->(v)| ::= f<Integer>;
+  S_1 ::= "x";
+}''', '''grammar g {
+  entry |()->|Top|->(v)| ::=
+      |()->|S_2|->(v)|;
+  |()->|S_1|->()| ::=
+      "x";
+  |()->|S_2|->(v)| ::=
+      Integer|->(v)|;
+}
+'''),
+    ('grammar g { function f<a> { S ::= a; return S; } entry Top ::= f<A, B>; A ::= "a"; '
+     'B ::= "b"; }', "KindMismatch: template 'f' takes 1 argument(s), got 2"),
+    ('grammar g { function f<a> { alias |v| = |b:out|; S ::= a; return S; } entry Top ::= f<A>; '
+     'A ::= "a"; }', "UnknownSignatureQuery: unknown template parameter 'b'"),
+    ('grammar g { function f<a> { S|->(p.x)| ::= a|->(p.x)|; return S; } entry Top ::= f<A>; '
+     'A|->(v)| ::= Integer|->(v)|; }', "KindMismatch: prefix applied to non-tuple name 'x'"),
+    ('grammar g { function f<a> { S|->(v)| ::= a|->(v)|; return S; } entry Top ::= f<"x">; }',
+     "KindMismatch: terminal argument 'x' cannot carry attributes"),
+    ("grammar g { function f<a> { S ::= a; return S; } entry Top ::= f<(x, y)>; }",
+     "KindMismatch: template argument 'a' cannot appear as a grammar term"),
+    ('grammar g { function f<a> { S ::= a; return Q; } entry Top ::= f<"x">; }',
+     "GrammarError: template 'f' returns unknown rule 'Q'"),
+    ('grammar g { entry Top ::= h<"x">; }', "GrammarError: unknown grammar function 'h'"),
+], ids=["body_uses", "token_class_argument", "alias_of_a_rule", "alias_of_a_token_class",
+        "alias_of_an_action", "fresh_name_skips_a_rule", "argument_count",
+        "alias_of_an_unknown_parameter", "prefix_on_a_non_tuple", "terminal_with_attributes",
+        "tuple_as_a_term", "unknown_result", "unknown_function"])
+def test_grammar_functions_expand_or_fail_as_pinned(text, want):
+    try:
+        prepared, diagnostics = prepare(read_grammar(text))
+    except GrammarError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    else:
+        assert diagnostics == []
+        got = print_grammar(prepared)
+    assert got == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ('grammar g { function f<a> { S ::= f<a>; return S; } entry Top ::= f<"x">; }',
+     "a grammar function cannot call a grammar function at 1:35"),
+    ('grammar g { function f<a> { S ::= a "1"; return S; } '
+     'function f<a> { S ::= a "2"; return S; } entry Top ::= f<"x">; }',
+     "grammar function 'f' is defined twice at 1:63"),
+    ('grammar g { function f<a, a> { S ::= a; return S; } entry Top ::= f<"x", "y">; }',
+     "duplicate parameter name 'a' at 1:27"),
+], ids=["call_in_a_function", "function_defined_twice", "duplicate_parameter"])
+def test_grammar_function_definitions_are_checked_when_read(text, message):
+    with pytest.raises(GrammarSyntaxError) as err:
+        read_grammar(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("arg, which, kind", [
+    ('"x"', "out", "a terminal literal"), ("epsilon", "in", "epsilon"),
+    ("(x, y)", "out", "a name tuple")])
+def test_a_signature_query_on_an_argument_without_one_names_the_parameter(arg, which, kind):
+    text = (f"grammar g {{ function f<a> {{ alias |v| = |a:{which}|; S ::= \"s\"; return S; }} "
+            f"entry Top ::= f<{arg}>; }}")
+    with pytest.raises(UnknownSignatureQuery) as err:
+        prepare(read_grammar(text))
+    assert str(err.value) == (f"alias |v| = |a:{which}|: argument 'a' is {kind} "
+                              "and has no signature")

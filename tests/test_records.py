@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from langweave.grammar import (ActionDef, ActionUse, ArgAction, ArgEpsilon, ArgLit, ArgNt,
-                               ArgTuple, EpsilonUse, ForeignUse, GrammarDef, Lit, NtUse,
-                               Production, Rule, Template, TemplateCall, TokClass)
+from langweave.grammar import (ActionDef, ActionUse, ArgTuple, EpsilonUse, ForeignUse,
+                               GrammarDef, Lit, NtUse, Production, Rule, Template,
+                               TemplateCall, TokClass)
 from langweave.parsegen import Analysis, ParseTable
 from langweave.prims import PInt, PName, POp, PQuote, PStr
 from langweave.runtime import Language, LexerDef
@@ -45,10 +45,7 @@ VALUES = [
     (lambda: NtUse("A", ("x",), ("y",)), "ins"),
     (lambda: ForeignUse("calc", "Expr"), "lang"),
     (lambda: EpsilonUse((), ("v",)), "outs"),
-    (lambda: TemplateCall("lassoc", (ArgNt("A"), ArgLit("-"))), "args"),
-    (lambda: ArgNt("A"), "name"),
-    (lambda: ArgLit("-"), "text"),
-    (lambda: ArgEpsilon(), None),
+    (lambda: TemplateCall("lassoc", (NtUse("A"), Lit("-"))), "args"),
     (lambda: ArgTuple(("a", "b")), "names"),
     (lambda: PInt(1), "value"),
     (lambda: PStr("s"), "value"),
@@ -60,7 +57,6 @@ VALUES = [
 IDENTITIES = [
     (lambda: ActionDef((), ("v",), LAM), "body"),
     (lambda: ActionUse(ACTION), "action"),
-    (lambda: ArgAction(ACTION), "action"),
     (lambda: PQuote(Int(1)), "term"),
     (lambda: EnvVal((("a", Int(1)),)), "entries"),
     (lambda: FragVal(None), "fragment"),
@@ -94,7 +90,7 @@ def test_value_records_compare_and_hash_by_fields_and_are_frozen(make, field):
 
 
 @pytest.mark.parametrize("a, b", [
-    (Int(1), Bool(True)), (Var("x"), Str("x")), (Int(1), PInt(1)), (Lit("-"), ArgLit("-")),
+    (Int(1), Bool(True)), (Var("x"), Str("x")), (Int(1), PInt(1)), (Lit("-"), PStr("-")),
     (Var("x"), Builtin("x")), (Int(1), Int(2)), (Param("a"), Param("a", packed=True)),
     (NtUse("A"), NtUse("A", (), ())), (Var("x"), ("x",)),
 ])
@@ -167,7 +163,7 @@ def test_lexer_pattern_is_compiled_once_per_lexer():
     (Param("a", packed=True), "Param(name='a', packed=True)"),
     (StageOp("!", (StageConst(False),)), "StageOp(op='!', args=(StageConst(top=False),))"),
     (NtUse("A"), "NtUse(name='A', ins=None, outs=None)"),
-    (ArgEpsilon(), "ArgEpsilon()"),
+    (EpsilonUse(), "EpsilonUse(ins=None, outs=None)"),
     (RetK(2), "RetK(tag=2)"),
     (Rule("A", ("x",), []), "Rule(name='A', ins=('x',), productions=[], is_entry=False)"),
     (GrammarDef("g"), "GrammarDef(name='g', templates={}, rules={})"),

@@ -717,6 +717,20 @@ def test_each_path_of_the_inlined_fixture_equals_the_recursive_parser(text):
         _Reference, _recursive_registry(reg), lang, entry, args, used, text)
 
 
+@pytest.mark.parametrize("case", ["minusdiv_immediate", "minusdiv_codegen", "typed_minusdiv",
+                                  "assignments", "graph", "inlined"])
+def test_every_slot_past_the_inputs_is_named_by_an_operation(case):
+    """A rule's padding holds only slots its operations read or write, so a
+    call compiled in place reserves none for an input it reads where it is
+    or for an output its last operation writes straight to the caller."""
+    reg, lang = _case(case)[:2]
+    for rule in reg.languages[lang].rules.values():
+        named = {slot for ops in ([rule.single] if rule.single else rule.select.values())
+                 for op in ops for slot in op[2] + op[3]}
+        unnamed = set(range(rule.arity, rule.arity + len(rule.pad))) - named
+        assert not unnamed, (rule.name, len(rule.pad), sorted(unnamed))
+
+
 def test_calls_compiled_in_place_stay_few_on_a_doubling_chain():
     """Copying every call of `R1 ::= R2 R2; ... R23 ::= R24 R24` into its
     caller would take 2^23 operations; only short rules are copied."""
