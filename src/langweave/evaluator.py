@@ -32,10 +32,13 @@ is the reference the drain must agree with.
 
 `apply_value` first tries the environment loop of `machine`, which binds
 names in a dict instead of copying bodies, and hands `run` what it cannot
-finish, from the state `run` would have reached.
+finish, from the state `run` would have reached.  `_bind` maps plain
+parameters to plain values in one pass; a pack, a splice or a wrong count
+takes the general path, which says why the call cannot bind (yet).
 """
 
 import sys
+from operator import add, ge, gt, le, lt, mul, sub
 
 from .errors import (ApplyNonClosure, ArityMismatch, EvalExit, NameNotFound,
                      PrimTypeError, ReturnCalledTwice, ReturnNeverCalled,
@@ -47,6 +50,7 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 from .fragments import build, finalize_wrapper, merge, subject_call_args
 from .names import FreshNames
 from . import prims as P
+from .prims import BINARY, PInt, PName, POp, PQuote, PStr
 from .printer import print_prim, render_value
 from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
                     FragVal, Int, Lam, Param, PrimB, Rec, RetK, Splice,
@@ -109,12 +113,18 @@ class _Unready(Exception):
 # primitive expression evaluation
 
 
+# the classes of concrete operands; the integer operators but `/`, with their results' class
+_CONCRETE = frozenset((Int, Str, Bool, TupleT, EnvVal, StageConst, Lam, FragVal))
+_INT_OPS = {"+": (Int, add), "-": (Int, sub), "*": (Int, mul), "<": (Bool, lt),
+            ">": (Bool, gt), "<=": (Bool, le), ">=": (Bool, ge)}
+
+
 def _strict(term):
     """A concrete value for an operand the operation must inspect."""
-    if isinstance(term, Var):
-        raise _Unready(term.name)
-    if isinstance(term, (Int, Str, Bool, TupleT, EnvVal, StageConst, Lam, FragVal)):
+    if type(term) in _CONCRETE:
         return term
+    if type(term) is Var:
+        raise _Unready(term.name)
     raise PrimTypeError(f"unusable operand {term!r}")
 
 
@@ -127,31 +137,32 @@ def eval_prim(expr, env=None):
     tuple constructors accept symbolic values as data (that is how build
     time name binding stores function-time values symbolically).
     """
-    if isinstance(expr, P.PName):
+    kind = type(expr)
+    if kind is PName:
         if env is None or expr.name not in env:
             raise _Unready(expr.name)
         return env[expr.name]
-    if isinstance(expr, P.POp):
+    if kind is POp:
         op, args = expr.op, expr.args
-        if len(args) == 2 and op in P.BINARY:
+        if len(args) == 2 and op in BINARY:
             return _eval_bin(op, _strict(eval_prim(args[0], env)),
                              _strict(eval_prim(args[1], env)))
         if op == "-":
             v = _strict(eval_prim(args[0], env))
-            if not isinstance(v, Int):
+            if type(v) is not Int:
                 raise PrimTypeError("unary '-' needs an integer")
             return Int(-v.value)
         if op == "[]":
             return TupleT(tuple(eval_prim(a, env) for a in args))
         if op[0] == ".":
             obj, method, args = _strict(eval_prim(args[0], env)), op[1:], args[1:]
-            if not isinstance(obj, EnvVal):
+            if type(obj) is not EnvVal:
                 raise PrimTypeError(f"method {method!r} needs an environment")
             if method == "insert":
                 if len(args) != 2:
                     raise PrimTypeError("insert takes a key and a value")
                 key = _strict(eval_prim(args[0], env))
-                if not isinstance(key, Str):
+                if type(key) is not Str:
                     raise PrimTypeError("insert key must be a string")
                 value = eval_prim(args[1], env)
                 return obj.insert(key.value, value)
@@ -159,7 +170,7 @@ def eval_prim(expr, env=None):
                 if len(args) != 1:
                     raise PrimTypeError("lookup takes a key")
                 key = _strict(eval_prim(args[0], env))
-                if not isinstance(key, Str):
+                if type(key) is not Str:
                     raise PrimTypeError("lookup key must be a string")
                 found = obj.lookup(key.value)
                 if found is None:
@@ -175,17 +186,17 @@ def eval_prim(expr, env=None):
                 raise PrimTypeError("concat takes two tuples")
             a = _strict(eval_prim(args[0], env))
             b = _strict(eval_prim(args[1], env))
-            if not isinstance(a, TupleT) or not isinstance(b, TupleT):
+            if type(a) is not TupleT or type(b) is not TupleT:
                 raise PrimTypeError("concat takes two tuples")
-            if any(isinstance(t, Splice) for t in a.items + b.items):
+            if Splice in map(type, a.items + b.items):
                 raise _Unready("concat over an unresolved pack")
             return TupleT(a.items + b.items)
         raise PrimTypeError(f"unknown primitive function {op!r}")
-    if isinstance(expr, P.PInt):
+    if kind is PInt:
         return Int(expr.value)
-    if isinstance(expr, P.PStr):
+    if kind is PStr:
         return Str(expr.value)
-    if isinstance(expr, P.PQuote):
+    if kind is PQuote:
         term = expr.term
         return env.get(term.name, term) if env is not None and type(term) is Var else term
     raise PrimTypeError(f"cannot evaluate {expr!r}")
@@ -194,32 +205,21 @@ def eval_prim(expr, env=None):
 def _eval_bin(op, lv, rv):
     """`lv op rv` for a binary operator of `prims.BINARY`."""
     if op in ("==", "!="):
-        if type(lv) is not type(rv) or not isinstance(lv, (Int, Str, Bool)):
+        if type(lv) is not type(rv) or type(lv) not in (Int, Str, Bool):
             raise PrimTypeError(f"cannot compare {lv!r} and {rv!r}")
         eq = lv.value == rv.value
         return Bool(eq if op == "==" else not eq)
-    if not isinstance(lv, Int) or not isinstance(rv, Int):
+    if type(lv) is not Int or type(rv) is not Int:
         raise PrimTypeError(f"operator {op!r} needs integers")
     a, b = lv.value, rv.value
-    if op == "+":
-        return Int(a + b)
-    if op == "-":
-        return Int(a - b)
-    if op == "*":
-        return Int(a * b)
+    if op in _INT_OPS:
+        kind, fn = _INT_OPS[op]
+        return kind(fn(a, b))
     if op == "/":
         if b == 0:
             raise PrimTypeError("division by zero")
         q = abs(a) // abs(b)
         return Int(q if (a >= 0) == (b >= 0) else -q)
-    if op == "<":
-        return Bool(a < b)
-    if op == ">":
-        return Bool(a > b)
-    if op == "<=":
-        return Bool(a <= b)
-    if op == ">=":
-        return Bool(a >= b)
     raise PrimTypeError(f"unknown operator {op!r}")
 
 
@@ -230,6 +230,8 @@ def _eval_bin(op, lv, rv):
 def _flatten(args, items=None):
     """The argument list: every splice of a tuple spread in place, and a
     splice of anything else kept as the `Splice` term, waiting for a value."""
+    if items is None and Splice not in map(type, args):
+        return list(args)  # nothing spliced
     items = [] if items is None else items
     for a in args:
         if not isinstance(a, Splice):
@@ -255,14 +257,19 @@ def _bind(lam, items):
     """Map parameters to argument terms; raises _Unready (_NeedsRefine when
     narrowing a pack would help) or ArityMismatch when the shape does not
     line up (yet)."""
-    params = lam.params
+    params, mapping = lam.params, {}
+    for p, t in zip(params, items):  # plain parameters, plain values
+        if p.packed or type(t) is Splice:
+            break
+        mapping[p.name] = t
+    else:
+        if len(params) == len(items):
+            return mapping
     packs = [i for i, p in enumerate(params) if p.packed]
     if not packs:
-        if Splice not in map(type, items):
-            if len(items) != len(params):
-                raise ArityMismatch(f"expected {len(params)} argument(s), got {len(items)}")
-            return {p.name: t for p, t in zip(params, items)}
         spliced = [t for t in items if isinstance(t, Splice)]
+        if not spliced:
+            raise ArityMismatch(f"expected {len(params)} argument(s), got {len(items)}")
         if len(spliced) != 1:
             raise _Unready()
         needed = len(params) - (len(items) - 1)

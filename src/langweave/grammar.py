@@ -37,8 +37,8 @@ class Lit(Value):
     __slots__ = ("text",)
 
 
-class TokClass(Value, outs=()):
-    __slots__ = ("cls", "outs")
+class TokClass(Value, outs=(), ins=None):
+    __slots__ = ("cls", "outs", "ins")  # ins: None, or as written, to be reported
 
 
 class NtUse(Value, ins=None, outs=None):
@@ -222,7 +222,7 @@ def instantiate(g, template, args, counter):
         if isinstance(use, Lit):
             return use
         if isinstance(use, TokClass):
-            return TokClass(use.cls, outs or ())
+            return TokClass(use.cls, outs or (), ins or None)
         # any other use keeps its first fields and takes the resolved ins and outs, its last
         return type(use)(*[getattr(use, f) for f in use._fields[:-2]], ins, outs)
 
@@ -372,6 +372,8 @@ def check_signatures(written, g):
                     called = g.rules[use.name]
                     declared = (f"rule {use.name!r}", written.rules[use.name].ins or called.ins,
                                 called.productions[0].outs)
+                elif isinstance(use, TokClass):  # its value goes to every output
+                    declared = f"token class {use.cls!r}", (), use.outs
                 if declared:
                     what, want_ins, want_outs = declared
                     given_ins, given_outs = written_use.ins, written_use.outs
@@ -444,7 +446,7 @@ def _print_use(use):
         return f'"{use.text}"'
     if isinstance(use, TokClass):
         out = _ann_out(use.outs) if use.outs else ""
-        return f"{use.cls}{out}"
+        return f"{_ann_in(use.ins)}{use.cls}{out}"
     if isinstance(use, NtUse):
         return f"{_ann_in(use.ins)}{use.name}{_ann_out(use.outs)}"
     if isinstance(use, ForeignUse):

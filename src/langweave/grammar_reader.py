@@ -118,7 +118,7 @@ class GrammarReader(Reader):
             lang, entry = name.split(".", 1)
             return ForeignUse(lang, entry, ins, outs)
         if name in TOKEN_CLASSES:
-            return TokClass(name, outs or ())
+            return TokClass(name, outs or (), ins or None)
         return NtUse(name, ins, outs)
 
     # -- template machinery

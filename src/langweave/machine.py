@@ -14,12 +14,13 @@ operands (a build subject) is copied with the dict substituted, and no
 stage in it may name one of its free names: such a body would turn on
 when the name is bound, and post-order would run it first.  The shape is
 decided once per lambda, at its first call, and kept with the lambda's
-cached pair.  `eval_prim` and the trace formatter read a primitive's names
-from the dict; builtins run through `_do_builtin` on lists built by
-`_flatten`; a last call of the host return continuation on closed values
-is recorded as `_try_execute` records it.  The `prim` and `print` events
-and the step count are `run`'s, and no binder is renamed, since every
-value in the dict is closed.
+cached pair, where each later call reads it.  `_bind` binds parameters in
+the dict, and `eval_prim` and the trace formatter read a primitive's
+names from it; builtins run through `_do_builtin` on lists built by
+`_flatten`; a last call reads its names from the dict, and one of the host
+return continuation on closed values is recorded as `_try_execute` records
+it.  The `prim` and `print` events and the step count are `run`'s, and no
+binder is renamed, since every value in the dict is closed.
 
 The shell `finalize` returns holds the one active body, and `_finish`
 drains it the same way, in the manner of normalization by evaluation:
@@ -126,8 +127,9 @@ def _straight_line(lam):
 def _chain_shape(lam):
     """`_straight_line(lam)`, decided once and kept after the lambda's
     cached pair, so that it is decided again when the pair is renewed."""
-    lam_info(lam)
-    if len(lam.info) == 2:
+    info = lam.info
+    if info is None or len(info) == 2 or info[0] is not lam.body.info:
+        lam_info(lam)  # a fresh pair, without the shape
         lam.info += (_straight_line(lam),)
     return lam.info[2]
 
@@ -180,7 +182,8 @@ def run_chain(session, lam, args):
             continue
         if not isinstance(form.callee, Builtin):
             callee = _value(session, env, form.callee)
-            args = tuple(_value(session, env, t) for t in form.args)
+            args = tuple([env.get(t.name, t) if type(t) is Var else _value(session, env, t)
+                          for t in form.args])
             break
         *operands, k = form.args
         operands = [_value(session, env, t) for t in operands]
@@ -200,7 +203,7 @@ def run_chain(session, lam, args):
         env[k.stage] = TOP
         _count_step(session)
         body = k.body
-    if isinstance(callee, RetK):  # every value in the dict is closed
+    if type(callee) is RetK:  # every value in the dict is closed
         items = _flatten(args)
         if Splice not in map(type, items):
             _return(session, callee, items)

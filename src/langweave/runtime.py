@@ -5,7 +5,10 @@ values, actions run immediately through the evaluator, and a foreign
 nonterminal swaps lexer and table wholesale until its entry rule returns.
 Tokens are lexed lazily against the current language only, so text beyond
 the cursor is never touched by the wrong alphabet, and the cursor is
-monotone: no backtracking, ever.
+monotone: no backtracking, ever.  The parser lexes one look-ahead per
+language and position, a token or a failure kept as a value, which
+selection reads as end of input (the text belongs to an outer language)
+and a token operation takes as it is; only `peek` and `consume` raise.
 
 Registering a language compiles each production into a tuple of
 operations over attribute slots numbered in advance; a use that fails
@@ -196,7 +199,7 @@ def _compile(rule, idx, prod, rules, single):
         for use in prod.body:
             if isinstance(use, EpsilonUse) and not use.outs:
                 continue
-            ins = reads(getattr(use, "ins", ()))
+            ins = reads(getattr(use, "ins", None) or ())
             outs = binds(getattr(use, "outs", ()))
             if isinstance(use, (Lit, TokClass)):
                 key = ("lit", use.text) if isinstance(use, Lit) else ("class", use.cls)
@@ -297,24 +300,31 @@ class Parser:
 
     # -- lexing
 
-    def peek(self, lang):
-        """The token of `lang` at the cursor; the last one is kept, a failure too."""
-        la_lang, la_pos, tok = self._la
-        if la_lang is not lang or la_pos != self.pos:
+    def _look(self, lang):
+        """The look-ahead of `lang` at the cursor, lexed once per language
+        and position: a token, or a failure kept as (message, offset)."""
+        la = self._la
+        if la[0] is not lang or la[1] != self.pos:
             try:
                 tok = lex_next(self.text, self.pos, lang.lexer, lang.name)
             except LexFailure as exc:
                 tok = (exc.args[0], exc.offset)
-            self._la = (lang, self.pos, tok)
+            self._la = la = (lang, self.pos, tok)
+        return la[2]
+
+    def peek(self, lang):
+        """The token of `lang` at the cursor; raises a kept failure."""
+        tok = self._look(lang)
         if type(tok) is tuple:  # a new exception each time, so no traceback grows
             raise LexFailure(*tok)
         return tok
 
     def consume(self, lang, expected_key):
-        try:
-            tok = self.peek(lang)
-        except LexFailure as exc:
-            raise LexFailure(f"{exc}{self._stack_note(lang)}", exc.offset) from None
+        la_lang, la_pos, tok = self._la
+        if la_lang is not lang or la_pos != self.pos:  # else selection looked at it
+            tok = self._look(lang)
+        if type(tok) is tuple:
+            raise LexFailure(f"{LexFailure(*tok)}{self._stack_note(lang)}", tok[1])
         if tok.key != expected_key:
             raise UnexpectedToken(
                 f"expected {token_key_str(expected_key)}, found {tok} "
@@ -338,16 +348,12 @@ class Parser:
 
     def _select(self, lang, rule):
         """The operations of the production of `rule` the look-ahead selects."""
-        try:
-            tok_key = self.peek(lang).key
-        except LexFailure:
-            # the current text belongs to some other language; an inner
-            # parse stops greedily as if at end of input
-            tok_key = EOI
+        tok = self._look(lang)
+        tok_key = EOI if type(tok) is tuple else tok.key  # a failure: end of input
         ops = rule.select.get(tok_key)
         if ops is None:
             expected = sorted(token_key_str(k) for k in rule.select)
-            at = self.pos if tok_key == EOI else self.peek(lang).span[0]
+            at = self.pos if tok_key == EOI else tok.span[0]
             raise UnexpectedToken(
                 f"in rule {rule.name!r}: unexpected {token_key_str(tok_key)} "
                 f"at {self._where(lang, at)}; expected one of: " + ", ".join(expected))
@@ -380,6 +386,13 @@ class Parser:
         while True:
             code, arg, ins, outs, what, extra = ops[pc]
             pc += 1
+            if code == TOKEN:
+                tok = self.consume(lang, arg)
+                if listener is not None:
+                    listener("token", (tok,))
+                for out in outs:
+                    slots[out] = tok.value
+                continue
             values = [slots[i] for i in ins] if ins else []
             if code <= CALL:  # a TAIL runs the callee in place of the current frame
                 if code == CALL:
@@ -401,11 +414,6 @@ class Parser:
                 _, _, _, outs, what, extra = ops[pc - 1]
                 if extra is not None and listener is not None:
                     listener("switch exit", (extra,))
-            elif code == TOKEN:
-                tok = self.consume(lang, arg)
-                if listener is not None:
-                    listener("token", (tok,))
-                values = [tok.value] * len(outs)
             elif code == ACTION:
                 values = self._run_action(lang, *extra, arg, values)
             elif code == FAIL:

@@ -369,7 +369,12 @@ def test_grammar_faults_name_the_fault(capsys, argv, message):
     ("inputs_disagree", "rule 'R': productions disagree on input parameters: ['x'] vs ['y']"),
     ("too_many_inputs", "rule 'Top' production 0: rule 'R' expects 1 input(s), given 2"),
     ("too_many_outputs", "rule 'Top' production 0: rule 'R' produces 1 output(s), bound to 2"),
-], ids=["inputs_disagree", "too_many_inputs", "too_many_outputs"])
+    ("token_class_inputs",
+     "rule 'S' production 0: token class 'Integer' expects 0 input(s), given 1"),
+    ("token_class_argument_inputs",
+     "rule 'S_1' production 0: token class 'Integer' expects 0 input(s), given 1"),
+], ids=["inputs_disagree", "too_many_inputs", "too_many_outputs", "token_class_inputs",
+        "token_class_argument_inputs"])
 def test_check_counts_written_annotations(capsys, fixture, diagnostic):
     """Each of these grammars fails at the first parse if it is run."""
     code, out, err = run_cli(capsys, "check", "--grammar", f"x={CLI_FIXTURES / fixture}.lw")
@@ -539,6 +544,19 @@ def test_graph_trace_matches_golden(capsys):
     assert code == EXIT_OK
     golden = (FIXTURES / "graph_trace.golden").read_text()
     assert out == golden
+
+
+def test_two_language_trace_matches_golden(capsys):
+    """Tokens of both languages, the switch into `calc` and back, the
+    actions, and the primitive `finalize` runs."""
+    code, out, err = run_cli(
+        capsys, "run",
+        "--grammar", f"outer={FIXTURES / 'lang_outer.lw'}",
+        "--grammar", f"calc={FIXTURES / 'lang_calc.lw'}",
+        "--lang", "outer", "--entry", "Prog",
+        "--expr", "go << 1 :: 2", "--trace", "--seed", "0")
+    assert (code, out) == (EXIT_OK, "3\n")
+    assert err == (FIXTURES / "lang_outer_trace.golden").read_text()
 
 
 # The residual before substitution shared closed subtrees and before it kept

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langweave import evaluator, machine
-from langweave.errors import (EvalExit, LangError, NameNotFound, PrimTypeError,
+from langweave.errors import (ArityMismatch, EvalExit, LangError, NameNotFound, PrimTypeError,
                               ReturnCalledTwice, ReturnNeverCalled,
                               StepBudgetExceeded)
 from langweave.evaluator import Session, apply_value, run_term_to_normal, step
@@ -17,7 +17,7 @@ from langweave.fragments import Fragment
 from langweave.prims import parse_prim, prim_subst
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
-from langweave.terms import (App, Body, Bool, Builtin, EnvVal, FragVal, Int, Lam, PrimB,
+from langweave.terms import (App, Body, Bool, Builtin, EnvVal, FragVal, Int, Lam, Param, PrimB,
                              RetK, Splice, StageConst, Str, TupleT, Var, alpha_eq)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -275,6 +275,62 @@ def test_eval_prim_values_errors_and_waits(expr, expected):
     else:
         value = evaluator.eval_prim(expr, dict(_ENV))
         assert (value.entries if isinstance(value, EnvVal) else value) == expected
+
+
+_I = [Int(i) for i in range(5)]
+_XS, _YS = Splice(Var("xs")), Splice(Var("ys"))
+UNREADY = "unready"
+
+
+@pytest.mark.parametrize("params, args, expected", [
+    # plain parameters
+    ("a b", (_I[1], _I[2]), {"a": _I[1], "b": _I[2]}),
+    ("", (), {}),
+    ("a b", (_I[1],), (ArityMismatch, "expected 2 argument(s), got 1")),
+    ("a b", (_I[1], _I[2], _I[3]), (ArityMismatch, "expected 2 argument(s), got 3")),
+    # a splice of a tuple spreads its items in place
+    ("a b c", (_I[1], Splice(TupleT((_I[2], _I[3])))), {"a": _I[1], "b": _I[2], "c": _I[3]}),
+    ("a", (Splice(TupleT((_I[1], _I[2]))),), (ArityMismatch, "expected 1 argument(s), got 2")),
+    # a splice of a name waits for its pack to be narrowed to what is missing
+    ("a b c", (_I[1], _XS), ("xs", 2)),
+    ("a", (_I[1], _I[2], _XS), (ArityMismatch,
+                                "more arguments than parameters around a pack splice")),
+    ("a b", (_XS, _YS), UNREADY),
+    ("a b", (_I[1], Splice(_I[2])), UNREADY),
+    # a pack takes what the fixed parameters before and after it leave
+    ("a *p b", (_I[1], _I[2], _I[3], _I[4]),
+     {"a": _I[1], "p": TupleT((_I[2], _I[3])), "b": _I[4]}),
+    ("a *p b", (_I[1], _I[2]), {"a": _I[1], "p": TupleT(()), "b": _I[2]}),
+    ("a *p", (_I[1], _XS), {"a": _I[1], "p": TupleT((_XS,))}),
+    ("a *p b", (_I[1],), (ArityMismatch, "expected at least 2 argument(s), got 1")),
+    ("a *p b", (_XS,), (ArityMismatch, "not enough arguments for fixed parameters")),
+    # a splice in a fixed position waits
+    ("a *p b", (_XS, _I[2], _I[3]), UNREADY),
+    ("a *p b", (_I[1], _I[2], _XS), UNREADY),
+])
+def test_bind_maps_parameters_or_says_why_not(params, args, expected):
+    """`_bind` on flattened arguments, as its callers call it: the dict of
+    parameters, an `ArityMismatch` with its message, `_NeedsRefine` with
+    the pack and the count it must be narrowed to, or a plain `_Unready`."""
+    lam = Lam([Param(p.lstrip("*"), p.startswith("*")) for p in params.split()], "s", None)
+
+    def call():
+        return evaluator._bind(lam, evaluator._flatten(args))
+
+    if expected == UNREADY:
+        with pytest.raises(evaluator._Unready) as info:
+            call()
+        assert type(info.value) is evaluator._Unready
+    elif isinstance(expected, tuple) and expected[0] is ArityMismatch:
+        with pytest.raises(ArityMismatch) as info:
+            call()
+        assert str(info.value) == expected[1]
+    elif isinstance(expected, tuple):
+        with pytest.raises(evaluator._NeedsRefine) as info:
+            call()
+        assert (info.value.name, info.value.count) == expected
+    else:
+        assert call() == expected
 
 
 def test_eval_prim_reads_quoted_operands_without_a_dict():

@@ -1,6 +1,7 @@
 """Lexing, predictive parsing, attribute flow, and language switching."""
 
 import functools
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -390,6 +391,38 @@ def test_a_parse_error_inside_a_switch_names_the_language_stack():
     assert str(err.value) == (
         "in rule 'R_5': unexpected Integer at 1:8 in language 'minusdiv_immediate' "
         "(language stack 'stream' > 'minusdiv_immediate'); expected one of: \"-\", \"/\", <eoi>")
+
+
+def test_a_failed_look_ahead_is_lexed_once_and_read_as_end_of_input(monkeypatch):
+    """The inner language cannot lex `;`: one failure is made at each `;`,
+    and selection reads it as end of input without raising anything."""
+    made, raised = [], []
+
+    class Counted(LexFailure):
+        def __init__(self, msg, offset):
+            super().__init__(msg, offset)
+            made.append(self)
+
+    def in_select(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[0])
+        return in_select
+
+    def tracer(frame, event, arg):
+        return in_select if frame.f_code is Parser._select.__code__ else None
+
+    monkeypatch.setattr(runtime, "LexFailure", Counted)
+    reg, before = _stream_registry(FreshNames()), sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        outs = parse(reg, "stream", "Prog", "a << 7-4/2; b << 1;", session=Session())
+    finally:
+        sys.settrace(before)
+    assert outs == [Int(6)]
+    assert [str(exc) for exc in made] == [
+        f"no token of language 'minusdiv_immediate' matches {text!r} at 1:{col}"
+        for text, col in (("; b << 1;", 11), (";", 19))]
+    assert raised == []
 
 
 def test_an_action_error_gives_the_cursor_and_the_language_stack():
