@@ -215,12 +215,10 @@ def _eval_bin(op, lv, rv):
     if op in _INT_OPS:
         kind, fn = _INT_OPS[op]
         return kind(fn(a, b))
-    if op == "/":
-        if b == 0:
-            raise PrimTypeError("division by zero")
-        q = abs(a) // abs(b)
-        return Int(q if (a >= 0) == (b >= 0) else -q)
-    raise PrimTypeError(f"unknown operator {op!r}")
+    if b == 0:  # the one operator left is `/`
+        raise PrimTypeError("division by zero")
+    q = abs(a) // abs(b)
+    return Int(q if (a >= 0) == (b >= 0) else -q)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +348,6 @@ def _beta(session, body, lam, items, stage_term=None):
     body.replace(subst_body(lam.body, mapping, session.names))
 
 
-def _describe(term):
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Builtin):
-        return term.name
-    return type(term).__name__
-
-
 def _prim_step(session, form):
     """The rest of the primitive `form` with its outputs bound to the value
     of its expression, or None while the expression is not ready."""
@@ -432,7 +422,7 @@ def _try_execute(session, body, path):
         body.replace(Body(TOP, App(*call)))
         return body
 
-    raise ApplyNonClosure(f"cannot apply {_describe(callee)}")
+    raise ApplyNonClosure(f"cannot apply {type(callee).__name__}")
 
 
 def _return(session, ret, items):
@@ -477,6 +467,8 @@ def _do_builtin(session, name, vals):
         code = 2
         if vals and isinstance(vals[0], Int):
             code = vals[0].value
+            if not 0 <= code <= 255:
+                raise PrimTypeError(f"exit code {code} is outside 0..255")
         raise EvalExit(code)
     if name == "newEnv":
         expect(1)
@@ -497,15 +489,13 @@ def _do_builtin(session, name, vals):
         if not isinstance(f, FragVal) or not isinstance(g, FragVal):
             raise PrimTypeError("merge takes two fragments")
         return k, (FragVal(merge(f.fragment, g.fragment)),)
-    if name == "finalize":
-        expect(2)
-        f, k = vals
-        if isinstance(f, Var):
-            return None
-        if not isinstance(f, FragVal):
-            raise PrimTypeError("finalize takes a fragment")
-        return k, (finalize_wrapper(f.fragment, session.names),)
-    raise ApplyNonClosure(f"unknown builtin {name!r}")
+    expect(2)  # the one builtin left is `finalize`
+    f, k = vals
+    if isinstance(f, Var):
+        return None
+    if not isinstance(f, FragVal):
+        raise PrimTypeError("finalize takes a fragment")
+    return k, (finalize_wrapper(f.fragment, session.names),)
 
 
 # ---------------------------------------------------------------------------

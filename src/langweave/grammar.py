@@ -243,12 +243,8 @@ def expand_templates(g):
     pending = []
     for rule in g.rules.values():
         for prod in rule.productions:
-            calls = [u for u in prod.body if isinstance(u, TemplateCall)]
-            if calls:
-                if len(prod.body) != 1:
-                    raise GrammarError(
-                        "a template call must be the entire production body")
-                call = calls[0]
+            if any(isinstance(u, TemplateCall) for u in prod.body):
+                (call,) = prod.body  # the reader makes a call the entire body
                 if call.name not in g.templates:
                     raise GrammarError(f"unknown grammar function {call.name!r}")
                 new_prods, result = instantiate(g, g.templates[call.name],
@@ -281,6 +277,8 @@ def _signature(use, rules, written_ins):
             ins = ins + rule.ins[written_ins[use.name]:]
     elif isinstance(use, ActionUse):
         target = tuple(use.action.ins), tuple(use.action.outs)
+    elif isinstance(use, TokClass):  # its written inputs are reported, not used
+        return (), outs
     elif isinstance(use, ForeignUse) and ins is None:
         raise UnresolvableDefault(
             f"foreign use {use.lang}.{use.entry} needs explicit arguments; "
@@ -465,7 +463,6 @@ def _print_use(use):
         if use.outs is not None and tuple(use.outs) != tuple(use.action.outs):
             post = _ann_out(use.outs)
         return f"{pre}{decl} {{\n{body}\n    }}{post}"
-    raise GrammarError(f"cannot print {use!r}")
 
 
 def print_grammar(g):

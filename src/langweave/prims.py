@@ -221,8 +221,6 @@ def render_prim(expr, quote_render):
             return e.name
         if isinstance(e, PQuote):
             return quote_render(e.term)
-        if not isinstance(e, POp):
-            raise TypeError(f"not a prim expression: {e!r}")
         op, args = e.op, e.args
         level = BINARY.get(op) if len(args) == 2 else None
         if level is not None:
@@ -265,6 +263,4 @@ def prim_alpha_eq(a, b, name_eq, term_eq):
         return a.value == b.value
     if isinstance(a, PName):
         return name_eq(a.name, b.name)
-    if isinstance(a, PQuote):
-        return term_eq(a.term, b.term)
-    return False
+    return term_eq(a.term, b.term)  # the one class left is `PQuote`

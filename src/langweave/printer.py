@@ -6,11 +6,13 @@ and re-printing it is byte-identical.
 """
 
 from .prims import normalize_prim, render_prim
-from .terms import (STAGE_LEVELS, App, Bool, Builtin, EnvVal, FixB, FragVal,
-                    Int, Lam, PrimB, Rec, RetK, Splice, StageConst, StageOp,
-                    Str, TupleT, Var, _quote_to_prim)
+from .terms import (STAGE_LEVELS, App, Bool, Builtin, EnvVal, FragVal, Int,
+                    Lam, PrimB, Rec, RetK, Splice, StageConst, Str, TupleT, Var,
+                    _quote_to_prim)
 
 _INDENT = "  "
+# the values that have no source text
+_OPAQUE = {EnvVal: "#env", FragVal: "#fragment", RetK: "#return", Rec: "#rec"}
 
 
 def _stage_text(expr, prec=0):
@@ -20,8 +22,6 @@ def _stage_text(expr, prec=0):
         return "always" if expr.top else "never"
     if isinstance(expr, Var):
         return expr.name
-    if not isinstance(expr, StageOp):
-        raise TypeError(f"not a stage expression: {expr!r}")
     if expr.op == "!":
         return f"!{_stage_text(expr.args[0], max(STAGE_LEVELS.values()) + 1)}"
     level = STAGE_LEVELS[expr.op]
@@ -74,15 +74,7 @@ def print_term(term, indent=0):
         head = f"({params})'[{term.stage}]'"
         body = print_body(term.body, indent + 1)
         return f"{head} {{\n{body}\n{pad}}}"
-    if isinstance(term, EnvVal):
-        return "#env"
-    if isinstance(term, FragVal):
-        return "#fragment"
-    if isinstance(term, RetK):
-        return "#return"
-    if isinstance(term, Rec):
-        return "#rec"
-    raise TypeError(f"cannot print {term!r}")
+    return _OPAQUE[type(term)]
 
 
 def print_prim(expr):
@@ -104,11 +96,10 @@ def print_body(body, indent=0):
         outs = ", ".join(form.outs)
         line = f"{pad}{prefix} \"{expr}\" ({outs})'[{form.cont_stage}]'"
         return line + "\n" + print_body(form.rest, indent)
-    if isinstance(form, FixB):
-        line = (f"{pad}{prefix} fix '[{form.stage_param}]' {form.name} "
-                f"{print_term(form.value, indent)}")
-        return line + "\n" + print_body(form.rest, indent)
-    raise TypeError(f"cannot print body form {form!r}")
+    # the one form left is `FixB`
+    line = (f"{pad}{prefix} fix '[{form.stage_param}]' {form.name} "
+            f"{print_term(form.value, indent)}")
+    return line + "\n" + print_body(form.rest, indent)
 
 
 def print_core(term):

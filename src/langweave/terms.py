@@ -186,9 +186,6 @@ class Body:
         self.form = other.form
         self.info = other.info
 
-    def __repr__(self):
-        return f"Body({self.stage!r}, {type(self.form).__name__})"
-
 
 # ---------------------------------------------------------------------------
 # stage evaluation
@@ -200,12 +197,10 @@ def stage_value(expr):
         return expr.top
     if isinstance(expr, Var):
         return False
-    if isinstance(expr, StageOp):
-        if expr.op == "!":
-            return not stage_value(expr.args[0])
-        values = map(stage_value, expr.args)
-        return all(values) if expr.op == "&" else any(values)
-    raise TypeError(f"not a stage expression: {expr!r}")
+    if expr.op == "!":  # the one class left is `StageOp`
+        return not stage_value(expr.args[0])
+    values = map(stage_value, expr.args)
+    return all(values) if expr.op == "&" else any(values)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +399,13 @@ def subst_body(body, mapping, names, avoid=None):
             bound[-1],
             subst_body(form.rest, inner, names, avoid),
         )
-    elif isinstance(form, FixB):
-        # the name scopes over the value and the rest, the stage parameter
-        # over the rest only
+    else:
+        # a `FixB`: the name scopes over the value and the rest, the stage
+        # parameter over the rest only
         (name,), inner = _rebind((form.name,), mapping, avoid, names)
         value = subst_term(form.value, inner, names, avoid)
         (stage_param,), inner = _rebind((form.stage_param,), inner, avoid, names)
         new = FixB(stage_param, name, value, subst_body(form.rest, inner, names, avoid))
-    else:
-        raise TypeError(f"unknown body form: {form!r}")
     return Body(stage, new)
 
 
@@ -581,13 +574,11 @@ def _alpha_body(a, b, fwd, bwd):
             return False
         saved = _bind_names([*zip(fa.outs, fb.outs), (fa.cont_stage, fb.cont_stage)],
                             fwd, bwd)
-    elif isinstance(fa, FixB):
+    else:  # a `FixB`
         saved = _bind_names([(fa.name, fb.name)], fwd, bwd)
         if not _alpha_term(fa.value, fb.value, fwd, bwd):
             return False  # a mismatch ends the comparison: no scope to undo
         saved += _bind_names([(fa.stage_param, fb.stage_param)], fwd, bwd)
-    else:
-        return False
     same = _alpha_body(fa.rest, fb.rest, fwd, bwd)
     _unbind(saved, fwd, bwd)
     return same

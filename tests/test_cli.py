@@ -373,8 +373,14 @@ def test_grammar_faults_name_the_fault(capsys, argv, message):
      "rule 'S' production 0: token class 'Integer' expects 0 input(s), given 1"),
     ("token_class_argument_inputs",
      "rule 'S_1' production 0: token class 'Integer' expects 0 input(s), given 1"),
+    # completion reads no inputs off a token class, so it adds none to a rule
+    ("token_class_unbound_inputs",
+     "rule 'S' production 0: token class 'Integer' expects 0 input(s), given 1"),
+    ("token_class_called_inputs",
+     "rule 'T' production 0: token class 'Integer' expects 0 input(s), given 1"),
 ], ids=["inputs_disagree", "too_many_inputs", "too_many_outputs", "token_class_inputs",
-        "token_class_argument_inputs"])
+        "token_class_argument_inputs", "token_class_unbound_inputs",
+        "token_class_called_inputs"])
 def test_check_counts_written_annotations(capsys, fixture, diagnostic):
     """Each of these grammars fails at the first parse if it is run."""
     code, out, err = run_cli(capsys, "check", "--grammar", f"x={CLI_FIXTURES / fixture}.lw")
@@ -440,7 +446,13 @@ def test_expand_idempotent(capsys, tmp_path, source):
     ("return ²", "unexpected character '²' at 5:16"),
     ('"1+²" (m) return m', "bad character '²' in expression '1+²' at 5:9"),
     ("'@parse $:' return n", "unexpected character '$' at 5:17"),
-], ids=["core", "prim", "core_nondecimal_digit", "prim_nondecimal_digit", "quoted_stage_prefix"])
+    ("@: return n", "expected a stage, found ':' at 5:10"),
+    ("(1){ return 1 } (v) return v", "expected parameter name at 5:10"),
+    ('"n" (1) return n', "expected binder name at 5:14"),
+    ('"n" () return n', "primitive expression must bind at least one name at 5:16"),
+    ("\"'abc\" (m) return m", "unterminated string in expression \"'abc\" at 5:9"),
+], ids=["core", "prim", "core_nondecimal_digit", "prim_nondecimal_digit", "quoted_stage_prefix",
+        "stage", "parameter", "binder", "no_binder", "prim_unterminated_string"])
 def test_action_body_errors_report_file_positions(capsys, tmp_path, body, where):
     grammar = tmp_path / "bad.lw"
     grammar.write_text("grammar g {\n  entry S|->(v)| ::=\n      Integer|->(n)|\n"
@@ -590,3 +602,133 @@ def test_signum_script_pack(capsys):
                            "--emit", "value")
     assert code == EXIT_OK
     assert out == "0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "--grammar", "nameless.lw"),
+     "--grammar expects name=path, got 'nameless.lw'"),
+    (("check",), "check needs at least one grammar (--grammar name=path or a pack id)"),
+    (("expand",), "expand needs --grammar/--lang or a pack id"),
+    (("expand", "--grammar", f"x={FIXTURES / 'assoc.lw'}", "--lang", "y"),
+     "'y' names neither a loaded grammar nor a grammar pack"),
+    (("run", "--grammar", f"x={FIXTURES / 'assoc.lw'}", "x", "1-2"),
+     "run needs --entry (language has several entry rules)"),
+], ids=["grammar_without_name", "check_nothing", "expand_nothing", "expand_unknown_lang",
+        "run_without_entry"])
+def test_usage_errors_name_the_fault(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: langweave")
+
+
+def test_stdout_closed_before_the_flush_exits_74(capsys, monkeypatch):
+    """The same path as the subprocess test above, in process: the write
+    end of a pipe whose read end is closed fails at `main`'s flush."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["run", "minusdiv_immediate", "1-2"]) == EXIT_IOERR
+        monkeypatch.undo()
+        closed.write("x")
+        closed.flush()  # the descriptor now writes to the null device
+    assert capsys.readouterr() == ("", "")
+
+
+def _action_grammar(tmp_path, body):
+    """`--grammar` for the language `g`, which reads an integer `n` and
+    returns the value its one action `body` returns."""
+    grammar = tmp_path / "g.lw"
+    grammar.write_text("grammar g { entry S|->(v)| ::= Integer|->(n)| |(n)->(v)| "
+                       f"{{ {body} }}; }}\n")
+    return f"g={grammar}"
+
+
+FAILED = "error: action in rule 'S' at 1:2 in language 'g' failed: "
+
+
+@pytest.mark.parametrize("body, code, err", [
+    ("exit", EXIT_ACTION, ""),
+    ("exit 0", EXIT_OK, ""),
+    ("exit 5", 5, ""),
+    ("exit -1", EXIT_ACTION, FAILED + "exit code -1 is outside 0..255\n"),
+    ("exit 256", EXIT_ACTION, FAILED + "exit code 256 is outside 0..255\n"),
+], ids=["no_code", "zero", "five", "negative", "past_255"])
+def test_exit_ends_the_run_with_its_code(capsys, tmp_path, body, code, err):
+    """A code outside 0..255 would reach the shell modulo 256, so `exit 256`
+    would read as success."""
+    assert run_cli(capsys, "run", "--grammar", _action_grammar(tmp_path, body), "g", "5") \
+        == (code, "", err)
+
+
+@pytest.mark.parametrize("body, out", [
+    ("return always", "'always'\n"),
+    ("return [(x){ return x }, print, return, never]", "[#code,#value,#value,'never']\n"),
+    ("newEnv (e) return [e]", "[#env]\n"),
+    ("build 0 (ft, k)[bt]{ @ft: k 1 } (F) return [F]", "[#fragment/0]\n"),
+    ("fix f (x){ return x } return [f]", "[#value]\n"),
+    # the `print` runs first, inside the lambda, while `y` is symbolic
+    ("(y)[s]{ @always: print [y, !y] ()[t]{ return y } } 7", "[y,!y]\n7\n"),
+    ("(a, b){ return b } !![1, 2]", "2\n"),
+    # a builtin waits while an operand is symbolic or a splice is no tuple yet
+    ("(y)[s]{ @always: print y ()[t]{ return y } } 7", "7\n7\n"),
+    ("(x)[s]{ @always: print !x ()[t]{ return 1 } } [7]", "7\n1\n"),
+    ("(c)[s]{ @always: if c ()[t]{ return 1 } ()[t]{ return 2 } } true", "1\n"),
+    ("(m)[s]{ @always: build m (ft, k)[bt]{ @ft: k n } (F) finalize F (P) "
+     "P (r){ return r } } 0", "5\n"),
+    ("build 1 (ft, !a, k)[bt]{ @bt: k ft n !a } (F) build 0 (ft, v, e)[bt]{ @ft: e v } (G) "
+     "(f)[s]{ @always: merge f G (H) finalize H (P) P (r){ return r } } F", "5\n"),
+    ("build 0 (ft, k)[bt]{ @ft: k n } (F) "
+     "(f)[s]{ @always: finalize f (P) P (r){ return r } } F", "5\n"),
+], ids=["stage_constant", "code_and_builtins", "environment", "fragment", "fix_name",
+        "symbolic", "splice_of_a_splice", "waiting_print", "waiting_splice", "waiting_if",
+        "waiting_build", "waiting_merge", "waiting_finalize"])
+def test_action_values_print(capsys, tmp_path, body, out):
+    assert run_cli(capsys, "run", "--grammar", _action_grammar(tmp_path, body), "g", "5") \
+        == (EXIT_OK, out, "")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("exit 1 2", "exit takes at most one argument"),
+    ("if n ()[t]{ return 1 } ()[t]{ return 2 }", "if condition must be a boolean"),
+    ("build true (ft, k)[bt]{ @ft: k 1 } (F) return F", "build arity must be an integer"),
+    ("fix f 3 f return", "fix value is not a lambda"),
+    ("build 1 (ft, k)[bt]{ @ft: k 1 } (F) F always 1",
+     "fragment still has 1 unfilled continuation(s)"),
+    ("build 0 (ft, k)[bt]{ @ft: k 1 } (F) F", "evaluation finished without invoking return"),
+    ("build 0 (ft, k)[bt]{ @ft: k 1 } (F) \"F==F\" (b) return b",
+     "cannot compare FragVal(fragment=Fragment(arity=0)) and "
+     "FragVal(fragment=Fragment(arity=0))"),
+], ids=["exit_arguments", "if_condition", "build_arity", "fix_value", "open_fragment",
+        "fragment_without_stage", "compare_fragments"])
+def test_action_errors_exit_two(capsys, tmp_path, body, message):
+    assert run_cli(capsys, "run", "--grammar", _action_grammar(tmp_path, body), "g", "5") \
+        == (EXIT_ACTION, "", f"{FAILED}{message}\n")
+
+
+@pytest.mark.parametrize("body, residual", [
+    ("newEnv (e) build 0 (ft, k)[bt]{ @ft: k e } (F) finalize F return",
+     "(arg_5)'[ft_3]' {\n  '@ft_3:' arg_5 #env\n}\n"),
+    ("build 0 (ft, k)[bt]{ @ft: k 1 } (G) build 0 (ft, k)[bt]{ @ft: k G return } (F) "
+     "finalize F return", "(arg_5)'[ft_3]' {\n  '@ft_3:' arg_5 #fragment #return\n}\n"),
+    ("fix f (x){ return x } build 0 (ft, k)[bt]{ @ft: k f } (F) finalize F return",
+     "(arg_6)'[ft_4]' {\n  '@ft_4:' arg_6 #rec\n}\n"),
+], ids=["environment", "fragment_and_return", "fix_name"])
+def test_a_residual_prints_an_opaque_value_as_a_mark(capsys, tmp_path, body, residual):
+    argv = ("run", "--grammar", _action_grammar(tmp_path, body), "g", "5",
+            "--emit", "residual", "--seed", "0")
+    assert run_cli(capsys, *argv) == (EXIT_OK, residual, "")
+
+
+def test_a_trace_prints_a_quoted_tuple_holding_a_splice(capsys, tmp_path):
+    """A tuple holding a splice has no primitive text, and neither has a
+    splice; the strings and booleans in it print as the primitive
+    expressions they read back as."""
+    grammar = _action_grammar(tmp_path, "(t){ \"t\" (u) return u } [\"it's\", true, false, !q]")
+    assert run_cli(capsys, "run", "--grammar", grammar, "g", "5", "--trace") == (
+        EXIT_OK, "[\"it's\",true,false,!q]\n",
+        "token Integer 5\naction S#0 (5)\nprim ['it''s',1==1,1==0,#value]\n")

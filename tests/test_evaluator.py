@@ -438,6 +438,46 @@ def test_pack_refinement_stops_at_a_shadowing_binder():
     assert lam.body.form == App(Var("k"), (Int(1), Int(2)))
 
 
+# A splice of `args` that must fill the two fixed parameters of a callee.
+_SPLICE_USE = "'@always:' (a, b)'[p]'{ '@p:' k a b } !args"
+
+
+@pytest.mark.parametrize("inner", [
+    "'@always:' k (args)'[q]'{ %s }",
+    "'@always:' k ()'[args]'{ %s }",
+    "'@always:' \"1\" (x)'[args]' %s",
+    "'@always:' fix '[u]' args (j)'[v]'{ '@v:' j } %s",
+    "'@always:' fix '[args]' f (j)'[v]'{ '@v:' j } %s",
+    "'@always:' fix '[u]' args (j)'[v]'{ %s } '@never:' k",
+    "'@always:' k [(args)'[q]'{ %s }]",
+    "'@always:' k !(args)'[q]'{ %s }",
+    "'@always:' fix '[u]' f (args)'[q]'{ %s } '@never:' k",
+    # `concat` waits on the symbolic `k`, so the lambda stays in the primitive
+    "'@always:' let '[s]' x (args)'[q]'{ %s } '@s:' \"concat([x],k)\" (t)'[u]' '@u:' k t",
+], ids=["parameter", "stage_name", "primitive_continuation_stage", "fix_name",
+        "fix_stage_parameter", "fix_name_in_its_value", "in_a_tuple", "in_a_splice",
+        "in_a_fix_value", "in_a_primitive"])
+def test_pack_refinement_stops_at_each_shadowing_binder(inner):
+    """Each binder of `args` between the splice and the pack, found
+    wherever the lambda holding the splice sits: the splice is not the
+    pack's, so the lambda keeps its pack, and `run` gives what the `step`
+    loop gives."""
+    source = "(ret)'[s0]'{ '@s0:' ret (!args, k)'[w]'{ %s } }" % (inner % _SPLICE_USE)
+    stepped, ran = Session(seed=3).record_trace(), Session(seed=3).record_trace()
+    by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), []))
+    assert _observed(ran, lambda: apply_value(rd(source, ran), [], ran)) == by_step
+    [lam] = ran.kept
+    assert [(p.name, p.packed) for p in lam.params] == [("args", True), ("k", False)]
+
+
+def test_pack_refinement_stops_where_no_lambda_packs_the_name():
+    source = "(ret)'[s0]'{ '@s0:' ret (k)'[w]'{ %s } }" % _SPLICE_USE
+    stepped, ran = Session(seed=3).record_trace(), Session(seed=3).record_trace()
+    by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), []))
+    assert _observed(ran, lambda: apply_value(rd(source, ran), [], ran)) == by_step
+    assert by_step[0] == [print_core(rd("(k)'[w]'{ %s }" % _SPLICE_USE, Session()))]
+
+
 def test_determinism_same_seed_same_output():
     outputs = []
     for _ in range(2):
@@ -766,6 +806,23 @@ _SUBJECTS = {
 }
 
 
+def _shell_source(templates, prefix=""):
+    """A function of `(a, k)` that builds a fragment of each subject of
+    `templates`, merges them in order and finalizes the result into `k`,
+    after `prefix`, links staged on `s` whose last binds the stage `g`."""
+    lines, stages, f = [], ["g" if prefix else "s"], None
+    for template in templates:
+        lines.append(f"build {0 if template is _END else 1} {template} (x{len(lines)})"
+                     f"'[t{len(lines)}]'")
+        stages.append(f"t{len(lines) - 1}")
+        if f is not None:
+            lines.append(f"merge {f} x{len(lines) - 1} (x{len(lines)})'[t{len(lines)}]'")
+            stages.append(f"t{len(lines) - 1}")
+        f = f"x{len(lines) - 1}"
+    body = " ".join(f"'@{st_}:' {line}" for st_, line in zip(stages, lines + [f"finalize {f} k"]))
+    return f"(a, k)'[s]'{{ {prefix}{body} }}"
+
+
 @pytest.mark.parametrize("budget", [1_000_000, 25, 40])
 @pytest.mark.parametrize("subjects, drained", [
     (["defer"], False), (["env"], False), (["defer", "rename"], True),
@@ -775,18 +832,8 @@ def test_finalize_shell_subjects_run_as_step_does(subjects, drained, budget):
     """The shell of a chain whose subjects run build-time code: the loop
     gives what the `step` loop gives, fresh names and trace included, and
     hands back to `run` only where post-order or a rename needs it."""
-    lines, stages, f = [], ["s"], None
-    for template in [_START, _PUSH.format(v=3), _PUSH.format(v=4),
-                     *map(_SUBJECTS.get, subjects), _MINUS, _END]:
-        lines.append(f"build {0 if template is _END else 1} {template} (x{len(lines)})"
-                     f"'[t{len(lines)}]'")
-        stages.append(f"t{len(lines) - 1}")
-        if f is not None:
-            lines.append(f"merge {f} x{len(lines) - 1} (x{len(lines)})'[t{len(lines)}]'")
-            stages.append(f"t{len(lines) - 1}")
-        f = f"x{len(lines) - 1}"
-    body = " ".join(f"'@{st_}:' {line}" for st_, line in zip(stages, lines + [f"finalize {f} k"]))
-    source = f"(a, k)'[s]'{{ {body} }}"
+    source = _shell_source([_START, _PUSH.format(v=3), _PUSH.format(v=4),
+                            *map(_SUBJECTS.get, subjects), _MINUS, _END])
     stepped, ran = (Session(seed=3, budget=budget).record_trace() for _ in range(2))
     by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), [Int(1)]))
     with mock.patch.object(evaluator, "run", wraps=evaluator.run) as run:
@@ -794,6 +841,39 @@ def test_finalize_shell_subjects_run_as_step_does(subjects, drained, budget):
     assert by_loop == by_step
     if budget > 100:
         assert run.called is drained
+
+
+@pytest.mark.parametrize("subject", [
+    "'@bt:' print v ()'[r]' '@r:' cont 'ft' v !args",
+    "'@bt:' \"v+1\" (w)'[r]' '@r:' cont 'ft' w !args",
+    "'@bt:' cont 'ft' v !v",
+    "'@bt:' cont !v",
+    "'@bt:' v 'ft' !args",
+    "'@bt:' G !args",
+    "'@bt:' G 'ft' 1 2 3",
+    "'@bt:' cont 'ft' (q)'[z]'{ '@bt:' q v } !args",
+], ids=["symbolic_print", "symbolic_primitive", "second_narrowing", "splice_not_a_tuple",
+        "callee_not_a_lambda", "fragment_without_stage", "fragment_arity",
+        "value_turned_on"])
+def test_finalize_shell_hands_back_to_run_as_step_does(subject):
+    """A subject after the difference, whose `v` is still symbolic while
+    the shell is drained, and which the environment loop cannot finish: a
+    builtin or primitive waits on `v`, a second splice asks to narrow the
+    shell's pack again, a splice is not a tuple yet, a callee is no lambda,
+    the fragment `G` is called without a stage or with too many arguments,
+    or the call would turn on a body of a lambda it passes.  The loop
+    raises the error, or `run` goes on from the state the loop reached, and
+    the end is the `step` loop's."""
+    prefix = "'@s:' build 0 (ft2, e)'[b2]'{ '@ft2:' e 1 } (G)'[g]' "
+    template = "('ft', v, !args, cont)'[bt]' { %s }" % subject
+    source = _shell_source([_START, _PUSH.format(v=3), _PUSH.format(v=4), _MINUS,
+                            template, _END], prefix)
+    stepped, ran = Session(seed=3).record_trace(), Session(seed=3).record_trace()
+    by_step = _observed(stepped, lambda: _by_step(stepped, rd(source, stepped), [Int(1)]))
+    with mock.patch.object(machine, "_finish", wraps=machine._finish) as finish:
+        by_loop = _observed(ran, lambda: apply_value(rd(source, ran), [Int(1)], ran))
+    assert finish.called
+    assert by_loop == by_step
 
 
 def test_environment_loop_hands_back_an_operand_that_is_not_ready():
@@ -839,17 +919,34 @@ def test_prim_line_shows_the_values_its_outputs_replace():
 @pytest.mark.parametrize("source, args, steps", [
     ("(a, k)'[s]'{ '@s:' k a }", [Splice(Int(5))], 0),
     ("(k)'[s]'{ '@s:' k !5 }", [], 1),
-], ids=["parameter", "return"])
+    ("(x, k)'[s]'{ '@s:' print !x k }", [Int(4)], 1),
+], ids=["parameter", "return", "builtin"])
 def test_a_splice_of_a_number_waits_as_in_step(source, args, steps):
-    """Neither a plain parameter nor a host continuation takes a splice of
-    a number, so the call waits for ever and the host continuation is
-    never called; the loop raises nothing of its own."""
+    """Neither a plain parameter, a host continuation nor a builtin takes a
+    splice of a number, so the call waits for ever and the host
+    continuation is never called; the loop raises nothing of its own."""
     stepped, ran = Session(), Session()
     with pytest.raises(ReturnNeverCalled):
         _by_step(stepped, rd(source, stepped), args)
     with pytest.raises(ReturnNeverCalled):
         apply_value(rd(source, ran), args, ran)
     assert stepped.steps == ran.steps == steps
+
+
+def test_environment_loop_declines_a_primitive_quoting_a_bound_name():
+    """The build-time `let` leaves the function-time primitive quoting the
+    tuple `[y]`, whose `y` the function binds; the loop cannot read such a
+    primitive from its dict, so `run` makes the call, as the `step` loop
+    does."""
+    source = ("(ret)'[s0]'{ '@s0:' ret (y, k)'[s]'{ '@always:' let '[w]' z y "
+              "'@always:' \"[z]\" (t)'[u]' '@s:' \"t\" (r)'[v]' '@v:' k r } }")
+    stepped, ran = Session(seed=3).record_trace(), Session(seed=3).record_trace()
+    [by_step] = _by_step(stepped, rd(source, stepped), [])
+    [by_loop] = apply_value(rd(source, ran), [], ran)
+    assert not machine._chain_shape(by_loop)
+    assert _observed(ran, lambda: apply_value(by_loop, [Int(5)], ran)) \
+        == _observed(stepped, lambda: _by_step(stepped, by_step, [Int(5)]))
+    assert ran.kept == [TupleT((Int(5),))]
 
 
 def test_chain_shape_is_renewed_when_the_body_changes():

@@ -203,6 +203,8 @@ def test_mark_entry_unknown_rule_errors():
     g = new_grammar("g")
     with pytest.raises(GrammarError):
         mark_entry(g, "nope")
+    add_production(g, "A", (), (), (Lit("x"),))
+    assert mark_entry(g, "A") is g and g.entry_rules == ["A"]
 
 
 def test_fully_explicit_grammar_unchanged():
@@ -216,6 +218,33 @@ def test_fully_explicit_grammar_unchanged():
     again = complete_default_args(done)
     assert grammar_equal(done, again)
     assert done.rules["A"].ins == ()
+
+
+ACTION = '|(n)->(v)| { return n }'
+
+
+@pytest.mark.parametrize("a, b", [
+    ('entry S ::= "a";', 'entry T ::= "a";'),
+    ('entry S ::= "a"; |(x)->|A ::= "b";', 'entry S ::= "a"; |(y)->|A ::= "b";'),
+    ('entry S ::= "a"; A ::= "b";', 'entry S ::= "a"; entry A ::= "b";'),
+    ('entry S ::= "a";', 'entry S ::= "a"; S ::= "b";'),
+    ("entry S|->(v)| ::= Integer|->(v)|;", "entry S|->(w)| ::= Integer|->(w)|;"),
+    ('entry S ::= "a";', 'entry S ::= "a" "b";'),
+    ('entry S ::= "a";', "entry S ::= Integer;"),
+    (f"entry S|->(v)| ::= Integer|->(n)| {ACTION};",
+     f"entry S|->(v)| ::= Integer|->(n)| {ACTION}|->(v)|;"),
+    (f"entry S|->(v)| ::= Integer|->(n)| {ACTION};",
+     "entry S|->(v)| ::= Integer|->(n)| |(n)->(w)| { return n };"),
+    (f"entry S|->(v)| ::= Integer|->(n)| {ACTION};",
+     "entry S|->(v)| ::= Integer|->(n)| |(n)->(v)| { return 1 };"),
+    ('entry S ::= "a";', 'entry S ::= "b";'),
+], ids=["rule_names", "rule_inputs", "entry_rule", "production_count", "outputs",
+        "body_length", "use_class", "action_use_annotation", "action_declaration",
+        "action_body", "literal"])
+def test_grammar_equal_tells_one_difference(a, b):
+    a, b = (read_grammar(f"grammar g {{ {rules} }}") for rules in (a, b))
+    assert grammar_equal(a, a) and grammar_equal(b, b)
+    assert not grammar_equal(a, b) and not grammar_equal(b, a)
 
 
 def test_default_completion_idempotent_on_packs():

@@ -12,9 +12,10 @@ from langweave.printer import print_body, print_core
 from langweave.prims import PName, parse_prim
 from langweave.reader import read_core, read_program
 from langweave.runtime import LexerDef, lex_next
-from langweave.terms import (BUILTIN_NAMES, App, Bool, Int, Lam, PrimB, Splice,
+from langweave.names import FreshNames
+from langweave.terms import (BUILTIN_NAMES, App, Bool, EnvVal, Int, Lam, PrimB, RetK, Splice,
                              StageConst, StageOp, Str, TupleT, Var, alpha_eq,
-                             alpha_eq_body, postorder)
+                             alpha_eq_body, postorder, subst_body)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -188,6 +189,12 @@ def test_lexical_error_in_stage_prefix_reports_source_position(src):
     assert str(err.value) == "unexpected character '$' at 3:7"
 
 
+def test_read_core_reads_one_term():
+    with pytest.raises(CoreSyntaxError) as err:
+        read_core("(x){ f x } y")
+    assert str(err.value) == "trailing input after term at 1:12"
+
+
 def test_unterminated_string():
     with pytest.raises(CoreSyntaxError):
         read_core('(x){ "unclosed (y) f y }')
@@ -241,6 +248,73 @@ def test_alpha_eq_binds_names_for_their_scope_only(a, b, same):
     binder's scope is left; the answer is the same either way round."""
     assert alpha_eq(read_core(a), read_core(b)) is same
     assert alpha_eq(read_core(b), read_core(a)) is same
+
+
+# Pairs of lambda bodies that differ in one place, one pair for each way
+# `alpha_eq` can answer "not equal".
+ONE_DIFFERENCE = [
+    ("'@s:' k 1", "'@s:' k x"),
+    ("'@s:' k 1", "'@s:' k 2"),
+    ("'@s:' k \"a\"", "'@s:' k \"b\""),
+    ("'@s:' k true", "'@s:' k false"),
+    ("'@s:' k x", "'@s:' k y"),
+    ("'@s:' k always", "'@s:' k never"),
+    ("'@s:' print k", "'@s:' newEnv k"),
+    ("'@s:' k !x", "'@s:' k !y"),
+    ("'@s:' k [1]", "'@s:' k [1, 2]"),
+    ("'@s:' k [1]", "'@s:' k [2]"),
+    ("'@a & b:' k", "'@a | b:' k"),
+    ("'@a & b:' k", "'@a & k:' k"),
+    ("'@s:' k (x){ x }", "'@s:' k (x, y){ x }"),
+    ("'@s:' k (!x){ x }", "'@s:' k (x){ x }"),
+    ("'@s:' k", "'@always:' k"),
+    ("'@s:' k 1", "'@s:' \"1\" (x) k x"),
+    ("'@s:' k 1", "'@s:' k 1 1"),
+    ("'@s:' k 1", "'@s:' x 1"),
+    ("'@s:' \"[1]\" (x, y) k x", "'@s:' \"[1]\" (x) k x"),
+    ("'@s:' \"1+2\" (x) k x", "'@s:' \"1-2\" (x) k x"),
+    ("'@s:' \"[1]\" (x) k x", "'@s:' \"[1,1]\" (x) k x"),
+    ("'@s:' \"1\" (x) k x", "'@s:' \"2\" (x) k x"),
+    ("'@s:' \"'a'\" (x) k x", "'@s:' \"'b'\" (x) k x"),
+    ("'@s:' \"a\" (x) k x", "'@s:' \"b\" (x) k x"),
+    ("'@s:' \"1\" (x) k x", "'@s:' \"a\" (x) k x"),
+    ("'@s:' fix '[u]' f (j){ j } '@u:' k f", "'@s:' fix '[u]' f (j){ k } '@u:' k f"),
+]
+
+
+@pytest.mark.parametrize("a, b", ONE_DIFFERENCE, ids=[
+    "term_class", "integer", "string", "boolean", "free_name", "stage_constant", "builtin",
+    "splice", "tuple_length", "tuple_item", "stage_operator", "stage_operand",
+    "parameter_count", "packed_parameter", "body_stage", "body_form", "argument_count",
+    "callee", "output_count", "primitive_operator", "primitive_operand_count",
+    "primitive_integer", "primitive_string", "primitive_name", "primitive_node_class",
+    "fix_value"])
+def test_alpha_eq_tells_one_difference(a, b):
+    a, b = (read_core(f"(k, a, b)'[s]'{{ {body} }}") for body in (a, b))
+    assert alpha_eq(a, read_core(print_core(a))) and alpha_eq(b, read_core(print_core(b)))
+    assert not alpha_eq(a, b) and not alpha_eq(b, a)
+
+
+def test_alpha_eq_of_opaque_values_is_identity():
+    """An environment, a fragment, a host continuation or a `fix` name's
+    value has no text, so only the same object is equal to it; a primitive
+    compares the terms it quotes."""
+    env, ret = EnvVal(()), RetK(1)
+    assert alpha_eq(env, env) and alpha_eq(ret, ret)
+    assert not alpha_eq(env, EnvVal(())) and not alpha_eq(ret, RetK(1))
+    body = read_program("\"[x]\" (y) k y")
+    quoted = [subst_body(body, {"x": read_core(lam)}, FreshNames())
+              for lam in ("(j){ j }", "(i){ i }", "(j){ k }")]
+    assert alpha_eq_body(quoted[0], quoted[1])
+    assert not alpha_eq_body(quoted[0], quoted[2])
+
+
+def test_alpha_eq_reads_a_consistent_renaming_as_equal():
+    a = read_core("(x, k)'[s]'{ '@s:' \"x+1\" (y)'[t]' '@t:' fix '[u]' f (j)'[v]'{ '@v:' f j } "
+                  "'@u & t:' k [y, !x] (z){ z } }")
+    b = read_core("(p, q)'[r]'{ '@r:' \"p+1\" (w)'[o]' '@o:' fix '[n]' g (m)'[l]'{ '@l:' g m } "
+                  "'@n & o:' q [w, !p] (h){ h } }")
+    assert alpha_eq(a, b) and alpha_eq(b, a)
 
 
 def test_printer_deterministic():

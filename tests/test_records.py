@@ -14,6 +14,7 @@ from langweave.grammar import (ActionDef, ActionUse, ArgTuple, EpsilonUse, Forei
                                TemplateCall, TokClass)
 from langweave.parsegen import Analysis, ParseTable
 from langweave.prims import PInt, PName, POp, PQuote, PStr
+from langweave.records import Value
 from langweave.runtime import Language, LexerDef
 from langweave.terms import (TOP, App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Int, Lam,
                              Param, PrimB, Rec, RetK, Splice, StageConst, StageOp, Str,
@@ -126,6 +127,14 @@ def test_defaults():
     assert Param("a", True) == Param("a", packed=True)
     assert Rule("A", (), []).is_entry is False
     assert Rule("A", (), [], True).is_entry is True
+
+
+def test_defaults_are_given_for_the_last_fields():
+    with pytest.raises(TypeError) as err:
+        class Misordered(Value, first=None):
+            __slots__ = ("first", "second")
+    assert str(err.value) == ("Misordered: defaults ('first',) are not its last fields "
+                              "('first', 'second')")
 
 
 def test_each_grammar_and_analysis_gets_its_own_dicts():

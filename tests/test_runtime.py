@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from langweave import runtime
 from langweave.errors import (ActionError, ArityMismatch, GrammarError,
                               LexFailure, Ll1Conflict, UnexpectedToken,
-                              UnknownEntry)
+                              UnknownEntry, UnknownLanguage)
 from langweave.evaluator import Session, apply_value, render_value
 from langweave.grammar import (ActionUse, EpsilonUse, ForeignUse, Lit, NtUse,
                                TokClass, prepare)
@@ -157,6 +157,13 @@ def test_entry_rule_enforced():
     reg = _registry("minusdiv_immediate")
     with pytest.raises(UnknownEntry):
         parse(reg, "minusdiv_immediate", "Value", "4", session=Session())
+
+
+def test_a_language_must_be_registered():
+    reg = _registry("minusdiv_immediate")
+    with pytest.raises(UnknownLanguage) as err:
+        parse(reg, "minusdiv", "Diff", "4", session=Session())
+    assert str(err.value) == "language 'minusdiv' is not registered"
 
 
 def test_rule_argument_count_checked():
