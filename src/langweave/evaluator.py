@@ -19,22 +19,14 @@ A stage expression is a term too (see `terms`), and a `Var` in it reads as
 bottom.  That single rule is what makes build-time chains run inside
 not-yet-invoked lambdas while function-time chains stay residual.
 
-`run` drains the tree on one explicit stack, holding the path from the
-root to the body it is at, and skips every subtree whose cached pair (see
-`terms.body_info`) says it holds no active body: nothing there can run.  A
-body that ends quiescent after running something drops its pair, so the
-next look recomputes it from its children's and the skip stays sharp as
-build-time chains finish.  When a splice of a packed parameter must fill
-fixed parameters of a callee, the owning lambda is the nearest binder of
-the name on that path; it is narrowed in place, and the drain goes on at
-its body.  `step`, which walks the whole tree in post-order from the root,
-is the reference the drain must agree with.
-
-`apply_value` first tries the environment loop of `machine`, which binds
-names in a dict instead of copying bodies, and hands `run` what it cannot
-finish, from the state `run` would have reached.  `_bind` maps plain
-parameters to plain values in one pass; a pack, a splice or a wrong count
-takes the general path, which says why the call cannot bind (yet).
+`step`, which walks the whole tree in post-order from the root, is the
+reference.  `apply_value` and `run_term_to_normal` drain through the
+environment machine of `machine`, which binds names in a dict instead of
+copying bodies and goes under binders to build only what stays residual;
+what it cannot finish it hands back as the tree `step` would have reached,
+and a `step` loop goes on from there.  `_bind` maps plain parameters to
+plain values in one pass; a pack, a splice or a wrong count takes the
+general path, which says why the call cannot bind (yet).
 """
 
 import sys
@@ -125,7 +117,7 @@ def _strict(term):
         return term
     if type(term) is Var:
         raise _Unready(term.name)
-    raise PrimTypeError(f"unusable operand {term!r}")
+    raise PrimTypeError(f"unusable operand {render_value(term)}")
 
 
 def eval_prim(expr, env=None):
@@ -206,7 +198,7 @@ def _eval_bin(op, lv, rv):
     """`lv op rv` for a binary operator of `prims.BINARY`."""
     if op in ("==", "!="):
         if type(lv) is not type(rv) or type(lv) not in (Int, Str, Bool):
-            raise PrimTypeError(f"cannot compare {lv!r} and {rv!r}")
+            raise PrimTypeError(f"cannot compare {render_value(lv)} and {render_value(rv)}")
         eq = lv.value == rv.value
         return Bool(eq if op == "==" else not eq)
     if type(lv) is not Int or type(rv) is not Int:
@@ -294,8 +286,8 @@ def _bind(lam, items):
 
 
 def _refine_pack(session, name, count, path):
-    """Narrow a packed parameter to `count` plain parameters; the body of
-    the lambda narrowed, or None when no lambda on `path` packs `name`.
+    """Narrow a packed parameter to `count` plain parameters; False when no
+    lambda on `path` packs `name`.
 
     Happens when a symbolic splice of that pack must supply fixed parameters
     of a callee, which pins down exactly how many arguments the owning
@@ -311,10 +303,10 @@ def _refine_pack(session, name, count, path):
         if isinstance(form, (PrimB, FixB)) and cell is form.rest:
             if name in ((*form.outs, form.cont_stage) if isinstance(form, PrimB)
                         else (form.name, form.stage_param)):
-                return None
+                return False
             continue
         if isinstance(form, FixB) and name == form.name:
-            return None
+            return False
         terms = ([form.callee, *form.args] if isinstance(form, App)
                  else [form.value] if isinstance(form, FixB)
                  else [*form.expr.embedded_terms()])
@@ -324,18 +316,18 @@ def _refine_pack(session, name, count, path):
                 terms.extend(lam.items if isinstance(lam, TupleT) else (lam.inner,))
             lam = terms.pop()
         if name == lam.stage or Param(name) in lam.params:
-            return None
+            return False
         if Param(name, True) in lam.params:
             break
     else:
-        return None
+        return False
     fresh = tuple(Param(session.names.fresh("arg")) for _ in range(count))
     at = lam.params.index(Param(name, True))
     lam.params = lam.params[:at] + fresh + lam.params[at + 1:]
     lam.info = None
     mapping = {name: TupleT(tuple(Var(p.name) for p in fresh))}
     lam.body.replace(subst_body(lam.body, mapping, session.names))
-    return lam.body
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +356,25 @@ def _prim_step(session, form):
 
 def _try_execute(session, body, path):
     """Execute `body`, the last of `path`, the bodies from the root down to
-    it: the cell rewritten, which is `body` itself unless a pack was
-    narrowed (see `_refine_pack`), or None while it cannot run."""
+    it, rewriting its cell, or the body of the lambda whose pack it narrows
+    (see `_refine_pack`); False while it cannot run."""
     form = body.form
     if isinstance(form, PrimB):
         rest = _prim_step(session, form)
         if rest is None:
-            return None
+            return False
         body.replace(rest)
-        return body
+        return True
     if isinstance(form, FixB):
         rec = Rec(form.name, form.value)
         mapping = {form.name: rec, form.stage_param: TOP}
         body.replace(subst_body(form.rest, mapping, session.names))
-        return body
+        return True
 
     # application
     callee = form.callee
     if isinstance(callee, Var):
-        return None  # symbolic callee: wait for a value
+        return False  # symbolic callee: wait for a value
     if isinstance(callee, Rec):
         unfolded = subst_term(callee.value, {callee.name: callee}, session.names)
         if not isinstance(unfolded, Lam):
@@ -394,7 +386,7 @@ def _try_execute(session, body, path):
     if isinstance(callee, FragVal):
         # the subject, staged by the first argument, with slot wrappers appended
         if not items or isinstance(items[0], Splice):
-            return None
+            return False
         stage_term = items[0]
         items = [*items[1:], *subject_call_args(callee.fragment, session.names, ())]
         callee = callee.fragment.subject
@@ -405,22 +397,22 @@ def _try_execute(session, body, path):
         except _NeedsRefine as need:
             return _refine_pack(session, need.name, need.count, path)
         except _Unready:
-            return None
-        return body
+            return False
+        return True
 
     if isinstance(callee, RetK):
         # the host demands concrete attribute values; wait for symbolic ones
         if any(isinstance(t, (Splice, Var)) for t in items):
-            return None
+            return False
         body.replace(_return(session, callee, items))
-        return body
+        return True
 
     if isinstance(callee, Builtin):
         call = _do_builtin(session, callee.name, items)
         if call is None:
-            return None
+            return False
         body.replace(Body(TOP, App(*call)))
-        return body
+        return True
 
     raise ApplyNonClosure(f"cannot apply {type(callee).__name__}")
 
@@ -464,6 +456,8 @@ def _do_builtin(session, name, vals):
     if name == "exit":
         if len(vals) not in (0, 1):
             raise ArityMismatch("exit takes at most one argument")
+        if vals and isinstance(vals[0], Var):
+            return None
         code = 2
         if vals and isinstance(vals[0], Int):
             code = vals[0].value
@@ -518,62 +512,25 @@ def _count_step(session):
         raise StepBudgetExceeded(f"step budget of {session.budget} exhausted")
 
 
-def run(session, root):
-    """Drain `root`, innermost-leftmost first, on one explicit stack.
-
-    Equivalent to repeatedly taking the first runnable body in post-order:
-    an execution rewrites only its own cell, so nothing earlier in the walk
-    can change state, and the cell is drained again on the spot.  `path`
-    holds the bodies from `root` down to the one being drained, and
-    `frames` one `[children left, progress, ran]` for each.  A child holding
-    no active body has nothing runnable and is skipped.  A narrowed pack
-    rewrites the body of the lambda that owns it, which is on `path`: the
-    drain goes on from there.
-    """
-    path, frames = [root], [[child_bodies(root), False, False]]
-    while frames:
-        frame = frames[-1]
-        for child in frame[0]:
-            if body_info(child)[1]:
-                path.append(child)
-                frames.append([child_bodies(child), False, False])
-                break
-        else:
-            body = path[-1]
-            cell = stage_value(body.stage) and _try_execute(session, body, path)
-            if cell:
-                _count_step(session)
-                while path[-1] is not cell:
-                    path.pop()
-                    frames.pop()
-                frames[-1][:] = child_bodies(cell), False, True
-            elif frame[1]:
-                frame[0], frame[1] = child_bodies(body), False
-            else:
-                path.pop()
-                frames.pop()
-                if frame[2]:  # the cached pair predates the run
-                    body.info = None
-                    if frames:
-                        frames[-1][1] = frames[-1][2] = True
-
-
 def apply_value(f, args, session):
     """Call a closure with a host return continuation appended; run until
     quiescent and yield the values passed to the continuation."""
     ret = session.new_return()
     rest = machine.run_chain(session, f, (*args, ret))
-    if rest is not None:
-        run(session, rest)
+    if rest is not None:  # what the machine hands back, the `step` loop runs
+        rest = machine.drain(session, rest)[1]
+        while body_info(rest)[1] and step(session, rest):
+            pass
     if ret.tag not in session.returned:
         raise ReturnNeverCalled("evaluation finished without invoking return")
     return list(session.returned[ret.tag].form.args)
 
 
 def run_term_to_normal(term, session):
-    """Run every active body inside `term` to quiescence."""
-    root = Body(BOTTOM, App(term, ()))
-    run(session, root)
+    """Run every active body inside the lambda `term` to quiescence."""
+    root = Body(BOTTOM, App(machine._finish(session, term), ()))
+    while body_info(root)[1] and step(session, root):
+        pass
     return root.form.callee
 
 

@@ -1,43 +1,25 @@
 """The environment machine: calls run in dicts of names, not copied bodies.
 
 `run_chain`, which `evaluator.apply_value` tries first, is a loop in the
-manner of the CEK machine: it binds each name in one dict instead of
-copying the body.  It takes a closed, quiet lambda applied to closed
-values whose body is a straight line of links, each staged on the stage
-the one before it binds (the first on the lambda's own): a primitive over
-names and closed terms, or a call of `build`, `merge`, `finalize`,
-`newEnv` or `print` whose last argument is a continuation lambda with
-plain parameters (it binds into the same dict) or a name; a call of a
-name ends the line.  An operand or last argument may also splice a name,
-which reads the name's tuple from the dict.  A lambda among a builtin's
-operands (a build subject) is copied with the dict substituted, and no
-stage in it may name one of its free names: such a body would turn on
-when the name is bound, and post-order would run it first.  The shape is
-decided once per lambda, at its first call, and kept with the lambda's
-cached pair, where each later call reads it.  `_bind` binds parameters in
-the dict, and `eval_prim` and the trace formatter read a primitive's
-names from it; builtins run through `_do_builtin` on lists built by
-`_flatten`; a last call reads its names from the dict, and one of the host
-return continuation on closed values is recorded as `_try_execute` records
-it.  The `prim` and `print` events and the step count are `run`'s, and no
-binder is renamed, since every value in the dict is closed.
+manner of the CEK machine over a closed, quiet lambda applied to closed
+values, whose body is a straight line of links (see `_straight_line`).  A
+build subject among a builtin's operands is copied with the dict
+substituted.  The shape is decided once per lambda, kept with its pair.
 
-The shell `finalize` returns holds the one active body, and `_finish`
-drains it the same way, in the manner of normalization by evaluation:
-each call of a lambda value (a slot wrapper, a fragment subject with its
-wrappers, a builtin's continuation) binds its parameters in a fresh dict,
-whose values may be symbolic (a function-time stage, a residual output,
-the shell's pack), and goes on at its body.  Only a body that stays in the
-residual is built, by substituting the dict into it alone, with the
-binders renamed that the call's copy would rename; a primitive that is on
-while a body below it is on too, which post-order runs first, is built
-the same way and runs once the rest is built.  The pack is narrowed once,
-when a splice of it must fill fixed parameters.  The renames, fresh names,
-steps and events are `run`'s, in its order.  What either loop cannot
-finish in post-order (a symbolic operand, an `if`, a callee other than a
-lambda or a fragment, a value holding an active body) is substituted from
-the same dict, which is the tree `run` would have reached, and `run` goes
-on from it.
+`drain` runs any other body, and `_finish` the shell `finalize` returns,
+in the manner of normalization by evaluation: each call of a lambda value
+binds its parameters in a fresh dict, whose values may be symbolic (a
+function-time stage, a residual output, the shell's pack), and goes on at
+its body in post-order.  Under a call, a lambda whose body wakes under the
+dict is entered first, its binders named as the call's copy names them; a
+primitive that is on while a body below it is on too runs once that rest
+is built, and the rest is drained again with its outputs bound.  Only what
+stays residual is built, sharing every subtree the dict cannot reach; the
+pack is narrowed once, when a splice of it must fill fixed parameters.
+What neither loop can run (a `fix`, a symbolic operand, a callee that is
+no lambda, ...) is substituted from the dict, which is the tree the `step`
+loop would have reached, and that loop goes on from it.  The renames,
+fresh names, steps and events are the `step` loop's, in its order.
 
 The machine calls `eval_prim`, `subst_body`, `subst_term` and
 `child_bodies` through the evaluator module (`E.eval_prim`, ...), so that
@@ -50,10 +32,11 @@ from .errors import ArityMismatch, LangError
 from .evaluator import (_NeedsRefine, _Unready, _bind, _count_step, _do_builtin,
                         _flatten, _prim_step, _return)
 from .fragments import subject_call_args
+from .names import FreshNames
 from .terms import (TOP, App, Body, Builtin, FragVal, Lam, Param, PrimB, RetK,
-                    Splice, StageOp, TupleT, Var, _CLOSED, _rebind,
+                    Splice, StageOp, TupleT, Var, _CLOSED, _rebind, _untouched,
                     body_info, lam_info, mapped_free, postorder, stage_value,
-                    subst_stage, term_info)
+                    subst_stage, subst_term, term_info)
 
 
 def _closed(term):
@@ -83,34 +66,35 @@ def _stays_off(lam):
     return names.isdisjoint(lam_info(lam)[0])
 
 
-_CHAIN_BUILTINS = frozenset({"build", "merge", "finalize", "newEnv", "print"})
-
-
 def _straight_line(lam):
     """Whether the environment loop may run a call of `lam`: it is closed
     and quiet, and its body is a line of links, each staged on the stage
-    the link before it binds.  A link is a primitive over names and closed
-    terms, or a chain builtin whose operands are `_operand`s or lambdas with
-    no stage naming one of their free names, and whose last argument is a
-    continuation lambda with plain parameters or a name; a call of a name
-    on `_operand`s ends the line."""
+    the link before it binds (or on `&` and `|` of it and constants).  A
+    link is a primitive over names and closed terms, or a builtin but `if`
+    whose operands are `_operand`s or lambdas with no stage naming one of
+    their free names (post-order would run such a body first), and whose
+    last argument is a continuation lambda with plain parameters or a name.
+    A call of a name on `_operand`s ends the line, staged on any name the
+    link before it binds."""
     free, active = lam_info(lam)
     if free or active:
         return False
-    body, stage = lam.body, lam.stage
-    while type(body.stage) is Var and body.stage.name == stage:
-        form = body.form
+    body, bound = lam.body, (lam.stage, *(p.name for p in lam.params))
+    while True:
+        form, names = body.form, set()
+        term_info(body.stage, names)
+        if isinstance(form, App) and isinstance(form.callee, Var):
+            return names <= set(bound) and all(map(_operand, form.args))
+        if names != {bound[0]} or type(body.stage) is StageOp \
+                and not stage_value(subst_stage(body.stage, {bound[0]: TOP})):
+            return False
         if isinstance(form, PrimB):
             if not all(map(_name_or_closed, form.expr.embedded_terms())):
                 return False
-            body, stage = form.rest, form.cont_stage
+            body, bound = form.rest, (form.cont_stage, *form.outs)
             continue
-        if not isinstance(form, App):
-            return False
-        if isinstance(form.callee, Var):
-            return all(map(_operand, form.args))
-        if not isinstance(form.callee, Builtin) or form.callee.name not in _CHAIN_BUILTINS \
-                or not form.args:
+        if not isinstance(form, App) or not isinstance(form.callee, Builtin) \
+                or form.callee.name == "if" or not form.args:
             return False
         *operands, k = form.args
         if not all(_operand(t) or isinstance(t, Lam) and _stays_off(t)
@@ -120,8 +104,7 @@ def _straight_line(lam):
             return True
         if not isinstance(k, Lam) or any(p.packed for p in k.params):
             return False
-        body, stage = k.body, k.stage
-    return False
+        body, bound = k.body, (k.stage, *(p.name for p in k.params))
 
 
 def _chain_shape(lam):
@@ -143,10 +126,8 @@ def _value(session, env, term, avoid=frozenset()):
         return env.get(term.name, term)
     if kind is Splice and type(term.inner) is Var:
         return Splice(env[term.inner.name]) if term.inner.name in env else term
-    if kind is Lam:
-        free, active = lam_info(term)
-        if not active and free.isdisjoint(env):
-            return term
+    if kind is Lam and _untouched(lam_info(term), env):
+        return term
     return term if kind in _CLOSED else E.subst_term(term, env, session.names, avoid)
 
 
@@ -154,13 +135,12 @@ def run_chain(session, lam, args):
     """Run the call of `lam` on `args` in one environment, if
     `_straight_line` allows and every argument is closed.  None when the
     call ended by calling a host return continuation; otherwise the body
-    `run` must drain for the rest, which is the whole call when the loop
-    declines."""
+    `drain` goes on from, the whole call when the loop declines."""
     if not isinstance(lam, Lam) or not _chain_shape(lam) or not all(map(_closed, args)):
         return Body(TOP, App(lam, args))
     try:
         env = _bind(lam, _flatten(args))
-    except _Unready:  # a splice that is not a tuple: `run` waits
+    except _Unready:  # a splice that is not a tuple: the call waits
         return Body(TOP, App(lam, args))
     env[lam.stage] = TOP
     _count_step(session)
@@ -181,6 +161,9 @@ def run_chain(session, lam, args):
             body = form.rest
             continue
         if not isinstance(form.callee, Builtin):
+            if (type(body.stage) is not Var or env[body.stage.name] is not TOP) \
+                    and not stage_value(subst_stage(body.stage, env)):  # on a value
+                return E.subst_body(body, env, session.names)
             callee = _value(session, env, form.callee)
             args = tuple([env.get(t.name, t) if type(t) is Var else _value(session, env, t)
                           for t in form.args])
@@ -231,125 +214,184 @@ def _wakes(body, env):
     return False
 
 
-def _finish(session, shell):
-    """The `finalize` shell `shell` drained as `run` would drain it (see
-    the module notes): a lambda with the residual as its body, which holds
-    an active body where `run` must go on from it.
+def _renames(terms, env, avoid):
+    """Whether the copy of `terms` under `env` renames a binder, which the
+    call's copy does before anything runs in a lambda ahead of them."""
+    dry = FreshNames()
+    for term in terms:
+        subst_term(term, env, dry, avoid)
+    return dry.counter > 0
 
-    A frame is `env`, the dict, and `body`; `avoid` is the free names of
-    the dict's values, which the call's copy renames binders for, taken
-    before the dict first changes.  `left` is the part of the frame not yet
-    built, whose renames an error still owes; `call` is a call of values
-    waiting to start the next frame.  `made` keeps the bodies built, from
-    the root down, each with whether it waits to run; `pm` narrows the pack,
-    into the first `refined` of them too."""
-    names, listener = session.names, session.listener
-    pack, params, made, pm, refined = shell.params[0].name, shell.params, [], None, 0
-    env, avoid, body, left, call = {}, None, shell.body, shell.body, None
+
+def _finish(session, shell):
+    """The lambda `shell` with its body drained, its pack narrowed."""
+    params, built = drain(session, shell.body, shell.params)
+    return shell if built is shell.body else Lam(params, shell.stage, built)
+
+
+def drain(session, body, params=()):
+    """`body`, free in the symbolic `params`, drained as the `step` loop
+    drains it: the parameters, the pack narrowed, and the residual, which
+    holds an active body where that loop must go on from it.  A frame is
+    `env`, the dict, and `body`; `avoid` is the free names of the dict's
+    values, taken before the dict first changes.  `left` is the part of the
+    frame not yet built, whose renames an error still owes; `call` starts
+    the next frame.  `stack` holds what waits for the body being built: a
+    primitive, with whether it waits to run, or a call, with its terms,
+    their values so far, its frame and the lambda entered.  Once `stuck` (a
+    body built may still run), nothing runs."""
+    names, listener, stack, pm, stuck = session.names, session.listener, [], None, False
+    pack = next((p.name for p in params if p.packed), None)
+    env, avoid, left, call, terms = {}, None, body, None, None
     try:
         while True:
-            if call is not None:  # a call of values: `(stage, callee, args)`
-                stage, callee, args = call
-                if type(callee) is Builtin:
-                    if callee.name not in _CHAIN_BUILTINS or callee.name == "finalize":
+            built = None
+            while True:  # down to the next body built whole
+                if call is not None:  # a call of values: `(stage, callee, args)`
+                    stage, callee, args = call
+                    if type(callee) is Builtin:
+                        done = _do_builtin(session, callee.name, _flatten(args))
+                        if done is None:
+                            break
+                        _count_step(session)
+                        call = (TOP, *done)
+                        if callee.name == "finalize":  # post-order drains the shell first
+                            call = (TOP, done[0], (_finish(session, done[1][0]),))
+                            if not _closed(call[2][0]):
+                                break
+                        continue
+                    items, lam, frag, stage_term = _flatten(args), callee, None, TOP
+                    if type(callee) is FragVal:
+                        if not items or type(items[0]) is Splice:
+                            break
+                        frag, lam = callee.fragment, callee.fragment.subject
+                        stage_term, items = items[0], items[1:] + [TOP] * len(frag.slots)
+                    if type(lam) is RetK:  # as `_try_execute` records it
+                        if not {Splice, Var}.intersection(map(type, items)):
+                            built = _return(session, lam, items)
+                            _count_step(session)
                         break
-                    done = _do_builtin(session, callee.name, _flatten(args))
-                    if done is None:
+                    if type(lam) is not Lam:
                         break
-                    _count_step(session)
-                    call = (TOP, *done)
-                    continue
-                items, lam, frag, stage_term = _flatten(args), callee, None, TOP
-                if type(callee) is FragVal:
-                    if not items or type(items[0]) is Splice:
-                        break
-                    frag, lam = callee.fragment, callee.fragment.subject
-                    stage_term, items = items[0], items[1:] + [TOP] * len(frag.slots)
-                if type(lam) is not Lam:
-                    break
-                try:
-                    frame = _bind(lam, items)
-                except _NeedsRefine as need:  # as `_refine_pack` narrows it
-                    if need.name != pack or pm is not None:
-                        break
-                    if frag is not None:
-                        subject_call_args(frag, names, ())
-                    params = tuple(Param(names.fresh("arg")) for _ in range(need.count))
-                    pm = {pack: TupleT(tuple(Var(p.name) for p in params))}
-                    refined = len(made)
-                    call = (stage, E.subst_term(callee, pm, names),
-                            tuple(E.subst_term(t, pm, names) for t in args))
-                    _count_step(session)
-                    continue
-                except _Unready:
-                    break
-                except ArityMismatch:
-                    if frag is not None:
-                        subject_call_args(frag, names, ())
-                    raise
-                if frag is not None:
-                    items[len(items) - len(frag.slots):] = subject_call_args(frag, names, ())
-                    frame = _bind(lam, items)
-                frame[lam.stage] = stage_term
-                env, avoid, body, left, call = frame, None, lam.body, lam.body, None
-                _count_step(session)
-                continue
-
-            form, stage = body.form, subst_stage(body.stage, env)
-            on = stage_value(stage)
-            if isinstance(form, PrimB) and all(map(_name_or_closed, form.expr.embedded_terms())):
-                if avoid is None:
-                    avoid = mapped_free(env)
-                binders = (*form.outs, form.cont_stage)
-                if on and not _wakes(form.rest, env):
                     try:
-                        value = E.eval_prim(form.expr, env)
+                        frame = _bind(lam, items)
+                    except _NeedsRefine as need:  # as `_refine_pack` narrows it
+                        if need.name != pack or pm is not None:
+                            break
+                        if frag is not None:
+                            subject_call_args(frag, names, ())
+                        at = params.index(Param(pack, True))
+                        fresh = tuple(Param(names.fresh("arg")) for _ in range(need.count))
+                        params = params[:at] + fresh + params[at + 1:]
+                        pm = {pack: TupleT(tuple(Var(p.name) for p in fresh))}
+                        sub = lambda t: E.subst_term(t, pm, names)  # noqa: E731
+                        call = (stage, sub(callee), tuple(map(sub, args)))
+                        for entry in stack:  # all that waits is narrowed too
+                            entry[0] = subst_stage(entry[0], pm)
+                            if len(entry) == 5:
+                                entry[1] = P.prim_subst(entry[1], pm, sub)
+                            else:
+                                entry[3][:] = map(sub, entry[3])
+                                entry[4] = {**pm, **{k: sub(v) for k, v in entry[4].items()}}
+                        _count_step(session)
+                        continue
                     except _Unready:
                         break
-                    free = set()
-                    if term_info(value, free) or not free <= avoid \
-                            or not avoid.isdisjoint(binders):
-                        break  # the call's copy, or this step's, would rename
-                    if listener is not None:
-                        listener("prim", (form.expr, env))
-                    env.update(dict.fromkeys(form.outs, value))
-                    env[form.cont_stage] = TOP
-                    body = left = form.rest
+                    except ArityMismatch:
+                        if frag is not None:
+                            subject_call_args(frag, names, ())
+                        raise
+                    if frag is not None:
+                        items[len(items) - len(frag.slots):] = subject_call_args(frag, names, ())
+                        frame = _bind(lam, items)
+                    frame[lam.stage] = stage_term
+                    env, avoid, body, left, call = frame, None, lam.body, lam.body, None
                     _count_step(session)
                     continue
-                bound, inner = _rebind(binders, env, avoid, names)
-                expr = P.prim_subst(form.expr, env, lambda t: E.subst_term(t, env, names, avoid))
-                made.append((stage, expr, tuple(bound[:-1]), bound[-1], on))
-                env, body = inner, form.rest
-                left = body
-                continue
-            if not on or not isinstance(form, App):
+
+                if terms is not None:  # a lambda among them whose body wakes goes first
+                    for t in terms[len(values):]:
+                        if type(t) is Lam and not stuck and not _untouched(lam_info(t), env) \
+                                and _wakes(t.body, env) \
+                                and not _renames(terms[len(values) + 1:], env, avoid):
+                            avoid = mapped_free(env) if avoid is None else avoid
+                            bound, inner = _rebind([*(p.name for p in t.params), t.stage],
+                                                   env, avoid, names)
+                            pack = None if pack in bound else pack
+                            stack.append([stage, on, terms, values, env, avoid, (tuple(
+                                Param(n, p.packed) for n, p in zip(bound, t.params)), bound[-1])])
+                            env, body, left = dict(env) if inner is env else inner, t.body, t.body
+                            terms = None
+                            break
+                        values.append(_value(session, env, t, avoid))
+                    else:
+                        # a value from the dict is quiet, and so is a term of
+                        # the quiet callee's body that no substitution changed
+                        if on and not stuck and not any(
+                                v is not t and not _operand(t) and term_info(v, set())
+                                for t, v in zip(terms, values)):
+                            call, terms = (stage, values[0], tuple(values[1:])), None
+                            continue
+                        built, terms = Body(stage, App(values[0], tuple(values[1:]))), None
+                        break
+                    continue
+                free, active = body.info or body_info(body)
+                if not active and free.isdisjoint(env):  # the copy shares it
+                    built = body
+                    break
+                form, stage = body.form, subst_stage(body.stage, env)
+                on = stage_value(stage)
+                if isinstance(form, PrimB) and all(map(_name_or_closed, form.expr.embedded_terms())):
+                    avoid = mapped_free(env) if avoid is None else avoid
+                    binders = (*form.outs, form.cont_stage)
+                    if on and not _wakes(form.rest, env):
+                        try:
+                            value = E.eval_prim(form.expr, env)
+                        except _Unready:
+                            break
+                        free = set()
+                        if term_info(value, free) or not free <= avoid \
+                                or not avoid.isdisjoint(binders):
+                            break  # the call's copy, or this step's, would rename
+                        if listener is not None:
+                            listener("prim", (form.expr, env))
+                        env.update(dict.fromkeys(form.outs, value))
+                        env[form.cont_stage] = TOP
+                        body = left = form.rest
+                        _count_step(session)
+                        continue
+                    bound, inner = _rebind(binders, env, avoid, names)
+                    expr = P.prim_subst(form.expr, env, lambda t: E.subst_term(t, env, names, avoid))
+                    stack.append([stage, expr, tuple(bound[:-1]), bound[-1], on])
+                    pack = None if pack in bound else pack
+                    env, body, left = inner, form.rest, form.rest
+                    continue
+                if not isinstance(form, App):
+                    break
+                terms, values, left = (form.callee, *form.args), [], None
+            if built is None:  # handed back: the `step` loop goes on from here
+                built = Body(call[0], App(*call[1:])) if call else \
+                    E.subst_body(body, env, names, avoid)
+            body = left = call = None
+            while stack and body is None and terms is None:  # up to what waits
+                stuck = stuck or body_info(built)[1]
+                entry = stack.pop()
+                if len(entry) == 5:
+                    stage, expr, outs, cont, deferred = entry
+                    form = PrimB(expr, outs, cont, built)
+                    ran = deferred and not stuck and _prim_step(session, form)
+                    if ran:  # as `step` runs it, now that nothing below is on
+                        _count_step(session)
+                        env, avoid, body, left = {}, None, ran, ran
+                    else:
+                        built = Body(stage, form)
+                    continue
+                stage, on, terms, values, env, avoid, entered = entry
+                values.append(Lam(*entered, built))
+            if body is None and terms is None:
                 break
-            terms = (form.callee, *form.args)
-            values = [_value(session, env, t, avoid) for t in terms]
-            call, left = (stage, values[0], tuple(values[1:])), None
-            # a value from the dict is quiet, and so is a term of the quiet
-            # callee's body that no substitution changed
-            if any(v is not t and not _operand(t) and term_info(v, set())
-                   for t, v in zip(terms, values)):
-                break
-    except LangError:
-        if left is not None:  # the renames the call's copy would have made
+    except LangError:  # the renames the call's copy would have made
+        if left is not None:
             E.subst_body(left, env, names, avoid)
         raise
-    tail = Body(call[0], App(*call[1:])) if call else E.subst_body(body, env, names, avoid)
-    rest, stuck = tail, body_info(tail)[1]
-    for at in range(len(made) - 1, -1, -1):
-        stage, expr, outs, cont, deferred = made[at]
-        if at < refined:
-            stage = subst_stage(stage, pm)
-            expr = P.prim_subst(expr, pm, lambda t: E.subst_term(t, pm, names))
-        form = PrimB(expr, outs, cont, rest)
-        ran = deferred and not stuck and _prim_step(session, form)
-        if ran:  # as `run` runs it, now that nothing below is on
-            _count_step(session)
-            rest, stuck = ran, body_info(ran)[1]
-        else:
-            rest = Body(stage, form)
-            body_info(rest)
-    return Lam(params, shell.stage, rest)
+    return params, built

@@ -5,19 +5,25 @@ Counts, not times, so the check is deterministic: every substitution call
 (the evaluator's and the recursion inside `terms`) and every `Fragment`
 constructed while `langweave run minusdiv_codegen` builds and invokes the
 residual of n terms, and the substitution calls plus steps while the
-residual of n `assignments` statements runs.  Doubling n may at most about
-double each count.  While the code-building packs parse, no action,
-the one that finalizes the program included, reaches the generic drain.
+residual of n `assignments` statements runs, and the bodies walked plus
+steps while `typed_minusdiv` checks and runs n terms.  Doubling n may at
+most about double each count.  While the code-building packs parse, no
+action, the one that finalizes the program included, hands anything to
+the `step` loop, and neither does any pack sample or benchmark request.
 """
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from langweave import cli, evaluator, runtime, terms
+from langweave import cli, evaluator, packs, runtime, terms
 from langweave.cli import main
 from langweave.errors import EXIT_OK
 from langweave.fragments import Fragment
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 GROWTH_PER_DOUBLING = 2.2
 
@@ -90,19 +96,50 @@ def _graph(n):
     return ["run", "graph", text, "--emit", "value"], f"[{index}]\n[{edges}]\n"
 
 
-@pytest.mark.parametrize("program", [_minusdiv, _assignments, _graph])
+def _typed(n):
+    return ["run", "typed_minusdiv", "-".join(["7/1"] * n)], f"{7 - 7 * (n - 1)}\n"
+
+
+def test_typed_checks_grow_linearly(monkeypatch, capsys):
+    """`typed_minusdiv` runs each type check after the rest of the chain,
+    in post-order, and the machine drains the check's rest again once it
+    has run.  A `step` loop walks the whole tree through `child_bodies` at
+    every step, so a fallback to it would grow quadratically."""
+    counts, sessions, child_bodies = Counter(), [], terms.child_bodies
+
+    def counted_child_bodies(body):
+        counts["walk"] += 1
+        return child_bodies(body)
+
+    def session(*args, **kwargs):
+        sessions.append(evaluator.Session(*args, **kwargs))
+        return sessions[-1]
+
+    for name in ("evaluator", "terms"):
+        monkeypatch.setattr(f"langweave.{name}.child_bodies", counted_child_bodies)
+    monkeypatch.setattr(cli, "Session", session)
+    for n in (64, 128):
+        argv, expected = _typed(n)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        counts[n] = counts.pop("walk") + sessions[-1].steps
+    assert 0 < counts[128] <= GROWTH_PER_DOUBLING * counts[64], counts
+
+
+@pytest.mark.parametrize("program", [_minusdiv, _assignments, _graph, _typed])
 @pytest.mark.parametrize("n", [64, 128])
 def test_only_finalizing_actions_reach_the_drain(monkeypatch, capsys, program, n):
     """Build-time actions (`build`, `merge`, `newEnv` chains) run in the
     environment loop, and now so does the `finalize` shell each program
-    ends with: not even the finalizing action hands anything to `run`."""
+    ends with, `typed_minusdiv`'s type checks included: not even the
+    finalizing action hands anything to the `step` loop."""
     drained, in_action = [], []
-    run, run_action = evaluator.run, runtime.Parser._run_action
+    step, run_action = evaluator.step, runtime.Parser._run_action
 
-    def counted_run(session, root):
+    def counted_step(session, root):
         if in_action:
             drained.append(in_action[-1])
-        return run(session, root)
+        return step(session, root)
 
     def counted_action(parser, lang, rule_name, prod_idx, use, values):
         in_action.append(rule_name)
@@ -111,9 +148,53 @@ def test_only_finalizing_actions_reach_the_drain(monkeypatch, capsys, program, n
         finally:
             in_action.pop()
 
-    monkeypatch.setattr(evaluator, "run", counted_run)
+    monkeypatch.setattr(evaluator, "step", counted_step)
     monkeypatch.setattr(runtime.Parser, "_run_action", counted_action)
     argv, expected = program(n)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == expected
     assert drained == []
+
+
+def _no_fallback(session, root):
+    raise AssertionError("the machine handed a body to the step loop")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["run", "signum_builder", "--emit", "residual"], None),
+    (["run", "signum_builder", "5", "--emit", "value"], "1\n"),
+    (["run", "signum_builder", "-3", "--emit", "value"], "-1\n"),
+], ids=["residual", "positive", "negative"])
+def test_the_signum_script_never_reaches_the_step_loop(monkeypatch, capsys, argv, out):
+    """The script's chain ends in a call staged on the name `finalize`
+    binds, and its residual branches on `if`; the machine runs both."""
+    monkeypatch.setattr(evaluator, "step", _no_fallback)
+    assert main(argv) == EXIT_OK
+    assert out is None or capsys.readouterr().out == out
+
+
+def _requests():
+    """Every pack sample, and one pass of each benchmark workload on seed 1."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for pack in packs.pack_ids():
+        for sample in packs.load_manifest(pack)["samples"]:
+            yield workloads.Request(pack, workloads.run_argv(pack, sample["input"], "--emit",
+                                                             sample["emit"]),
+                                    workloads.sample_check(pack, sample["input"]))
+    for name in workloads.NAMES:
+        yield from workloads.build(name, 1, packs).requests
+
+
+def test_no_pack_sample_or_benchmark_request_reaches_the_step_loop(monkeypatch, capsys):
+    monkeypatch.setattr(evaluator, "step", _no_fallback)
+    for request in _requests():
+        try:
+            code = main(list(request.argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert request.check(code, captured.out) is None, (request.argv, captured.err)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from langweave import evaluator, machine, packs
 from langweave.errors import EvalExit, LangError
-from langweave.evaluator import Session, apply_value, render_value, step
+from langweave.evaluator import Session, apply_value, render_value
 from langweave.grammar import prepare
 from langweave.grammar_reader import read_grammar
 from langweave.prims import render_prim
@@ -234,26 +234,26 @@ def _graphs(draw):
                    for head in heads)
 
 
-def _stepping(session, root):
-    while step(session, root):
-        pass
-
-
 def _declined(session, lam, args):
     return Body(TOP, App(lam, args))
+
+
+def _undrained(session, body, params=()):
+    return params, body
 
 
 def _finalized(pack, text, by_step):
     """The residuals of parsing `text`, what a caller sees (the values they
     give when invoked, or the error raised, the step count, the `prim` lines
-    and the fresh-name counter), and the calls of `run`.  With `by_step`,
-    the environment loop declines every call and the `step` loop drains
-    everything, finalize shells included."""
+    and the fresh-name counter), and the calls of the `step` loop that
+    takes what the machine hands back.  With `by_step`, the machine
+    declines every call and the `step` loop drains everything, finalize
+    shells included."""
     session = Session(seed=7).record_trace()
     residuals = []
-    with mock.patch.object(evaluator, "run", wraps=_stepping if by_step else evaluator.run) \
-            as drained, mock.patch.object(machine, "run_chain",
-                                          _declined if by_step else machine.run_chain):
+    with mock.patch.object(evaluator, "step", wraps=evaluator.step) as drained, \
+            mock.patch.object(machine, "run_chain", _declined if by_step else machine.run_chain), \
+            mock.patch.object(machine, "drain", _undrained if by_step else machine.drain):
         try:
             residuals, _, _ = run_pack(pack, text, session)
             values = [render_value(v) for t in residuals for v in apply_value(t, [], session)]
@@ -275,13 +275,13 @@ def test_finalize_drain_equals_step(pack, inputs, data):
     """The environment loop runs every action and finishes each finalize
     shell in one dict per call; the `step` loop substitutes one step at a
     time from the root.  Both must build the same residual in the same
-    steps, and, but for `typed_minusdiv` (whose type checks post-order runs
-    after the rest of the chain), the loop never calls `run`."""
+    steps, and the machine never hands anything to the `step` loop, not
+    even `typed_minusdiv`'s type checks, which post-order runs after the
+    rest of the chain."""
     text = data.draw(inputs)
     stepped, seen, _ = _finalized(pack, text, by_step=True)
     looped, seen_looped, drained = _finalized(pack, text, by_step=False)
     assert seen_looped == seen
     assert len(looped) == len(stepped)
     assert all(map(alpha_eq, looped, stepped))
-    if pack != "typed_minusdiv":
-        assert drained == 0
+    assert drained == 0
