@@ -136,9 +136,16 @@ def eval_prim(expr, env=None):
         return env[expr.name]
     if kind is POp:
         op, args = expr.op, expr.args
-        if len(args) == 2 and op in BINARY:
-            return _eval_bin(op, _strict(eval_prim(args[0], env)),
-                             _strict(eval_prim(args[1], env)))
+        if len(args) == 2 and op in BINARY:  # a name bound in `env` is read in place
+            left, right = args
+            lv = env.get(left.name) if type(left) is PName and env is not None else None
+            lv = _strict(eval_prim(left, env) if lv is None else lv)
+            rv = env.get(right.name) if type(right) is PName and env is not None else None
+            rv = _strict(eval_prim(right, env) if rv is None else rv)
+            if type(lv) is Int and type(rv) is Int and op in _INT_OPS:
+                kind, fn = _INT_OPS[op]
+                return kind(fn(lv.value, rv.value))
+            return _eval_bin(op, lv, rv)
         if op == "-":
             v = _strict(eval_prim(args[0], env))
             if type(v) is not Int:
@@ -195,7 +202,8 @@ def eval_prim(expr, env=None):
 
 
 def _eval_bin(op, lv, rv):
-    """`lv op rv` for a binary operator of `prims.BINARY`."""
+    """`lv op rv` for a binary operator of `prims.BINARY`, but for an
+    operator of `_INT_OPS` over integers, which `eval_prim` applies."""
     if op in ("==", "!="):
         if type(lv) is not type(rv) or type(lv) not in (Int, Str, Bool):
             raise PrimTypeError(f"cannot compare {render_value(lv)} and {render_value(rv)}")
@@ -204,9 +212,6 @@ def _eval_bin(op, lv, rv):
     if type(lv) is not Int or type(rv) is not Int:
         raise PrimTypeError(f"operator {op!r} needs integers")
     a, b = lv.value, rv.value
-    if op in _INT_OPS:
-        kind, fn = _INT_OPS[op]
-        return kind(fn(a, b))
     if b == 0:  # the one operator left is `/`
         raise PrimTypeError("division by zero")
     q = abs(a) // abs(b)

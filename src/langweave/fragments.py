@@ -19,7 +19,7 @@ shapes compose without knowing each other's layout.
 
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
                      ZeroArityLeft)
-from .terms import TOP, App, Body, FragVal, Lam, Param, Splice, Var, lam_info
+from .terms import NO_NAMES, TOP, App, Body, FragVal, Lam, Param, Splice, Var, lam_info
 
 HOLE = None
 
@@ -57,12 +57,9 @@ class Fragment:
             else:
                 parts = [lam_info(self.subject)]
                 parts.extend(s._info() for s in self._slots if s is not HOLE)
-            self._pair = (frozenset().union(*(free for free, _ in parts)),
+            self._pair = (frozenset().union(*(free for free, _ in parts)) or NO_NAMES,
                           any(active for _, active in parts))
         return self._pair
-
-    def __repr__(self):
-        return f"Fragment(arity={self.arity})"
 
 
 def _open(fragment):

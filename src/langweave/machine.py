@@ -5,6 +5,9 @@ manner of the CEK machine over a closed, quiet lambda applied to closed
 values, whose body is a straight line of links (see `_straight_line`).  A
 build subject among a builtin's operands is copied with the dict
 substituted.  The shape is decided once per lambda, kept with its pair.
+Plain parameters take closed leaf values (`terms._CLOSED`, what every
+immediate action is called with) in one pass; only a pack, a splice or
+another value goes through the general binding.
 
 `drain` runs any other body, and `_finish` the shell `finalize` returns,
 in the manner of normalization by evaluation: each call of a lambda value
@@ -15,7 +18,9 @@ dict is entered first, its binders named as the call's copy names them; a
 primitive that is on while a body below it is on too runs once that rest
 is built, and the rest is drained again with its outputs bound.  Only what
 stays residual is built, sharing every subtree the dict cannot reach; the
-pack is narrowed once, when a splice of it must fill fixed parameters.
+pack is narrowed once, when a splice of it must fill fixed parameters;
+of the dicts that wait, only a value that may mention the pack is
+rewritten.
 What neither loop can run (a `fix`, a symbolic operand, a callee that is
 no lambda, ...) is substituted from the dict, which is the tree the `step`
 loop would have reached, and that loop goes on from it.  The renames,
@@ -46,6 +51,15 @@ def _closed(term):
         return True
     names = set()
     return not term_info(term, names) and not names
+
+
+def _mentions(term, name):
+    """Whether substituting for `name` can change `term`: it is that name,
+    or its cached pair has the name free or an active body."""
+    if type(term) is Var:
+        return term.name == name
+    names = set()
+    return term_info(term, names) or name in names
 
 
 def _name_or_closed(term):
@@ -136,12 +150,20 @@ def run_chain(session, lam, args):
     `_straight_line` allows and every argument is closed.  None when the
     call ended by calling a host return continuation; otherwise the body
     `drain` goes on from, the whole call when the loop declines."""
-    if not isinstance(lam, Lam) or not _chain_shape(lam) or not all(map(_closed, args)):
+    if not isinstance(lam, Lam) or not _chain_shape(lam):
         return Body(TOP, App(lam, args))
-    try:
-        env = _bind(lam, _flatten(args))
-    except _Unready:  # a splice that is not a tuple: the call waits
-        return Body(TOP, App(lam, args))
+    env = {}
+    for p, t in zip(lam.params, args):  # plain parameters, closed leaf values
+        if p.packed or type(t) not in _CLOSED:
+            break
+        env[p.name] = t
+    if len(env) != len(args) or len(lam.params) != len(args):  # else bind them all
+        if not all(map(_closed, args)):
+            return Body(TOP, App(lam, args))
+        try:
+            env = _bind(lam, _flatten(args))
+        except _Unready:  # a splice that is not a tuple: the call waits
+            return Body(TOP, App(lam, args))
     env[lam.stage] = TOP
     _count_step(session)
     body = lam.body
@@ -292,7 +314,8 @@ def drain(session, body, params=()):
                                 entry[1] = P.prim_subst(entry[1], pm, sub)
                             else:
                                 entry[3][:] = map(sub, entry[3])
-                                entry[4] = {**pm, **{k: sub(v) for k, v in entry[4].items()}}
+                                entry[4] = {**pm, **{k: sub(v) if _mentions(v, pack) else v
+                                                     for k, v in entry[4].items()}}
                         _count_step(session)
                         continue
                     except _Unready:

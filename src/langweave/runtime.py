@@ -8,7 +8,10 @@ the cursor is never touched by the wrong alphabet, and the cursor is
 monotone: no backtracking, ever.  The parser lexes one look-ahead per
 language and position, a token or a failure kept as a value, which
 selection reads as end of input (the text belongs to an outer language)
-and a token operation takes as it is; only `peek` and `consume` raise.
+and a token operation takes in place when it is the token expected; only
+`peek` and `consume` raise.  A language's lexer keeps one key per literal
+and per class, which its tokens and its compiled operations share, so the
+two are compared by identity and no key is built per token.
 
 Registering a language compiles each production into a tuple of
 operations over attribute slots numbered in advance; a use that fails
@@ -19,6 +22,8 @@ returns into a tail call.  `Parser.parse` runs the operations in one loop
 over one explicit stack of frames (language, operations, position, slot
 list), so the nesting of the input never reaches the host stack; a tail
 call takes the running frame, so a right-recursive list keeps it flat.
+An action is a call of `apply_value`, made through this module, and every
+span taken goes to `Parser.consumed_spans`.
 """
 
 import re
@@ -54,8 +59,20 @@ _CLASS_PATTERNS = {"Identifier": IDENT, "Integer": r"\d+", "String": STRING}
 
 
 class LexerDef(Value):
-    # literals longest first; `pattern` is cached in the instance
+    # literals longest first; `pattern` and `keys` are cached in the instance
     __slots__ = ("literals", "classes", "__dict__")
+
+    @cached_property
+    def keys(self):
+        """The token key of each literal, by its text, and of each class,
+        by its name: one tuple each, shared by every token and operation."""
+        return ({lit: ("lit", lit) for lit in self.literals},
+                {cls: ("class", cls) for cls in self.classes})
+
+    def shared(self, key):
+        """The key of `keys` equal to `key`, or `key` itself (end of input)."""
+        kind, text = key
+        return self.keys[0][text] if kind == "lit" else self.keys[1].get(text, key)
 
     @cached_property
     def pattern(self):
@@ -88,9 +105,9 @@ def lex_next(text, pos, lexdef, language=None):
             value = Str(lexeme[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
         else:
             value = Str(lexeme)
-        return Token(("class", cls), lexeme, value, (pos, pos + len(lexeme)))
+        return Token(lexdef.keys[1][cls], lexeme, value, (pos, pos + len(lexeme)))
     if lit:
-        return Token(("lit", lit), lit, None, (pos, pos + len(lit)))
+        return Token(lexdef.keys[0][lit], lit, None, (pos, pos + len(lit)))
 
     def message():  # made only where the failure is reported
         line, col = line_col(text, pos)
@@ -119,9 +136,10 @@ class CompiledRule:
         self.returns = counts.pop() if len(counts) == 1 else None
 
 
-def compile_rules(grammar, table):
+def compile_rules(grammar, table, lexer):
     """Each rule of a prepared grammar by name, compiled, with its row of the
-    LL(1) table pointing at the operations of the productions."""
+    LL(1) table pointing at the operations of the productions; a token
+    operation keeps the key `lexer` gives its tokens."""
     rules = {name: CompiledRule(rule) for name, rule in grammar.rules.items()}
     memo = {}
 
@@ -131,21 +149,22 @@ def compile_rules(grammar, table):
         rule = grammar.rules[name]
         if len(rule.productions) == 1 and name not in memo:
             memo[name] = None
-            memo[name] = _compile(rule, 0, rule.productions[0], rules, single)
+            memo[name] = _compile(rule, 0, rule.productions[0], rules, single, lexer)
         return memo.get(name)
 
     compiled = {name: [single(name)] if len(rule.productions) == 1 else
-                [_compile(rule, i, prod, rules, single) for i, prod in enumerate(rule.productions)]
+                [_compile(rule, i, prod, rules, single, lexer)
+                 for i, prod in enumerate(rule.productions)]
                 for name, rule in grammar.rules.items()}
     for name, crule in rules.items():
         crule.pad = [None] * (max(size for _, size in compiled[name]) - crule.arity)
         crule.single = compiled[name][0][0] if len(compiled[name]) == 1 else None
     for (name, key), idx in table.table.items():
-        rules[name].select[key] = compiled[name][idx][0]
+        rules[name].select[lexer.shared(key)] = compiled[name][idx][0]
     return rules
 
 
-def _compile(rule, idx, prod, rules, single):
+def _compile(rule, idx, prod, rules, single, lexer):
     """The operations of one production and the number of slots they use.
     The rule's inputs take the first slots (of two equal names the later
     one counts); a name bound again keeps its slot.  A call of a short rule
@@ -202,7 +221,7 @@ def _compile(rule, idx, prod, rules, single):
             ins = reads(getattr(use, "ins", None) or ())
             outs = binds(getattr(use, "outs", ()))
             if isinstance(use, (Lit, TokClass)):
-                key = ("lit", use.text) if isinstance(use, Lit) else ("class", use.cls)
+                key = lexer.keys[0][use.text] if isinstance(use, Lit) else lexer.keys[1][use.cls]
                 op = (TOKEN, key, "token", None)
             elif isinstance(use, NtUse):
                 callee, body = rules[use.name], single(use.name)
@@ -252,8 +271,9 @@ class LanguageRegistry:
         table = build_table(prepared)
         if name in self.languages:
             self.warnings.append(f"replacing language {name!r}")
-        self.languages[name] = Language(name, prepared, lexer_for(prepared),
-                                        compile_rules(prepared, table))
+        lexer = lexer_for(prepared)
+        self.languages[name] = Language(name, prepared, lexer,
+                                        compile_rules(prepared, table, lexer))
         return self.languages[name]
 
     def language(self, name):
@@ -380,20 +400,30 @@ class Parser:
         stack of suspended frames (language, operations, position, slot
         list) and return its output values.  The bottom frame holds a lone
         call of the entry rule."""
-        listener, stack = self.session.listener, []
+        listener, stack, spans = self.session.listener, [], self.consumed_spans
         self._frames = stack
         ops, pc, slots = ((CALL, rule, tuple(range(len(args))), (), rule.name, None),), 0, args
         while True:
             code, arg, ins, outs, what, extra = ops[pc]
             pc += 1
-            if code == TOKEN:
-                tok = self.consume(lang, arg)
+            if code == TOKEN:  # the look-ahead, taken in place if it is the token expected
+                la_lang, la_pos, tok = self._la
+                if la_lang is not lang or la_pos != self.pos:
+                    tok = self._look(lang)
+                if type(tok) is not Token or tok.key is not arg:
+                    tok = self.consume(lang, arg)  # it raises
+                else:
+                    span = tok.span
+                    assert span[0] >= self.pos  # cursor monotonicity
+                    self.pos = span[1]
+                    spans.append(span)
                 if listener is not None:
                     listener("token", (tok,))
                 for out in outs:
                     slots[out] = tok.value
                 continue
-            values = [slots[i] for i in ins] if ins else []
+            # no comprehension, which is a call of its own, for one input or none
+            values = [slots[i] for i in ins] if len(ins) > 1 else [slots[ins[0]]] if ins else []
             if code <= CALL:  # a TAIL runs the callee in place of the current frame
                 if code == CALL:
                     stack.append((lang, ops, pc, slots))
@@ -421,6 +451,9 @@ class Parser:
             if len(outs) != len(values):
                 raise ArityMismatch(f"{what} produced {len(values)} value(s) "
                                     f"for {len(outs)} name(s)")
+            if len(outs) == 1:
+                slots[outs[0]] = values[0]
+                continue
             for out, value in zip(outs, values):
                 slots[out] = value
 

@@ -206,6 +206,10 @@ def stage_value(expr):
 # ---------------------------------------------------------------------------
 # free names and activity
 
+# the free names of every cached pair that has none: one set, not one per pair
+NO_NAMES = frozenset()
+
+
 def term_info(term, names):
     """Add the free names of `term` to the set `names`; True when it holds
     an active body."""
@@ -233,7 +237,7 @@ def term_info(term, names):
             inner, active = set(), False
             for _, value in term.entries:
                 active |= term_info(value, inner)
-            object.__setattr__(term, "info", (frozenset(inner), active))
+            object.__setattr__(term, "info", (frozenset(inner) if inner else NO_NAMES, active))
         free, active = term.info
     elif isinstance(term, FragVal):
         free, active = term.fragment._info()
@@ -273,7 +277,7 @@ def body_info(body):
             free, rest_active = body_info(form.rest)
             names.update(inner, free.difference((form.stage_param, form.name)))
             active |= rest_active
-        body.info = (frozenset(names), active)
+        body.info = (frozenset(names) if names else NO_NAMES, active)
     return body.info
 
 
@@ -284,7 +288,7 @@ def lam_info(lam):
         derived = body_info(lam.body)
         bound = [p.name for p in lam.params]
         bound.append(lam.stage)
-        lam.info = (derived, (derived[0].difference(bound), derived[1]))
+        lam.info = (derived, (derived[0].difference(bound) or NO_NAMES, derived[1]))
     return lam.info[1]
 
 

@@ -102,6 +102,15 @@ def test_steps_is_a_non_negative_count(capsys, steps, expected, message):
         expected, "", message)
 
 
+def test_an_immediate_action_takes_three_steps_of_the_budget(capsys):
+    """`1-2` runs one action: binding its call, its primitive, and the call
+    of the host return continuation are one step each."""
+    assert run_cli(capsys, "run", "minusdiv_immediate", "1-2", "--steps", "2") == (
+        EXIT_BUDGET, "", "error: step budget of 2 exhausted\n")
+    assert run_cli(capsys, "run", "minusdiv_immediate", "1-2", "--steps", "3") == (
+        EXIT_OK, "-1\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "minusdiv_codegen", "1-4/2-3", "--emit", "residual"),
     ("run", "minusdiv_immediate", "1-2"),

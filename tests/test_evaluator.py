@@ -257,6 +257,7 @@ _ENV = {"e": EnvVal((("a", Int(1)),)), "i": Int(7), "s": Str("q"), "y": Bool(Tru
     (Var("x"), (PrimTypeError, f"cannot evaluate {Var('x')!r}")),
     # an operand that is not known yet waits, unless the expression fails first
     ("x+1", WAITS), ("s+x", WAITS), ("v*2", WAITS), ("-x", WAITS), ("[i, x]", WAITS),
+    ("x+u", WAITS), ("v+u", WAITS), ("1+x", WAITS),
     ("x.lookup('a')", WAITS), ("e.lookup(x)", WAITS), ("e.insert('k', x)", WAITS),
     ("concat(p, t)", WAITS), ("concat(t, x)", WAITS),
     ("e.insert('k', v)", (("a", Int(1)), ("k", Var("sym")))),
@@ -1004,7 +1005,12 @@ def _normal_by_step(session, lam):
     "(n, h, k)'[o]'{ '@always:' (x, h, k)'[s]'{ '@never:' g "
     "(q)'[t]'{ '@s:' (v)'[r]'{ '@r:' h (q)'[z]'{ '@z:' v } } q } "
     "(n)'[w]'{ '@w:' k n x } } n h k }",
-], ids=["fix", "shadowed_pack", "narrowed_while_waiting", "later_rename"])
+    # the pack is narrowed while the call of `g` waits with `y` bound to a
+    # tuple of its splice in its dict: that value is narrowed too
+    "(!args)'[s]'{ '@always:' (y)'[r]'{ '@r:' g "
+    "(x)'[q]'{ '@y:' (a, b)'[p]'{ '@p:' a b } !args } y } [!args] }",
+], ids=["fix", "shadowed_pack", "narrowed_while_waiting", "later_rename",
+        "narrowed_in_a_waiting_dict"])
 def test_run_term_to_normal_equals_the_step_loop(source):
     stepped, ran = Session(seed=3), Session(seed=3)
     by_step = _normal_by_step(stepped, rd(source, stepped))

@@ -294,6 +294,41 @@ def test_a_stream_that_parses_computes_no_line_and_column(monkeypatch):
     assert calls == []
 
 
+def _stream_program(statements):
+    """A fixed program of the benchmark's `stream` language: statement i
+    binds a name of up to six letters to i % 4 + 1 terms, every second term
+    a quotient."""
+    stmts = []
+    for i in range(statements):
+        terms = [f"{(i * 37 + j * 11) % 999 + 1}" + (f"/{(i + j) % 9 + 1}" if (i + j) % 2 else "")
+                 for j in range(i % 4 + 1)]
+        stmts.append(f"{'abcdefghijklmnopqrstuvwxyz'[i % 26] * (i % 6 + 1)} << {'-'.join(terms)};")
+    return " ".join(stmts)
+
+
+def test_the_counts_of_a_fixed_300_statement_stream_program(monkeypatch):
+    """Steps, tokens taken, lexes, actions and the value of one program:
+    each token is lexed once, and so is each `;` the inner language fails
+    on; each action is three steps (bind, primitive, return)."""
+    lexes, actions = [], []
+
+    def lexed(text, pos, lexdef, language=None):
+        lexes.append((language, pos))
+        return lex_next(text, pos, lexdef, language)
+
+    def applied(f, args, session):
+        actions.append(args)
+        return apply_value(f, args, session)
+
+    monkeypatch.setattr(runtime, "lex_next", lexed)
+    monkeypatch.setattr(runtime, "apply_value", applied)
+    session = Session()
+    parser = Parser(_stream_registry(FreshNames()), _stream_program(300), session)
+    assert parser.parse("stream", "Prog") == [Int(-81652)]
+    assert (session.steps, len(parser.consumed_spans), len(lexes), len(actions)) == (
+        3153, 2700, 3001, 1051)
+
+
 def test_fragment_through_lpi_merges_into_one_residual():
     sess = Session(seed=0)
     reg = _two_language_registry(sess)

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from langweave import machine
+from langweave import cli, machine, packs
 from langweave.evaluator import Session, step
 from langweave.fragments import build
 from langweave.names import FreshNames
 from langweave.prims import PName, prim_leaves
 from langweave.reader import read_core
-from langweave.terms import (App, Body, EnvVal, FixB, FragVal, Int, Lam, PrimB,
-                             Rec, Splice, StageConst, StageOp, TupleT, Var,
+from langweave.terms import (NO_NAMES, App, Body, EnvVal, FixB, FragVal, Int, Lam,
+                             PrimB, Rec, Splice, StageConst, StageOp, TupleT, Var,
                              body_info, lam_info,
                              stage_value, subst_body)
 
@@ -148,3 +148,30 @@ def test_cached_pairs_never_undercount(src):
     root = Body(StageConst(True), App(read_core(src, drained.names), (drained.new_return(),)))
     # the machine builds each body's pair from its children's
     assert_caches_safe(machine.drain(drained, root)[1], exact_activity=True)
+
+
+@pytest.mark.parametrize("pack", ["minusdiv_codegen", "typed_minusdiv", "assignments", "graph",
+                                  "signum_builder"])
+def test_every_empty_free_set_of_a_residual_is_one_object(monkeypatch, capsys, pack):
+    """A cached pair with no free name holds the one shared empty set, so
+    a residual keeps no empty set of its own per body, lambda or
+    environment."""
+    residuals, samples = [], packs.load_manifest(pack)["samples"]
+    monkeypatch.setattr(cli, "print_core", lambda term: residuals.append(term) or "")
+    argv = () if pack == "signum_builder" else (samples[0]["input"],)
+    assert cli.main(["run", pack, *argv, "--emit", "residual"]) == 0
+    capsys.readouterr()
+    [residual] = residuals
+    pending, seen, empty = [residual], set(), 0
+    while pending:
+        x = pending.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        pair = getattr(x, "info", None)
+        pair = pair[1] if isinstance(x, Lam) and pair is not None else pair
+        if pair is not None and not pair[0]:
+            assert pair[0] is NO_NAMES, x
+            empty += 1
+        pending.extend(part for part, _ in _parts(x))
+    assert empty
