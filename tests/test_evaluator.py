@@ -257,10 +257,10 @@ _ENV = {"e": EnvVal((("a", Int(1)),)), "i": Int(7), "s": Str("q"), "y": Bool(Tru
     (Var("x"), (PrimTypeError, f"cannot evaluate {Var('x')!r}")),
     # an operand that is not known yet waits, unless the expression fails first
     ("x+1", WAITS), ("s+x", WAITS), ("v*2", WAITS), ("-x", WAITS), ("[i, x]", WAITS),
-    ("x+u", WAITS), ("v+u", WAITS), ("1+x", WAITS),
     ("x.lookup('a')", WAITS), ("e.lookup(x)", WAITS), ("e.insert('k', x)", WAITS),
     ("concat(p, t)", WAITS), ("concat(t, x)", WAITS),
     ("e.insert('k', v)", (("a", Int(1)), ("k", Var("sym")))),
+    ("x+u", WAITS), ("v+u", WAITS), ("1+x", WAITS),
 ])
 def test_eval_prim_values_errors_and_waits(expr, expected):
     """`eval_prim` over a dict: each value, each error message, and where an
