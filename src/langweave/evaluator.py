@@ -25,8 +25,9 @@ environment machine of `machine`, which binds names in a dict instead of
 copying bodies and goes under binders to build only what stays residual;
 what it cannot finish it hands back as the tree `step` would have reached,
 and a `step` loop goes on from there.  `_bind` maps plain parameters to
-plain values in one pass; a pack, a splice or a wrong count takes the
-general path, which says why the call cannot bind (yet).
+plain values in one pass, and the names after a lambda's only pack and the
+pack's tuple in one more; a splice, a second pack or a wrong count takes
+the general path, which says why the call cannot bind (yet).
 """
 
 import sys
@@ -53,7 +54,9 @@ from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
 class Session:
     """Shared evaluation context: fresh names, budget, output, and the
     `listener` of events (see `trace_line`), None while nobody listens;
-    `record_trace` makes the text formatter fill `trace`."""
+    `record_trace` makes the text formatter fill `trace`.  `returned` maps
+    the tag of each host return continuation called to the call's body,
+    and to None once `apply_value` has read its values."""
 
     def __init__(self, seed=0, budget=1_000_000):
         self.names = FreshNames(seed)
@@ -260,6 +263,19 @@ def _bind(lam, items):
     else:
         if len(params) == len(items):
             return mapping
+        p = None
+    at = len(mapping)  # where the loop stopped, as the names are distinct
+    end = len(items) - len(params) + at + 1  # the items after those a pack there takes
+    if p is not None and p.packed and end >= at:  # the names after the pack, if it is the only one
+        for q, t in zip(params[at + 1:], items[end:]):
+            if q.packed or type(t) is Splice:
+                break
+            mapping[q.name] = t
+        else:
+            packed = items[at:end]
+            if Splice not in map(type, packed):
+                mapping[p.name] = TupleT(tuple(packed))
+                return mapping
     packs = [i for i, p in enumerate(params) if p.packed]
     if not packs:
         spliced = [t for t in items if isinstance(t, Splice)]
@@ -528,7 +544,9 @@ def apply_value(f, args, session):
             pass
     if ret.tag not in session.returned:
         raise ReturnNeverCalled("evaluation finished without invoking return")
-    return list(session.returned[ret.tag].form.args)
+    values = list(session.returned[ret.tag].form.args)
+    session.returned[ret.tag] = None  # read; the tag stays, so a second call still fails
+    return values
 
 
 def run_term_to_normal(term, session):

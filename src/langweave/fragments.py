@@ -14,7 +14,11 @@ argument bound to the subject's implicit staging parameter (this is how
 `finalize` triggers the build-time chain) and one wrapper closure appended
 per slot.  Each wrapper repacks whatever arguments the chain passes and
 forwards them to the child subject, so subjects with differing parameter
-shapes compose without knowing each other's layout.
+shapes compose without knowing each other's layout.  The wrappers' names
+are minted by one pre-order walk of the slot tree (`wrapper_names`), which
+a caller that needs only the names minted runs alone; each wrapper and its
+body are made with their cached pairs, from the pairs of the subject and
+of the wrappers below it.
 """
 
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
@@ -119,38 +123,58 @@ def merge(left, right):
     return Fragment(left.subject, None, (left, right))
 
 
-def child_wrappers(fragments, names):
-    """One closure per fragment, standing in for a merged continuation:
-    it receives whatever the parent chain passes, repacks it, and invokes
-    the child subject with its own slot wrappers appended.  Invoking it
-    stages the child's build chain on, which is what makes merged
-    continuations run early and vanish from residual code.
-
-    Names are minted in pre-order (`ft`, `args`, `bt` per wrapper); the
-    closures are built in reverse pre-order, so each finds the closures of
-    its children already made, their cached pairs computed: the first pair
-    of an outer wrapper then reads its children's, not the whole slot tree."""
-    order, todo = [], list(reversed(fragments))
+def wrapper_names(fragment, names):
+    """The fragment's slots in pre-order, each with the names of its
+    wrapper (`ft`, `args`, `bt`), minted in that order.  This walk is all
+    of `subject_call_args` that moves the fresh-name counter: a caller that
+    needs only the counter moved, as a call that must first narrow a pack
+    does, stops here."""
+    if fragment.arity:
+        raise UnfilledContinuations(
+            f"fragment still has {fragment.arity} unfilled continuation(s)")
+    order, todo = [], list(reversed(fragment.slots))
     while todo:
-        fragment = todo.pop()
-        order.append((fragment, names.fresh("ft"), names.fresh("args"), names.fresh("bt")))
-        todo.extend(reversed(fragment.slots))
+        slot = todo.pop()
+        order.append((slot, names.fresh("ft"), names.fresh("args"), names.fresh("bt")))
+        todo.extend(reversed(slot.slots))
+    return order
+
+
+def child_wrappers(order):
+    """One closure per slot of `order` (see `wrapper_names`), standing in
+    for a merged continuation: it receives whatever the parent chain
+    passes, repacks it, and invokes the child subject with its own slot
+    wrappers appended.  Invoking it stages the child's build chain on,
+    which is what makes merged continuations run early and vanish from
+    residual code.  The top-level wrappers are returned, in order.
+
+    The closures are built in reverse pre-order, so each finds the closures
+    of its children already made.  Each body and wrapper gets its cached
+    pair as it is made, from the subject's pair and its children's: the
+    body `@bt: subject ft !args w1..wn` has their free names and `ft`,
+    `args` and `bt`, and is active exactly when one of them is."""
     made = []
     for fragment, ft, ys, bt in reversed(order):
-        inner_args = (Var(ft), Splice(Var(ys))) + tuple(made.pop() for _ in fragment.slots)
-        body = Body(Var(bt), App(fragment.subject, inner_args))
+        free, active = lam_info(fragment.subject)
+        args = [Var(ft), Splice(Var(ys))]
+        for _ in fragment.slots:
+            child = made.pop()
+            args.append(child)
+            child_free, child_active = child.info[1]
+            free = free.union(child_free) if child_free else free
+            active = active or child_active
+        own = (ft, ys, bt)
+        body = Body(Var(bt), App(fragment.subject, tuple(args)))
+        body.info = (free.union(own), active)
         wrapper = Lam((Param(ft), Param(ys, packed=True)), bt, body)
-        lam_info(wrapper)
+        wrapper.info = (body.info, (free.difference(own) or NO_NAMES, active))
         made.append(wrapper)
     return tuple(reversed(made))
 
 
 def subject_call_args(fragment, names, lead_args):
     """Argument list for invoking the fragment's subject directly."""
-    if fragment.arity:
-        raise UnfilledContinuations(
-            f"fragment still has {fragment.arity} unfilled continuation(s)")
-    return tuple(lead_args) + child_wrappers(fragment.slots, names)
+    return tuple(lead_args) + child_wrappers(wrapper_names(fragment, names))
 
 
 def finalize_wrapper(fragment, names):

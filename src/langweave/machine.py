@@ -20,7 +20,9 @@ is built, and the rest is drained again with its outputs bound.  Only what
 stays residual is built, sharing every subtree the dict cannot reach; the
 pack is narrowed once, when a splice of it must fill fixed parameters;
 of the dicts that wait, only a value that may mention the pack is
-rewritten.
+rewritten.  A fragment call that must narrow the pack first only mints
+the names of its slot wrappers, as the `step` loop's discarded call does;
+the wrappers are made once the call binds.
 What neither loop can run (a `fix`, a symbolic operand, a callee that is
 no lambda, ...) is substituted from the dict, which is the tree the `step`
 loop would have reached, and that loop goes on from it.  The renames,
@@ -36,7 +38,7 @@ from . import evaluator as E, prims as P
 from .errors import ArityMismatch, LangError
 from .evaluator import (_NeedsRefine, _Unready, _bind, _count_step, _do_builtin,
                         _flatten, _prim_step, _return)
-from .fragments import subject_call_args
+from .fragments import subject_call_args, wrapper_names
 from .names import FreshNames
 from .terms import (TOP, App, Body, Builtin, FragVal, Lam, Param, PrimB, RetK,
                     Splice, StageOp, TupleT, Var, _CLOSED, _rebind, _untouched,
@@ -236,6 +238,18 @@ def _wakes(body, env):
     return False
 
 
+def _wakes_a_copy(terms, values):
+    """Whether the value of a term that is not an `_operand` differs from
+    it and holds an active body.  A name and a splice of a name read their
+    values from the dict, and a closed term's copy is closed too, so only
+    the other copies need their pairs."""
+    for t, v in zip(terms, values):
+        if v is not t and type(t) is not Var \
+                and (type(t) is not Splice or type(t.inner) is not Var) and term_info(v, set()):
+            return True
+    return False
+
+
 def _renames(terms, env, avoid):
     """Whether the copy of `terms` under `env` renames a binder, which the
     call's copy does before anything runs in a lambda ahead of them."""
@@ -300,8 +314,8 @@ def drain(session, body, params=()):
                     except _NeedsRefine as need:  # as `_refine_pack` narrows it
                         if need.name != pack or pm is not None:
                             break
-                        if frag is not None:
-                            subject_call_args(frag, names, ())
+                        if frag is not None:  # the names the call's wrappers take
+                            wrapper_names(frag, names)
                         at = params.index(Param(pack, True))
                         fresh = tuple(Param(names.fresh("arg")) for _ in range(need.count))
                         params = params[:at] + fresh + params[at + 1:]
@@ -322,7 +336,7 @@ def drain(session, body, params=()):
                         break
                     except ArityMismatch:
                         if frag is not None:
-                            subject_call_args(frag, names, ())
+                            wrapper_names(frag, names)
                         raise
                     if frag is not None:
                         items[len(items) - len(frag.slots):] = subject_call_args(frag, names, ())
@@ -334,8 +348,13 @@ def drain(session, body, params=()):
 
                 if terms is not None:  # a lambda among them whose body wakes goes first
                     for t in terms[len(values):]:
-                        if type(t) is Lam and not stuck and not _untouched(lam_info(t), env) \
-                                and _wakes(t.body, env) \
+                        if type(t) is Var:
+                            values.append(env.get(t.name, t))
+                            continue
+                        if type(t) is Lam and _untouched(lam_info(t), env):
+                            values.append(t)  # its copy is itself
+                            continue
+                        if type(t) is Lam and not stuck and _wakes(t.body, env) \
                                 and not _renames(terms[len(values) + 1:], env, avoid):
                             avoid = mapped_free(env) if avoid is None else avoid
                             bound, inner = _rebind([*(p.name for p in t.params), t.stage],
@@ -350,9 +369,7 @@ def drain(session, body, params=()):
                     else:
                         # a value from the dict is quiet, and so is a term of
                         # the quiet callee's body that no substitution changed
-                        if on and not stuck and not any(
-                                v is not t and not _operand(t) and term_info(v, set())
-                                for t, v in zip(terms, values)):
+                        if on and not stuck and not _wakes_a_copy(terms, values):
                             call, terms = (stage, values[0], tuple(values[1:])), None
                             continue
                         built, terms = Body(stage, App(values[0], tuple(values[1:]))), None

@@ -602,6 +602,16 @@ def test_minusdiv_residual_matches_golden(capsys):
     assert alpha_eq(read_core(out), read_core(MINUSDIV_RESIDUAL_UNSHARED))
 
 
+@pytest.mark.parametrize("pack", ["assignments", "graph"])
+def test_narrowed_residual_matches_golden(capsys, pack):
+    """The finalize shell of these packs narrows its pack through a fragment
+    call, so the golden pins the fresh names that narrowing takes."""
+    sample = packs.load_manifest(pack)["samples"][0]["input"]
+    code, out, _ = run_cli(capsys, "run", pack, sample, "--emit", "residual", "--seed", "0")
+    assert code == EXIT_OK
+    assert out == (FIXTURES / f"{pack}_residual.golden").read_text()
+
+
 def test_signum_script_pack(capsys):
     code, out, _ = run_cli(capsys, "run", "signum_builder", "--emit",
                            "residual", "--seed", "3")
@@ -718,6 +728,19 @@ def test_action_values_print(capsys, tmp_path, body, out):
 def test_action_errors_exit_two(capsys, tmp_path, body, message):
     assert run_cli(capsys, "run", "--grammar", _action_grammar(tmp_path, body), "g", "5") \
         == (EXIT_ACTION, "", f"{FAILED}{message}\n")
+
+
+def test_a_return_continuation_called_after_its_values_were_read_fails(capsys, tmp_path):
+    """The first action returns a lambda that calls the action's return
+    continuation; the second calls it, after the first action's values have
+    been read."""
+    grammar = tmp_path / "g.lw"
+    grammar.write_text("grammar g { entry S|->(v)| ::= Integer|->(n)| |(n)->(k)| "
+                       "{ return (x)'[u]'{ '@u:' return x } } "
+                       "Integer|->(m)| |(k, m)->(v)| { k m }; }\n")
+    assert run_cli(capsys, "run", "--grammar", f"g={grammar}", "g", "1 2") == (
+        EXIT_ACTION, "", "error: action in rule 'S' at 1:4 in language 'g' failed: "
+                         "return continuation invoked twice\n")
 
 
 @pytest.mark.parametrize("body, residual", [

@@ -14,7 +14,8 @@ from langweave.errors import (NegativeArity, NonClosureSubject,
 from langweave.evaluator import Session, apply_value
 from langweave.printer import print_core
 from langweave.reader import read_core
-from langweave.terms import App, Body, Int, Lam, Param, Splice, Str, Var, alpha_eq
+from langweave.terms import (App, Body, Int, Lam, Param, Splice, Str, Var, alpha_eq,
+                             body_info, lam_info)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -345,6 +346,63 @@ def test_wrappers_equal_the_recursive_ones(shape):
     assert [print_core(w) for w in new] == [print_core(w) for w in old]
     assert all(alpha_eq(a, b) for a, b in zip(new, old))
     assert built.names.counter == model.names.counter > 5 + 3 * 6
+
+
+def _reset_copy(wrapper):
+    """The wrapper tree rebuilt with no cached pair on any wrapper or body."""
+    subject, *args = (wrapper.body.form.callee, *wrapper.body.form.args)
+    args[2:] = map(_reset_copy, args[2:])
+    return Lam(wrapper.params, wrapper.stage, Body(wrapper.body.stage, App(subject, tuple(args))))
+
+
+@pytest.mark.parametrize("shape", ["left", "right", "two holes"])
+def test_wrappers_are_made_with_the_pairs_lam_info_computes(shape):
+    """Each wrapper and its body hold, from the moment they are made, the
+    pairs `lam_info` and `body_info` compute afresh, over subjects with
+    free names and active bodies: with an active leaf every wrapper above
+    it is active too, and with quiet leaves only the wrappers of active
+    subjects are.  The wrapper's pair is derived from its body's, as
+    `lam_info` keeps it."""
+    sess = Session()
+    quiet = [rd("('ft', val, exit)'[bt]' { '@ft:' exit val g }", sess),
+             rd("('ft', val, exit, c0)'[bt]' { '@ft:' c0 'ft' val }", sess),
+             rd("('ft', val, exit, c0, c1)'[bt]' { '@ft:' c1 'ft' h c0 }", sess)]
+    active = [rd(print_core(s).replace("'@ft:'", "'@always:'"), sess) for s in quiet]
+    pairs = set()
+    for leaf_on, subjects in ((True, [active[0], *quiet[1:]]), (False, [quiet[0], *active[1:]])):
+        todo = list(fragments.subject_call_args(_merged(shape, 6, subjects), sess.names, ()))
+        while todo:
+            wrapper = todo.pop()
+            fresh = _reset_copy(wrapper)
+            assert wrapper.info[0] is wrapper.body.info
+            assert wrapper.body.info == body_info(fresh.body)
+            assert wrapper.info[1] == lam_info(fresh)
+            assert wrapper.info[1][1] or not leaf_on
+            pairs.add((tuple(sorted(wrapper.info[1][0])), wrapper.info[1][1]))
+            todo.extend(wrapper.body.form.args[2:])
+    assert {on for _, on in pairs} == {False, True}
+    assert ("g",) in {free for free, _ in pairs}
+
+
+@pytest.mark.parametrize("shape", ["left", "right", "two holes"])
+def test_the_naming_walk_mints_the_names_the_wrappers_take(shape):
+    """`wrapper_names` moves the fresh-name counter exactly as far as
+    `subject_call_args`, and names the slots in the same pre-order."""
+    sess = Session()
+    subjects = [_subject(sess, conts) for conts in range(3)]
+    fragment = _merged(shape, 6, subjects)
+    walked, built = Session(seed=5), Session(seed=5)
+    order = fragments.wrapper_names(fragment, walked.names)
+    wrappers = fragments.subject_call_args(fragment, built.names, ())
+    assert walked.names.counter == built.names.counter == 5 + 3 * len(order)
+    todo, params = list(reversed(wrappers)), []
+    while todo:
+        wrapper = todo.pop()
+        params.append((wrapper.params[0].name, wrapper.params[1].name, wrapper.stage))
+        todo.extend(reversed(wrapper.body.form.args[2:]))
+    assert params == [tuple(names) for _, *names in order]
+    with pytest.raises(UnfilledContinuations):
+        fragments.wrapper_names(fragments.build(1, subjects[1]), walked.names)
 
 
 @pytest.mark.parametrize("shape", ["left", "right"])

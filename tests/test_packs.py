@@ -277,11 +277,12 @@ def test_finalize_drain_equals_step(pack, inputs, data):
     time from the root.  Both must build the same residual in the same
     steps, and the machine never hands anything to the `step` loop, not
     even `typed_minusdiv`'s type checks, which post-order runs after the
-    rest of the chain."""
+    rest of the chain.  The residuals print alike, fresh names included."""
     text = data.draw(inputs)
     stepped, seen, _ = _finalized(pack, text, by_step=True)
     looped, seen_looped, drained = _finalized(pack, text, by_step=False)
     assert seen_looped == seen
     assert len(looped) == len(stepped)
     assert all(map(alpha_eq, looped, stepped))
+    assert [print_core(r) for r in looped] == [print_core(r) for r in stepped]
     assert drained == 0

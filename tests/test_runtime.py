@@ -329,6 +329,16 @@ def test_the_counts_of_a_fixed_300_statement_stream_program(monkeypatch):
         3153, 2700, 3001, 1051)
 
 
+def test_the_session_keeps_no_result_body_once_it_is_read():
+    """Each action's return tag stays in `Session.returned`, so a second
+    call of its continuation still fails, but not the body of its call."""
+    session = Session()
+    parser = Parser(_stream_registry(FreshNames()), _stream_program(300), session)
+    assert parser.parse("stream", "Prog") == [Int(-81652)]
+    assert len(session.returned) == 1051
+    assert set(session.returned.values()) == {None}
+
+
 def test_fragment_through_lpi_merges_into_one_residual():
     sess = Session(seed=0)
     reg = _two_language_registry(sess)
