@@ -25,9 +25,9 @@ environment machine of `machine`, which binds names in a dict instead of
 copying bodies and goes under binders to build only what stays residual;
 what it cannot finish it hands back as the tree `step` would have reached,
 and a `step` loop goes on from there.  `_bind` maps plain parameters to
-plain values in one pass, and the names after a lambda's only pack and the
-pack's tuple in one more; a splice, a second pack or a wrong count takes
-the general path, which says why the call cannot bind (yet).
+plain values in one pass up to the first pack, then the names after the
+pack and the pack's tuple; a splice where a plain value must go or a wrong
+count says why the call cannot bind (yet).
 """
 
 import sys
@@ -263,21 +263,8 @@ def _bind(lam, items):
     else:
         if len(params) == len(items):
             return mapping
-        p = None
     at = len(mapping)  # where the loop stopped, as the names are distinct
-    end = len(items) - len(params) + at + 1  # the items after those a pack there takes
-    if p is not None and p.packed and end >= at:  # the names after the pack, if it is the only one
-        for q, t in zip(params[at + 1:], items[end:]):
-            if q.packed or type(t) is Splice:
-                break
-            mapping[q.name] = t
-        else:
-            packed = items[at:end]
-            if Splice not in map(type, packed):
-                mapping[p.name] = TupleT(tuple(packed))
-                return mapping
-    packs = [i for i, p in enumerate(params) if p.packed]
-    if not packs:
+    if not any(p.packed for p in params[at:]):
         spliced = [t for t in items if isinstance(t, Splice)]
         if not spliced:
             raise ArityMismatch(f"expected {len(params)} argument(s), got {len(items)}")
@@ -291,18 +278,19 @@ def _bind(lam, items):
         raise _Unready()
 
     # callee has a pack: fixed parameters must be covered by plain values
-    pre, pack, post = params[:packs[0]], params[packs[0]], params[packs[0] + 1:]
-    fixed = len(pre) + len(post)
+    fixed = len(params) - 1
     if len(items) < fixed:
         raise ArityMismatch("not enough arguments for fixed parameters"
                             if Splice in map(type, items)
                             else f"expected at least {fixed} argument(s), got {len(items)}")
-    end = len(items) - len(post)
-    if any(isinstance(t, Splice) for t in items[:len(pre)] + items[end:]):
+    if not params[at].packed:  # a splice ahead of the pack
         raise _Unready()
-    mapping = dict(zip((p.name for p in pre), items))
-    mapping.update(zip((p.name for p in post), items[end:]))
-    mapping[pack.name] = TupleT(tuple(items[len(pre):end]))
+    end = len(items) - fixed + at  # where the items after the pack start
+    for q, t in zip(params[at + 1:], items[end:]):  # a second pack is a plain name here
+        if type(t) is Splice:
+            raise _Unready()
+        mapping[q.name] = t
+    mapping[params[at].name] = TupleT(tuple(items[at:end]))
     return mapping
 
 

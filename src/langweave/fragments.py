@@ -23,7 +23,8 @@ of the wrappers below it.
 
 from .errors import (NegativeArity, NonClosureSubject, UnfilledContinuations,
                      ZeroArityLeft)
-from .terms import NO_NAMES, TOP, App, Body, FragVal, Lam, Param, Splice, Var, lam_info
+from .terms import (NO_NAMES, TOP, App, Body, FragVal, Lam, Param, Splice, Var, lam_info,
+                    set_lam_info)
 
 HOLE = None
 
@@ -150,9 +151,10 @@ def child_wrappers(order):
 
     The closures are built in reverse pre-order, so each finds the closures
     of its children already made.  Each body and wrapper gets its cached
-    pair as it is made, from the subject's pair and its children's: the
-    body `@bt: subject ft !args w1..wn` has their free names and `ft`,
-    `args` and `bt`, and is active exactly when one of them is."""
+    pair (`set_lam_info`) as it is made, from the subject's pair and its
+    children's, with no walk: the body `@bt: subject ft !args w1..wn` has
+    their free names and `ft`, `args` and `bt`, and is active exactly when
+    one of them is."""
     made = []
     for fragment, ft, ys, bt in reversed(order):
         free, active = lam_info(fragment.subject)
@@ -160,14 +162,12 @@ def child_wrappers(order):
         for _ in fragment.slots:
             child = made.pop()
             args.append(child)
-            child_free, child_active = child.info[1]
+            child_free, child_active = lam_info(child)  # cached when it was made
             free = free.union(child_free) if child_free else free
             active = active or child_active
-        own = (ft, ys, bt)
         body = Body(Var(bt), App(fragment.subject, tuple(args)))
-        body.info = (free.union(own), active)
         wrapper = Lam((Param(ft), Param(ys, packed=True)), bt, body)
-        wrapper.info = (body.info, (free.difference(own) or NO_NAMES, active))
+        set_lam_info(wrapper, free.union((ft, ys, bt)), active)
         made.append(wrapper)
     return tuple(reversed(made))
 

@@ -239,10 +239,10 @@ def _wakes(body, env):
 
 
 def _wakes_a_copy(terms, values):
-    """Whether the value of a term that is not an `_operand` differs from
-    it and holds an active body.  A name and a splice of a name read their
-    values from the dict, and a closed term's copy is closed too, so only
-    the other copies need their pairs."""
+    """Whether a term's value differs from it and holds an active body.  A
+    name and a splice of a name are skipped, as their values come from the
+    dict, which holds quiet values; any other copy has its pair read, a
+    closed one too, though a closed term's copy is always quiet."""
     for t, v in zip(terms, values):
         if v is not t and type(t) is not Var \
                 and (type(t) is not Splice or type(t.inner) is not Var) and term_info(v, set()):
@@ -348,13 +348,8 @@ def drain(session, body, params=()):
 
                 if terms is not None:  # a lambda among them whose body wakes goes first
                     for t in terms[len(values):]:
-                        if type(t) is Var:
-                            values.append(env.get(t.name, t))
-                            continue
-                        if type(t) is Lam and _untouched(lam_info(t), env):
-                            values.append(t)  # its copy is itself
-                            continue
-                        if type(t) is Lam and not stuck and _wakes(t.body, env) \
+                        if type(t) is Lam and not stuck and not _untouched(lam_info(t), env) \
+                                and _wakes(t.body, env) \
                                 and not _renames(terms[len(values) + 1:], env, avoid):
                             avoid = mapped_free(env) if avoid is None else avoid
                             bound, inner = _rebind([*(p.name for p in t.params), t.stage],

@@ -292,6 +292,16 @@ def lam_info(lam):
     return lam.info[1]
 
 
+def set_lam_info(lam, free, active):
+    """Cache on `lam` and its body the pairs `lam_info` would compute,
+    given the body's free names and whether it holds an active body: for a
+    lambda made from parts whose pairs are known."""
+    lam.body.info = (free, active)
+    bound = [p.name for p in lam.params]
+    bound.append(lam.stage)
+    lam.info = (lam.body.info, (free.difference(bound) or NO_NAMES, active))
+
+
 def _untouched(info, mapping):
     free, active = info
     return not active and free.isdisjoint(mapping)

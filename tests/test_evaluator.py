@@ -308,11 +308,13 @@ UNREADY = "unready"
     # a splice in a fixed position waits
     ("a *p b", (_XS, _I[2], _I[3]), UNREADY),
     ("a *p b", (_I[1], _I[2], _XS), UNREADY),
-    # the loop that binds the names after the only pack gives way to the
-    # general binding: too few items, a splice among them, a second pack
+    # a pack with too few items around it, a splice among the pack's items,
+    # a second pack, which binds as a plain name, and items that run out
+    # ahead of the pack
     ("a *p b c", (_I[1], _I[2]), (ArityMismatch, "expected at least 3 argument(s), got 2")),
     ("a *p b", (_I[1], _XS, _I[2]), {"a": _I[1], "p": TupleT((_XS,)), "b": _I[2]}),
     ("a *p *q", (_I[1], _I[2], _I[3]), {"a": _I[1], "p": TupleT((_I[2],)), "q": _I[3]}),
+    ("a b *p", (_I[1],), (ArityMismatch, "expected at least 2 argument(s), got 1")),
 ])
 def test_bind_maps_parameters_or_says_why_not(params, args, expected):
     """`_bind` on flattened arguments, as its callers call it: the dict of
@@ -340,8 +342,8 @@ def test_bind_maps_parameters_or_says_why_not(params, args, expected):
 
 
 @pytest.mark.parametrize("params, args", [
-    ("a *p b c", (_I[1], _I[2], _I[3], _I[4])),  # the pack's own loop
-    ("a *p b c", (_I[1], _XS, _I[3], _I[4])),    # the general binding
+    ("a *p b c", (_I[1], _I[2], _I[3], _I[4])),
+    ("a *p b c", (_I[1], _XS, _I[3], _I[4])),  # a splice in the pack
 ])
 def test_bind_fills_the_dict_before_the_pack_after_it_then_the_pack(params, args):
     lam = Lam([Param(p.lstrip("*"), p.startswith("*")) for p in params.split()], "s", None)
