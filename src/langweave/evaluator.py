@@ -55,8 +55,8 @@ class Session:
     """Shared evaluation context: fresh names, budget, output, and the
     `listener` of events (see `trace_line`), None while nobody listens;
     `record_trace` makes the text formatter fill `trace`.  `returned` maps
-    the tag of each host return continuation called to the call's body,
-    and to None once `apply_value` has read its values."""
+    the tag of each host return continuation called to the tuple of values
+    it was called with, and to None once `apply_value` has read them."""
 
     def __init__(self, seed=0, budget=1_000_000):
         self.names = FreshNames(seed)
@@ -410,10 +410,9 @@ def _try_execute(session, body, path):
         return True
 
     if isinstance(callee, RetK):
-        # the host demands concrete attribute values; wait for symbolic ones
-        if any(isinstance(t, (Splice, Var)) for t in items):
+        if not _return(session, callee, items):
             return False
-        body.replace(_return(session, callee, items))
+        body.replace(Body(BOTTOM, App(callee, tuple(items))))
         return True
 
     if isinstance(callee, Builtin):
@@ -427,11 +426,15 @@ def _try_execute(session, body, path):
 
 
 def _return(session, ret, items):
-    """Record the values of a call of the host return continuation `ret`."""
+    """Record the values of a call of the host return continuation `ret`
+    as a tuple; False while one is symbolic, as the host demands concrete
+    values.  A caller that keeps the call in its tree stages it never."""
+    if not {Splice, Var}.isdisjoint(map(type, items)):
+        return False
     if ret.tag in session.returned:
         raise ReturnCalledTwice("return continuation invoked twice")
-    session.returned[ret.tag] = done = Body(BOTTOM, App(ret, tuple(items)))
-    return done
+    session.returned[ret.tag] = tuple(items)
+    return True
 
 
 def _do_builtin(session, name, vals):
@@ -532,7 +535,7 @@ def apply_value(f, args, session):
             pass
     if ret.tag not in session.returned:
         raise ReturnNeverCalled("evaluation finished without invoking return")
-    values = list(session.returned[ret.tag].form.args)
+    values = list(session.returned[ret.tag])
     session.returned[ret.tag] = None  # read; the tag stays, so a second call still fails
     return values
 

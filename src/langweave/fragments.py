@@ -7,7 +7,9 @@ first in depth-first order, so nested fragments fill before later siblings.
 A merge only records its two parts and takes constant time; the slot tree
 is nested once, when `slots` is first read: the left spine's holes are
 filled in order through one queue, which gives the same tree as filling
-the first hole at every merge.
+the first hole at every merge.  A fragment's cached pair (see `terms`) is
+made with it, from the pairs of its subject and filled slots, or of a
+merge's two parts, so no walk enters a fragment.
 
 Applying a zero-hole fragment invokes the subject with the caller's stage
 argument bound to the subject's implicit staging parameter (this is how
@@ -31,8 +33,9 @@ HOLE = None
 
 class Fragment:
     """Immutable; arity (the count of unfilled continuations anywhere in
-    the slot tree) is fixed at construction.  A merged fragment keeps its
-    two parts and nests its slot tree when `slots` is first read."""
+    the slot tree) and `_pair`, read by `terms.term_info`, are fixed at
+    construction.  A merged fragment keeps its two parts and nests its slot
+    tree when `slots` is first read."""
 
     __slots__ = ("subject", "arity", "_slots", "_parts", "_pair")
 
@@ -42,29 +45,19 @@ class Fragment:
         if parts is None:
             self._slots = tuple(slots)
             self.arity = sum(1 if s is HOLE else s.arity for s in self._slots)
+            pairs = [lam_info(subject), *(s._pair for s in self._slots if s is not HOLE)]
         else:
             self._slots = None
             self.arity = parts[0].arity + parts[1].arity - 1
-        self._pair = None
+            pairs = [parts[0]._pair, parts[1]._pair]
+        free = frozenset().union(*(free for free, _ in pairs if free))
+        self._pair = (free or NO_NAMES, any(active for _, active in pairs))
 
     @property
     def slots(self):
         if self._slots is None:
             self._slots = _open(self)
         return self._slots
-
-    def _info(self):
-        """(free names, holds an active body) over the subject and every
-        filled slot, cached on first use; read by `terms.term_info`."""
-        if self._pair is None:
-            if self._parts is not None:
-                parts = [part._info() for part in self._parts]
-            else:
-                parts = [lam_info(self.subject)]
-                parts.extend(s._info() for s in self._slots if s is not HOLE)
-            self._pair = (frozenset().union(*(free for free, _ in parts)) or NO_NAMES,
-                          any(active for _, active in parts))
-        return self._pair
 
 
 def _open(fragment):

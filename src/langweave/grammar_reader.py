@@ -47,13 +47,7 @@ class GrammarReader(Reader):
 
     def _name_list(self):
         """After '(': dotted names up to and including ')'."""
-        names = []
-        while not self.at(")"):
-            names.append(self._dotted())
-            if self.at(","):
-                self.take()
-        self.take(")")
-        return tuple(names)
+        return self.comma_list(")", lambda _: self._dotted())
 
     # -- annotations: |(ins)->| input, |->(outs)| output, |(ins)->(outs)| { body } action
 
@@ -139,13 +133,13 @@ class GrammarReader(Reader):
 
     def _template_call(self, name):
         self.take("<")
-        args = []
-        while not self.at(">"):
-            args.append(self._template_arg())
-            if self.at(","):
-                self.take()
-        self.take(">")
-        return TemplateCall(name, tuple(args))
+        return TemplateCall(name, self.comma_list(">", lambda _: self._template_arg()))
+
+    def _template_param(self, params):
+        param = self.take("ident")
+        if param[1] in params:
+            self.error(f"duplicate parameter name {param[1]!r}", param)
+        return param[1]
 
     def _production(self, in_function=False):
         entry = self._at_word("entry")
@@ -182,15 +176,7 @@ class GrammarReader(Reader):
         if name in templates:
             self.error(f"grammar function {name!r} is defined twice", tok)
         self.take("<")
-        params = []
-        while not self.at(">"):
-            param = self.take("ident")
-            if param[1] in params:
-                self.error(f"duplicate parameter name {param[1]!r}", param)
-            params.append(param[1])
-            if self.at(","):
-                self.take()
-        self.take(">")
+        params = self.comma_list(">", self._template_param)
         self.take("{")
         aliases = []
         productions = []
@@ -222,7 +208,7 @@ class GrammarReader(Reader):
         close = self.take("}")
         if result is None:
             self.error(f"grammar function {name!r} has no 'return'", close)
-        return Template(name, tuple(params), tuple(aliases), productions, result)
+        return Template(name, params, tuple(aliases), productions, result)
 
     # -- top level
 

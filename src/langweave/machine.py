@@ -40,7 +40,7 @@ from .evaluator import (_NeedsRefine, _Unready, _bind, _count_step, _do_builtin,
                         _flatten, _prim_step, _return)
 from .fragments import subject_call_args, wrapper_names
 from .names import FreshNames
-from .terms import (TOP, App, Body, Builtin, FragVal, Lam, Param, PrimB, RetK,
+from .terms import (BOTTOM, TOP, App, Body, Builtin, FragVal, Lam, Param, PrimB, RetK,
                     Splice, StageOp, TupleT, Var, _CLOSED, _rebind, _untouched,
                     body_info, lam_info, mapped_free, postorder, stage_value,
                     subst_stage, subst_term, term_info)
@@ -210,12 +210,9 @@ def run_chain(session, lam, args):
         env[k.stage] = TOP
         _count_step(session)
         body = k.body
-    if type(callee) is RetK:  # every value in the dict is closed
-        items = _flatten(args)
-        if Splice not in map(type, items):
-            _return(session, callee, items)
-            _count_step(session)
-            return None
+    if type(callee) is RetK and _return(session, callee, _flatten(args)):
+        _count_step(session)
+        return None
     return Body(TOP, App(callee, args))
 
 
@@ -303,8 +300,8 @@ def drain(session, body, params=()):
                         frag, lam = callee.fragment, callee.fragment.subject
                         stage_term, items = items[0], items[1:] + [TOP] * len(frag.slots)
                     if type(lam) is RetK:  # as `_try_execute` records it
-                        if not {Splice, Var}.intersection(map(type, items)):
-                            built = _return(session, lam, items)
+                        if _return(session, lam, items):
+                            built = Body(BOTTOM, App(lam, tuple(items)))
                             _count_step(session)
                         break
                     if type(lam) is not Lam:

@@ -183,28 +183,50 @@ class Reader:
             left = StageOp(op, (left, self.parse_stage(STAGE_LEVELS[op] + 1)))
         return left
 
-    # -- parameters
+    # -- lists and lambdas
 
-    def parse_params(self):
-        """After '('; returns tuple of Param."""
-        params = []
-        while not self.at(")"):
-            packed = self.at("!")
-            if packed:
-                self.take()
-            if not self.at("ident"):
-                self.error("expected parameter name")
-            _, name, _ = t = self.take()
-            if any(p.name == name for p in params):
-                self.error(f"duplicate parameter name {name!r}", t)
-            if packed and any(p.packed for p in params):
-                self.error("a lambda may pack at most one parameter", t)
-            params.append(Param(name, packed))
-            self.names.reserve(name)
+    def comma_list(self, close, item):
+        """The items `item(items so far)` reads up to `close`, which is
+        taken; a comma after an item is optional."""
+        items = []
+        while not self.at(close):
+            items.append(item(items))
             if self.at(","):
                 self.take()
-        self.take(")")
-        return tuple(params)
+        self.take(close)
+        return tuple(items)
+
+    def _param(self, params):
+        packed = self.at("!")
+        if packed:
+            self.take()
+        if not self.at("ident"):
+            self.error("expected parameter name")
+        _, name, _ = t = self.take()
+        if any(p.name == name for p in params):
+            self.error(f"duplicate parameter name {name!r}", t)
+        if packed and any(p.packed for p in params):
+            self.error("a lambda may pack at most one parameter", t)
+        return Param(name, packed)
+
+    def _binder(self, _):
+        if not self.at("ident"):
+            self.error("expected binder name")
+        return self.take()[1]
+
+    def parse_lam(self, trailing=False):
+        """After '(': a lambda `(params)[y]{ body }`.  A `trailing` one, in
+        argument position, may leave out the braces: its body is then the
+        rest of the enclosing block."""
+        params = self.comma_list(")", self._param)
+        stage = self.stage_ann()
+        braced = not trailing or self.at("{")
+        if braced:
+            self.take("{")
+        body = self._scoped_body([p.name for p in params], stage)
+        if braced:
+            self.take("}")
+        return Lam(params, stage, body)
 
     # -- terms
 
@@ -237,21 +259,10 @@ class Reader:
             return Splice(self.parse_term())
         if kind == "[":
             self.take()
-            items = []
-            while not self.at("]"):
-                items.append(self.parse_term())
-                if self.at(","):
-                    self.take()
-            self.take("]")
-            return TupleT(tuple(items))
+            return TupleT(self.comma_list("]", lambda _: self.parse_term()))
         if kind == "(":
             self.take()
-            params = self.parse_params()
-            stage = self.stage_ann()
-            self.take("{")
-            body = self._scoped_body([p.name for p in params], stage)
-            self.take("}")
-            return Lam(params, stage, body)
+            return self.parse_lam()
         self.expected("a term", t)
 
     # -- bodies
@@ -266,7 +277,6 @@ class Reader:
             self.take()
             sp = self.stage_ann()
             name = self.take("ident")[1]
-            self.names.reserve(name)
             mark = len(self.shadowed)
             if text == "fix" and name in BUILTIN_NAMES:
                 self.shadowed.append(name)  # a fix value sees its own name
@@ -285,46 +295,24 @@ class Reader:
             except CoreSyntaxError as err:
                 self.error(str(err), t)
             self.take("(")
-            outs = []
-            while not self.at(")"):
-                if not self.at("ident"):
-                    self.error("expected binder name")
-                outs.append(self.take()[1])
-                self.names.reserve(outs[-1])
-                if self.at(","):
-                    self.take()
-            self.take(")")
+            outs = self.comma_list(")", self._binder)
             if not outs:
                 self.error("primitive expression must bind at least one name")
             # the continuation behaves like any lambda: it has an implicit
             # staging parameter which flips on when the expression fires
             cont_stage = self.stage_ann()
             rest = self._scoped_body(outs, cont_stage)
-            return Body(stage, PrimB(expr, tuple(outs), cont_stage, rest))
+            return Body(stage, PrimB(expr, outs, cont_stage, rest))
 
-        # application
+        # application; a trailing continuation ends the block
         callee = self.parse_term()
         args = []
-        while True:
-            kind = self.peek()[0]
-            if kind in ("}", "eof"):
-                break
+        while (kind := self.peek()[0]) not in ("}", "eof"):
             if kind == "(":
                 self.take()
-                params = self.parse_params()
-                sp = self.stage_ann()
-                names = [p.name for p in params]
-                if self.at("{"):
-                    self.take()
-                    body = self._scoped_body(names, sp)
-                    self.take("}")
-                    args.append(Lam(params, sp, body))
-                    continue
-                # trailing continuation: body is the rest of this block
-                body = self._scoped_body(names, sp)
-                args.append(Lam(params, sp, body))
-                break
-            args.append(self.parse_term())
+                args.append(self.parse_lam(trailing=True))
+            else:
+                args.append(self.parse_term())
         return Body(stage, App(callee, tuple(args)))
 
 

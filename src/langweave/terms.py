@@ -16,6 +16,7 @@ Substitution shares what it cannot change.  Every `Body` and `Lam` caches
 one pair, computed on first use from its children's pairs: its free names,
 and whether it holds an active body (one whose stage evaluates to top),
 counting bodies kept in environments, fragment subjects and `Rec` values.
+A fragment's pair is made with it (see `fragments`).
 A subtree whose free names miss the mapping and that holds no active body
 comes back as it is: nothing in it can run, so nothing can rewrite it in
 place at one site and not at another.  A binder in a copied subtree keeps
@@ -240,7 +241,7 @@ def term_info(term, names):
             object.__setattr__(term, "info", (frozenset(inner) if inner else NO_NAMES, active))
         free, active = term.info
     elif isinstance(term, FragVal):
-        free, active = term.fragment._info()
+        free, active = term.fragment._pair
     else:
         return False
     names.update(free)

@@ -460,8 +460,11 @@ def test_expand_idempotent(capsys, tmp_path, source):
     ('"n" (1) return n', "expected binder name at 5:14"),
     ('"n" () return n', "primitive expression must bind at least one name at 5:16"),
     ("\"'abc\" (m) return m", "unterminated string in expression \"'abc\" at 5:9"),
+    ("(a, a){ return a } (v) return v", "duplicate parameter name 'a' at 5:13"),
+    ("(!a, !b){ return a } (v) return v", "a lambda may pack at most one parameter at 5:15"),
 ], ids=["core", "prim", "core_nondecimal_digit", "prim_nondecimal_digit", "quoted_stage_prefix",
-        "stage", "parameter", "binder", "no_binder", "prim_unterminated_string"])
+        "stage", "parameter", "binder", "no_binder", "prim_unterminated_string",
+        "duplicate_parameter", "second_pack"])
 def test_action_body_errors_report_file_positions(capsys, tmp_path, body, where):
     grammar = tmp_path / "bad.lw"
     grammar.write_text("grammar g {\n  entry S|->(v)| ::=\n      Integer|->(n)|\n"

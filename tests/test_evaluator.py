@@ -520,7 +520,7 @@ def _by_step(session, f, args):
         pass
     if ret.tag not in session.returned:
         raise ReturnNeverCalled("evaluation finished without invoking return")
-    return list(session.returned[ret.tag].form.args)
+    return list(session.returned[ret.tag])
 
 
 @pytest.mark.parametrize("src, invoke", [

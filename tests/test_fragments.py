@@ -14,8 +14,8 @@ from langweave.errors import (NegativeArity, NonClosureSubject,
 from langweave.evaluator import Session, apply_value
 from langweave.printer import print_core
 from langweave.reader import read_core
-from langweave.terms import (App, Body, Int, Lam, Param, Splice, Str, Var, alpha_eq,
-                             body_info, lam_info)
+from langweave.terms import (App, Body, FragVal, Int, Lam, Param, Splice, Str, Var,
+                             alpha_eq, body_info, lam_info, term_info)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -429,3 +429,15 @@ def test_deep_nesting_needs_no_host_recursion(shape):
         (wrapper,) = wrapper.body.form.args[2:]
         depth += 1
     assert depth == 20_001 and sess.names.counter == 3 * 20_001
+
+
+def test_a_fragment_has_its_pair_from_its_parts_with_no_walk():
+    """A fragment's pair is made with it, from its subject's or its two
+    parts' pairs, so reading it after 30,000 merges recurses over none."""
+    subject = read_core("(ft, k)[bt]{ '@ft:' k z }")
+    fragment = fragments.build(1, subject)
+    for _ in range(30_000):
+        fragment = fragments.merge(fragment, fragments.build(1, subject))
+    names = set()
+    assert term_info(FragVal(fragment), names) is False
+    assert names == {"z"}
