@@ -190,65 +190,56 @@ def _atom(p):
 # ---------------------------------------------------------------------------
 # substitution / rendering / comparison
 
-def prim_map(expr, leaf):
-    """`expr` with each `PName` and `PQuote` node replaced by `leaf(node)`,
-    and the nodes above them rebuilt."""
+def prim_subst(expr, mapping, term_subst):
+    """`expr` with each name of `mapping` quoted as its value and each
+    quoted term passed through `term_subst`."""
     if isinstance(expr, POp):
-        return POp(expr.op, tuple([prim_map(a, leaf) for a in expr.args]))
-    if isinstance(expr, (PName, PQuote)):
-        return leaf(expr)
+        return POp(expr.op, tuple([prim_subst(a, mapping, term_subst) for a in expr.args]))
+    if isinstance(expr, PQuote):
+        return PQuote(term_subst(expr.term))
+    if isinstance(expr, PName) and expr.name in mapping:
+        return PQuote(mapping[expr.name])
     return expr
 
 
-def prim_subst(expr, mapping, term_subst):
-    def leaf(node):
-        if isinstance(node, PQuote):
-            return PQuote(term_subst(node.term))
-        return PQuote(mapping[node.name]) if node.name in mapping else node
-
-    return prim_map(expr, leaf)
-
-
-def render_prim(expr, quote_render):
-    """Back to source text; `quote_render` renders an embedded term."""
-
-    def go(e, prec):
-        if isinstance(e, PInt):
-            return str(e.value)
-        if isinstance(e, PStr):
-            return "'" + e.value.replace("'", "''") + "'"
-        if isinstance(e, PName):
-            return e.name
-        if isinstance(e, PQuote):
-            return quote_render(e.term)
-        op, args = e.op, e.args
-        level = BINARY.get(op) if len(args) == 2 else None
-        if level is not None:
-            # comparisons do not chain, so neither operand may be one
-            s = go(args[0], level + (level == 0)) + op + go(args[1], level + 1)
-        elif op == "-":
-            level = _NEG
-            s = "-" + go(args[0], _NEG)
-        elif op == "[]":
-            return "[" + ",".join(go(a, 0) for a in args) + "]"
-        elif op[0] == ".":
-            return go(args[0], _POSTFIX) + op + "(" + ",".join(go(a, 0) for a in args[1:]) + ")"
-        else:
-            return op + "(" + ",".join(go(a, 0) for a in args) + ")"
-        return f"({s})" if prec > level else s
-
-    return go(expr, 0)
+def render_prim(expr, quote_render, prec=0):
+    """Back to source text; `quote_render` renders an embedded term, and
+    `prec` is the level below which an operator needs parentheses."""
+    if isinstance(expr, PInt):
+        return str(expr.value)
+    if isinstance(expr, PStr):
+        return "'" + expr.value.replace("'", "''") + "'"
+    if isinstance(expr, PName):
+        return expr.name
+    if isinstance(expr, PQuote):
+        return quote_render(expr.term)
+    op, args = expr.op, expr.args
+    level = BINARY.get(op) if len(args) == 2 else None
+    if level is not None:
+        # comparisons do not chain, so neither operand may be one
+        s = (render_prim(args[0], quote_render, level + (level == 0)) + op
+             + render_prim(args[1], quote_render, level + 1))
+    elif op == "-":
+        level = _NEG
+        s = "-" + render_prim(args[0], quote_render, _NEG)
+    elif op == "[]":
+        return "[" + ",".join(render_prim(a, quote_render) for a in args) + "]"
+    elif op[0] == ".":
+        return (render_prim(args[0], quote_render, _POSTFIX) + op + "("
+                + ",".join(render_prim(a, quote_render) for a in args[1:]) + ")")
+    else:
+        return op + "(" + ",".join(render_prim(a, quote_render) for a in args) + ")"
+    return f"({s})" if prec > level else s
 
 
 def normalize_prim(expr, conv):
     """Fold `PQuote` nodes back into plain prim nodes where `conv` knows an
     equivalent (e.g. a quoted integer term becomes `PInt`), so partially
     evaluated expressions compare against freshly parsed ones."""
-    def leaf(node):
-        folded = conv(node.term) if isinstance(node, PQuote) else None
-        return node if folded is None else prim_map(folded, leaf)
-
-    return prim_map(expr, leaf)
+    if isinstance(expr, POp):
+        return POp(expr.op, tuple([normalize_prim(a, conv) for a in expr.args]))
+    folded = conv(expr.term) if isinstance(expr, PQuote) else None
+    return expr if folded is None else normalize_prim(folded, conv)
 
 
 def prim_alpha_eq(a, b, name_eq, term_eq):

@@ -5,13 +5,14 @@ values, actions run immediately through the evaluator, and a foreign
 nonterminal swaps lexer and table wholesale until its entry rule returns.
 Tokens are lexed lazily against the current language only, so text beyond
 the cursor is never touched by the wrong alphabet, and the cursor is
-monotone: no backtracking, ever.  The parser lexes one look-ahead per
-language and position, a token or a failure kept as a value, which
+monotone: no backtracking, ever.  A failure to lex is a value, not an
+exception: `lex_next` returns (message maker, offset).  The parser lexes
+one look-ahead per language and position, a token or a failure, which
 selection reads as end of input (the text belongs to an outer language)
 and a token operation takes in place when it is the token expected; only
-`peek` and `consume` raise.  A language's lexer keeps one key per literal
-and per class, which its tokens and its compiled operations share, so the
-two are compared by identity and no key is built per token.
+`peek` and `consume` raise.  A language's lexer numbers its token keys,
+0 for end of input (and a failure), so that a token carries its kind as a
+small int, selection looks the kind up and a token operation compares it.
 
 Registering a language compiles each production into a tuple of
 operations over attribute slots numbered in advance; a use that fails
@@ -22,8 +23,8 @@ returns into a tail call.  `Parser.parse` runs the operations in one loop
 over one explicit stack of frames (language, operations, position, slot
 list), so the nesting of the input never reaches the host stack; a tail
 call takes the running frame, so a right-recursive list keeps it flat.
-An action is a call of `apply_value`, made through this module, and every
-span taken goes to `Parser.consumed_spans`.
+An action is a call of `apply_value`, made through this module from the
+loop itself, and every span taken goes to `Parser.consumed_spans`.
 """
 
 import re
@@ -43,10 +44,11 @@ from .terms import Int, Str
 
 
 class Token:
-    __slots__ = ("key", "lexeme", "value", "span")
+    __slots__ = ("key", "kind", "lexeme", "value", "span")
 
-    def __init__(self, key, lexeme, value, span):
+    def __init__(self, key, kind, lexeme, value, span):
         self.key = key          # ("lit", text) | ("class", cls) | EOI
+        self.kind = kind        # the key's number in its lexer, 0 for EOI
         self.lexeme = lexeme
         self.value = value      # term for classes, None otherwise
         self.span = span
@@ -59,25 +61,29 @@ _CLASS_PATTERNS = {"Identifier": IDENT, "Integer": r"\d+", "String": STRING}
 
 
 class LexerDef(Value):
-    # literals longest first; `pattern` and `keys` are cached in the instance
+    # literals longest first; `keys`, `table` and `pattern` are cached in the instance
     __slots__ = ("literals", "classes", "__dict__")
 
     @cached_property
     def keys(self):
-        """The token key of each literal, by its text, and of each class,
-        by its name: one tuple each, shared by every token and operation."""
-        return ({lit: ("lit", lit) for lit in self.literals},
-                {cls: ("class", cls) for cls in self.classes})
+        """Each token key by its kind: end of input 0, then the literals and
+        the classes in the order of their groups in `pattern`."""
+        return (EOI, *[("lit", lit) for lit in self.literals],
+                *[("class", cls) for cls in sorted(self.classes)])
 
-    def shared(self, key):
-        """The key of `keys` equal to `key`, or `key` itself (end of input)."""
-        kind, text = key
-        return self.keys[0][text] if kind == "lit" else self.keys[1].get(text, key)
+    @cached_property
+    def table(self):
+        """(key, kind, class) of a literal by its text and of a class by its
+        group number in `pattern`; one key tuple each, shared by its tokens."""
+        skip = len(self.literals) - 1  # a class's kind less its group number
+        return {key[1] if key[0] == "lit" else kind - skip:
+                (key, kind, None if key[0] == "lit" else key[1])
+                for kind, key in enumerate(self.keys) if kind}
 
     @cached_property
     def pattern(self):
-        """Blanks, then, at the same offset, the longest literal (as a
-        look-ahead, empty if none) and the lexeme of a token class."""
+        """Blanks, then, at the same offset, the longest literal (group 1, as
+        a look-ahead, empty if none) and the lexeme of a token class."""
         lits = "".join(re.escape(lit) + "|" for lit in self.literals)
         classes = "|".join(f"(?P<{cls}>{_CLASS_PATTERNS[cls]})" for cls in sorted(self.classes))
         return re.compile(f"{BLANK}(?=(?P<lit>{lits}))(?:{classes})?", re.S)
@@ -90,30 +96,32 @@ def lexer_for(grammar):
 
 def lex_next(text, pos, lexdef, language=None):
     """Longest-match token at `pos` under the given language; literals win
-    ties against classes.  An error names `language` when it is given."""
+    ties against classes.  No match is returned as (message maker, offset),
+    the message naming `language` when it is given."""
     m = lexdef.pattern.match(text, pos)
-    pos, lit, cls = m.start("lit"), m["lit"], m.lastgroup
+    pos, lit, group = m.start(1), m[1], m.lastindex
     if pos >= len(text):
-        return Token(EOI, "", None, (pos, pos))
-    lexeme = "" if cls == "lit" else m[cls]
-    if cls == "Identifier" and not ident_start(lexeme[0]):
-        lexeme = ""
-    if len(lexeme) > len(lit):
-        if cls == "Integer":
-            value = Int(int(lexeme))
-        elif cls == "String":
-            value = Str(lexeme[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        else:
-            value = Str(lexeme)
-        return Token(lexdef.keys[1][cls], lexeme, value, (pos, pos + len(lexeme)))
+        return Token(EOI, 0, "", None, (pos, pos))
+    if group > 1:  # a class matched
+        key, kind, cls = lexdef.table[group]
+        lexeme = m[group]
+        if len(lexeme) > len(lit) and (cls != "Identifier" or ident_start(lexeme[0])):
+            if cls == "Integer":
+                value = Int(int(lexeme))
+            elif cls == "String":
+                value = Str(lexeme[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+            else:
+                value = Str(lexeme)
+            return Token(key, kind, lexeme, value, (pos, pos + len(lexeme)))
     if lit:
-        return Token(lexdef.keys[0][lit], lit, None, (pos, pos + len(lit)))
+        key, kind, _ = lexdef.table[lit]
+        return Token(key, kind, lit, None, (pos, pos + len(lit)))
 
     def message():  # made only where the failure is reported
         line, col = line_col(text, pos)
         which = "the current language" if language is None else f"language {language!r}"
         return f"no token of {which} matches {text[pos:pos+10]!r} at {line}:{col}"
-    raise LexFailure(message, pos)
+    return message, pos
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +135,8 @@ _INLINE_MAX = 32  # the most operations of a rule compiled into its callers
 
 class CompiledRule:
     """A rule's arity, output count (None if productions differ), slot padding
-    past the inputs, and productions: `single` if one, else `select` by key."""
+    past the inputs, and productions: `single` if one, else `select` by the
+    kind of the look-ahead."""
     __slots__ = ("name", "arity", "returns", "pad", "single", "select")
 
     def __init__(self, rule):
@@ -139,36 +148,37 @@ class CompiledRule:
 def compile_rules(grammar, table, lexer):
     """Each rule of a prepared grammar by name, compiled, with its row of the
     LL(1) table pointing at the operations of the productions; a token
-    operation keeps the key `lexer` gives its tokens."""
+    operation keeps the kind `lexer` gives its tokens."""
     rules = {name: CompiledRule(rule) for name, rule in grammar.rules.items()}
-    memo = {}
-
-    def single(name):
-        """The operations and slot count of a rule with one production,
-        compiled once; None if it has more, or while it is being compiled."""
-        rule = grammar.rules[name]
-        if len(rule.productions) == 1 and name not in memo:
-            memo[name] = None
-            memo[name] = _compile(rule, 0, rule.productions[0], rules, single, lexer)
-        return memo.get(name)
-
-    compiled = {name: [single(name)] if len(rule.productions) == 1 else
-                [_compile(rule, i, prod, rules, single, lexer)
-                 for i, prod in enumerate(rule.productions)]
+    kinds = {key: kind for kind, key in enumerate(lexer.keys)}
+    unit = (grammar, rules, kinds, {})  # the last is `_single`'s memo
+    compiled = {name: [_single(name, unit)] if len(rule.productions) == 1 else
+                [_compile(rule, i, prod, unit) for i, prod in enumerate(rule.productions)]
                 for name, rule in grammar.rules.items()}
     for name, crule in rules.items():
         crule.pad = [None] * (max(size for _, size in compiled[name]) - crule.arity)
         crule.single = compiled[name][0][0] if len(compiled[name]) == 1 else None
     for (name, key), idx in table.table.items():
-        rules[name].select[lexer.shared(key)] = compiled[name][idx][0]
+        rules[name].select[kinds[key]] = compiled[name][idx][0]
     return rules
 
 
-def _compile(rule, idx, prod, rules, single, lexer):
+def _single(name, unit):
+    """The operations and slot count of a rule with one production,
+    compiled once; None if it has more, or while it is being compiled."""
+    rule, memo = unit[0].rules[name], unit[3]
+    if len(rule.productions) == 1 and name not in memo:
+        memo[name] = None
+        memo[name] = _compile(rule, 0, rule.productions[0], unit)
+    return memo.get(name)
+
+
+def _compile(rule, idx, prod, unit):
     """The operations of one production and the number of slots they use.
     The rule's inputs take the first slots (of two equal names the later
     one counts); a name bound again keeps its slot.  A call of a short rule
-    `single` gives, with as many inputs and outputs, becomes its operations."""
+    `_single` gives, with as many inputs and outputs, becomes its operations."""
+    _, rules, kinds, _ = unit
     slot = {name: i for i, name in enumerate(rule.ins or ())}
     size, ops = len(rule.ins or ()), []
 
@@ -221,10 +231,10 @@ def _compile(rule, idx, prod, rules, single, lexer):
             ins = reads(getattr(use, "ins", None) or ())
             outs = binds(getattr(use, "outs", ()))
             if isinstance(use, (Lit, TokClass)):
-                key = lexer.keys[0][use.text] if isinstance(use, Lit) else lexer.keys[1][use.cls]
-                op = (TOKEN, key, "token", None)
+                key = ("lit", use.text) if isinstance(use, Lit) else ("class", use.cls)
+                op = (TOKEN, kinds[key], "token", None)
             elif isinstance(use, NtUse):
-                callee, body = rules[use.name], single(use.name)
+                callee, body = rules[use.name], _single(use.name, unit)
                 if body and len(body[0]) <= _INLINE_MAX and (
                         len(ins) == callee.arity and len(outs) == callee.returns):
                     splice(body[0], ins, outs)
@@ -322,14 +332,10 @@ class Parser:
 
     def _look(self, lang):
         """The look-ahead of `lang` at the cursor, lexed once per language
-        and position: a token, or a failure kept as (message, offset)."""
+        and position: a token, or a failure kept as (message maker, offset)."""
         la = self._la
         if la[0] is not lang or la[1] != self.pos:
-            try:
-                tok = lex_next(self.text, self.pos, lang.lexer, lang.name)
-            except LexFailure as exc:
-                tok = (exc.args[0], exc.offset)
-            self._la = la = (lang, self.pos, tok)
+            self._la = la = (lang, self.pos, lex_next(self.text, self.pos, lang.lexer, lang.name))
         return la[2]
 
     def peek(self, lang):
@@ -368,14 +374,17 @@ class Parser:
 
     def _select(self, lang, rule):
         """The operations of the production of `rule` the look-ahead selects."""
-        tok = self._look(lang)
-        tok_key = EOI if type(tok) is tuple else tok.key  # a failure: end of input
-        ops = rule.select.get(tok_key)
+        la_lang, la_pos, tok = self._la
+        if la_lang is not lang or la_pos != self.pos:
+            tok = self._look(lang)
+        kind = tok.kind if type(tok) is Token else 0  # a failure: end of input
+        ops = rule.select.get(kind)
         if ops is None:
-            expected = sorted(token_key_str(k) for k in rule.select)
-            at = self.pos if tok_key == EOI else tok.span[0]
+            keys = lang.lexer.keys
+            expected = sorted(token_key_str(keys[k]) for k in rule.select)
+            at = tok.span[0] if kind else self.pos
             raise UnexpectedToken(
-                f"in rule {rule.name!r}: unexpected {token_key_str(tok_key)} "
+                f"in rule {rule.name!r}: unexpected {token_key_str(keys[kind])} "
                 f"at {self._where(lang, at)}; expected one of: " + ", ".join(expected))
         return ops
 
@@ -400,7 +409,8 @@ class Parser:
         stack of suspended frames (language, operations, position, slot
         list) and return its output values.  The bottom frame holds a lone
         call of the entry rule."""
-        listener, stack, spans = self.session.listener, [], self.consumed_spans
+        session, stack, spans = self.session, [], self.consumed_spans
+        listener = session.listener
         self._frames = stack
         ops, pc, slots = ((CALL, rule, tuple(range(len(args))), (), rule.name, None),), 0, args
         while True:
@@ -410,8 +420,8 @@ class Parser:
                 la_lang, la_pos, tok = self._la
                 if la_lang is not lang or la_pos != self.pos:
                     tok = self._look(lang)
-                if type(tok) is not Token or tok.key is not arg:
-                    tok = self.consume(lang, arg)  # it raises
+                if type(tok) is not Token or tok.kind != arg:
+                    tok = self.consume(lang, lang.lexer.keys[arg])  # it raises
                 else:
                     span = tok.span
                     assert span[0] >= self.pos  # cursor monotonicity
@@ -445,7 +455,19 @@ class Parser:
                 if extra is not None and listener is not None:
                     listener("switch exit", (extra,))
             elif code == ACTION:
-                values = self._run_action(lang, *extra, arg, values)
+                if listener is not None:
+                    listener("action", (*extra, values))
+                try:
+                    values = apply_value(arg.action.body, values, session)
+                except (EvalExit, StepBudgetExceeded):
+                    raise
+                except LangError as exc:  # a host fault is not a fault of the action
+                    raise ActionError(f"action in rule {extra[0]!r} at "
+                                      f"{self._where(lang, self.pos)} failed: {exc}") from exc
+                if len(values) != len(arg.action.outs):
+                    raise ActionError(
+                        f"action in rule {extra[0]!r} at {self._where(lang, self.pos)} "
+                        f"returned {len(values)} value(s), declared {len(arg.action.outs)}")
             elif code == FAIL:
                 raise GrammarError(what)
             if len(outs) != len(values):
@@ -456,22 +478,6 @@ class Parser:
                 continue
             for out, value in zip(outs, values):
                 slots[out] = value
-
-    def _run_action(self, lang, rule_name, prod_idx, use, values):
-        if self.session.listener is not None:
-            self.session.listener("action", (rule_name, prod_idx, values))
-        try:
-            results = apply_value(use.action.body, values, self.session)
-        except (EvalExit, StepBudgetExceeded):
-            raise
-        except LangError as exc:  # a host fault is not a fault of the action
-            raise ActionError(f"action in rule {rule_name!r} at "
-                              f"{self._where(lang, self.pos)} failed: {exc}") from exc
-        if len(results) != len(use.action.outs):
-            raise ActionError(
-                f"action in rule {rule_name!r} at {self._where(lang, self.pos)} "
-                f"returned {len(results)} value(s), declared {len(use.action.outs)}")
-        return results
 
 
 def parse(registry, lang, entry, text, args=(), session=None):

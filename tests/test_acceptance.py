@@ -19,7 +19,7 @@ from langweave.printer import print_core
 from langweave.prims import render_prim
 from langweave.printer import _quote_render
 from langweave.reader import read_core
-from langweave.runtime import LanguageRegistry, Parser, lex_next
+from langweave.runtime import LanguageRegistry, Parser
 from langweave.terms import (App, Builtin, Int, Lam, PrimB, StageConst, StageOp,
                              Var, alpha_eq, child_bodies, postorder, stage_value)
 
@@ -277,9 +277,9 @@ def test_criterion_9_language_switching():
 
     from langweave.errors import LexFailure
     with pytest.raises(LexFailure):
-        lex_next("1 :: 2", 0, reg.languages["outer"].lexer)
+        Parser(reg, "1 :: 2", sess).peek(reg.languages["outer"])
     with pytest.raises(LexFailure):
-        lex_next("go <<", 0, reg.languages["calc"].lexer)
+        Parser(reg, "go <<", sess).peek(reg.languages["calc"])
 
     residual = outs[0]
     assert isinstance(residual, Lam)

@@ -1,9 +1,11 @@
 """Command-line driver: exit codes, determinism, golden behavior."""
 
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -18,8 +20,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 AMBIGUOUS = 'grammar amb {\n  entry A ::= "x";\n  A ::= "x" "y";\n}\n'
 GRAMMAR_PACKS = tuple(p for p in packs.pack_ids()
                       if packs.load_manifest(p)["kind"] == "grammar")
-GRAMMAR_FILES = tuple(sorted(FIXTURES.glob("*.lw"))) + (
-    Path(__file__).parent.parent / "perfbench" / "grammars" / "stream.lw",)
+BENCH_GRAMMARS = Path(__file__).parent.parent / "perfbench" / "grammars"
+GRAMMAR_FILES = tuple(sorted(FIXTURES.glob("*.lw"))) + (BENCH_GRAMMARS / "stream.lw",)
 CLI_FIXTURES = FIXTURES / "cli"
 # Faults of grammars that end a command with exit 1 and this one line on stderr.
 GRAMMAR_FAULTS = [
@@ -287,6 +289,31 @@ def test_check_clean_grammar(capsys):
     code, out, _ = run_cli(capsys, "check", "minusdiv_codegen")
     assert code == EXIT_OK
     assert "nullable" in out and "first=" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("run", "minusdiv_immediate", "12-7/3"), EXIT_OK),
+    (("run", "assignments", "a = 9-2; b = a-3; out b-1", "--emit", "residual"), EXIT_OK),
+    (("run", "typed_minusdiv", "1-#2"), EXIT_ACTION),
+    (("check", "graph"), EXIT_OK),
+    (("expand", "minusdiv_codegen"), EXIT_OK),
+    (("check", "--grammar", f"conflict={BENCH_GRAMMARS / 'conflict.lw'}"), EXIT_PARSE),
+], ids=["sample", "residual", "type_error", "check", "expand", "conflict"])
+def test_a_request_leaves_no_function_in_a_reference_cycle(capsys, argv, code):
+    """One request of each `cli_short` class.  A function that calls itself
+    through its own closure cell is a cycle, which keeps all it reaches
+    alive until the collector runs."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(list(argv)) == code
+        gc.collect()
+        functions = [f.__qualname__ for f in gc.garbage if isinstance(f, FunctionType)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert functions == []
 
 
 def test_check_conflict_exit_one(capsys, tmp_path):

@@ -134,22 +134,22 @@ def test_only_finalizing_actions_reach_the_drain(monkeypatch, capsys, program, n
     ends with, `typed_minusdiv`'s type checks included: not even the
     finalizing action hands anything to the `step` loop."""
     drained, in_action = [], []
-    step, run_action = evaluator.step, runtime.Parser._run_action
+    step, apply_value = evaluator.step, runtime.apply_value
 
     def counted_step(session, root):
         if in_action:
             drained.append(in_action[-1])
         return step(session, root)
 
-    def counted_action(parser, lang, rule_name, prod_idx, use, values):
-        in_action.append(rule_name)
+    def counted_action(f, args, session):
+        in_action.append(f)
         try:
-            return run_action(parser, lang, rule_name, prod_idx, use, values)
+            return apply_value(f, args, session)
         finally:
             in_action.pop()
 
     monkeypatch.setattr(evaluator, "step", counted_step)
-    monkeypatch.setattr(runtime.Parser, "_run_action", counted_action)
+    monkeypatch.setattr(runtime, "apply_value", counted_action)
     argv, expected = program(n)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == expected

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from langweave.errors import CoreSyntaxError, LangError
+from langweave.errors import CoreSyntaxError, LangError, LexFailure
 from langweave.grammar import TOKEN_CLASSES, NtUse
 from langweave.grammar_reader import read_grammar
 from langweave.parsegen import EOI
@@ -331,6 +331,8 @@ def test_printer_deterministic():
 def _runtime_token(text):
     lexdef = LexerDef((), frozenset(TOKEN_CLASSES))
     tok = lex_next(text, 0, lexdef)
+    if type(tok) is tuple:  # no token: (message maker, offset)
+        raise LexFailure(*tok)
     assert lex_next(text, tok.span[1], lexdef).key == EOI
     kind = {"Identifier": "ident", "Integer": "int", "String": "string"}[tok.key[1]]
     return kind, tok.value.value

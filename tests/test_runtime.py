@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langweave import runtime
-from langweave.errors import (ActionError, ArityMismatch, GrammarError,
-                              LexFailure, Ll1Conflict, UnexpectedToken,
-                              UnknownEntry, UnknownLanguage)
+from langweave.errors import (ActionError, ArityMismatch, EvalExit, GrammarError,
+                              LangError, LexFailure, Ll1Conflict, StepBudgetExceeded,
+                              UnexpectedToken, UnknownEntry, UnknownLanguage)
 from langweave.evaluator import Session, apply_value, render_value
 from langweave.grammar import (ActionUse, EpsilonUse, ForeignUse, Lit, NtUse,
                                TokClass, prepare)
@@ -94,9 +94,9 @@ def test_lex_string_class_and_comments():
 
 
 def test_lex_failure_reports_offset():
-    with pytest.raises(LexFailure) as err:
-        lex_next("  %", 0, LexerDef((), frozenset({"Integer"})))
-    assert err.value.offset == 2
+    message, offset = lex_next("  %", 0, LexerDef((), frozenset({"Integer"})))
+    assert offset == 2
+    assert message() == "no token of the current language matches '%' at 1:3"
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +251,10 @@ def test_boundary_crossing_input_lexes_per_region():
 def test_each_alphabet_rejects_the_other():
     sess = Session()
     reg = _two_language_registry(sess)
-    with pytest.raises(LexFailure):
-        lex_next("1 :: 2", 0, reg.languages["outer"].lexer)
-    with pytest.raises(LexFailure):
-        lex_next("go <<", 0, reg.languages["calc"].lexer)
+    for lang, text in (("outer", "1 :: 2"), ("calc", "go <<")):
+        with pytest.raises(LexFailure) as err:
+            Parser(reg, text, sess).peek(reg.languages[lang])
+        assert err.value.offset == 0
 
 
 _STATEMENT = """
@@ -447,13 +447,14 @@ def test_a_parse_error_inside_a_switch_names_the_language_stack():
 
 def test_a_failed_look_ahead_is_lexed_once_and_read_as_end_of_input(monkeypatch):
     """The inner language cannot lex `;`: one failure is made at each `;`,
-    and selection reads it as end of input without raising anything."""
-    made, raised = [], []
+    and selection reads it as end of input without raising anything, nor
+    constructing a `LexFailure`."""
+    made, raised, constructed = [], [], []
 
     class Counted(LexFailure):
         def __init__(self, msg, offset):
             super().__init__(msg, offset)
-            made.append(self)
+            constructed.append(self)
 
     def in_select(frame, event, arg):
         if event == "exception":
@@ -463,7 +464,14 @@ def test_a_failed_look_ahead_is_lexed_once_and_read_as_end_of_input(monkeypatch)
     def tracer(frame, event, arg):
         return in_select if frame.f_code is Parser._select.__code__ else None
 
+    def lexed(text, pos, lexdef, language=None):
+        tok = lex_next(text, pos, lexdef, language)
+        if type(tok) is tuple:
+            made.append(tok)
+        return tok
+
     monkeypatch.setattr(runtime, "LexFailure", Counted)
+    monkeypatch.setattr(runtime, "lex_next", lexed)
     reg, before = _stream_registry(FreshNames()), sys.gettrace()
     sys.settrace(tracer)
     try:
@@ -471,10 +479,11 @@ def test_a_failed_look_ahead_is_lexed_once_and_read_as_end_of_input(monkeypatch)
     finally:
         sys.settrace(before)
     assert outs == [Int(6)]
-    assert [str(exc) for exc in made] == [
+    assert [message() for message, _ in made] == [
         f"no token of language 'minusdiv_immediate' matches {text!r} at 1:{col}"
         for text, col in (("; b << 1;", 11), (";", 19))]
     assert raised == []
+    assert constructed == []
 
 
 def test_an_action_error_gives_the_cursor_and_the_language_stack():
@@ -492,8 +501,8 @@ def test_an_action_error_gives_the_cursor_and_the_language_stack():
 
 class _RecursiveParser(Parser):
     """The recursive parser the compiled loop replaced, kept as the reference.
-    `_select`, `parse`, `parse_rule`, `_resolve` and `_bind` are copied
-    verbatim; they read the LL(1) table from `lang.table`, which
+    `_select`, `parse`, `parse_rule`, `_run_action`, `_resolve` and `_bind`
+    are copied verbatim; they read the LL(1) table from `lang.table`, which
     `_recursive_registry` adds.  Its `consume` also traced the token."""
 
     def consume(self, lang, expected_key):
@@ -574,6 +583,22 @@ class _RecursiveParser(Parser):
                 raise GrammarError(f"unexpected term use {use!r}")
 
         return [self._resolve(frame, n, rule_name) for n in prod.outs]
+
+    def _run_action(self, lang, rule_name, prod_idx, use, values):
+        if self.session.listener is not None:
+            self.session.listener("action", (rule_name, prod_idx, values))
+        try:
+            results = apply_value(use.action.body, values, self.session)
+        except (EvalExit, StepBudgetExceeded):
+            raise
+        except LangError as exc:  # a host fault is not a fault of the action
+            raise ActionError(f"action in rule {rule_name!r} at "
+                              f"{self._where(lang, self.pos)} failed: {exc}") from exc
+        if len(results) != len(use.action.outs):
+            raise ActionError(
+                f"action in rule {rule_name!r} at {self._where(lang, self.pos)} "
+                f"returned {len(results)} value(s), declared {len(use.action.outs)}")
+        return results
 
     def _resolve(self, frame, name, where):
         if name not in frame:
