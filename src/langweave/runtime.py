@@ -239,7 +239,7 @@ def _compile(rule, idx, prod, unit):
                         len(ins) == callee.arity and len(outs) == callee.returns):
                     splice(body[0], ins, outs)
                     continue
-                op = (CALL, callee, use.name, None)
+                op = (CALL, use.name, use.name, None)
             elif isinstance(use, ForeignUse):  # a switch to another language
                 op = (CALL, use.entry, f"{use.lang}.{use.entry}", use.lang)
             elif isinstance(use, ActionUse):
@@ -251,7 +251,7 @@ def _compile(rule, idx, prod, unit):
         ops.append((RETURN, None, reads(prod.outs), (), None, None))
         code, arg, ins, outs, what, extra = ops[-2] if len(ops) > 1 else ops[-1]
         if code == CALL and extra is None and outs == ops[-1][2] and (
-                len(set(outs)) == len(outs) == arg.returns):  # as the callee returns them
+                len(set(outs)) == len(outs) == rules[arg].returns):  # as the callee returns them
             ops[-2:] = [(TAIL, arg, ins, outs, what, extra)]
     except GrammarError as exc:  # raised again when the parse gets here
         ops.append((FAIL, None, (), (), str(exc), None))
@@ -398,21 +398,21 @@ class Parser:
         if not lang.grammar.rules[entry].is_entry:
             raise UnknownEntry(f"rule {entry!r} is not in the language "
                                f"programming interface of {lang_name!r}")
-        outs = self._run(lang, lang.rules[entry], list(args))
+        outs = self._run(lang, entry, list(args))
         tail = self.peek(lang)
         if tail.key != EOI:
             raise UnexpectedToken(f"trailing input {tail} at {self._where(lang, tail.span[0])}")
         return outs
 
-    def _run(self, lang, rule, args):
-        """The parse loop: run the entry `rule` on `args` with one explicit
+    def _run(self, lang, entry, args):
+        """The parse loop: run the rule named `entry` on `args` with one explicit
         stack of suspended frames (language, operations, position, slot
         list) and return its output values.  The bottom frame holds a lone
         call of the entry rule."""
         session, stack, spans = self.session, [], self.consumed_spans
         listener = session.listener
         self._frames = stack
-        ops, pc, slots = ((CALL, rule, tuple(range(len(args))), (), rule.name, None),), 0, args
+        ops, pc, slots = ((CALL, entry, tuple(range(len(args))), (), entry, None),), 0, args
         while True:
             code, arg, ins, outs, what, extra = ops[pc]
             pc += 1
@@ -441,7 +441,7 @@ class Parser:
                     lang = self.registry.language(extra)
                     if listener is not None:
                         listener("switch enter", (extra, arg))
-                    arg = lang.rules[arg]
+                arg = lang.rules[arg]
                 if len(values) != arg.arity:
                     raise ArityMismatch(f"rule {arg.name!r} takes {arg.arity} argument(s), "
                                         f"got {len(values)}")
