@@ -42,8 +42,7 @@ from .errors import (ApplyNonClosure, ArityMismatch, EvalExit, NameNotFound,
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 from .fragments import build, finalize_wrapper, merge, subject_call_args
 from .names import FreshNames
-from . import prims as P
-from .prims import BINARY, PInt, PName, POp, PQuote, PStr
+from .prims import BINARY, Hole, POp
 from .printer import print_prim, render_value
 from .terms import (BOTTOM, TOP, App, Body, Bool, Builtin, EnvVal, FixB,
                     FragVal, Int, Lam, Param, PrimB, Rec, RetK, Splice,
@@ -82,8 +81,8 @@ class Session:
 def trace_line(kind, fields):
     """The trace line of an event, sent as ``listener(kind, fields)`` and
     only to a listener: `token` (a consumed `runtime.Token`, with its span),
-    `action` (rule, production, values), `prim` (expression, the loop's dict
-    or None) before its outputs are bound, `switch enter` (language, entry),
+    `action` (rule, production, values), `prim` (the `PrimB` form, the loop's
+    dict or None) before its outputs are bound, `switch enter` (language, entry),
     `switch exit` (language,) or `print` (text,)."""
     if kind == "token":
         return f"token {fields[0]} {fields[0].lexeme}".rstrip()
@@ -92,11 +91,11 @@ def trace_line(kind, fields):
         return f"action {rule}#{production} ({', '.join(map(render_value, values))})"
     if kind != "prim":
         return f"{kind} {'.'.join(fields)}"
-    expr, env = fields
+    form, env = fields
+    operands = form.operands
     if env is not None:
-        expr = P.prim_subst(expr, env, lambda term: env.get(term.name, term)
-                            if type(term) is Var else term)
-    return "prim " + print_prim(expr)
+        operands = [env.get(t.name, t) if type(t) is Var else t for t in operands]
+    return "prim " + print_prim(form.template, operands)
 
 
 class _Unready(Exception):
@@ -123,55 +122,63 @@ def _strict(term):
     raise PrimTypeError(f"unusable operand {render_value(term)}")
 
 
-def eval_prim(expr, env=None):
-    """Evaluate a quoted expression to a value term; a name, plain or
-    quoted, takes its value from the dict `env`, if one is given and binds
-    it, and a plain one is not ready yet otherwise.
+def eval_prim(expr, operands, env=None):
+    """Evaluate a quoted expression, a template over `operands`, to a value
+    term.  A hole's operand is its value; a `Var` among them is a symbolic
+    value, but given the dict `env` it takes its value from there, and is
+    not ready yet if `env` does not bind it.
 
     Arithmetic and comparison require concrete operands; environment and
     tuple constructors accept symbolic values as data (that is how build
     time name binding stores function-time values symbolically).
     """
     kind = type(expr)
-    if kind is PName:
-        if env is None or expr.name not in env:
-            raise _Unready(expr.name)
-        return env[expr.name]
+    if kind is Hole:
+        term = operands[expr.index]
+        if type(term) is not Var or env is None:
+            return term
+        if term.name not in env:
+            raise _Unready(term.name)
+        return env[term.name]
     if kind is POp:
         op, args = expr.op, expr.args
-        if len(args) == 2 and op in BINARY:  # a name bound in `env` is read in place
+        if len(args) == 2 and op in BINARY:  # a hole's operand is read in place
             left, right = args
-            lv = env.get(left.name) if type(left) is PName and env is not None else None
-            lv = _strict(eval_prim(left, env) if lv is None else lv)
-            rv = env.get(right.name) if type(right) is PName and env is not None else None
-            rv = _strict(eval_prim(right, env) if rv is None else rv)
+            lv = operands[left.index] if type(left) is Hole else eval_prim(left, operands, env)
+            if type(lv) is Var and env is not None and type(left) is Hole:
+                lv = env.get(lv.name, lv)
+            lv = _strict(lv)
+            rv = operands[right.index] if type(right) is Hole else eval_prim(right, operands, env)
+            if type(rv) is Var and env is not None and type(right) is Hole:
+                rv = env.get(rv.name, rv)
+            rv = _strict(rv)
             if type(lv) is Int and type(rv) is Int and op in _INT_OPS:
                 kind, fn = _INT_OPS[op]
                 return kind(fn(lv.value, rv.value))
             return _eval_bin(op, lv, rv)
         if op == "-":
-            v = _strict(eval_prim(args[0], env))
+            v = _strict(eval_prim(args[0], operands, env))
             if type(v) is not Int:
                 raise PrimTypeError("unary '-' needs an integer")
             return Int(-v.value)
         if op == "[]":
-            return TupleT(tuple(eval_prim(a, env) for a in args))
+            return TupleT(tuple(eval_prim(a, operands, env) for a in args))
         if op[0] == ".":
-            obj, method, args = _strict(eval_prim(args[0], env)), op[1:], args[1:]
+            obj, method, args = _strict(eval_prim(args[0], operands, env)), op[1:], args[1:]
             if type(obj) is not EnvVal:
                 raise PrimTypeError(f"method {method!r} needs an environment")
             if method == "insert":
                 if len(args) != 2:
                     raise PrimTypeError("insert takes a key and a value")
-                key = _strict(eval_prim(args[0], env))
+                key = _strict(eval_prim(args[0], operands, env))
                 if type(key) is not Str:
                     raise PrimTypeError("insert key must be a string")
-                value = eval_prim(args[1], env)
+                value = eval_prim(args[1], operands, env)
                 return obj.insert(key.value, value)
             if method == "lookup":
                 if len(args) != 1:
                     raise PrimTypeError("lookup takes a key")
-                key = _strict(eval_prim(args[0], env))
+                key = _strict(eval_prim(args[0], operands, env))
                 if type(key) is not Str:
                     raise PrimTypeError("lookup key must be a string")
                 found = obj.lookup(key.value)
@@ -186,21 +193,14 @@ def eval_prim(expr, env=None):
         if op == "concat":
             if len(args) != 2:
                 raise PrimTypeError("concat takes two tuples")
-            a = _strict(eval_prim(args[0], env))
-            b = _strict(eval_prim(args[1], env))
+            a = _strict(eval_prim(args[0], operands, env))
+            b = _strict(eval_prim(args[1], operands, env))
             if type(a) is not TupleT or type(b) is not TupleT:
                 raise PrimTypeError("concat takes two tuples")
             if Splice in map(type, a.items + b.items):
                 raise _Unready("concat over an unresolved pack")
             return TupleT(a.items + b.items)
         raise PrimTypeError(f"unknown primitive function {op!r}")
-    if kind is PInt:
-        return Int(expr.value)
-    if kind is PStr:
-        return Str(expr.value)
-    if kind is PQuote:
-        term = expr.term
-        return env.get(term.name, term) if env is not None and type(term) is Var else term
     raise PrimTypeError(f"cannot evaluate {expr!r}")
 
 
@@ -318,7 +318,7 @@ def _refine_pack(session, name, count, path):
             return False
         terms = ([form.callee, *form.args] if isinstance(form, App)
                  else [form.value] if isinstance(form, FixB)
-                 else [*form.expr.embedded_terms()])
+                 else [*form.operands])
         lam = terms.pop()
         while not (isinstance(lam, Lam) and lam.body is cell):
             if isinstance(lam, (TupleT, Splice)):
@@ -353,13 +353,13 @@ def _prim_step(session, form):
     """The rest of the primitive `form` with its outputs bound to the value
     of its expression, or None while the expression is not ready."""
     try:
-        value = eval_prim(form.expr)
+        value = eval_prim(form.template, form.operands)
     except _Unready:
         return None
     mapping = dict.fromkeys(form.outs, value)
     mapping[form.cont_stage] = TOP
     if session.listener is not None:
-        session.listener("prim", (form.expr, None))
+        session.listener("prim", (form, None))
     return subst_body(form.rest, mapping, session.names)
 
 

@@ -34,7 +34,7 @@ a tracer that replaces one there sees the machine's calls too.  The
 evaluator imports this module last, once its own names are defined.
 """
 
-from . import evaluator as E, prims as P
+from . import evaluator as E
 from .errors import ArityMismatch, LangError
 from .evaluator import (_NeedsRefine, _Unready, _bind, _count_step, _do_builtin,
                         _flatten, _prim_step, _return)
@@ -105,7 +105,7 @@ def _straight_line(lam):
                 and not stage_value(subst_stage(body.stage, {bound[0]: TOP})):
             return False
         if isinstance(form, PrimB):
-            if not all(map(_name_or_closed, form.expr.embedded_terms())):
+            if not all(map(_name_or_closed, form.operands)):
                 return False
             body, bound = form.rest, (form.cont_stage, *form.outs)
             continue
@@ -173,11 +173,11 @@ def run_chain(session, lam, args):
         form = body.form
         if isinstance(form, PrimB):
             try:
-                value = E.eval_prim(form.expr, env)
+                value = E.eval_prim(form.template, form.operands, env)
             except _Unready:
                 return E.subst_body(body, env, session.names)
             if session.listener is not None:
-                session.listener("prim", (form.expr, env))
+                session.listener("prim", (form, env))
             for out in form.outs:
                 env[out] = value
             env[form.cont_stage] = TOP
@@ -321,10 +321,8 @@ def drain(session, body, params=()):
                         call = (stage, sub(callee), tuple(map(sub, args)))
                         for entry in stack:  # all that waits is narrowed too
                             entry[0] = subst_stage(entry[0], pm)
-                            if len(entry) == 5:
-                                entry[1] = P.prim_subst(entry[1], pm, sub)
-                            else:
-                                entry[3][:] = map(sub, entry[3])
+                            entry[3][:] = map(sub, entry[3])
+                            if len(entry) == 7:
                                 entry[4] = {**pm, **{k: sub(v) if _mentions(v, pack) else v
                                                      for k, v in entry[4].items()}}
                         _count_step(session)
@@ -373,12 +371,12 @@ def drain(session, body, params=()):
                     break
                 form, stage = body.form, subst_stage(body.stage, env)
                 on = stage_value(stage)
-                if isinstance(form, PrimB) and all(map(_name_or_closed, form.expr.embedded_terms())):
+                if isinstance(form, PrimB) and all(map(_name_or_closed, form.operands)):
                     avoid = mapped_free(env) if avoid is None else avoid
                     binders = (*form.outs, form.cont_stage)
                     if on and not _wakes(form.rest, env):
                         try:
-                            value = E.eval_prim(form.expr, env)
+                            value = E.eval_prim(form.template, form.operands, env)
                         except _Unready:
                             break
                         free = set()
@@ -386,15 +384,15 @@ def drain(session, body, params=()):
                                 or not avoid.isdisjoint(binders):
                             break  # the call's copy, or this step's, would rename
                         if listener is not None:
-                            listener("prim", (form.expr, env))
+                            listener("prim", (form, env))
                         env.update(dict.fromkeys(form.outs, value))
                         env[form.cont_stage] = TOP
                         body = left = form.rest
                         _count_step(session)
                         continue
                     bound, inner = _rebind(binders, env, avoid, names)
-                    expr = P.prim_subst(form.expr, env, lambda t: E.subst_term(t, env, names, avoid))
-                    stack.append([stage, expr, tuple(bound[:-1]), bound[-1], on])
+                    operands = [_value(session, env, t, avoid) for t in form.operands]
+                    stack.append([stage, on, form.template, operands, tuple(bound[:-1]), bound[-1]])
                     pack = None if pack in bound else pack
                     env, body, left = inner, form.rest, form.rest
                     continue
@@ -408,9 +406,9 @@ def drain(session, body, params=()):
             while stack and body is None and terms is None:  # up to what waits
                 stuck = stuck or body_info(built)[1]
                 entry = stack.pop()
-                if len(entry) == 5:
-                    stage, expr, outs, cont, deferred = entry
-                    form = PrimB(expr, outs, cont, built)
+                if len(entry) == 6:
+                    stage, deferred, template, operands, outs, cont = entry
+                    form = PrimB(template, tuple(operands), outs, cont, built)
                     ran = deferred and not stuck and _prim_step(session, form)
                     if ran:  # as `step` runs it, now that nothing below is on
                         _count_step(session)

@@ -3,19 +3,24 @@
 Covers exactly the forms the bundled languages need: integer/boolean/string
 arithmetic and comparison, list literals, `concat`, and environment method
 calls (`env.insert(k,v)`, `env.lookup(k)`, `env.items()`).  Besides the
-literals and names, every form is one `POp` node, and one table, `BINARY`,
+holes, every form is one `POp` node, and one table, `BINARY`,
 gives the binary operators' levels to the parser, to `render_prim` and to
 the evaluator.  Parsing and rendering live here; evaluation lives in the
 evaluator, which knows the value domain.
 
-Substituted operands are carried as `PQuote` nodes wrapping a term, so a
-partially evaluated expression renders back to source with concrete values
-inlined ("l-r" becomes "1-quot" once l is known).
+A primitive is an operator template over a tuple of operands.  The
+template, parsed once per quoted text and shared by every copy, is a
+closed tree of `POp` nodes with numbered `Hole`s; each name and each
+literal of the text is a hole, and its operand is a core term (a `Var`,
+`Int` or `Str`).  Substitution replaces operands as it replaces an `App`'s
+arguments, and rendering fills each hole with its operand as the
+expression it reads back as ("l-r" becomes "1-quot" once l is known).
 """
 
 import re
 from .errors import CoreSyntaxError
-from .records import Ident, Value
+from .records import Value
+from .terms import Bool, EnvVal, Int, Str, TupleT, Var
 
 # The binary operators and their levels, loosest first: comparisons, which
 # do not chain, then `+ -`, then `* /`.  Each groups left.  Unary `-` binds
@@ -25,44 +30,17 @@ BINARY = {"==": 0, "!=": 0, "<=": 0, ">=": 0, "<": 0, ">": 0,
 _NEG, _POSTFIX = 3, 4
 
 
-class PrimExpr:
-    __slots__ = ()
-
-    def embedded_terms(self):
-        return (leaf.term for leaf in prim_leaves(self) if isinstance(leaf, PQuote))
+class Hole(Value):
+    """The place of the operand numbered `index`."""
+    __slots__ = ("index",)
 
 
-class PInt(PrimExpr, Value):
-    __slots__ = ("value",)
-
-
-class PStr(PrimExpr, Value):
-    __slots__ = ("value",)
-
-
-class PName(PrimExpr, Value):
-    __slots__ = ("name",)
-
-
-class PQuote(PrimExpr, Ident):
-    __slots__ = ("term",)
-
-
-class POp(PrimExpr, Value):
+class POp(Value):
     """An operator applied to its operands.  `op` is as the source writes
     it: a binary operator (see `BINARY`); `-` with one operand, negation;
     `[]`, a list; a function name; or `.` and a method name, the object
     first among the operands."""
     __slots__ = ("op", "args")
-
-
-def prim_leaves(expr):
-    """The `PName` and `PQuote` nodes of an expression, left to right."""
-    if isinstance(expr, POp):
-        for a in expr.args:
-            yield from prim_leaves(a)
-    elif isinstance(expr, (PName, PQuote)):
-        yield expr
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +73,12 @@ class _P:
         self.toks = toks
         self.i = 0
         self.text = text
+        self.operands = []
+
+    def hole(self, term):
+        """A hole for the operand `term`, numbered in reading order."""
+        self.operands.append(term)
+        return Hole(len(self.operands) - 1)
 
     def peek(self):
         return self.toks[self.i]
@@ -112,11 +96,12 @@ class _P:
 
 
 def parse_prim(text):
+    """(template, operands) of a quoted expression."""
     p = _P(_tokenize(text), text)
     expr = _binary(p)
     if p.peek()[0] != "end":
         raise CoreSyntaxError(f"trailing input in expression {text!r}")
-    return expr
+    return expr, tuple(p.operands)
 
 
 def _binary(p, level=0):
@@ -166,16 +151,16 @@ def _atom(p):
     kind, val = p.peek()
     if kind == "int":
         p.take()
-        return PInt(int(val))
+        return p.hole(Int(int(val)))
     if kind == "str":
         p.take()
-        return PStr(val)
+        return p.hole(Str(val))
     if kind == "name":
         p.take()
         if p.at_op("("):
             p.take("op")
             return POp(val, tuple(_args(p, ")")))
-        return PName(val)
+        return p.hole(Var(val))
     if p.at_op("("):
         p.take("op")
         inner = _binary(p)
@@ -188,70 +173,50 @@ def _atom(p):
 
 
 # ---------------------------------------------------------------------------
-# substitution / rendering / comparison
+# rendering
 
-def prim_subst(expr, mapping, term_subst):
-    """`expr` with each name of `mapping` quoted as its value and each
-    quoted term passed through `term_subst`."""
-    if isinstance(expr, POp):
-        return POp(expr.op, tuple([prim_subst(a, mapping, term_subst) for a in expr.args]))
-    if isinstance(expr, PQuote):
-        return PQuote(term_subst(expr.term))
-    if isinstance(expr, PName) and expr.name in mapping:
-        return PQuote(mapping[expr.name])
-    return expr
-
-
-def render_prim(expr, quote_render, prec=0):
-    """Back to source text; `quote_render` renders an embedded term, and
-    `prec` is the level below which an operator needs parentheses."""
-    if isinstance(expr, PInt):
-        return str(expr.value)
-    if isinstance(expr, PStr):
-        return "'" + expr.value.replace("'", "''") + "'"
-    if isinstance(expr, PName):
-        return expr.name
-    if isinstance(expr, PQuote):
-        return quote_render(expr.term)
+def render_prim(expr, operands, marked=None, prec=0):
+    """Back to source text, each hole filled with its operand by
+    `_quote_render`, which `marked` is passed to; `prec` is the level below
+    which an operator needs parentheses."""
+    if type(expr) is Hole:
+        return _quote_render(operands[expr.index], prec, marked)
     op, args = expr.op, expr.args
     level = BINARY.get(op) if len(args) == 2 else None
     if level is not None:
         # comparisons do not chain, so neither operand may be one
-        s = (render_prim(args[0], quote_render, level + (level == 0)) + op
-             + render_prim(args[1], quote_render, level + 1))
+        s = (render_prim(args[0], operands, marked, level + (level == 0)) + op
+             + render_prim(args[1], operands, marked, level + 1))
     elif op == "-":
         level = _NEG
-        s = "-" + render_prim(args[0], quote_render, _NEG)
+        s = "-" + render_prim(args[0], operands, marked, _NEG)
     elif op == "[]":
-        return "[" + ",".join(render_prim(a, quote_render) for a in args) + "]"
+        return "[" + ",".join(render_prim(a, operands, marked) for a in args) + "]"
     elif op[0] == ".":
-        return (render_prim(args[0], quote_render, _POSTFIX) + op + "("
-                + ",".join(render_prim(a, quote_render) for a in args[1:]) + ")")
+        return (render_prim(args[0], operands, marked, _POSTFIX) + op + "("
+                + ",".join(render_prim(a, operands, marked) for a in args[1:]) + ")")
     else:
-        return op + "(" + ",".join(render_prim(a, quote_render) for a in args) + ")"
+        return op + "(" + ",".join(render_prim(a, operands, marked) for a in args) + ")"
     return f"({s})" if prec > level else s
 
 
-def normalize_prim(expr, conv):
-    """Fold `PQuote` nodes back into plain prim nodes where `conv` knows an
-    equivalent (e.g. a quoted integer term becomes `PInt`), so partially
-    evaluated expressions compare against freshly parsed ones."""
-    if isinstance(expr, POp):
-        return POp(expr.op, tuple([normalize_prim(a, conv) for a in expr.args]))
-    folded = conv(expr.term) if isinstance(expr, PQuote) else None
-    return expr if folded is None else normalize_prim(folded, conv)
-
-
-def prim_alpha_eq(a, b, name_eq, term_eq):
-    if type(a) is not type(b):
-        # a substituted operand may compare against a still-named one only
-        # if both are names/quotes of matching vars; keep it strict.
-        return False
-    if isinstance(a, POp):
-        return a.op == b.op and len(a.args) == len(b.args) and all(
-            prim_alpha_eq(x, y, name_eq, term_eq) for x, y in zip(a.args, b.args))
-    if isinstance(a, (PInt, PStr)):
-        return a.value == b.value
-    if isinstance(a, PName):
-        return name_eq(a.name, b.name)
-    return term_eq(a.term, b.term)  # the one class left is `PQuote`
+def _quote_render(term, prec=0, marked=None):
+    """A term as the expression it reads back as (`-7`, `1==1`, `[]`),
+    parenthesized at its own level below level `prec`.  Given the list
+    `marked`, a term that has no such text (a name, a lambda, ...) is
+    appended to it and written as its numbered mark."""
+    kind = type(term)
+    if kind is Int:
+        s, level = str(term.value), _NEG if term.value < 0 else _POSTFIX
+    elif kind is Bool:
+        s, level = "1==1" if term.value else "1==0", 0
+    elif kind is Str:
+        return "'" + term.value.replace("'", "''") + "'"
+    elif kind is TupleT:
+        return "[" + ",".join(_quote_render(t, 0, marked) for t in term.items) + "]"
+    elif marked is not None:
+        marked.append(term)
+        return f"${len(marked)}"
+    else:
+        return term.name if kind is Var else "#env" if kind is EnvVal else "#value"
+    return f"({s})" if prec > level else s

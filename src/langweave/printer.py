@@ -5,10 +5,9 @@ lambda braced), so reading the output back yields an alpha-equivalent term
 and re-printing it is byte-identical.
 """
 
-from .prims import normalize_prim, render_prim
+from .prims import render_prim
 from .terms import (STAGE_LEVELS, App, Bool, Builtin, EnvVal, FragVal, Int,
-                    Lam, PrimB, Rec, RetK, Splice, StageConst, Str, TupleT, Var,
-                    _quote_to_prim)
+                    Lam, PrimB, Rec, RetK, Splice, StageConst, Str, TupleT, Var)
 
 _INDENT = "  "
 # the values that have no source text
@@ -32,23 +31,6 @@ def _stage_text(expr, prec=0):
 
 def _escape(text):
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _quote_render(term):
-    """Render a term embedded in a primitive expression."""
-    if isinstance(term, Int):
-        return str(term.value)
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Str):
-        return "'" + term.value.replace("'", "''") + "'"
-    if isinstance(term, Bool):
-        return "1==1" if term.value else "1==0"
-    if isinstance(term, TupleT):
-        return "[" + ",".join(_quote_render(t) for t in term.items) + "]"
-    if isinstance(term, EnvVal):
-        return "#env"
-    return "#value"
 
 
 def print_term(term, indent=0):
@@ -77,10 +59,10 @@ def print_term(term, indent=0):
     return _OPAQUE[type(term)]
 
 
-def print_prim(expr):
+def print_prim(template, operands):
     """A primitive expression as source text, each value in it printed as
     the expression it reads back as, parenthesized as one."""
-    return render_prim(normalize_prim(expr, _quote_to_prim), _quote_render)
+    return render_prim(template, operands)
 
 
 def print_body(body, indent=0):
@@ -92,7 +74,7 @@ def print_body(body, indent=0):
         parts.extend(print_term(a, indent) for a in form.args)
         return pad + " ".join(parts)
     if isinstance(form, PrimB):
-        expr = _escape(print_prim(form.expr))
+        expr = _escape(print_prim(form.template, form.operands))
         outs = ", ".join(form.outs)
         line = f"{pad}{prefix} \"{expr}\" ({outs})'[{form.cont_stage}]'"
         return line + "\n" + print_body(form.rest, indent)

@@ -32,8 +32,6 @@ until a substitution copies it.  A stale cached pair is therefore a
 superset and an over-estimate of activity, which is safe for both uses.
 """
 
-from .prims import (PInt, PName, POp, PQuote, PrimExpr, PStr, normalize_prim,
-                    prim_alpha_eq, prim_leaves, prim_subst)
 from .records import Ident, Value
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,10 @@ class App(Form, Value):
 
 
 class PrimB(Form, Value):
-    __slots__ = ("expr",
+    """A primitive: an operator template (see `prims`), shared by its
+    copies, over a tuple of operand terms, one per hole."""
+    __slots__ = ("template",
+                 "operands",
                  "outs",        # bound names, usually one
                  "cont_stage",  # staging parameter of the continuation
                  "rest")
@@ -263,11 +264,8 @@ def body_info(body):
             for t in (form.callee,) + form.args:
                 active |= term_info(t, names)
         elif isinstance(form, PrimB):
-            for leaf in prim_leaves(form.expr):
-                if isinstance(leaf, PName):
-                    names.add(leaf.name)
-                else:
-                    active |= term_info(leaf.term, names)
+            for t in form.operands:
+                active |= term_info(t, names)
             free, rest_active = body_info(form.rest)
             names.update(free.difference(form.outs, (form.cont_stage,)))
             active |= rest_active
@@ -409,7 +407,8 @@ def subst_body(body, mapping, names, avoid=None):
     elif isinstance(form, PrimB):
         bound, inner = _rebind(form.outs + (form.cont_stage,), mapping, avoid, names)
         new = PrimB(
-            prim_subst(form.expr, mapping, lambda t: subst_term(t, mapping, names, avoid)),
+            form.template,
+            tuple([subst_term(t, mapping, names, avoid) for t in form.operands]),
             tuple(bound[:-1]),
             bound[-1],
             subst_body(form.rest, inner, names, avoid),
@@ -444,7 +443,7 @@ def child_bodies(body):
         for a in form.args:
             yield from bodies_in_term(a)
     elif isinstance(form, PrimB):
-        for t in form.expr.embedded_terms():
+        for t in form.operands:
             yield from bodies_in_term(t)
         yield form.rest
     elif isinstance(form, FixB):
@@ -475,20 +474,6 @@ def postorder(body):
 
 # ---------------------------------------------------------------------------
 # alpha equivalence
-
-def _quote_to_prim(term):
-    if isinstance(term, Var):
-        return PName(term.name)
-    if isinstance(term, Int):  # as its rendering reads back
-        return PInt(term.value) if term.value >= 0 else POp("-", (PInt(-term.value),))
-    if isinstance(term, Str):
-        return PStr(term.value)
-    if isinstance(term, Bool):
-        return POp("==", (PInt(1), PInt(1 if term.value else 0)))
-    if isinstance(term, TupleT) and not any(isinstance(t, Splice) for t in term.items):
-        return POp("[]", tuple(PQuote(t) for t in term.items))
-    return None
-
 
 def alpha_eq(a, b):
     """Structural equality of terms up to renaming of bound names."""
@@ -580,12 +565,14 @@ def _alpha_body(a, b, fwd, bwd):
             return False
         return all(_alpha_term(x, y, fwd, bwd) for x, y in zip(fa.args, fb.args))
     if isinstance(fa, PrimB):
-        if len(fa.outs) != len(fb.outs):
-            return False
-        ea = normalize_prim(fa.expr, _quote_to_prim)
-        eb = normalize_prim(fb.expr, _quote_to_prim)
-        if not prim_alpha_eq(ea, eb, lambda x, y: _match_name(x, y, fwd, bwd),
-                             lambda x, y: _alpha_term(x, y, fwd, bwd)):
+        # a value substituted for a name prints as the expression it reads
+        # back as (`-7`, `1==1`, `[]`), so the two must print alike, each
+        # operand without such text marked, and the marked operands agree
+        ma, mb = [], []
+        if len(fa.outs) != len(fb.outs) \
+                or prims.render_prim(fa.template, fa.operands, ma) \
+                != prims.render_prim(fb.template, fb.operands, mb) \
+                or not all(_alpha_term(x, y, fwd, bwd) for x, y in zip(ma, mb)):
             return False
         saved = _bind_names([*zip(fa.outs, fb.outs), (fa.cont_stage, fb.cont_stage)],
                             fwd, bwd)
@@ -597,3 +584,6 @@ def _alpha_body(a, b, fwd, bwd):
     same = _alpha_body(fa.rest, fb.rest, fwd, bwd)
     _unbind(saved, fwd, bwd)
     return same
+
+
+from . import prims  # noqa: E402  (it imports the term classes above)

@@ -16,8 +16,7 @@ from langweave.evaluator import Session, apply_value, render_value
 from langweave.grammar import prepare, print_grammar
 from langweave.grammar_reader import read_grammar
 from langweave.printer import print_core
-from langweave.prims import render_prim
-from langweave.printer import _quote_render
+from langweave.printer import print_prim
 from langweave.reader import read_core
 from langweave.runtime import LanguageRegistry, Parser
 from langweave.terms import (App, Builtin, Int, Lam, PrimB, StageConst, StageOp,
@@ -237,7 +236,7 @@ def _prim_texts(residual):
 
     def walk(body):
         if isinstance(body.form, PrimB):
-            texts.append(render_prim(body.form.expr, _quote_render))
+            texts.append(print_prim(body.form.template, body.form.operands))
         for child in child_bodies(body):
             walk(child)
 

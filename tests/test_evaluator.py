@@ -14,7 +14,7 @@ from langweave.errors import (ArityMismatch, EvalExit, LangError, NameNotFound, 
                               StepBudgetExceeded)
 from langweave.evaluator import Session, apply_value, run_term_to_normal, step
 from langweave.fragments import Fragment
-from langweave.prims import parse_prim, prim_subst
+from langweave.prims import parse_prim
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
 from langweave.terms import (App, Body, Bool, Builtin, EnvVal, FragVal, Int, Lam, Param, PrimB,
@@ -265,16 +265,16 @@ _ENV = {"e": EnvVal((("a", Int(1)),)), "i": Int(7), "s": Str("q"), "y": Bool(Tru
 def test_eval_prim_values_errors_and_waits(expr, expected):
     """`eval_prim` over a dict: each value, each error message, and where an
     operand that is not known yet makes the expression wait instead."""
-    expr = parse_prim(expr) if isinstance(expr, str) else expr
+    expr = parse_prim(expr) if isinstance(expr, str) else (expr, ())
     if expected == WAITS:
         with pytest.raises(evaluator._Unready):
-            evaluator.eval_prim(expr, dict(_ENV))
+            evaluator.eval_prim(*expr, dict(_ENV))
     elif isinstance(expected, tuple) and isinstance(expected[0], type):
         with pytest.raises(expected[0]) as info:
-            evaluator.eval_prim(expr, dict(_ENV))
+            evaluator.eval_prim(*expr, dict(_ENV))
         assert str(info.value) == expected[1]
     else:
-        value = evaluator.eval_prim(expr, dict(_ENV))
+        value = evaluator.eval_prim(*expr, dict(_ENV))
         assert (value.entries if isinstance(value, EnvVal) else value) == expected
 
 
@@ -351,15 +351,16 @@ def test_bind_fills_the_dict_before_the_pack_after_it_then_the_pack(params, args
 
 
 def test_eval_prim_reads_quoted_operands_without_a_dict():
-    """Substitution leaves values as quoted operands; a quoted name is
-    symbolic data, and a plain name waits."""
-    expr = prim_subst(parse_prim("[x+1, k]"), {"x": Int(2), "k": Var("k")}, lambda t: t)
-    assert evaluator.eval_prim(expr) == TupleT((Int(3), Var("k")))
-    for text in ("x+1", "[x]"):
-        with pytest.raises(evaluator._Unready):
-            evaluator.eval_prim(parse_prim(text))
+    """Substitution leaves values as operands; without a dict a name is
+    symbolic data, which waits only where the operation inspects it."""
+    template, _ = parse_prim("[x+1, k]")
+    assert evaluator.eval_prim(template, (Int(2), Int(1), Var("k"))) \
+        == TupleT((Int(3), Var("k")))
     with pytest.raises(evaluator._Unready):
-        evaluator.eval_prim(prim_subst(parse_prim("k+1"), {"k": Var("k")}, lambda t: t))
+        evaluator.eval_prim(*parse_prim("x+1"))
+    assert evaluator.eval_prim(*parse_prim("[x]")) == TupleT((Var("x"),))
+    with pytest.raises(evaluator._Unready):
+        evaluator.eval_prim(*parse_prim("k+1"))
 
 
 def test_if_builtin_branches():

@@ -13,8 +13,7 @@ from langweave.errors import EvalExit, LangError
 from langweave.evaluator import Session, apply_value, render_value
 from langweave.grammar import prepare
 from langweave.grammar_reader import read_grammar
-from langweave.prims import render_prim
-from langweave.printer import print_core, _quote_render
+from langweave.printer import print_core, print_prim
 from langweave.reader import read_core
 from langweave.runtime import LanguageRegistry, Parser
 from langweave.terms import (TOP, App, Body, Int, Lam, PrimB, Str, TupleT, alpha_eq,
@@ -41,7 +40,7 @@ def residual_prim_texts(term):
     texts = []
     def walk(body):
         if isinstance(body.form, PrimB):
-            texts.append(render_prim(body.form.expr, _quote_render))
+            texts.append(print_prim(body.form.template, body.form.operands))
         from langweave.terms import child_bodies
         for child in child_bodies(body):
             walk(child)

@@ -9,7 +9,7 @@ from langweave.grammar import TOKEN_CLASSES, NtUse
 from langweave.grammar_reader import read_grammar
 from langweave.parsegen import EOI
 from langweave.printer import print_body, print_core
-from langweave.prims import PName, parse_prim
+from langweave.prims import parse_prim
 from langweave.reader import read_core, read_program
 from langweave.runtime import LexerDef, lex_next
 from langweave.names import FreshNames
@@ -351,8 +351,8 @@ def _grammar_token(text):
 
 
 def _prim_token(text):
-    expr = parse_prim(text)
-    return ("ident", expr.name) if isinstance(expr, PName) else ("int", expr.value)
+    _, (operand,) = parse_prim(text)
+    return ("ident", operand.name) if isinstance(operand, Var) else ("int", operand.value)
 
 
 LEXERS = {"runtime": _runtime_token, "core": _core_token, "grammar": _grammar_token,

@@ -13,7 +13,7 @@ from langweave.grammar import (ActionDef, ActionUse, ArgTuple, EpsilonUse, Forei
                                GrammarDef, Lit, NtUse, Production, Rule, Template,
                                TemplateCall, TokClass)
 from langweave.parsegen import Analysis, ParseTable
-from langweave.prims import PInt, PName, POp, PQuote, PStr
+from langweave.prims import Hole, POp, parse_prim
 from langweave.records import Value
 from langweave.runtime import Language, LexerDef
 from langweave.terms import (TOP, App, Body, Bool, Builtin, EnvVal, FixB, FragVal, Int, Lam,
@@ -39,7 +39,7 @@ VALUES = [
     (lambda: Param("a", packed=True), "packed"),
     (lambda: Builtin("print"), "name"),
     (lambda: App(Var("k"), (Int(1),)), "callee"),
-    (lambda: PrimB(POp("+", (PName("x"), PInt(1))), ("y",), "s", BODY), "rest"),
+    (lambda: PrimB(*parse_prim("x+1"), ("y",), "s", BODY), "rest"),
     (lambda: FixB("s", "f", LAM, BODY), "value"),
     (lambda: Lit("-"), "text"),
     (lambda: TokClass("Integer", ("n",)), "outs"),
@@ -48,17 +48,14 @@ VALUES = [
     (lambda: EpsilonUse((), ("v",)), "outs"),
     (lambda: TemplateCall("lassoc", (NtUse("A"), Lit("-"))), "args"),
     (lambda: ArgTuple(("a", "b")), "names"),
-    (lambda: PInt(1), "value"),
-    (lambda: PStr("s"), "value"),
-    (lambda: PName("x"), "name"),
-    (lambda: POp("-", (PInt(1),)), "args"),
+    (lambda: Hole(0), "index"),
+    (lambda: POp("-", (Hole(0),)), "args"),
     (lambda: LexerDef(("-", "/"), frozenset({"Integer"})), "literals"),
 ]
 # Each identity record as a maker, and one of its fields.
 IDENTITIES = [
     (lambda: ActionDef((), ("v",), LAM), "body"),
     (lambda: ActionUse(ACTION), "action"),
-    (lambda: PQuote(Int(1)), "term"),
     (lambda: EnvVal((("a", Int(1)),)), "entries"),
     (lambda: FragVal(None), "fragment"),
     (lambda: RetK(0), "tag"),
@@ -91,7 +88,7 @@ def test_value_records_compare_and_hash_by_fields_and_are_frozen(make, field):
 
 
 @pytest.mark.parametrize("a, b", [
-    (Int(1), Bool(True)), (Var("x"), Str("x")), (Int(1), PInt(1)), (Lit("-"), PStr("-")),
+    (Int(1), Bool(True)), (Var("x"), Str("x")), (Int(0), Hole(0)), (Lit("-"), Str("-")),
     (Var("x"), Builtin("x")), (Int(1), Int(2)), (Param("a"), Param("a", packed=True)),
     (NtUse("A"), NtUse("A", (), ())), (Var("x"), ("x",)),
 ])
@@ -167,8 +164,8 @@ def test_lexer_pattern_is_compiled_once_per_lexer():
 @pytest.mark.parametrize("record, text", [
     (Var("x"), "Var(name='x')"),
     (Int(-3), "Int(value=-3)"),
-    (POp("+", (PInt(1), PName("x"))), "POp(op='+', args=(PInt(value=1), PName(name='x')))"),
-    (PQuote(Str("q")), "PQuote(term=Str(value='q'))"),
+    (POp("-", (Hole(0),)), "POp(op='-', args=(Hole(index=0),))"),
+    (Hole(2), "Hole(index=2)"),
     (Param("a", packed=True), "Param(name='a', packed=True)"),
     (StageOp("!", (StageConst(False),)), "StageOp(op='!', args=(StageConst(top=False),))"),
     (NtUse("A"), "NtUse(name='A', ins=None, outs=None)"),

@@ -13,7 +13,6 @@ from langweave import cli, machine, packs
 from langweave.evaluator import Session, step
 from langweave.fragments import build
 from langweave.names import FreshNames
-from langweave.prims import PName, prim_leaves
 from langweave.reader import read_core
 from langweave.terms import (NO_NAMES, App, Body, EnvVal, FixB, FragVal, Int, Lam,
                              PrimB, Rec, Splice, StageConst, StageOp, TupleT, Var,
@@ -39,7 +38,7 @@ def _parts(x):
         if isinstance(f, App):
             return [(t, ()) for t in (f.callee, *f.args)]
         if isinstance(f, PrimB):
-            return ([(t, ()) for t in f.expr.embedded_terms()]
+            return ([(t, ()) for t in f.operands]
                     + [(f.rest, (*f.outs, f.cont_stage))])
         if isinstance(f, FixB):  # the value keeps the stage parameter free
             return [(f.value, (f.name,)), (f.rest, (f.stage_param, f.name))]
@@ -71,9 +70,6 @@ def reference_pair(x):
     if isinstance(x, Body):
         free |= _stage_names(x.stage)
         active = stage_value(x.stage)
-        if isinstance(x.form, PrimB):
-            free |= {leaf.name for leaf in prim_leaves(x.form.expr)
-                     if isinstance(leaf, PName)}
     for part, bound in _parts(x):
         part_free, part_active = reference_pair(part)
         free |= part_free - set(bound)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langweave.names import FreshNames
-from langweave.prims import PInt, PName, POp, PQuote, prim_subst
+from langweave.prims import parse_prim
 from langweave.reader import read_core
 from langweave.terms import (App, Body, FixB, Int, Lam, Param, PrimB, Rec, Splice,
                              StageConst, TupleT, Var, alpha_eq_body, subst_body,
@@ -102,8 +102,8 @@ def test_mapping_stops_at_prim_and_fix_binders():
         k x }""", names)
     copy = subst_body(lam.body, {"x": Int(5)}, names)
     assert copy.form.outs == ("x",)
-    left, right = copy.form.expr.args
-    assert isinstance(left, PQuote) and left.term == Int(5) and right == PInt(1)
+    assert copy.form.operands == (Int(5), Int(1))
+    assert copy.form.template is lam.body.form.template  # copies share the template
     assert copy.form.rest is lam.body.form.rest  # the out `x` shadows the mapping
     fix = lam.body.form.rest
     assert subst_body(fix, {"x": Int(5)}, names) is fix  # so does the fix name
@@ -146,9 +146,9 @@ def _always_rename_body(body, mapping, names):
             inner[o] = Var(outs[-1])
         cont = names.fresh(form.cont_stage)
         inner[form.cont_stage] = Var(cont)
-        expr = prim_subst(form.expr, mapping,
-                          lambda t: _always_rename_term(t, mapping, names))
-        new = PrimB(expr, tuple(outs), cont, _always_rename_body(form.rest, inner, names))
+        operands = tuple(_always_rename_term(t, mapping, names) for t in form.operands)
+        new = PrimB(form.template, operands, tuple(outs), cont,
+                    _always_rename_body(form.rest, inner, names))
     elif isinstance(form, FixB):
         # the name scopes over the value and the rest, the stage parameter
         # over the rest only
@@ -186,7 +186,7 @@ def _extend(bodies):
     return st.one_of(
         st.builds(lambda s, f, xs: Body(s, App(f, tuple(xs))),
                   stages, terms, st.lists(terms, max_size=2)),
-        st.builds(lambda s, x, y, o, c, rest: Body(s, PrimB(POp("+", (PName(x), PName(y))),
+        st.builds(lambda s, x, y, o, c, rest: Body(s, PrimB(*parse_prim(f"{x}+{y}"),
                                                            (o,), c, rest)),
                   stages, name, name, name, name, bodies),
         st.builds(lambda s, p, f, v, rest: Body(s, FixB(p, f, v, rest)),
