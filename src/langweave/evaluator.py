@@ -122,11 +122,11 @@ def _strict(term):
     raise PrimTypeError(f"unusable operand {render_value(term)}")
 
 
-def eval_prim(expr, operands, env=None):
+def eval_prim(expr, operands, named, env=None):
     """Evaluate a quoted expression, a template over `operands`, to a value
-    term.  A hole's operand is its value; a `Var` among them is a symbolic
-    value, but given the dict `env` it takes its value from there, and is
-    not ready yet if `env` does not bind it.
+    term.  A hole's operand is its value, but a name takes its value from
+    the dict `env`, if one is given and binds it; a name of a hole of
+    `named`, which no substitution has reached, is not ready yet otherwise.
 
     Arithmetic and comparison require concrete operands; environment and
     tuple constructors accept symbolic values as data (that is how build
@@ -135,20 +135,26 @@ def eval_prim(expr, operands, env=None):
     kind = type(expr)
     if kind is Hole:
         term = operands[expr.index]
-        if type(term) is not Var or env is None:
+        if type(term) is not Var:
             return term
-        if term.name not in env:
-            raise _Unready(term.name)
-        return env[term.name]
+        if expr.index in named:
+            if env is None or term.name not in env:
+                raise _Unready(term.name)
+            return env[term.name]
+        return term if env is None else env.get(term.name, term)
     if kind is POp:
         op, args = expr.op, expr.args
-        if len(args) == 2 and op in BINARY:  # a hole's operand is read in place
+        # a hole's operand is read in place: a name `env` leaves symbolic
+        # waits in `_strict`, whether or not its hole is `named`
+        if len(args) == 2 and op in BINARY:
             left, right = args
-            lv = operands[left.index] if type(left) is Hole else eval_prim(left, operands, env)
+            lv = operands[left.index] if type(left) is Hole \
+                else eval_prim(left, operands, named, env)
             if type(lv) is Var and env is not None and type(left) is Hole:
                 lv = env.get(lv.name, lv)
             lv = _strict(lv)
-            rv = operands[right.index] if type(right) is Hole else eval_prim(right, operands, env)
+            rv = operands[right.index] if type(right) is Hole \
+                else eval_prim(right, operands, named, env)
             if type(rv) is Var and env is not None and type(right) is Hole:
                 rv = env.get(rv.name, rv)
             rv = _strict(rv)
@@ -157,28 +163,29 @@ def eval_prim(expr, operands, env=None):
                 return kind(fn(lv.value, rv.value))
             return _eval_bin(op, lv, rv)
         if op == "-":
-            v = _strict(eval_prim(args[0], operands, env))
+            v = _strict(eval_prim(args[0], operands, named, env))
             if type(v) is not Int:
                 raise PrimTypeError("unary '-' needs an integer")
             return Int(-v.value)
         if op == "[]":
-            return TupleT(tuple(eval_prim(a, operands, env) for a in args))
+            return TupleT(tuple(eval_prim(a, operands, named, env) for a in args))
         if op[0] == ".":
-            obj, method, args = _strict(eval_prim(args[0], operands, env)), op[1:], args[1:]
+            obj = _strict(eval_prim(args[0], operands, named, env))
+            method, args = op[1:], args[1:]
             if type(obj) is not EnvVal:
                 raise PrimTypeError(f"method {method!r} needs an environment")
             if method == "insert":
                 if len(args) != 2:
                     raise PrimTypeError("insert takes a key and a value")
-                key = _strict(eval_prim(args[0], operands, env))
+                key = _strict(eval_prim(args[0], operands, named, env))
                 if type(key) is not Str:
                     raise PrimTypeError("insert key must be a string")
-                value = eval_prim(args[1], operands, env)
+                value = eval_prim(args[1], operands, named, env)
                 return obj.insert(key.value, value)
             if method == "lookup":
                 if len(args) != 1:
                     raise PrimTypeError("lookup takes a key")
-                key = _strict(eval_prim(args[0], operands, env))
+                key = _strict(eval_prim(args[0], operands, named, env))
                 if type(key) is not Str:
                     raise PrimTypeError("lookup key must be a string")
                 found = obj.lookup(key.value)
@@ -193,8 +200,8 @@ def eval_prim(expr, operands, env=None):
         if op == "concat":
             if len(args) != 2:
                 raise PrimTypeError("concat takes two tuples")
-            a = _strict(eval_prim(args[0], operands, env))
-            b = _strict(eval_prim(args[1], operands, env))
+            a = _strict(eval_prim(args[0], operands, named, env))
+            b = _strict(eval_prim(args[1], operands, named, env))
             if type(a) is not TupleT or type(b) is not TupleT:
                 raise PrimTypeError("concat takes two tuples")
             if Splice in map(type, a.items + b.items):
@@ -353,7 +360,7 @@ def _prim_step(session, form):
     """The rest of the primitive `form` with its outputs bound to the value
     of its expression, or None while the expression is not ready."""
     try:
-        value = eval_prim(form.template, form.operands)
+        value = eval_prim(form.template, form.operands, form.named)
     except _Unready:
         return None
     mapping = dict.fromkeys(form.outs, value)

@@ -43,7 +43,7 @@ from .names import FreshNames
 from .terms import (BOTTOM, TOP, App, Body, Builtin, FragVal, Lam, Param, PrimB, RetK,
                     Splice, StageOp, TupleT, Var, _CLOSED, _rebind, _untouched,
                     body_info, lam_info, mapped_free, postorder, stage_value,
-                    subst_stage, subst_term, term_info)
+                    still_named, subst_stage, subst_term, term_info)
 
 
 def _closed(term):
@@ -173,7 +173,7 @@ def run_chain(session, lam, args):
         form = body.form
         if isinstance(form, PrimB):
             try:
-                value = E.eval_prim(form.template, form.operands, env)
+                value = E.eval_prim(form.template, form.operands, form.named, env)
             except _Unready:
                 return E.subst_body(body, env, session.names)
             if session.listener is not None:
@@ -321,6 +321,8 @@ def drain(session, body, params=()):
                         call = (stage, sub(callee), tuple(map(sub, args)))
                         for entry in stack:  # all that waits is narrowed too
                             entry[0] = subst_stage(entry[0], pm)
+                            if len(entry) == 6:  # a primitive's names, then its operands
+                                entry[4] = still_named(entry[4], entry[3], pm)
                             entry[3][:] = map(sub, entry[3])
                             if len(entry) == 7:
                                 entry[4] = {**pm, **{k: sub(v) if _mentions(v, pack) else v
@@ -376,7 +378,7 @@ def drain(session, body, params=()):
                     binders = (*form.outs, form.cont_stage)
                     if on and not _wakes(form.rest, env):
                         try:
-                            value = E.eval_prim(form.template, form.operands, env)
+                            value = E.eval_prim(form.template, form.operands, form.named, env)
                         except _Unready:
                             break
                         free = set()
@@ -392,7 +394,8 @@ def drain(session, body, params=()):
                         continue
                     bound, inner = _rebind(binders, env, avoid, names)
                     operands = [_value(session, env, t, avoid) for t in form.operands]
-                    stack.append([stage, on, form.template, operands, tuple(bound[:-1]), bound[-1]])
+                    stack.append([stage, on, form.template, operands,
+                                  still_named(form.named, form.operands, env), bound])
                     pack = None if pack in bound else pack
                     env, body, left = inner, form.rest, form.rest
                     continue
@@ -407,8 +410,9 @@ def drain(session, body, params=()):
                 stuck = stuck or body_info(built)[1]
                 entry = stack.pop()
                 if len(entry) == 6:
-                    stage, deferred, template, operands, outs, cont = entry
-                    form = PrimB(template, tuple(operands), outs, cont, built)
+                    stage, deferred, template, operands, named, bound = entry
+                    form = PrimB(template, tuple(operands), named, tuple(bound[:-1]), bound[-1],
+                                 built)
                     ran = deferred and not stuck and _prim_step(session, form)
                     if ran:  # as `step` runs it, now that nothing below is on
                         _count_step(session)

@@ -15,6 +15,11 @@ literal of the text is a hole, and its operand is a core term (a `Var`,
 `Int` or `Str`).  Substitution replaces operands as it replaces an `App`'s
 arguments, and rendering fills each hole with its operand as the
 expression it reads back as ("l-r" becomes "1-quot" once l is known).
+`parse_prim` also numbers the holes of names: such a name waits for its
+value until a substitution reaches it, while a symbolic value substituted
+in is data (see `terms.PrimB`).  This module imports the term classes;
+`terms` renders a template through its `render` method, and so does not
+import this module.
 """
 
 import re
@@ -30,12 +35,20 @@ BINARY = {"==": 0, "!=": 0, "<=": 0, ">=": 0, "<": 0, ">": 0,
 _NEG, _POSTFIX = 3, 4
 
 
-class Hole(Value):
+class _Node(Value):
+    __slots__ = ()
+
+    def render(self, operands, marked=None):
+        """`render_prim` of the template this node is the root of."""
+        return render_prim(self, operands, marked)
+
+
+class Hole(_Node):
     """The place of the operand numbered `index`."""
     __slots__ = ("index",)
 
 
-class POp(Value):
+class POp(_Node):
     """An operator applied to its operands.  `op` is as the source writes
     it: a binary operator (see `BINARY`); `-` with one operand, negation;
     `[]`, a list; a function name; or `.` and a method name, the object
@@ -74,6 +87,7 @@ class _P:
         self.i = 0
         self.text = text
         self.operands = []
+        self.named = []
 
     def hole(self, term):
         """A hole for the operand `term`, numbered in reading order."""
@@ -96,12 +110,13 @@ class _P:
 
 
 def parse_prim(text):
-    """(template, operands) of a quoted expression."""
+    """(template, operands, named) of a quoted expression, `named` the
+    holes whose operands are the names it writes."""
     p = _P(_tokenize(text), text)
     expr = _binary(p)
     if p.peek()[0] != "end":
         raise CoreSyntaxError(f"trailing input in expression {text!r}")
-    return expr, tuple(p.operands)
+    return expr, tuple(p.operands), tuple(p.named)
 
 
 def _binary(p, level=0):
@@ -160,6 +175,7 @@ def _atom(p):
         if p.at_op("("):
             p.take("op")
             return POp(val, tuple(_args(p, ")")))
+        p.named.append(len(p.operands))
         return p.hole(Var(val))
     if p.at_op("("):
         p.take("op")

@@ -291,7 +291,7 @@ class Reader:
         if kind == "string":
             self.take()
             try:
-                template, operands = parse_prim(text)
+                template, operands, named = parse_prim(text)
             except CoreSyntaxError as err:
                 self.error(str(err), t)
             self.take("(")
@@ -302,7 +302,7 @@ class Reader:
             # staging parameter which flips on when the expression fires
             cont_stage = self.stage_ann()
             rest = self._scoped_body(outs, cont_stage)
-            return Body(stage, PrimB(template, operands, outs, cont_stage, rest))
+            return Body(stage, PrimB(template, operands, named, outs, cont_stage, rest))
 
         # application; a trailing continuation ends the block
         callee = self.parse_term()

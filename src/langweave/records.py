@@ -60,7 +60,18 @@ def _init5(s0, s1, s2, s3, s4):
     return __init__
 
 
-_INITS = (None, _init1, _init2, _init3, _init4, _init5)
+def _init6(s0, s1, s2, s3, s4, s5):
+    def __init__(self, a, b, c, d, e, f):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        s3(self, d)
+        s4(self, e)
+        s5(self, f)
+    return __init__
+
+
+_INITS = (None, _init1, _init2, _init3, _init4, _init5, _init6)
 
 
 class Record:

@@ -163,9 +163,13 @@ class App(Form, Value):
 
 class PrimB(Form, Value):
     """A primitive: an operator template (see `prims`), shared by its
-    copies, over a tuple of operand terms, one per hole."""
+    copies, over a tuple of operand terms, one per hole.  `named` numbers
+    the holes whose operand is still the name the text wrote, which no
+    substitution has reached: such a name waits for its value, where a
+    name substituted in is symbolic data (see `evaluator.eval_prim`)."""
     __slots__ = ("template",
                  "operands",
+                 "named",
                  "outs",        # bound names, usually one
                  "cont_stage",  # staging parameter of the continuation
                  "rest")
@@ -390,6 +394,11 @@ def subst_term(term, mapping, names, avoid=None):
     return term if value is term.value and name == term.name else Rec(name, value)
 
 
+def still_named(named, operands, mapping):
+    """The holes of `named` whose names `mapping` does not substitute."""
+    return tuple([i for i in named if operands[i].name not in mapping])
+
+
 def subst_body(body, mapping, names, avoid=None):
     """A body equal to `body` with `mapping` substituted, sharing every
     subtree the mapping cannot reach; see `subst_term` for `avoid`."""
@@ -409,6 +418,7 @@ def subst_body(body, mapping, names, avoid=None):
         new = PrimB(
             form.template,
             tuple([subst_term(t, mapping, names, avoid) for t in form.operands]),
+            still_named(form.named, form.operands, mapping),
             tuple(bound[:-1]),
             bound[-1],
             subst_body(form.rest, inner, names, avoid),
@@ -570,8 +580,7 @@ def _alpha_body(a, b, fwd, bwd):
         # operand without such text marked, and the marked operands agree
         ma, mb = [], []
         if len(fa.outs) != len(fb.outs) \
-                or prims.render_prim(fa.template, fa.operands, ma) \
-                != prims.render_prim(fb.template, fb.operands, mb) \
+                or fa.template.render(fa.operands, ma) != fb.template.render(fb.operands, mb) \
                 or not all(_alpha_term(x, y, fwd, bwd) for x, y in zip(ma, mb)):
             return False
         saved = _bind_names([*zip(fa.outs, fb.outs), (fa.cont_stage, fb.cont_stage)],
@@ -584,6 +593,3 @@ def _alpha_body(a, b, fwd, bwd):
     same = _alpha_body(fa.rest, fb.rest, fwd, bwd)
     _unbind(saved, fwd, bwd)
     return same
-
-
-from . import prims  # noqa: E402  (it imports the term classes above)

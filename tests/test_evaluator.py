@@ -14,11 +14,13 @@ from langweave.errors import (ArityMismatch, EvalExit, LangError, NameNotFound, 
                               StepBudgetExceeded)
 from langweave.evaluator import Session, apply_value, run_term_to_normal, step
 from langweave.fragments import Fragment
+from langweave.names import FreshNames
 from langweave.prims import parse_prim
 from langweave.printer import print_core
 from langweave.reader import read_core, read_program
 from langweave.terms import (App, Body, Bool, Builtin, EnvVal, FragVal, Int, Lam, Param, PrimB,
-                             RetK, Splice, StageConst, Str, TupleT, Var, alpha_eq)
+                             RetK, Splice, StageConst, Str, TupleT, Var, alpha_eq,
+                             subst_body)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -265,7 +267,7 @@ _ENV = {"e": EnvVal((("a", Int(1)),)), "i": Int(7), "s": Str("q"), "y": Bool(Tru
 def test_eval_prim_values_errors_and_waits(expr, expected):
     """`eval_prim` over a dict: each value, each error message, and where an
     operand that is not known yet makes the expression wait instead."""
-    expr = parse_prim(expr) if isinstance(expr, str) else (expr, ())
+    expr = parse_prim(expr) if isinstance(expr, str) else (expr, (), ())
     if expected == WAITS:
         with pytest.raises(evaluator._Unready):
             evaluator.eval_prim(*expr, dict(_ENV))
@@ -350,17 +352,37 @@ def test_bind_fills_the_dict_before_the_pack_after_it_then_the_pack(params, args
     assert list(evaluator._bind(lam, list(args))) == ["a", "b", "c", "p"]
 
 
+def _substituted_prim(text, mapping):
+    """(template, operands, named) of the primitive `text` in a body that
+    `mapping` is substituted into."""
+    body = read_core(f"(r)'[s]' {{ '@s:' \"{text}\" (v)'[t]' '@t:' r v }}").body
+    form = subst_body(body, mapping, FreshNames()).form
+    return form.template, form.operands, form.named
+
+
 def test_eval_prim_reads_quoted_operands_without_a_dict():
-    """Substitution leaves values as operands; without a dict a name is
-    symbolic data, which waits only where the operation inspects it."""
-    template, _ = parse_prim("[x+1, k]")
-    assert evaluator.eval_prim(template, (Int(2), Int(1), Var("k"))) \
-        == TupleT((Int(3), Var("k")))
+    """Substitution leaves values as operands; a name substituted in is
+    symbolic data, and a name the text wrote waits."""
+    expr = _substituted_prim("[x+1, k]", {"x": Int(2), "k": Var("k")})
+    assert evaluator.eval_prim(*expr) == TupleT((Int(3), Var("k")))
+    for text in ("x+1", "[x]"):
+        with pytest.raises(evaluator._Unready):
+            evaluator.eval_prim(*parse_prim(text))
     with pytest.raises(evaluator._Unready):
-        evaluator.eval_prim(*parse_prim("x+1"))
-    assert evaluator.eval_prim(*parse_prim("[x]")) == TupleT((Var("x"),))
-    with pytest.raises(evaluator._Unready):
-        evaluator.eval_prim(*parse_prim("k+1"))
+        evaluator.eval_prim(*_substituted_prim("k+1", {"k": Var("k")}))
+
+
+def test_a_name_of_a_lambda_not_yet_applied_waits_in_a_body_that_is_on():
+    """The insert is on before the lambda is applied, and waits for `x`;
+    storing the name itself would keep it from the substitution, which
+    does not enter an environment."""
+    source = ("(k)'[s]'{ '@s:' (x)'[y]'{ '@always:' newEnv (e)'[w]' "
+              "'@w:' \"e.insert('k', x)\" (e2)'[w2]' "
+              "'@y:' \"e2.lookup('k')\" (r)'[w3]' '@w3:' k r } 5 }")
+    stepped, ran = Session(seed=3).record_trace(), Session(seed=3).record_trace()
+    assert _by_step(stepped, rd(source, stepped), []) == [Int(5)]
+    assert apply_value(rd(source, ran), [], ran) == [Int(5)]
+    assert stepped.trace == ran.trace
 
 
 def test_if_builtin_branches():

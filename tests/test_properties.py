@@ -19,7 +19,8 @@ from langweave.prims import parse_prim, render_prim
 from langweave.printer import print_core
 from langweave.reader import STRING, read_core
 from langweave.terms import (App, Body, Bool, Builtin, FixB, Int, Lam, Param, PrimB,
-                             Splice, StageConst, StageOp, Str, TupleT, Var, alpha_eq)
+                             Splice, StageConst, StageOp, Str, TupleT, Var, alpha_eq,
+                             still_named)
 
 # A quotient is one to three integers joined by '/'; divisors are nonzero.
 quotients = st.tuples(
@@ -171,10 +172,10 @@ _leaves = st.one_of(
 # parsed primitives with a value substituted for each name, as evaluation
 # leaves them; a `Var` value keeps the primitive symbolic
 def _substituted(text, **values):
-    """The (template, operands) of `text`, each name of `values` replaced."""
-    template, operands = parse_prim(text)
-    return template, tuple(values.get(t.name, t) if isinstance(t, Var) else t
-                           for t in operands)
+    """The (template, operands, named) of `text`, each name of `values` replaced."""
+    template, operands, named = parse_prim(text)
+    return (template, tuple(values.get(t.name, t) if isinstance(t, Var) else t
+                            for t in operands), still_named(named, operands, values))
 
 
 _data = st.one_of(st.integers(-99, 99).map(Int), _strs, st.builds(Bool, st.booleans()))
@@ -276,4 +277,4 @@ def test_a_printed_term_reads_the_same_inside_an_action_body(term):
 @example(parse_prim("-(a+b)"))
 @example(parse_prim("(a<b)==(-x.lookup('k')>=concat([y],(k).items()))"))
 def test_a_rendered_primitive_parses_back_to_itself(expr):
-    assert parse_prim(render_prim(*expr)) == expr
+    assert parse_prim(render_prim(*expr[:2])) == expr

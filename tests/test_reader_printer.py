@@ -351,7 +351,7 @@ def _grammar_token(text):
 
 
 def _prim_token(text):
-    _, (operand,) = parse_prim(text)
+    _, (operand,), _ = parse_prim(text)
     return ("ident", operand.name) if isinstance(operand, Var) else ("int", operand.value)
 
 

@@ -14,8 +14,8 @@ from langweave.names import FreshNames
 from langweave.prims import parse_prim
 from langweave.reader import read_core
 from langweave.terms import (App, Body, FixB, Int, Lam, Param, PrimB, Rec, Splice,
-                             StageConst, TupleT, Var, alpha_eq_body, subst_body,
-                             subst_stage, subst_term)
+                             StageConst, TupleT, Var, alpha_eq_body, still_named,
+                             subst_body, subst_stage, subst_term)
 
 
 def test_value_with_free_name_renames_the_binder_it_would_meet():
@@ -147,7 +147,8 @@ def _always_rename_body(body, mapping, names):
         cont = names.fresh(form.cont_stage)
         inner[form.cont_stage] = Var(cont)
         operands = tuple(_always_rename_term(t, mapping, names) for t in form.operands)
-        new = PrimB(form.template, operands, tuple(outs), cont,
+        named = still_named(form.named, form.operands, mapping)
+        new = PrimB(form.template, operands, named, tuple(outs), cont,
                     _always_rename_body(form.rest, inner, names))
     elif isinstance(form, FixB):
         # the name scopes over the value and the rest, the stage parameter
