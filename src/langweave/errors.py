@@ -42,7 +42,8 @@ class NameNotFound(EvalError):
 
 
 class StepBudgetExceeded(EvalError):
-    pass
+    def __init__(self, budget):
+        super().__init__(f"step budget of {budget} exhausted")
 
 
 class ReturnNeverCalled(EvalError):

@@ -152,12 +152,14 @@ def eval_prim(expr, operands, named, env=None):
                 else eval_prim(left, operands, named, env)
             if type(lv) is Var and env is not None and type(left) is Hole:
                 lv = env.get(lv.name, lv)
-            lv = _strict(lv)
+            if type(lv) is not Int:
+                lv = _strict(lv)
             rv = operands[right.index] if type(right) is Hole \
                 else eval_prim(right, operands, named, env)
             if type(rv) is Var and env is not None and type(right) is Hole:
                 rv = env.get(rv.name, rv)
-            rv = _strict(rv)
+            if type(rv) is not Int:
+                rv = _strict(rv)
             if type(lv) is Int and type(rv) is Int and op in _INT_OPS:
                 kind, fn = _INT_OPS[op]
                 return kind(fn(lv.value, rv.value))
@@ -432,11 +434,14 @@ def _try_execute(session, body, path):
     raise ApplyNonClosure(f"cannot apply {type(callee).__name__}")
 
 
+_SYMBOLIC = frozenset((Splice, Var))
+
+
 def _return(session, ret, items):
     """Record the values of a call of the host return continuation `ret`
     as a tuple; False while one is symbolic, as the host demands concrete
     values.  A caller that keeps the call in its tree stages it never."""
-    if not {Splice, Var}.isdisjoint(map(type, items)):
+    if not _SYMBOLIC.isdisjoint(map(type, items)):
         return False
     if ret.tag in session.returned:
         raise ReturnCalledTwice("return continuation invoked twice")
@@ -528,7 +533,7 @@ def step(session, root):
 def _count_step(session):
     session.steps += 1
     if session.steps > session.budget:
-        raise StepBudgetExceeded(f"step budget of {session.budget} exhausted")
+        raise StepBudgetExceeded(session.budget)
 
 
 def apply_value(f, args, session):

@@ -35,7 +35,7 @@ evaluator imports this module last, once its own names are defined.
 """
 
 from . import evaluator as E
-from .errors import ArityMismatch, LangError
+from .errors import ArityMismatch, LangError, StepBudgetExceeded
 from .evaluator import (_NeedsRefine, _Unready, _bind, _count_step, _do_builtin,
                         _flatten, _prim_step, _return)
 from .fragments import subject_call_args, wrapper_names
@@ -151,8 +151,9 @@ def run_chain(session, lam, args):
     """Run the call of `lam` on `args` in one environment, if
     `_straight_line` allows and every argument is closed.  None when the
     call ended by calling a host return continuation; otherwise the body
-    `drain` goes on from, the whole call when the loop declines."""
-    if not isinstance(lam, Lam) or not _chain_shape(lam):
+    `drain` goes on from, the whole call when the loop declines.  Each
+    step is counted in place, as `_count_step` counts it."""
+    if type(lam) is not Lam or not _chain_shape(lam):
         return Body(TOP, App(lam, args))
     env = {}
     for p, t in zip(lam.params, args):  # plain parameters, closed leaf values
@@ -167,28 +168,33 @@ def run_chain(session, lam, args):
         except _Unready:  # a splice that is not a tuple: the call waits
             return Body(TOP, App(lam, args))
     env[lam.stage] = TOP
-    _count_step(session)
+    listener, eval_prim, budget = session.listener, E.eval_prim, session.budget
+    session.steps += 1
+    if session.steps > budget:
+        raise StepBudgetExceeded(budget)
     body = lam.body
     while True:
         form = body.form
-        if isinstance(form, PrimB):
+        if type(form) is PrimB:
             try:
-                value = E.eval_prim(form.template, form.operands, form.named, env)
+                value = eval_prim(form.template, form.operands, form.named, env)
             except _Unready:
                 return E.subst_body(body, env, session.names)
-            if session.listener is not None:
-                session.listener("prim", (form, env))
+            if listener is not None:
+                listener("prim", (form, env))
             for out in form.outs:
                 env[out] = value
             env[form.cont_stage] = TOP
-            _count_step(session)
+            session.steps += 1
+            if session.steps > budget:
+                raise StepBudgetExceeded(budget)
             body = form.rest
             continue
-        if not isinstance(form.callee, Builtin):
+        if type(form.callee) is not Builtin:
             if (type(body.stage) is not Var or env[body.stage.name] is not TOP) \
                     and not stage_value(subst_stage(body.stage, env)):  # on a value
                 return E.subst_body(body, env, session.names)
-            callee = _value(session, env, form.callee)
+            callee = env.get(form.callee.name, form.callee)
             args = tuple([env.get(t.name, t) if type(t) is Var else _value(session, env, t)
                           for t in form.args])
             break
@@ -197,21 +203,27 @@ def run_chain(session, lam, args):
         call = _do_builtin(session, form.callee.name, _flatten([*operands, k]))
         if call is None:
             return E.subst_body(body, env, session.names)
-        _count_step(session)
+        session.steps += 1
+        if session.steps > budget:
+            raise StepBudgetExceeded(budget)
         args = call[1]  # closed: only a shell `_finish` hands back is not
         if form.callee.name == "finalize":
             args = (_finish(session, args[0]),)
             if not _closed(args[0]):
                 return Body(TOP, App(_value(session, env, k), args))
-        if not isinstance(k, Lam):
-            callee = _value(session, env, k)
+        if type(k) is not Lam:
+            callee = env.get(k.name, k)
             break
         env.update(_bind(k, _flatten(args)))
         env[k.stage] = TOP
-        _count_step(session)
+        session.steps += 1
+        if session.steps > budget:
+            raise StepBudgetExceeded(budget)
         body = k.body
-    if type(callee) is RetK and _return(session, callee, _flatten(args)):
-        _count_step(session)
+    if type(callee) is RetK and _return(session, callee, args):  # a splice makes it decline
+        session.steps += 1
+        if session.steps > budget:
+            raise StepBudgetExceeded(budget)
         return None
     return Body(TOP, App(callee, args))
 

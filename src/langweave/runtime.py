@@ -5,14 +5,16 @@ values, actions run immediately through the evaluator, and a foreign
 nonterminal swaps lexer and table wholesale until its entry rule returns.
 Tokens are lexed lazily against the current language only, so text beyond
 the cursor is never touched by the wrong alphabet, and the cursor is
-monotone: no backtracking, ever.  A failure to lex is a value, not an
-exception: `lex_next` returns (message maker, offset).  The parser lexes
-one look-ahead per language and position, a token or a failure, which
-selection reads as end of input (the text belongs to an outer language)
-and a token operation takes in place when it is the token expected; only
-`peek` and `consume` raise.  A language's lexer numbers its token keys,
-0 for end of input (and a failure), so that a token carries its kind as a
-small int, selection looks the kind up and a token operation compares it.
+monotone: no backtracking, ever.  The look-ahead is plain values:
+`lex_next` returns (kind, value, start, end), the kind a small int a
+language's lexer numbers its token keys with, 0 for end of input and for
+a failure to lex, whose value is the message maker.  The parser lexes one
+look-ahead per language and position; selection looks its kind up, so a
+failure reads as end of input (the text belongs to an outer language),
+and a token operation takes it in place when its kind is the one
+expected.  Only `peek` and `consume` raise a failure.  A `Token` is made
+only for them, for a listener's `token` event and for `parse`'s check of
+trailing input.
 
 Registering a language compiles each production into a tuple of
 operations over attribute slots numbered in advance; a use that fails
@@ -44,11 +46,10 @@ from .terms import Int, Str
 
 
 class Token:
-    __slots__ = ("key", "kind", "lexeme", "value", "span")
+    __slots__ = ("key", "lexeme", "value", "span")
 
-    def __init__(self, key, kind, lexeme, value, span):
+    def __init__(self, key, lexeme, value, span):
         self.key = key          # ("lit", text) | ("class", cls) | EOI
-        self.kind = kind        # the key's number in its lexer, 0 for EOI
         self.lexeme = lexeme
         self.value = value      # term for classes, None otherwise
         self.span = span
@@ -73,11 +74,11 @@ class LexerDef(Value):
 
     @cached_property
     def table(self):
-        """(key, kind, class) of a literal by its text and of a class by its
-        group number in `pattern`; one key tuple each, shared by its tokens."""
+        """(kind, class) of a literal by its text and of a class by its group
+        number in `pattern`."""
         skip = len(self.literals) - 1  # a class's kind less its group number
         return {key[1] if key[0] == "lit" else kind - skip:
-                (key, kind, None if key[0] == "lit" else key[1])
+                (kind, None if key[0] == "lit" else key[1])
                 for kind, key in enumerate(self.keys) if kind}
 
     @cached_property
@@ -95,15 +96,16 @@ def lexer_for(grammar):
 
 
 def lex_next(text, pos, lexdef, language=None):
-    """Longest-match token at `pos` under the given language; literals win
-    ties against classes.  No match is returned as (message maker, offset),
-    the message naming `language` when it is given."""
+    """Longest-match token at `pos` under the given language, as (kind,
+    value, start, end); literals win ties against classes.  Kind 0 is end
+    of input, with value None, or no match, with the message maker as its
+    value, the message naming `language` when it is given."""
     m = lexdef.pattern.match(text, pos)
     pos, lit, group = m.start(1), m[1], m.lastindex
     if pos >= len(text):
-        return Token(EOI, 0, "", None, (pos, pos))
+        return 0, None, pos, pos
     if group > 1:  # a class matched
-        key, kind, cls = lexdef.table[group]
+        kind, cls = lexdef.table[group]
         lexeme = m[group]
         if len(lexeme) > len(lit) and (cls != "Identifier" or ident_start(lexeme[0])):
             if cls == "Integer":
@@ -112,16 +114,15 @@ def lex_next(text, pos, lexdef, language=None):
                 value = Str(lexeme[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
             else:
                 value = Str(lexeme)
-            return Token(key, kind, lexeme, value, (pos, pos + len(lexeme)))
+            return kind, value, pos, pos + len(lexeme)
     if lit:
-        key, kind, _ = lexdef.table[lit]
-        return Token(key, kind, lit, None, (pos, pos + len(lit)))
+        return lexdef.table[lit][0], None, pos, pos + len(lit)
 
     def message():  # made only where the failure is reported
         line, col = line_col(text, pos)
         which = "the current language" if language is None else f"language {language!r}"
         return f"no token of {which} matches {text[pos:pos+10]!r} at {line}:{col}"
-    return message, pos
+    return 0, message, pos, pos
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +326,36 @@ class Parser:
         self.pos = 0
         self.trace = self.session.trace
         self.consumed_spans = []
-        self._la = (None, -1, None)  # the last look-ahead: language, position, token
+        self._la = (None, -1, None)  # the last look-ahead: language, position, `lex_next`'s tuple
         self._frames = []  # suspended frames of the running parse, outermost first
 
     # -- lexing
 
     def _look(self, lang):
         """The look-ahead of `lang` at the cursor, lexed once per language
-        and position: a token, or a failure kept as (message maker, offset)."""
+        and position: `lex_next`'s (kind, value, start, end), a failure too."""
         la = self._la
         if la[0] is not lang or la[1] != self.pos:
             self._la = la = (lang, self.pos, lex_next(self.text, self.pos, lang.lexer, lang.name))
         return la[2]
 
+    def _token(self, lang, la):
+        """The `Token` of a look-ahead of `lang` that is not a failure."""
+        kind, value, start, end = la
+        return Token(lang.lexer.keys[kind], self.text[start:end], value, (start, end))
+
     def peek(self, lang):
         """The token of `lang` at the cursor; raises a kept failure."""
-        tok = self._look(lang)
-        if type(tok) is tuple:  # a new exception each time, so no traceback grows
-            raise LexFailure(*tok)
-        return tok
+        la = self._look(lang)
+        if la[0] == 0 and la[1] is not None:  # a new exception each time, so no traceback grows
+            raise LexFailure(la[1], la[2])
+        return self._token(lang, la)
 
     def consume(self, lang, expected_key):
-        la_lang, la_pos, tok = self._la
-        if la_lang is not lang or la_pos != self.pos:  # else selection looked at it
-            tok = self._look(lang)
-        if type(tok) is tuple:
-            raise LexFailure(f"{LexFailure(*tok)}{self._stack_note(lang)}", tok[1])
+        la = self._look(lang)
+        if la[0] == 0 and la[1] is not None:
+            raise LexFailure(f"{la[1]()}{self._stack_note(lang)}", la[2])
+        tok = self._token(lang, la)
         if tok.key != expected_key:
             raise UnexpectedToken(
                 f"expected {token_key_str(expected_key)}, found {tok} "
@@ -374,15 +379,15 @@ class Parser:
 
     def _select(self, lang, rule):
         """The operations of the production of `rule` the look-ahead selects."""
-        la_lang, la_pos, tok = self._la
+        la_lang, la_pos, la = self._la
         if la_lang is not lang or la_pos != self.pos:
-            tok = self._look(lang)
-        kind = tok.kind if type(tok) is Token else 0  # a failure: end of input
+            la = self._look(lang)
+        kind = la[0]  # a failure reads as end of input
         ops = rule.select.get(kind)
         if ops is None:
             keys = lang.lexer.keys
             expected = sorted(token_key_str(keys[k]) for k in rule.select)
-            at = tok.span[0] if kind else self.pos
+            at = la[2] if kind else self.pos
             raise UnexpectedToken(
                 f"in rule {rule.name!r}: unexpected {token_key_str(keys[kind])} "
                 f"at {self._where(lang, at)}; expected one of: " + ", ".join(expected))
@@ -417,20 +422,19 @@ class Parser:
             code, arg, ins, outs, what, extra = ops[pc]
             pc += 1
             if code == TOKEN:  # the look-ahead, taken in place if it is the token expected
-                la_lang, la_pos, tok = self._la
+                la_lang, la_pos, la = self._la
                 if la_lang is not lang or la_pos != self.pos:
-                    tok = self._look(lang)
-                if type(tok) is not Token or tok.kind != arg:
-                    tok = self.consume(lang, lang.lexer.keys[arg])  # it raises
-                else:
-                    span = tok.span
-                    assert span[0] >= self.pos  # cursor monotonicity
-                    self.pos = span[1]
-                    spans.append(span)
+                    la = self._look(lang)
+                kind, value, start, end = la
+                if kind != arg:
+                    self.consume(lang, lang.lexer.keys[arg])  # it raises
+                assert start >= self.pos  # cursor monotonicity
+                self.pos = end
+                spans.append((start, end))
                 if listener is not None:
-                    listener("token", (tok,))
+                    listener("token", (self._token(lang, la),))
                 for out in outs:
-                    slots[out] = tok.value
+                    slots[out] = value
                 continue
             # no comprehension, which is a call of its own, for one input or none
             values = [slots[i] for i in ins] if len(ins) > 1 else [slots[ins[0]]] if ins else []

@@ -9,12 +9,12 @@ from types import FunctionType
 
 import pytest
 
-from langweave import evaluator, packs, runtime
+from langweave import cli, evaluator, machine, packs, runtime
 from langweave.cli import main
 from langweave.errors import (EXIT_ACTION, EXIT_BUDGET, EXIT_INTERRUPT, EXIT_IOERR,
                               EXIT_NOINPUT, EXIT_OK, EXIT_PARSE, EXIT_SOFTWARE, EXIT_USAGE)
 from langweave.reader import read_core
-from langweave.terms import Bool, alpha_eq
+from langweave.terms import TOP, App, Body, Bool, alpha_eq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 AMBIGUOUS = 'grammar amb {\n  entry A ::= "x";\n  A ::= "x" "y";\n}\n'
@@ -104,13 +104,38 @@ def test_steps_is_a_non_negative_count(capsys, steps, expected, message):
         expected, "", message)
 
 
-def test_an_immediate_action_takes_three_steps_of_the_budget(capsys):
+def test_an_immediate_action_takes_three_steps_of_the_budget(capsys, monkeypatch):
     """`1-2` runs one action: binding its call, its primitive, and the call
-    of the host return continuation are one step each."""
+    of the host return continuation are one step each.  `12-7/3-4` runs
+    three actions in nine steps: every smaller budget stops it with its own
+    message, and the machine, which counts its steps in place, stops at the
+    same count as the `step` loop does."""
     assert run_cli(capsys, "run", "minusdiv_immediate", "1-2", "--steps", "2") == (
         EXIT_BUDGET, "", "error: step budget of 2 exhausted\n")
     assert run_cli(capsys, "run", "minusdiv_immediate", "1-2", "--steps", "3") == (
         EXIT_OK, "-1\n", "")
+    sessions = []
+
+    def kept(**kwargs):
+        sessions.append(evaluator.Session(**kwargs))
+        return sessions[-1]
+
+    def counts():
+        sessions.clear()
+        for steps in range(9):
+            assert run_cli(capsys, "run", "minusdiv_immediate", "12-7/3-4", "--steps",
+                           str(steps)) == (EXIT_BUDGET, "", f"error: step budget of {steps} "
+                                           "exhausted\n")
+        assert run_cli(capsys, "run", "minusdiv_immediate", "12-7/3-4", "--steps", "9") == (
+            EXIT_OK, "6\n", "")
+        return [session.steps for session in sessions]
+
+    monkeypatch.setattr(cli, "Session", kept)
+    by_machine = counts()
+    # every action through the `step` loop: the machine declines and hands back
+    monkeypatch.setattr(machine, "run_chain", lambda session, lam, args: Body(TOP, App(lam, args)))
+    monkeypatch.setattr(machine, "drain", lambda session, body, params=(): (params, body))
+    assert by_machine == counts() == [*range(1, 10), 9]
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,6 +282,34 @@ def test_nothing_is_rendered_without_a_listener(capsys, monkeypatch):
         == (EXIT_OK, "-4\n", "")
     assert run_cli(capsys, "run", "graph", "Start -> X, Y;\nX -> Y;\nY -> X, Start;") \
         == (EXIT_OK, '[["Start",1],["X",2],["Y",3]]\n[[2,3],[3],[2,1]]\n', "")
+
+
+def test_no_token_is_made_without_a_listener(capsys, monkeypatch):
+    """The look-ahead is plain values: untraced, a stream program makes at
+    most the `Token` of the trailing-input check; traced, one more per
+    `token` line, and the trace is the same as with the real class."""
+    made = []
+
+    class Counted(runtime.Token):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    outer = Path(__file__).parent.parent / "perfbench" / "grammars" / "stream.lw"
+    immediate = Path(packs.PACK_ROOT) / "minusdiv_immediate" / "grammar.lw"
+    stream = ("run", "--grammar", f"stream={outer}", "--grammar",
+              f"minusdiv_immediate={immediate}", "stream", "a << 12-7/3; b << 4;")
+    traced = run_cli(capsys, *stream, "--trace")
+    monkeypatch.setattr(runtime, "Token", Counted)
+    assert run_cli(capsys, *stream) == (EXIT_OK, "14\n", "")
+    untraced = len(made)
+    assert untraced <= 1
+    made.clear()
+    assert run_cli(capsys, *stream, "--trace") == traced
+    tokens = [line for line in traced[2].splitlines() if line.startswith("token ")]
+    assert len(made) == untraced + len(tokens) and tokens
 
 
 @pytest.mark.parametrize("argv, where", [

@@ -330,12 +330,12 @@ def test_printer_deterministic():
 
 def _runtime_token(text):
     lexdef = LexerDef((), frozenset(TOKEN_CLASSES))
-    tok = lex_next(text, 0, lexdef)
-    if type(tok) is tuple:  # no token: (message maker, offset)
-        raise LexFailure(*tok)
-    assert lex_next(text, tok.span[1], lexdef).key == EOI
-    kind = {"Identifier": "ident", "Integer": "int", "String": "string"}[tok.key[1]]
-    return kind, tok.value.value
+    kind, value, start, end = lex_next(text, 0, lexdef)
+    if kind == 0 and value is not None:  # no token: the message maker is its value
+        raise LexFailure(value, start)
+    assert lexdef.keys[lex_next(text, end, lexdef)[0]] == EOI
+    kind = {"Identifier": "ident", "Integer": "int", "String": "string"}[lexdef.keys[kind][1]]
+    return kind, value.value
 
 
 def _core_token(text):

@@ -44,10 +44,18 @@ def _registry(*packs, session=None):
 # lexing
 
 
+def _token(text, pos, lexdef):
+    """`lex_next`'s (kind, value, start, end) read as a token with its key,
+    lexeme, value and span."""
+    kind, value, start, end = lex_next(text, pos, lexdef)
+    return SimpleNamespace(key=lexdef.keys[kind], lexeme=text[start:end], value=value,
+                           span=(start, end))
+
+
 def _tokens(text, lexdef):
     pos, out = 0, []
     while True:
-        tok = lex_next(text, pos, lexdef)
+        tok = _token(text, pos, lexdef)
         if tok.key == EOI:
             return out
         out.append(tok)
@@ -75,26 +83,27 @@ def test_lex_graph_line():
 
 
 def test_lex_empty_input_is_end_of_input():
-    tok = lex_next("", 0, LexerDef((), frozenset()))
+    tok = _token("", 0, LexerDef((), frozenset()))
     assert tok.key == EOI
     assert tok.span == (0, 0)
 
 
 def test_lex_longest_match_and_literal_tie_break():
     lexdef = LexerDef(("out",), frozenset({"Identifier"}))
-    assert lex_next("out", 0, lexdef).key == ("lit", "out")
-    assert lex_next("output", 0, lexdef).key == ("class", "Identifier")
+    assert _token("out", 0, lexdef).key == ("lit", "out")
+    assert _token("output", 0, lexdef).key == ("class", "Identifier")
 
 
 def test_lex_string_class_and_comments():
     lexdef = LexerDef((), frozenset({"String"}))
-    tok = lex_next('  // comment\n "hi\\"x"', 0, lexdef)
+    tok = _token('  // comment\n "hi\\"x"', 0, lexdef)
     assert tok.key == ("class", "String")
     assert tok.value == Str('hi"x')
 
 
 def test_lex_failure_reports_offset():
-    message, offset = lex_next("  %", 0, LexerDef((), frozenset({"Integer"})))
+    kind, message, offset, _ = lex_next("  %", 0, LexerDef((), frozenset({"Integer"})))
+    assert kind == 0
     assert offset == 2
     assert message() == "no token of the current language matches '%' at 1:3"
 
@@ -466,7 +475,7 @@ def test_a_failed_look_ahead_is_lexed_once_and_read_as_end_of_input(monkeypatch)
 
     def lexed(text, pos, lexdef, language=None):
         tok = lex_next(text, pos, lexdef, language)
-        if type(tok) is tuple:
+        if tok[0] == 0 and tok[1] is not None:  # a failure: kind 0 with a message maker
             made.append(tok)
         return tok
 
@@ -479,7 +488,7 @@ def test_a_failed_look_ahead_is_lexed_once_and_read_as_end_of_input(monkeypatch)
     finally:
         sys.settrace(before)
     assert outs == [Int(6)]
-    assert [message() for message, _ in made] == [
+    assert [message() for _, message, _, _ in made] == [
         f"no token of language 'minusdiv_immediate' matches {text!r} at 1:{col}"
         for text, col in (("; b << 1;", 11), (";", 19))]
     assert raised == []
